@@ -1,0 +1,98 @@
+"""Golden digests: refactors must leave every output byte-identical.
+
+Each test hashes one family of outputs with sha256 and compares it with the
+digest recorded when the test was written:
+
+  * serialized circuits of `compile_single` (td/pw/tw) for every 7th pattern
+    of the criterion-1 census, at 2x2 and 2x3 hosts;
+  * serialized circuits of `compile_colourful` (td/pw/tw) at n=2 on the same
+    sample;
+  * values and certificates of the tw/pw/td solvers, of the labelled tw/pw
+    solvers and of `rooted_certificate`, for every simple bipartite graph
+    with at most 6 vertices (labels: the first vertex of each side);
+  * the stdout of `symcirc suite all --seed 1`.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+from symcirc import cli, compilers, width
+from symcirc.pattern import LabelledPattern, enumerate_bipartite_multigraphs
+
+SAMPLE = enumerate_bipartite_multigraphs(6, 8, max_mult=2)[::7]
+SIMPLE = enumerate_bipartite_multigraphs(6, 9)
+
+EXPECTED = {
+    "compile_single": "687357e15b09edd6d460ba74ea69a9d9efb176d88218b7e9cf38f7d0fb0754a1",
+    "compile_colourful": "403654c54b7b356b4c8e3c8883b82188e4c396774a1f8b8180c82528558e7af0",
+    "certificates": "0ff38d1c82decc4f5907f9cfaf471e45d372529b75d9dbb9c5c8b0e33b99cb77",
+    "suite_all_seed1": "0b7dce3fd423a0ba04cfefa32e0d8c65832eb55d884f95011ba40ca8660175d7",
+}
+
+
+def _digest(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _cert(value, cert) -> bytes:
+    return json.dumps([value, cert.to_json()], sort_keys=True).encode("utf-8")
+
+
+def _compile_single_chunks():
+    for f in SAMPLE:
+        for n, m in ((2, 2), (2, 3)):
+            for shape in ("td", "pw", "tw"):
+                yield compilers.compile_single(f, n, m, shape).circuit.serialize()
+
+
+def _compile_colourful_chunks():
+    for f in SAMPLE:
+        colouring = {v: v + 1 for v in f.vertices()}
+        for shape in ("td", "pw", "tw"):
+            yield compilers.compile_colourful(f, colouring, 2, shape).circuit.serialize()
+
+
+def _certificate_chunks():
+    for g in SIMPLE:
+        yield _cert(*width.treewidth_exact(g))
+        yield _cert(*width.pathwidth_exact(g))
+        yield _cert(*width.treedepth_exact(g))
+        p = LabelledPattern(g, (0,) if g.a_count else (), (0,) if g.b_count else ())
+        yield _cert(*width.labelled_treewidth(p))
+        yield _cert(*width.labelled_pathwidth(p))
+        w, depth, cert = width.rooted_certificate(p)
+        yield _cert([w, depth], cert)
+
+
+def _suite_chunks():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(["suite", "all", "--seed", "1"])
+    yield str(code).encode("utf-8")
+    yield out.getvalue().encode("utf-8")
+
+
+def test_sample_sizes():
+    assert (len(SAMPLE), len(SIMPLE)) == (133, 163)
+
+
+def test_compile_single_circuits_unchanged():
+    assert _digest(_compile_single_chunks()) == EXPECTED["compile_single"]
+
+
+def test_compile_colourful_circuits_unchanged():
+    assert _digest(_compile_colourful_chunks()) == EXPECTED["compile_colourful"]
+
+
+def test_width_certificates_unchanged():
+    assert _digest(_certificate_chunks()) == EXPECTED["certificates"]
+
+
+def test_suite_all_stdout_unchanged():
+    assert _digest(_suite_chunks()) == EXPECTED["suite_all_seed1"]
