@@ -311,6 +311,8 @@ class Circuit:
             labels: List = [None] * n
             for entry in data["gates"]:
                 g = int(entry["id"])
+                if not 0 <= g < n or labels[g] is not None:
+                    raise ParseError(f"gate id {g} is out of range [0, {n}) or repeated")
                 lbl = entry["label"]
                 if isinstance(lbl, str):
                     if lbl not in (PLUS, TIMES):
@@ -332,7 +334,7 @@ class Circuit:
                 raise ParseError("bad output or gate ids")
         except ParseError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed circuit JSON: {exc}") from exc
         circuit = Circuit(labels, children, output)
         ok, reason = circuit.validate(GENERAL)

@@ -574,6 +574,7 @@ def run(argv: Optional[List[str]] = None) -> int:
             print(f"error: bad caps file: {exc}", file=sys.stderr)
             return 2
     args.caps = caps
+    saved_cap = oracle.BRUTE_FORCE_CAP
     if "brute_force_maps" in caps:
         oracle.BRUTE_FORCE_CAP = caps["brute_force_maps"]
     try:
@@ -584,6 +585,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        oracle.BRUTE_FORCE_CAP = saved_cap
 
 
 def main() -> None:

@@ -10,19 +10,20 @@ Three constructions, all taking an explicit decomposition certificate:
     with 1^(position) so that structurally equal siblings cannot be permuted
     by an automorphism.
 
-  * compile_skew_pw: a symmetric skew circuit from a path decomposition.  Bag
-    by bag, a gate per bag labelling multiplies the newly covered edge
-    variables with a summation gate that forgets the labels leaving the bag;
-    multiplication gates touch at most one internal child, so the circuit is
-    skew.  The result is rigidified.
+  * compile_circuit_tw: a symmetric circuit from a tree decomposition.  Per
+    node and per labelling of its bag, a gate multiplies the edge variables
+    charged to the node with one summation gate per child subtree that
+    forgets the labels leaving the bag.  General shape; rigidified.
 
-  * compile_circuit_tw: the same dynamic program over a tree decomposition;
-    join nodes multiply one forgetting sum per child subtree.  General shape.
+  * compile_skew_pw: the same bag-table dynamic program run over the path
+    decomposition as a path-shaped tree (`deco.as_tree()`).  Every node has
+    at most one child, so multiplication gates touch at most one internal
+    child and the circuit is skew.  The result is rigidified.
 
-Each edge is charged to exactly one decomposition node (the first bag, in
-processing order, containing both endpoints), and every map of the pattern
-into the host indices decomposes uniquely along the certificate, so the
-circuits evaluate to the homomorphism polynomial.  Isolated vertices factor
+Each edge is charged to exactly one decomposition node (the smallest-index
+bag containing both endpoints), and every map of the pattern into the host
+indices decomposes uniquely along the certificate, so the circuits evaluate
+to the homomorphism polynomial.  Isolated vertices factor
 out as an explicit constant n^(isolated left) * m^(isolated right).
 
 `compile_colourful` runs the same dynamic programs over colour-indexed
@@ -215,93 +216,44 @@ def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
     return builder.finish(builder.times(top))
 
 
-# -- pathwidth skew compiler ----------------------------------------------------------------
+# -- bag-table compilers (pathwidth skew, treewidth general) ---------------------------------
 
 
 def compile_skew_pw(f: BipartiteMultigraph, deco: PathDecomposition,
                     n: int, m: int) -> CompileReport:
     """Symmetric rigid skew circuit for hom_{F,n,m} from a path decomposition."""
-    ok, reason = validate_decomposition(f, deco)
-    if not ok:
-        raise InvalidDecomposition(reason)
-    raw = _skew_from_path(f, deco.bags, _matrix_ranges(f, n, m), _matrix_varmap(f))
-    circuit = rigidify(raw, n, m, check_symmetric=False)
-    ok, reason = circuit.validate(SKEW)
-    if not ok:
-        raise InvalidParameter(f"pathwidth compiler produced a non-skew circuit: {reason}")
-    width = deco.width()
+    circuit = _compile_bag_table(f, deco, n, m, SKEW)
     return CompileReport(circuit, SKEW, {
         "size_bound": None,
-        "orbit_bound": (n + m) ** (width + 1),
+        "orbit_bound": (n + m) ** (deco.width() + 1),
         "support_bound": None,
     })
-
-
-def _assign_edges_to_first_bag(f: BipartiteMultigraph, bags: Sequence[frozenset]):
-    """Charge each edge to the first bag containing both endpoints."""
-    assignment: Dict[int, List[Tuple[int, int, int]]] = {i: [] for i in range(len(bags))}
-    for (i, j), mult in sorted(f.edges.items()):
-        a_g, b_g = i, f.a_count + j
-        idx = next(k for k, bag in enumerate(bags) if a_g in bag and b_g in bag)
-        assignment[idx].append((a_g, b_g, mult))
-    return assignment
-
-
-def _skew_from_path(f: BipartiteMultigraph, bags: Sequence[frozenset], ranges, varmap) -> Circuit:
-    builder = CircuitBuilder()
-    const1 = builder.const(1)
-    assignment = _assign_edges_to_first_bag(f, bags)
-    prev_table: Dict = {}
-    prev_bag: frozenset = frozenset()
-    for idx, bag in enumerate(bags):
-        table: Dict = {}
-        shared = sorted(bag & prev_bag)
-        groups: Dict = {}
-        if idx > 0:
-            # Group the previous table by its restriction to the shared vertices.
-            for phi, gid in prev_table.items():
-                key = tuple((v, img) for v, img in phi if v in bag)
-                groups.setdefault(key, []).append(gid)
-        for phi in _labellings(sorted(bag), ranges):
-            images = dict(phi)
-            factors = _edge_factors(f, builder, varmap, images, assignment[idx])
-            parts = sorted(factors.items())
-            if idx > 0:
-                key = tuple((v, img) for v, img in phi if v in prev_bag)
-                forget = builder.plus([(g, 1) for g in groups[key]])
-                parts = [(forget, 1)] + parts
-            if parts:
-                if len(parts) == 1 and parts[0][1] == 1:
-                    table[phi] = parts[0][0]
-                else:
-                    table[phi] = builder.times(parts)
-            else:
-                table[phi] = const1
-        prev_table = table
-        prev_bag = bag
-    output = builder.plus([(gid, 1) for _, gid in sorted(prev_table.items())])
-    return builder.finish(output)
-
-
-# -- treewidth general compiler ------------------------------------------------------------------
 
 
 def compile_circuit_tw(f: BipartiteMultigraph, deco: TreeDecomposition,
                        n: int, m: int) -> CompileReport:
     """Symmetric circuit for hom_{F,n,m} from a tree decomposition."""
-    ok, reason = validate_decomposition(f, deco)
-    if not ok:
-        raise InvalidDecomposition(reason)
-    raw = _general_from_tree(f, deco, _matrix_ranges(f, n, m), _matrix_varmap(f))
-    circuit = rigidify(raw, n, m, check_symmetric=False)
-    ok, reason = circuit.validate(GENERAL)
-    if not ok:
-        raise InvalidParameter(f"treewidth compiler produced an invalid circuit: {reason}")
+    circuit = _compile_bag_table(f, deco, n, m, GENERAL)
     return CompileReport(circuit, GENERAL, {
         "size_bound": None,
         "orbit_bound": None,
         "support_bound": None,
     })
+
+
+def _compile_bag_table(f: BipartiteMultigraph, deco, n: int, m: int, shape: str) -> Circuit:
+    """Validate `deco`, run the bag-table DP over it (a path as a path-shaped
+    tree), rigidify, and check the promised shape."""
+    ok, reason = validate_decomposition(f, deco)
+    if not ok:
+        raise InvalidDecomposition(reason)
+    tree = deco.as_tree() if isinstance(deco, PathDecomposition) else deco
+    raw = _general_from_tree(f, tree, _matrix_ranges(f, n, m), _matrix_varmap(f))
+    circuit = rigidify(raw, n, m, check_symmetric=False)
+    ok, reason = circuit.validate(shape)
+    if not ok:
+        raise InvalidParameter(f"bag-table compiler produced a non-{shape} circuit: {reason}")
+    return circuit
 
 
 def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, varmap) -> Circuit:
@@ -437,7 +389,7 @@ def compile_colourful(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
         result_shape = FORMULA_MULTI
     elif shape == "pw":
         _, deco = pathwidth_exact(f)
-        circuit = _skew_from_path(f, deco.bags, ranges, varmap)
+        circuit = _general_from_tree(f, deco.as_tree(), ranges, varmap)
         result_shape = SKEW
     elif shape == "tw":
         _, deco = treewidth_exact(f)

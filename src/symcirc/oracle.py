@@ -5,6 +5,16 @@ order over the pattern's vertices, and sums exactly over the rationals: these
 are the oracles every compiled circuit and every reduction identity is checked
 against, so no dynamic programming or clever counting is allowed.
 
+The evaluators share one kernel, `_weighted_sum`, which walks an iterable of
+maps and adds up the product of the edge weights under each map.  Each
+evaluator only says which maps to walk: `hom_count` all maps (a product of
+ranges), `emb_eval` the per-side injective ones (permutations),
+`labelled_hom_eval` those fixing the labels (singleton domains), and
+`coloured_hom_eval` those respecting the colouring ((colour, index) keys).
+The kernel still visits every map, so the oracles stay definitional; and an
+exact change of arithmetic, such as evaluating over integer weights with the
+denominators cleared, has this one loop to change.
+
 Hosts come in two forms:
 
   * WeightedHost: an (n, m) matrix of rational weights, the evaluation point
@@ -116,7 +126,7 @@ class WeightedHost:
                 for i, j, w in data.get("weights", [])
             }
             return WeightedHost(int(data["n"]), int(data["m"]), weights)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed host JSON: {exc}") from exc
 
     @staticmethod
@@ -249,7 +259,7 @@ class ColouredGraph:
                 g.set_weight((_colour_key(c), int(i) - 1), (_colour_key(c2), int(j) - 1),
                              Fraction(int(w["num"]), int(w["den"])))
             return g
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed coloured graph JSON: {exc}") from exc
 
 
@@ -263,23 +273,32 @@ def _check_cap(count: int, cap: Optional[int] = None):
         raise SizeCap(f"brute-force enumeration of {count} maps exceeds cap {cap}")
 
 
+def _weighted_sum(edges: Sequence[Tuple[int, int, int]], weight, maps: Iterable[Sequence]):
+    """Sum over `maps` of the product of weight(image[u], image[v]) ** mult
+    over the edges (u, v, mult): the loop shared by every evaluator here."""
+    total = Fraction(0)
+    for image in maps:
+        term = Fraction(1)
+        for (u, v, mult) in edges:
+            w = weight(image[u], image[v])
+            if w == 0:
+                term = 0
+                break
+            term = term * (w if mult == 1 else w ** mult)
+        if term != 0:
+            total = total + term
+    return total
+
+
+def _global_edges(f: BipartiteMultigraph) -> List[Tuple[int, int, int]]:
+    return [(i, f.a_count + j, mult) for (i, j), mult in sorted(f.edges.items())]
+
+
 def hom_count(f: BipartiteMultigraph, host: WeightedHost):
     """Sum over all maps h of the product of host weights along F's edges."""
     _check_cap(host.n ** f.a_count * host.m ** f.b_count)
-    edges = sorted(f.edges.items())
-    total = Fraction(0)
-    for a_img in itertools.product(range(host.n), repeat=f.a_count):
-        for b_img in itertools.product(range(host.m), repeat=f.b_count):
-            term = Fraction(1)
-            for (i, j), mult in edges:
-                w = host.get(a_img[i], b_img[j])
-                if w == 0:
-                    term = 0
-                    break
-                term = term * (w if mult == 1 else w ** mult)
-            if term != 0:
-                total = total + term
-    return total
+    domains = [range(host.n)] * f.a_count + [range(host.m)] * f.b_count
+    return _weighted_sum(_global_edges(f), host.get, itertools.product(*domains))
 
 
 def hom_poly(f: BipartiteMultigraph, n: int, m: int) -> SparsePolynomial:
@@ -318,19 +337,8 @@ def coloured_hom_eval(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
     for s in sizes:
         count *= max(s, 1)
         _check_cap(count)
-    edges = [(i, f.a_count + j, mult) for (i, j), mult in sorted(f.edges.items())]
-    total = Fraction(0)
-    for image in itertools.product(*[range(s) for s in sizes]):
-        term = Fraction(1)
-        for (u, v, mult) in edges:
-            w = g.get((colouring[u], image[u]), (colouring[v], image[v]))
-            if w == 0:
-                term = 0
-                break
-            term = term * (w if mult == 1 else w ** mult)
-        if term != 0:
-            total = total + term
-    return total
+    domains = [[(colouring[v], i) for i in range(s)] for v, s in zip(f.vertices(), sizes)]
+    return _weighted_sum(_global_edges(f), g.get, itertools.product(*domains))
 
 
 def identity_colouring(f: BipartiteMultigraph) -> Dict[int, int]:
@@ -347,7 +355,7 @@ def colhom_poly(f: BipartiteMultigraph, n: int) -> SparsePolynomial:
     """colhom_{F,n} expanded over colourful variables (colours = global ids,
     1-based in names, A-side endpoint first)."""
     _check_cap(n ** f.num_vertices())
-    edges = [(i, f.a_count + j, mult) for (i, j), mult in sorted(f.edges.items())]
+    edges = _global_edges(f)
     varset = sorted({
         colour_var_name(u + 1, i + 1, v + 1, j + 1)
         for (u, v, _) in edges for i in range(n) for j in range(n)
@@ -380,24 +388,9 @@ def labelled_hom_eval(p: LabelledPattern, v: Sequence[int], w: Sequence[int],
     free_a = [i for i in range(f.a_count) if i not in fixed_a]
     free_b = [j for j in range(f.b_count) if j not in fixed_b]
     _check_cap(host.n ** len(free_a) * host.m ** len(free_b))
-    edges = sorted(f.edges.items())
-    total = Fraction(0)
-    for a_img in itertools.product(range(host.n), repeat=len(free_a)):
-        amap = dict(fixed_a)
-        amap.update(zip(free_a, a_img))
-        for b_img in itertools.product(range(host.m), repeat=len(free_b)):
-            bmap = dict(fixed_b)
-            bmap.update(zip(free_b, b_img))
-            term = Fraction(1)
-            for (i, j), mult in edges:
-                weight = host.get(amap[i], bmap[j])
-                if weight == 0:
-                    term = 0
-                    break
-                term = term * (weight if mult == 1 else weight ** mult)
-            if term != 0:
-                total = total + term
-    return total
+    domains = ([(fixed_a[i],) if i in fixed_a else range(host.n) for i in range(f.a_count)]
+               + [(fixed_b[j],) if j in fixed_b else range(host.m) for j in range(f.b_count)])
+    return _weighted_sum(_global_edges(f), host.get, itertools.product(*domains))
 
 
 def emb_eval(f: BipartiteMultigraph, host: WeightedHost):
@@ -410,20 +403,10 @@ def emb_eval(f: BipartiteMultigraph, host: WeightedHost):
     for k in range(f.b_count):
         count *= host.m - k
     _check_cap(count)
-    edges = sorted(f.edges.items())
-    total = Fraction(0)
-    for a_img in itertools.permutations(range(host.n), f.a_count):
-        for b_img in itertools.permutations(range(host.m), f.b_count):
-            term = Fraction(1)
-            for (i, j), mult in edges:
-                w = host.get(a_img[i], b_img[j])
-                if w == 0:
-                    term = 0
-                    break
-                term = term * (w if mult == 1 else w ** mult)
-            if term != 0:
-                total = total + term
-    return total
+    maps = (a_img + b_img
+            for a_img in itertools.permutations(range(host.n), f.a_count)
+            for b_img in itertools.permutations(range(host.m), f.b_count))
+    return _weighted_sum(_global_edges(f), host.get, maps)
 
 
 # -- hom-to-emb expansion -------------------------------------------------------------

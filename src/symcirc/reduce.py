@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     ColourMismatch,
@@ -59,7 +59,6 @@ class OracleHandle:
 
     fn: Callable[[WeightedHost], Rational]
     description: str = ""
-    concurrency_safe: bool = True
 
     def __call__(self, host: WeightedHost) -> Rational:
         return self.fn(host)
@@ -373,28 +372,16 @@ def host_tensor(g: WeightedHost, h: WeightedHost) -> WeightedHost:
     return WeightedHost(g.n * h.n, g.m * h.m, weights)
 
 
-def degree_slice(p: Callable[[ColouredGraph], Rational], k: int, max_edges: int,
-                 g: ColouredGraph) -> Rational:
-    """The edge-degree-k slice of a colhom combination, by interpolation.
+def degree_slice(p: Callable, k: int, max_edges: int, g) -> Rational:
+    """The edge-degree-k slice of a hom or colhom combination, by interpolation.
 
     Evaluates p at t*G for t = 0..max_edges and solves the Vandermonde system
-    exactly; p must be a linear combination of colhoms with at most max_edges
-    edges each.
+    exactly; p must be a linear combination of homs or colhoms with at most
+    max_edges edges each.  G is any host with a `scale` method (a
+    ColouredGraph or a WeightedHost).
     """
     if max_edges < 0:
         raise InvalidParameter("max_edges must be non-negative")
-    if k > max_edges:
-        return Fraction(0)
-    ts = list(range(max_edges + 1))
-    values = [p(g.scale(Fraction(t))) for t in ts]
-    matrix = [[Fraction(t) ** d for d in range(max_edges + 1)] for t in ts]
-    coeffs = solve_linear(matrix, values)
-    return coeffs[k]
-
-
-def degree_slice_host(p: Callable[[WeightedHost], Rational], k: int, max_edges: int,
-                      g: WeightedHost) -> Rational:
-    """degree_slice for uncoloured hosts."""
     if k > max_edges:
         return Fraction(0)
     ts = list(range(max_edges + 1))
@@ -498,23 +485,6 @@ def check_quotient_identity(f: BipartiteMultigraph, g: WeightedHost) -> bool:
 # -- extraction pipelines --------------------------------------------------------------------
 
 
-def _sub_multisets_exact(edges: Sequence[Tuple[Tuple[int, int], int]], total: int):
-    """Sub-multiset choices with exactly `total` slots, with binomial weights."""
-    def rec(idx: int, remaining: int, chosen: List[Tuple[Tuple[int, int], int]], weight: int):
-        if idx == len(edges):
-            if remaining == 0:
-                yield list(chosen), weight
-            return
-        edge, mult = edges[idx]
-        for take in range(0, min(mult, remaining) + 1):
-            if take:
-                chosen.append((edge, take))
-            yield from rec(idx + 1, remaining - take, chosen, weight * comb(mult, take))
-            if take:
-                chosen.pop()
-    yield from rec(0, total, [], 1)
-
-
 def _sub_multisets_all(edges: Sequence[Tuple[Tuple[int, int], int]]):
     """All sub-multiset choices, with binomial weights."""
     def rec(idx: int, chosen: List[Tuple[Tuple[int, int], int]], weight: int):
@@ -566,15 +536,19 @@ def _cfi_difference(s: BipartiteMultigraph) -> Tuple[CfiPair, Rational]:
     return pair, delta
 
 
-def extract_colhom_via_subgraph(f: BipartiteMultigraph, s: BipartiteMultigraph, n: int,
-                                hom_oracle: Callable[[WeightedHost], Rational]):
-    """An evaluator for colhom_{S,n} using an oracle for hom_{F, 2^(d-1)|V(S)|n}.
+def _extract_colhom(f: BipartiteMultigraph, s: BipartiteMultigraph, n: int,
+                    hom_oracle: Callable[[WeightedHost], Rational],
+                    transform: Callable[[WeightedHost], WeightedHost],
+                    candidates: Iterable[Tuple[BipartiteMultigraph, int]], relation: str):
+    """The extraction pipeline shared by the subgraph and minor variants.
 
-    Pipeline: colour F by V(S) (uncolour identity), shift every host entry by
-    one (subgraph inclusion-exclusion), slice at |E(S)| edges, take the CFI
-    difference q(G x S_0) - q(G x S_1), and divide by the normalizer summed
-    over the surviving (colouring, subgraph) pairs, computed here by explicit
-    enumeration.
+    q(G, S_i) is the |E(S)|-edge slice of t -> hom_oracle(transform(t * G x
+    S_i) shifted by one), and colhom_{S,n}(G) = (q(G, S_0) - q(G, S_1)) /
+    normalizer.  The normalizer sums, over the candidate (graph, binomial
+    weight) pairs with |E(S)| edge slots that the inclusion-exclusion
+    produces, every colouring under which the graph minus its isolated
+    vertices is (S, identity), times the isolated-vertex class-size factor
+    and the CFI difference.
     """
     if not s.is_simple() or not s.is_connected():
         raise InvalidParameter("the extracted pattern S must be simple and connected")
@@ -587,34 +561,22 @@ def extract_colhom_via_subgraph(f: BipartiteMultigraph, s: BipartiteMultigraph, 
     max_edges = f.num_edge_slots()
     ncls = Fraction(pad * n)
 
-    # Normalizer: surviving (c, F') terms, weighted by binomial multiplicities
-    # and the isolated-vertex class-size factors.
-    edge_items = sorted(f.edges.items())
-    normalizer = Fraction(0)
     s_colours = list(range(1, s.num_vertices() + 1))
-    for values in itertools.product(s_colours, repeat=f.num_vertices()):
-        colour_of = dict(zip(f.vertices(), values))
-        for chosen, weight in _sub_multisets_exact(edge_items, k):
-            edge_list = [(i, f.a_count + j, mult) for ((i, j), mult) in chosen]
-            if not _matches_base(edge_list, colour_of, s):
-                continue
-            touched = {u for (u, v, _) in edge_list} | {v for (u, v, _) in edge_list}
-            iso = f.num_vertices() - len(touched)
-            normalizer = normalizer + weight * ncls ** iso * delta
+    normalizer = Fraction(0)
+    for graph, weight in candidates:
+        edge_list = graph.edge_list_global()
+        iso_factor = ncls ** len(graph.isolated_vertices())
+        for values in itertools.product(s_colours, repeat=graph.num_vertices()):
+            if _matches_base(edge_list, dict(zip(graph.vertices(), values)), s):
+                normalizer = normalizer + weight * iso_factor * delta
     if normalizer == 0:
-        raise InvalidParameter("zero normalizer; S is not a relevant subgraph of F")
+        raise InvalidParameter(f"zero normalizer; S is not a relevant {relation} of F")
+
+    def shifted(host: WeightedHost) -> Rational:
+        return hom_oracle(transform(host).shift_all(Fraction(1)))
 
     def q(g: ColouredGraph, cfi_side: ColouredGraph) -> Rational:
-        product = tensor_product(g, cfi_side)
-        base = product.flatten()
-
-        def p(t: Rational) -> Rational:
-            return hom_oracle(base.scale(t).shift_all(Fraction(1)))
-
-        ts = list(range(max_edges + 1))
-        values = [p(Fraction(t)) for t in ts]
-        matrix = [[Fraction(t) ** deg for deg in range(max_edges + 1)] for t in ts]
-        return solve_linear(matrix, values)[k]
+        return degree_slice(shifted, k, max_edges, tensor_product(g, cfi_side).flatten())
 
     def evaluate(g: ColouredGraph) -> Rational:
         if any(g.sizes.get(c) != n for c in s_colours):
@@ -622,6 +584,25 @@ def extract_colhom_via_subgraph(f: BipartiteMultigraph, s: BipartiteMultigraph, 
         return (q(g, s0) - q(g, s1)) / normalizer
 
     return evaluate
+
+
+def extract_colhom_via_subgraph(f: BipartiteMultigraph, s: BipartiteMultigraph, n: int,
+                                hom_oracle: Callable[[WeightedHost], Rational]):
+    """An evaluator for colhom_{S,n} using an oracle for hom_{F, 2^(d-1)|V(S)|n}.
+
+    Pipeline: colour F by V(S) (uncolour identity), shift every host entry by
+    one (subgraph inclusion-exclusion), slice at |E(S)| edges, take the CFI
+    difference q(G x S_0) - q(G x S_1), and divide by the normalizer summed
+    over the surviving (colouring, subgraph) pairs, computed here by explicit
+    enumeration of the |E(S)|-slot sub-multisets of E(F).
+    """
+    k = s.num_edge_slots()
+    subgraphs = (
+        (BipartiteMultigraph(f.a_count, f.b_count, dict(chosen)), weight)
+        for chosen, weight in _sub_multisets_all(sorted(f.edges.items()))
+        if sum(take for _, take in chosen) == k
+    )
+    return _extract_colhom(f, s, n, hom_oracle, lambda host: host, subgraphs, "subgraph")
 
 
 def extract_colhom_via_minor(f: BipartiteMultigraph, s: BipartiteMultigraph, n: int,
@@ -632,54 +613,17 @@ def extract_colhom_via_minor(f: BipartiteMultigraph, s: BipartiteMultigraph, n: 
     inclusion-exclusion ranges over quotients of subgraphs of F; S only needs
     to be a minor of F.
     """
-    if not s.is_simple() or not s.is_connected():
-        raise InvalidParameter("the extracted pattern S must be simple and connected")
-    d = s.max_degree()
-    pad = 2 ** (d - 1)
-    pair, delta = _cfi_difference(s)
-    s0 = pair.even.pad_to(pad)
-    s1 = pair.odd.pad_to(pad)
     k = s.num_edge_slots()
-    max_edges = f.num_edge_slots()
-    ncls = Fraction(pad * n)
 
-    edge_items = sorted(f.edges.items())
-    s_colours = list(range(1, s.num_vertices() + 1))
-    normalizer = Fraction(0)
-    for chosen, weight in _sub_multisets_all(edge_items):
-        sub = BipartiteMultigraph(f.a_count, f.b_count, dict(chosen))
-        for bits in itertools.product((SIDE_A, SIDE_B), repeat=f.num_vertices()):
-            side_map = dict(zip(f.vertices(), bits))
-            q_graph = quotient(sub, side_map)
-            if q_graph.num_edge_slots() != k:
-                continue
-            for values in itertools.product(s_colours, repeat=q_graph.num_vertices()):
-                colour_of = dict(zip(q_graph.vertices(), values))
-                if not _matches_base(q_graph.edge_list_global(), colour_of, s):
-                    continue
-                iso = len(q_graph.isolated_vertices())
-                normalizer = normalizer + weight * ncls ** iso * delta
-    if normalizer == 0:
-        raise InvalidParameter("zero normalizer; S is not a relevant minor of F")
+    def quotients():
+        for chosen, weight in _sub_multisets_all(sorted(f.edges.items())):
+            sub = BipartiteMultigraph(f.a_count, f.b_count, dict(chosen))
+            for bits in itertools.product((SIDE_A, SIDE_B), repeat=f.num_vertices()):
+                q_graph = quotient(sub, dict(zip(f.vertices(), bits)))
+                if q_graph.num_edge_slots() == k:
+                    yield q_graph, weight
 
-    def q(g: ColouredGraph, cfi_side: ColouredGraph) -> Rational:
-        product = tensor_product(g, cfi_side)
-        base = product.flatten()
-
-        def p(t: Rational) -> Rational:
-            return hom_oracle(bipartite_double(base.scale(t)).shift_all(Fraction(1)))
-
-        ts = list(range(max_edges + 1))
-        values = [p(Fraction(t)) for t in ts]
-        matrix = [[Fraction(t) ** deg for deg in range(max_edges + 1)] for t in ts]
-        return solve_linear(matrix, values)[k]
-
-    def evaluate(g: ColouredGraph) -> Rational:
-        if any(g.sizes.get(c) != n for c in s_colours):
-            raise InvalidParameter("host must be S-coloured with classes of size n")
-        return (q(g, s0) - q(g, s1)) / normalizer
-
-    return evaluate
+    return _extract_colhom(f, s, n, hom_oracle, bipartite_double, quotients(), "minor")
 
 
 def extract_single_from_lincomb(lincomb_oracle: Callable[[WeightedHost], Rational],

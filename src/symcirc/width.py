@@ -2,13 +2,20 @@
 
 All solvers work on the underlying simple graph over global vertex ids and
 return both the exact value and a certificate that `validate_decomposition`
-accepts:
+accepts.  Treewidth and pathwidth share one subset DP, `_subset_dp`, over
+vertex orders (Bodlaender et al., On exact algorithms for treewidth, TALG
+2012); it minimizes the maximum step cost, recovers an optimal order, and
+differs per solver only in the step cost of placing v after the set S:
 
-  * treewidth  -> TreeDecomposition, via the subset DP over elimination
-    prefixes (cost of eliminating v after S = vertices reachable from v
-    through S), with the decomposition rebuilt from the optimal order;
-  * pathwidth  -> PathDecomposition, via the vertex-separation DP (vertex
-    separation number equals pathwidth), bags rebuilt from the layout;
+  * treewidth  -> TreeDecomposition: the number of vertices outside S+v
+    reachable from v through S (its elimination degree), with the
+    decomposition rebuilt from the optimal elimination order;
+  * labelled treewidth: the same count on the graph with a clique on the
+    labels; plain treewidth is the case with no labels;
+  * pathwidth  -> PathDecomposition: the boundary of the prefix S+v, i.e.
+    its vertices with a neighbour outside it, plus the pinned labels in the
+    labelled variant (vertex separation number equals pathwidth), with the
+    bags rebuilt from the layout;
   * treedepth  -> EliminationForest, via recursive root choice with
     memoization on connected vertex sets.
 
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidDecomposition, InvalidParameter, ParseError, SizeCap
 from .pattern import BipartiteMultigraph, LabelledPattern
@@ -81,9 +88,7 @@ class PathDecomposition:
 
     def as_tree(self) -> TreeDecomposition:
         """The same decomposition as a path-shaped tree rooted at the last bag."""
-        n = len(self.bags)
-        parent: List[Optional[int]] = [i + 1 for i in range(n - 1)] + [None]
-        return TreeDecomposition(list(self.bags), parent)
+        return TreeDecomposition(list(self.bags), _path_parent(len(self.bags)))
 
     def to_json(self) -> dict:
         return {"kind": "path", "bags": [sorted(v + 1 for v in b) for b in self.bags]}
@@ -169,6 +174,14 @@ def _path_parent(n: int) -> List[Optional[int]]:
 
 def _validate_bags(f: BipartiteMultigraph, bags: Sequence[FrozenSet[int]],
                    parent: Sequence[Optional[int]]) -> Tuple[bool, str]:
+    # Parent pointers must name bags and lead every bag to the root.
+    for start in range(len(bags)):
+        seen, i = {start}, start
+        while parent[i] is not None:
+            i = parent[i]
+            if not (isinstance(i, int) and 0 <= i < len(bags)) or i in seen:
+                return False, f"parent pointers from bag {start} leave the tree or cycle"
+            seen.add(i)
     verts = set(f.vertices())
     covered = set().union(*bags) if bags else set()
     if covered != verts:
@@ -201,6 +214,9 @@ def _validate_bags(f: BipartiteMultigraph, bags: Sequence[FrozenSet[int]],
 def _validate_elimination(f: BipartiteMultigraph, d: EliminationForest) -> Tuple[bool, str]:
     if set(d.parent) != set(f.vertices()):
         return False, "elimination forest must cover exactly V(F)"
+    for v, p in d.parent.items():
+        if p is not None and p not in d.parent:
+            return False, f"vertex {v} has parent {p} outside V(F)"
     # Detect parent cycles while computing ancestor sets.
     ancestors: Dict[int, Set[int]] = {}
     for v in d.parent:
@@ -254,25 +270,18 @@ def _reachable_through(adj: List[FrozenSet[int]], v: int, through: int, n: int) 
     return out
 
 
-def treewidth_exact(f: BipartiteMultigraph, cap: int = DEFAULT_VERTEX_CAP,
-                    labels_in_one_bag: Optional[Sequence[int]] = None) -> Tuple[int, TreeDecomposition]:
-    """Exact treewidth with a certificate, by DP over eliminated vertex subsets.
+def _subset_dp(n: int, start: int, step: Callable[[int, int], int]) -> Tuple[int, List[int]]:
+    """Min over vertex orders of the max step cost, by DP over vertex subsets.
 
-    With labels_in_one_bag set, minimizes over decompositions where some bag
-    contains all the listed global vertices.
+    cost[0] = start and cost[S | {v}] = min over v not in S of
+    max(cost[S], step(S, v)), with S a bitmask of the vertices placed so far.
+    Subsets are visited in increasing popcount and candidates v in increasing
+    order; ties keep the first choice.  Returns (cost of all n vertices, an
+    optimal order, first placed first).
     """
-    if labels_in_one_bag is not None:
-        return labelled_treewidth(_with_labels(f, labels_in_one_bag), cap)
-    n = f.num_vertices()
-    if n > cap:
-        raise SizeCap(f"treewidth solver capped at {cap} vertices")
-    if n == 0:
-        return -1, TreeDecomposition([frozenset()], [None])
-    adj = f.adjacency()
     full = (1 << n) - 1
-    cost = {0: -1}
+    cost = {0: start}
     choice: Dict[int, int] = {}
-    # Subsets in increasing popcount; cost[S] = best max-elimination-degree over orders of S.
     by_count: List[List[int]] = [[] for _ in range(n + 1)]
     for mask in range(full + 1):
         by_count[mask.bit_count()].append(mask)
@@ -285,14 +294,11 @@ def treewidth_exact(f: BipartiteMultigraph, cap: int = DEFAULT_VERTEX_CAP,
                 bit = 1 << v
                 if mask & bit:
                     continue
-                q = _reachable_through(adj, v, mask, n)
-                value = max(base, q.bit_count())
+                value = max(base, step(mask, v))
                 new = mask | bit
                 if new not in cost or value < cost[new]:
                     cost[new] = value
                     choice[new] = v
-    width = cost[full]
-    # Recover elimination order (first eliminated first).
     order: List[int] = []
     mask = full
     while mask:
@@ -300,12 +306,25 @@ def treewidth_exact(f: BipartiteMultigraph, cap: int = DEFAULT_VERTEX_CAP,
         order.append(v)
         mask ^= 1 << v
     order.reverse()
-    decomposition = _decomposition_from_order(f, adj, order)
-    return width, decomposition
+    return cost[full], order
 
 
-def _decomposition_from_order(f: BipartiteMultigraph, adj: List[FrozenSet[int]],
-                              order: List[int]) -> TreeDecomposition:
+def treewidth_exact(f: BipartiteMultigraph, cap: int = DEFAULT_VERTEX_CAP,
+                    labels_in_one_bag: Optional[Sequence[int]] = None) -> Tuple[int, TreeDecomposition]:
+    """Exact treewidth with a certificate, by DP over eliminated vertex subsets.
+
+    With labels_in_one_bag set, minimizes over decompositions where some bag
+    contains all the listed global vertices.  Without it, this is
+    `labelled_treewidth` with no labels.
+    """
+    if labels_in_one_bag is None:
+        if f.num_vertices() > cap:
+            raise SizeCap(f"treewidth solver capped at {cap} vertices")
+        labels_in_one_bag = ()
+    return labelled_treewidth(_with_labels(f, labels_in_one_bag), cap)
+
+
+def _decomposition_from_order(adj: List[FrozenSet[int]], order: List[int]) -> TreeDecomposition:
     """Tree decomposition from an elimination order (classic fill-in bags)."""
     n = len(order)
     position = {v: i for i, v in enumerate(order)}
@@ -386,42 +405,21 @@ def _vertex_separation(f: BipartiteMultigraph, pinned: FrozenSet[int], cap: int)
         pinned_mask |= 1 << v
     full = (1 << n) - 1
 
-    def boundary(mask: int) -> int:
+    def boundary(mask: int, v: int) -> int:
+        # Prefix mask+v: vertices pinned or with a neighbour outside it.  The
+        # full prefix has no bag of its own and costs nothing.
+        new = mask | 1 << v
+        if new == full:
+            return 0
         count = 0
-        rest = ~mask
-        for v in range(n):
-            bit = 1 << v
-            if mask & bit and (bit & pinned_mask or adj_mask[v] & rest & full):
+        rest = ~new
+        for u in range(n):
+            bit = 1 << u
+            if new & bit and (bit & pinned_mask or adj_mask[u] & rest & full):
                 count += 1
         return count
 
-    cost = {0: 0}
-    choice: Dict[int, int] = {}
-    by_count: List[List[int]] = [[] for _ in range(n + 1)]
-    for mask in range(full + 1):
-        by_count[mask.bit_count()].append(mask)
-    for count in range(n):
-        for mask in by_count[count]:
-            if mask not in cost:
-                continue
-            base = cost[mask]
-            for v in range(n):
-                bit = 1 << v
-                if mask & bit:
-                    continue
-                new = mask | bit
-                value = base if new == full else max(base, boundary(new))
-                if new not in cost or value < cost[new]:
-                    cost[new] = value
-                    choice[new] = v
-    order: List[int] = []
-    mask = full
-    while mask:
-        v = choice[mask]
-        order.append(v)
-        mask ^= 1 << v
-    order.reverse()
-    return cost[full], order
+    return _subset_dp(n, 0, boundary)
 
 
 def _path_bags_from_layout(f: BipartiteMultigraph, order: List[int],
@@ -526,61 +524,12 @@ def labelled_treewidth(p: LabelledPattern, cap: int = DEFAULT_VERTEX_CAP) -> Tup
     adj_f = [frozenset(s) for s in adj]
     if n == 0:
         return -1, TreeDecomposition([frozenset()], [None])
-    full = (1 << n) - 1
-    cost = {0: -1}
-    choice: Dict[int, int] = {}
-    by_count: List[List[int]] = [[] for _ in range(n + 1)]
-    for mask in range(full + 1):
-        by_count[mask.bit_count()].append(mask)
-    for count in range(n):
-        for mask in by_count[count]:
-            if mask not in cost:
-                continue
-            for v in range(n):
-                bit = 1 << v
-                if mask & bit:
-                    continue
-                q = _reachable_through(adj_f, v, mask, n)
-                value = max(cost[mask], q.bit_count())
-                new = mask | bit
-                if new not in cost or value < cost[new]:
-                    cost[new] = value
-                    choice[new] = v
-    order: List[int] = []
-    mask = full
-    while mask:
-        v = choice[mask]
-        order.append(v)
-        mask ^= 1 << v
-    order.reverse()
+    width, order = _subset_dp(
+        n, -1, lambda mask, v: _reachable_through(adj_f, v, mask, n).bit_count())
     # Bags are built against the augmented adjacency so the clique (= the
     # labels) ends up sharing a bag; the result is a decomposition of the
     # original graph as well.
-    decomposition = _decomposition_from_order_aux(adj_f, order)
-    return cost[full], decomposition
-
-
-def _decomposition_from_order_aux(adj: List[FrozenSet[int]], order: List[int]) -> TreeDecomposition:
-    n = len(order)
-    position = {v: i for i, v in enumerate(order)}
-    bags: List[FrozenSet[int]] = []
-    higher: List[List[int]] = []
-    for i, v in enumerate(order):
-        before = 0
-        for w in order[:i]:
-            before |= 1 << w
-        q = _reachable_through(adj, v, before, n)
-        later = [w for w in range(n) if q & (1 << w)]
-        bags.append(frozenset([v] + later))
-        higher.append(later)
-    parent: List[Optional[int]] = [None] * n
-    for i, v in enumerate(order):
-        if higher[i]:
-            parent[i] = position[min(higher[i], key=lambda w: position[w])]
-    roots = [i for i, p in enumerate(parent) if p is None]
-    for extra in roots[1:]:
-        parent[extra] = roots[0]
-    return TreeDecomposition(bags, parent)
+    return width, _decomposition_from_order(adj_f, order)
 
 
 def rooted_certificate(p: LabelledPattern, cap: int = DEFAULT_VERTEX_CAP) -> Tuple[int, int, TreeDecomposition]:

@@ -131,3 +131,66 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     code, _, _ = _run(capsys, "frobnicate")
     assert code == 2
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_analyze_rejects_bad_gate_ids(capsys, tmp_path):
+    var = {"var": "x_1_1"}
+    cases = {
+        "past_end": [{"id": 1, "label": var}],
+        "negative": [{"id": -1, "label": var}, {"id": 0, "label": "plus"}],
+        "duplicate": [{"id": 0, "label": "plus"}, {"id": 0, "label": var}],
+        "zero_den": [{"id": 0, "label": {"const": {"num": "1", "den": "0"}}}],
+    }
+    for name, gates in cases.items():
+        wires = [[0, 1, 1]] if name == "negative" else []
+        circuit = _write(tmp_path, f"{name}.json", {"gates": gates, "wires": wires, "output": 0})
+        code, _, err = _run(capsys, "analyze", "--circuit", circuit, "--n", "1", "--m", "1")
+        assert code == 2 and err.startswith("error:"), name
+
+
+def test_compile_rejects_broken_decompositions(capsys, tmp_path):
+    p3 = _write(tmp_path, "p3.json", {"a": 2, "b": 1, "edges": [[1, 1, 1], [2, 1, 1]]})
+    two_edges = _write(tmp_path, "2k2.json", {"a": 2, "b": 2, "edges": [[1, 1, 1], [2, 2, 1]]})
+    cases = [
+        # A parent index past the last bag.
+        (p3, "tw", {"kind": "tree", "bags": [[1, 3], [2, 3]], "parent": [0, 7]}),
+        # Two bags pointing at each other, detached from the root.
+        (two_edges, "tw", {"kind": "tree", "bags": [[1, 3], [2, 4], [2, 4]], "parent": [0, 3, 2]}),
+        # An elimination-forest parent outside V(F).
+        (p3, "td", {"kind": "elim", "parent": {"1": 0, "2": 9, "3": 1}}),
+    ]
+    for idx, (graph, shape, decomp) in enumerate(cases):
+        path = _write(tmp_path, f"decomp{idx}.json", decomp)
+        code, _, err = _run(capsys, "compile", "--graph", graph, "--shape", shape,
+                            "--n", "2", "--m", "2", "--decomp", path)
+        assert code == 2 and err.startswith("error:"), decomp
+
+
+def test_zero_denominator_hosts(capsys, tmp_path):
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    zero = {"num": "1", "den": "0"}
+    host = _write(tmp_path, "host.json", {"n": 1, "m": 1, "weights": [[1, 1, zero]]})
+    coloured = _write(tmp_path, "coloured.json",
+                      {"sizes": {"1": 1, "2": 1}, "weights": [[1, 1, 2, 1, zero]]})
+    for which, path in (("hom", host), ("emb", host), ("colhom", coloured)):
+        code, _, err = _run(capsys, "oracle", which, "--pattern", p2, "--host", path)
+        assert code == 2 and err.startswith("error:"), which
+
+
+def test_caps_do_not_outlive_run(capsys, tmp_path):
+    from symcirc import oracle
+
+    caps = _write(tmp_path, "caps.json", {"brute_force_maps": 5})
+    p3 = _write(tmp_path, "p3.json", {"a": 2, "b": 1, "edges": [[1, 1, 1], [2, 1, 1]]})
+    host = _write(tmp_path, "host.json", {"n": 2, "m": 2, "weights": []})
+    code, _, err = _run(capsys, "--caps", caps, "oracle", "hom", "--pattern", p3, "--host", host)
+    assert code == 2 and "cap 5" in err
+    assert oracle.BRUTE_FORCE_CAP == 10 ** 7
+    code, out, _ = _run(capsys, "oracle", "hom", "--pattern", p3, "--host", host)
+    assert code == 0 and json.loads(out)["value"] == {"num": "0", "den": "1"}

@@ -187,8 +187,8 @@ def test_degree_slice_host_variant():
         return oracle.hom_count(p2, host) + oracle.hom_count(p3, host)
 
     g = WeightedHost.random(2, 2, rng)
-    assert reduce.degree_slice_host(combined, 1, 2, g) == oracle.hom_count(p2, g)
-    assert reduce.degree_slice_host(combined, 2, 2, g) == oracle.hom_count(p3, g)
+    assert reduce.degree_slice(combined, 1, 2, g) == oracle.hom_count(p2, g)
+    assert reduce.degree_slice(combined, 2, 2, g) == oracle.hom_count(p3, g)
 
 
 def test_clique_gadget_exhaustive_01():
