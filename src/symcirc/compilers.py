@@ -23,8 +23,8 @@ Three constructions, all taking an explicit decomposition certificate:
 Each edge is charged to exactly one decomposition node (the smallest-index
 bag containing both endpoints), and every map of the pattern into the host
 indices decomposes uniquely along the certificate, so the circuits evaluate
-to the homomorphism polynomial.  Isolated vertices factor
-out as an explicit constant n^(isolated left) * m^(isolated right).
+to the homomorphism polynomial.  Isolated vertices factor out as an explicit
+constant n^(isolated left) * m^(isolated right).
 
 `compile_colourful` runs the same dynamic programs over colour-indexed
 variables, and `compile_lincomb` combines per-pattern circuits into a tagged

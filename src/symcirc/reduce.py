@@ -33,7 +33,6 @@ from .oracle import (
     ColouredGraph,
     WeightedHost,
     coloured_hom_eval,
-    colhom_eval,
     find_hom_basis,
     hom_count,
     identity_colouring,
@@ -45,8 +44,6 @@ from .pattern import (
     SIDE_B,
     complete_binary_tree_structure,
     grid_vertex_ids,
-    make_complete_binary_tree,
-    make_grid,
     make_path,
     path_vertex_ids,
     quotient,
