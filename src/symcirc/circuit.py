@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidParameter, MissingVariable, ParseError, SizeCap
-from .exactnum import Rational, SparsePolynomial
+from .exactnum import (Rational, SparsePolynomial, add_terms, common_denominator, mul_terms,
+                       pow_terms)
 
 GENERAL = "general"
 SKEW = "skew"
@@ -61,7 +63,7 @@ class Circuit:
     """Immutable gate-labelled DAG; construct through CircuitBuilder."""
 
     __slots__ = ("labels", "children", "output", "_parents", "_topo",
-                 "_formula_shaped", "_program")
+                 "_formula_shaped", "_program", "_lifted")
 
     def __init__(self, labels: List, children: List[Dict[int, int]], output: int):
         self.labels = labels
@@ -71,6 +73,7 @@ class Circuit:
         self._topo: Optional[List[int]] = None
         self._formula_shaped: Optional[bool] = None
         self._program = None
+        self._lifted = None
 
     # -- structure ------------------------------------------------------------
 
@@ -149,75 +152,147 @@ class Circuit:
     # -- semantics --------------------------------------------------------------
 
     def _evaluation_program(self):
-        """Per-gate instruction list in topological order, built once.
+        """The evaluation plan, built once: the variable gates, the constant
+        gates with the lcm of their denominators, and the internal gates in
+        topological order as (gate, children, shifted children), the last
+        None at a Times gate.
 
         Integral constants are stored as plain ints so 0/1 and integer
-        evaluations stay in fast integer arithmetic.
+        evaluations stay in fast integer arithmetic.  No child is shifted
+        here; see `_lifted_program` for rational inputs.
         """
         if self._program is None:
-            program = []
+            variables, constants, gates = [], [], []
             for g in self.topo_order():
                 lbl = self.labels[g]
                 if lbl[0] == "var":
-                    program.append((0, g, lbl[1]))
+                    variables.append((g, lbl[1]))
                 elif lbl[0] == "const":
                     value = lbl[1]
-                    if value.denominator == 1:
-                        value = int(value)
-                    program.append((1, g, value))
-                elif lbl[0] == PLUS:
-                    program.append((2, g, sorted(self.children[g].items())))
+                    constants.append((g, int(value) if value.denominator == 1 else value))
                 else:
-                    program.append((3, g, sorted(self.children[g].items())))
-            self._program = program
+                    gates.append((g, sorted(self.children[g].items()),
+                                  None if lbl[0] == TIMES else ()))
+            const_den = common_denominator([value for _, value in constants])
+            self._program = (variables, constants, const_den, gates)
         return self._program
 
+    def _lifted_program(self):
+        """The internal gates for rational inputs, and the output's degree.
+
+        A rational evaluation keeps each gate's value as N / D**k with N an
+        integer, D the lcm of every input's denominator and k the gate's
+        structural degree: 1 at inputs, the largest child degree at a Plus
+        gate and the sum of mult * child degree at a Times gate.  A Plus gate
+        lifts each child of lower degree to its own by D ** shift; those
+        children, rare in practice, are listed apart with their shifts.
+        """
+        if self._lifted is None:
+            degree = [1] * self.num_gates()
+            lifted = []
+            for gate in self._evaluation_program()[3]:
+                g, children, shifted = gate
+                degrees = [degree[c] for c, _ in children]
+                if shifted is None:
+                    degree[g] = sum([mult * d for (_, mult), d in zip(children, degrees)])
+                else:
+                    top = degree[g] = max(degrees)
+                    if min(degrees) < top:
+                        gate = (g,
+                                [(c, mult) for (c, mult), d in zip(children, degrees) if d == top],
+                                [(c, mult, top - d)
+                                 for (c, mult), d in zip(children, degrees) if d < top])
+                lifted.append(gate)
+            self._lifted = (lifted, degree[self.output])
+        return self._lifted
+
     def evaluate(self, assignment: Mapping[str, Rational]) -> Rational:
-        """Exact value at a total assignment of the circuit's variables."""
+        """Exact value at a total assignment of the circuit's variables.
+
+        Int and Fraction inputs are computed over the integers (see
+        `_lifted_program`) and divided once at the output; the result is
+        an int when every input is an int, as plain arithmetic would give.
+        Any other input value (a ring element) is used as given.
+        """
+        variables, constants, const_den, gates = self._evaluation_program()
         values: List = [None] * self.num_gates()
-        for code, g, payload in self._evaluation_program():
-            if code == 0:
-                if payload not in assignment:
-                    raise MissingVariable(f"assignment lacks {payload!r}")
-                values[g] = assignment[payload]
-            elif code == 1:
-                values[g] = payload
-            elif code == 2:
-                total = 0
-                for child, mult in payload:
-                    total = total + (values[child] if mult == 1 else mult * values[child])
-                values[g] = total
-            else:
+        others = []
+        for g, name in variables:
+            if name not in assignment:
+                raise MissingVariable(f"assignment lacks {name!r}")
+            value = values[g] = assignment[name]
+            if type(value) is not int:
+                others.append(value)
+        var_den = common_denominator(others)
+        ints_in = False
+        if var_den is None:
+            den = 1
+        else:
+            den = lcm(var_den, const_den)
+            ints_in = den == 1 and all(isinstance(v, int) for v in others)
+            if not ints_in:
+                for g, _ in variables:
+                    v = values[g]
+                    values[g] = v.numerator * (den // v.denominator)
+        top = 0
+        if den != 1:
+            gates, top = self._lifted_program()
+        for g, value in constants:
+            values[g] = value if den == 1 else value.numerator * (den // value.denominator)
+        for g, children, shifted in gates:
+            if shifted is None:
                 total = 1
-                for child, mult in payload:
+                for child, mult in children:
                     total = total * (values[child] if mult == 1 else values[child] ** mult)
-                values[g] = total
-        return values[self.output]
+            else:
+                total = 0
+                for child, mult in children:
+                    total = total + (values[child] if mult == 1 else mult * values[child])
+                for child, mult, shift in shifted:
+                    v = values[child] * den ** shift
+                    total = total + (v if mult == 1 else mult * v)
+            values[g] = total
+        out = values[self.output]
+        if var_den is None or ints_in:
+            return out
+        return Fraction(out, den ** top)
 
     def expand_symbolic(self, term_cap: int = 10 ** 6) -> SparsePolynomial:
-        """The computed polynomial, fully expanded; SizeCap guards blow-up."""
-        polys: List[Optional[SparsePolynomial]] = [None] * self.num_gates()
+        """The computed polynomial, fully expanded; SizeCap guards blow-up.
+
+        Every gate's polynomial is a term dict over the circuit's whole
+        variable list, with int coefficients while they are integral, so no
+        step realigns variables or builds a Fraction it does not need.
+        """
+        universe = sorted(set(self.variables()))
+        position = {name: k for k, name in enumerate(universe)}
+        width = len(universe)
+        terms: List[Optional[dict]] = [None] * self.num_gates()
         for g in self.topo_order():
-            kind = self.labels[g][0]
-            if kind == "var":
-                polys[g] = SparsePolynomial.variable(self.labels[g][1])
-            elif kind == "const":
-                polys[g] = SparsePolynomial.constant(self.labels[g][1])
-            elif kind == PLUS:
-                acc = SparsePolynomial.zero()
-                for child, mult in sorted(self.children[g].items()):
-                    acc = acc + polys[child].scale(mult)
-                polys[g] = acc
+            lbl = self.labels[g]
+            children = sorted(self.children[g].items())
+            if lbl[0] == "var":
+                exp = [0] * width
+                exp[position[lbl[1]]] = 1
+                acc = {tuple(exp): 1}
+            elif lbl[0] == "const":
+                value = lbl[1]
+                acc = {(0,) * width: int(value) if value.denominator == 1 else value} if value else {}
+            elif lbl[0] == PLUS:
+                acc = {}
+                for child, mult in children:
+                    add_terms(acc, terms[child], mult)
             else:
-                acc = SparsePolynomial.constant(1)
-                for child, mult in sorted(self.children[g].items()):
-                    acc = acc * (polys[child] ** mult)
-                    if acc.num_terms() > term_cap:
+                acc = None
+                for child, mult in children:
+                    factor = terms[child] if mult == 1 else pow_terms(terms[child], mult, width)
+                    acc = factor if acc is None else mul_terms(acc, factor)
+                    if len(acc) > term_cap:
                         raise SizeCap(f"symbolic expansion exceeds {term_cap} terms")
-                polys[g] = acc
-            if polys[g].num_terms() > term_cap:
+            if len(acc) > term_cap:
                 raise SizeCap(f"symbolic expansion exceeds {term_cap} terms")
-        return polys[self.output]
+            terms[g] = acc
+        return SparsePolynomial(universe, terms[self.output])
 
     # -- validation ---------------------------------------------------------------
 

@@ -17,13 +17,19 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import compilers, oracle, pattern, reduce, symmetry, width
 from .circuit import Circuit, SKEW
-from .errors import SymcircError
+from .errors import ParseError, SymcircError
 from .oracle import ColouredGraph, WeightedHost
 
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path} does not hold a JSON object")
+    return data
 
 
 def _emit(data, out: Optional[str]):
@@ -94,7 +100,8 @@ def _cmd_compile(args) -> int:
             report = compilers.compile_circuit_tw(
                 g, width.TreeDecomposition.from_json(data), args.n, args.m)
     else:
-        report = compilers.compile_single(g, args.n, args.m, args.shape)
+        cap = args.caps.get("width_vertices", width.DEFAULT_VERTEX_CAP)
+        report = compilers.compile_single(g, args.n, args.m, args.shape, cap=cap)
     payload = report.to_json()
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -201,9 +208,12 @@ def _cmd_reduce(args) -> int:
         payload = {"identity_holds": bool(check)}
     elif args.gadget == "extract-lincomb":
         spec = _load_json(args.terms)
-        patterns = [pattern.BipartiteMultigraph.from_json(t["graph"]) for t in spec["terms"]]
-        alphas = [Fraction(int(t["alpha"]["num"]), int(t["alpha"]["den"]))
-                  for t in spec["terms"]]
+        try:
+            patterns = [pattern.BipartiteMultigraph.from_json(t["graph"]) for t in spec["terms"]]
+            alphas = [Fraction(int(t["alpha"]["num"]), int(t["alpha"]["den"]))
+                      for t in spec["terms"]]
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"malformed terms file {args.terms}: {exc!r}") from exc
 
         def lincomb(host):
             return sum(a * oracle.hom_count(p, host) for a, p in zip(alphas, patterns))
@@ -570,7 +580,7 @@ def run(argv: Optional[List[str]] = None) -> int:
     if getattr(args, "caps", None):
         try:
             caps = {k: int(v) for k, v in _load_json(args.caps).items()}
-        except (OSError, ValueError, AttributeError) as exc:
+        except (OSError, ValueError, AttributeError, ParseError) as exc:
             print(f"error: bad caps file: {exc}", file=sys.stderr)
             return 2
     args.caps = caps

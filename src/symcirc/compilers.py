@@ -56,6 +56,7 @@ from .exactnum import Rational
 from .pattern import BipartiteMultigraph, SIDE_A
 from .symmetry import is_rigid, rigidify
 from .width import (
+    DEFAULT_VERTEX_CAP,
     EliminationForest,
     PathDecomposition,
     TreeDecomposition,
@@ -318,16 +319,18 @@ def _copy_into(builder: CircuitBuilder, circuit: Circuit) -> int:
     return mapping[circuit.output]
 
 
-def compile_single(f: BipartiteMultigraph, n: int, m: int, shape: str) -> CompileReport:
-    """Compile hom_{F,n,m} at the given shape, computing the decomposition."""
+def compile_single(f: BipartiteMultigraph, n: int, m: int, shape: str,
+                   cap: int = DEFAULT_VERTEX_CAP) -> CompileReport:
+    """Compile hom_{F,n,m} at the given shape, computing the decomposition
+    (exactly, for patterns with at most `cap` vertices)."""
     if shape == "td":
-        _, forest = treedepth_exact(f)
+        _, forest = treedepth_exact(f, cap=cap)
         return compile_formula_td(f, forest, n, m)
     if shape == "pw":
-        _, deco = pathwidth_exact(f)
+        _, deco = pathwidth_exact(f, cap=cap)
         return compile_skew_pw(f, deco, n, m)
     if shape == "tw":
-        _, deco = treewidth_exact(f)
+        _, deco = treewidth_exact(f, cap=cap)
         return compile_circuit_tw(f, deco, n, m)
     raise InvalidParameter(f"unknown compile shape {shape!r}")
 

@@ -6,11 +6,21 @@ All arithmetic in this package is exact.  Rationals are `fractions.Fraction`
 as `Rational`.  A polynomial is stored as
 
     variables : tuple of variable names, sorted lexicographically
-    terms     : dict mapping exponent tuples to non-zero Rational coefficients
+    terms     : dict mapping exponent tuples to non-zero coefficients, each an
+                int when integral and a Fraction otherwise
 
 Exponent tuples are dense over the declared variable list, so two polynomials
 over different variable sets are aligned (union of the variable lists) before
 any comparison or arithmetic.  The zero polynomial has an empty term dict.
+
+Term dicts over one fixed variable list are added and multiplied by
+`add_terms`, `mul_terms` and `pow_terms`, the single implementation behind
+`SparsePolynomial` arithmetic and `Circuit.expand_symbolic`.  They accept
+`int` as well as `Fraction` coefficients: integer arithmetic is exact and
+much cheaper than `Fraction`'s, so callers keep coefficients `int` while they
+are integral.  `common_denominator` is the matching trick for evaluation:
+scale rational inputs by the lcm D of their denominators, compute over the
+integers, and divide by the right power of D once at the end.
 
 Identity testing comes in two flavours: `poly_equal_symbolic` compares
 normalized term maps, and `poly_equal_randomized` is a seeded Schwartz-Zippel
@@ -22,7 +32,9 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from math import lcm
+from operator import add
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidParameter, MissingVariable
 
@@ -40,6 +52,69 @@ def rat(num, den=1) -> Rational:
     return Fraction(num, den) if den != 1 else Fraction(num)
 
 
+def common_denominator(values: Iterable) -> Optional[int]:
+    """The lcm of the denominators of `values` (ints and Fractions), or None
+    if any value is something else, such as a polynomial used as a ring
+    element, which callers then use exactly as given."""
+    den = 1
+    for v in values:
+        if type(v) is not int:
+            if not isinstance(v, (int, Fraction)):
+                return None
+            if den % v.denominator:
+                den = lcm(den, v.denominator)
+    return den
+
+
+# -- term dicts ---------------------------------------------------------------
+#
+# A term dict maps exponent tuples, all over one variable list, to non-zero
+# int or Fraction coefficients.
+
+
+def add_terms(into: Dict[Tuple[int, ...], Rational], terms: Mapping[Tuple[int, ...], Rational],
+              scale=1) -> Dict[Tuple[int, ...], Rational]:
+    """Add `scale` times `terms` into `into` in place, dropping coefficients
+    that cancel; returns `into`."""
+    get = into.get
+    for exp, coeff in terms.items():
+        s = get(exp, 0) + (coeff if scale == 1 else scale * coeff)
+        if s:
+            into[exp] = s
+        else:
+            into.pop(exp, None)
+    return into
+
+
+def mul_terms(p: Mapping[Tuple[int, ...], Rational],
+              q: Mapping[Tuple[int, ...], Rational]) -> Dict[Tuple[int, ...], Rational]:
+    """The product of two term dicts over the same variable list."""
+    out: Dict[Tuple[int, ...], Rational] = {}
+    get = out.get
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            exp = tuple(map(add, e1, e2))
+            s = get(exp, 0) + c1 * c2
+            if s:
+                out[exp] = s
+            else:
+                out.pop(exp, None)
+    return out
+
+
+def pow_terms(p: Mapping[Tuple[int, ...], Rational], k: int,
+              num_vars: int) -> Dict[Tuple[int, ...], Rational]:
+    """The k-th power of a term dict over `num_vars` variables, by squaring."""
+    result: Dict[Tuple[int, ...], Rational] = {(0,) * num_vars: 1}
+    base = p
+    while k:
+        if k & 1:
+            result = mul_terms(result, base)
+        base = mul_terms(base, base) if k > 1 else base
+        k >>= 1
+    return result
+
+
 class SparsePolynomial:
     """Exact multivariate polynomial with rational coefficients."""
 
@@ -54,9 +129,12 @@ class SparsePolynomial:
         for exp, coeff in (terms or {}).items():
             if len(exp) != len(vs):
                 raise InvalidParameter(f"exponent vector {exp} has wrong length for {vs}")
-            c = Fraction(coeff)
-            if c != 0:
-                clean[tuple(exp)] = c
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
+            if coeff:
+                clean[tuple(exp)] = coeff
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -112,16 +190,8 @@ class SparsePolynomial:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "SparsePolynomial":
-        other = _as_poly(other)
-        p, q = self._common(self, other)
-        terms = dict(p.terms)
-        for exp, coeff in q.terms.items():
-            s = terms.get(exp, Fraction(0)) + coeff
-            if s == 0:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
-        return SparsePolynomial(p.variables, terms)
+        p, q = self._common(self, _as_poly(other))
+        return SparsePolynomial(p.variables, add_terms(dict(p.terms), q.terms))
 
     __radd__ = __add__
 
@@ -135,32 +205,15 @@ class SparsePolynomial:
         return _as_poly(other) + (-self)
 
     def __mul__(self, other) -> "SparsePolynomial":
-        other = _as_poly(other)
-        p, q = self._common(self, other)
-        terms: Dict[Tuple[int, ...], Rational] = {}
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(exp, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(exp, None)
-                else:
-                    terms[exp] = s
-        return SparsePolynomial(p.variables, terms)
+        p, q = self._common(self, _as_poly(other))
+        return SparsePolynomial(p.variables, mul_terms(p.terms, q.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "SparsePolynomial":
         if not isinstance(k, int) or k < 0:
             raise InvalidParameter("polynomial powers must be non-negative integers")
-        result = SparsePolynomial.constant(1, self.variables)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return SparsePolynomial(self.variables, pow_terms(self.terms, k, len(self.variables)))
 
     def scale(self, c) -> "SparsePolynomial":
         c = Fraction(c)
@@ -255,14 +308,24 @@ def poly_eval(p: SparsePolynomial, assignment: Mapping[str, Rational]) -> Ration
         if v not in assignment:
             raise MissingVariable(f"assignment lacks variable {v!r}")
     values = [Fraction(assignment[v]) for v in p.variables]
-    total = Fraction(0)
+    # Over the integers: with D the lcm of the values' denominators and C that
+    # of the coefficients', p(v) = sum_t (C c_t) prod (D v)^e * D^(top - deg t)
+    # / (C D^top), where top is p's total degree.
+    den = common_denominator(values)
+    cden = common_denominator(p.terms.values())
+    top = max(p.degree(), 0)
+    powers = [den ** k for k in range(top + 1)]
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    total = 0
     for exp, coeff in p.terms.items():
-        term = coeff
-        for val, e in zip(values, exp):
+        term = coeff.numerator * (cden // coeff.denominator)
+        deg = 0
+        for val, e in zip(nums, exp):
             if e:
-                term *= val ** e
-        total += term
-    return total
+                term *= val if e == 1 else val ** e
+                deg += e
+        total += term * powers[top - deg]
+    return Fraction(total, cden * powers[top])
 
 
 def poly_equal_symbolic(p: SparsePolynomial, q: SparsePolynomial) -> bool:

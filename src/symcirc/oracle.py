@@ -11,9 +11,15 @@ evaluator only says which maps to walk: `hom_count` all maps (a product of
 ranges), `emb_eval` the per-side injective ones (permutations),
 `labelled_hom_eval` those fixing the labels (singleton domains), and
 `coloured_hom_eval` those respecting the colouring ((colour, index) keys).
-The kernel still visits every map, so the oracles stay definitional; and an
-exact change of arithmetic, such as evaluating over integer weights with the
-denominators cleared, has this one loop to change.
+The kernel still visits every map, so the oracles stay definitional.
+
+It sums over the integers.  Every value here is homogeneous of degree
+d = sum of the edge multiplicities in the host weights: each map contributes
+one product with exactly d weight factors.  So with D the lcm of the
+weights' denominators, the value at the host w equals the value at the
+integer host D w divided by D ** d.  The kernel evaluates at D w and divides
+once.  This rescales the input and leaves the enumeration alone: it is still
+one product per map, not clever counting.
 
 Hosts come in two forms:
 
@@ -40,7 +46,7 @@ from .errors import (
     ParseError,
     SizeCap,
 )
-from .exactnum import Rational, SparsePolynomial, exact_det
+from .exactnum import Rational, SparsePolynomial, common_denominator, exact_det
 from .circuit import colour_var_name, var_name
 from .pattern import BipartiteMultigraph, LabelledPattern, are_isomorphic
 
@@ -273,20 +279,41 @@ def _check_cap(count: int, cap: Optional[int] = None):
         raise SizeCap(f"brute-force enumeration of {count} maps exceeds cap {cap}")
 
 
-def _weighted_sum(edges: Sequence[Tuple[int, int, int]], weight, maps: Iterable[Sequence]):
-    """Sum over `maps` of the product of weight(image[u], image[v]) ** mult
-    over the edges (u, v, mult): the loop shared by every evaluator here."""
-    total = Fraction(0)
+def _weighted_sum(edges: Sequence[Tuple[int, int, int]], weight, domains: Sequence[Sequence],
+                  maps: Optional[Iterable[Sequence[int]]] = None):
+    """Sum over maps of the product of weight(image[u], image[v]) ** mult over
+    the edges (u, v, mult): the loop shared by every evaluator here.
+
+    `domains[v]` lists the keys vertex v may map to, and a map is a tuple of
+    indices into the domains; `maps` defaults to all of them, in row-major
+    order.  Each edge reads a dense table of its weights, already raised to
+    the edge's multiplicity.  When every weight is an int or a Fraction, the
+    tables hold the integers (D w) ** mult, with D the lcm of the weights'
+    denominators, the sum is taken over the integers and divided by
+    D ** (sum of multiplicities) once; other weights (ring elements) are used
+    as given.
+    """
+    tables = [[[weight(a, b) for b in domains[v]] for a in domains[u]] for (u, v, _) in edges]
+    den = common_denominator(w for table in tables for row in table for w in row)
+    if den is not None:
+        tables = [[[w.numerator * (den // w.denominator) for w in row] for row in table]
+                  for table in tables]
+    plan = [(u, v, [[w if mult == 1 else w ** mult for w in row] for row in table])
+            for (u, v, mult), table in zip(edges, tables)]
+    if maps is None:
+        maps = itertools.product(*(range(len(d)) for d in domains))
+    total = 0
     for image in maps:
-        term = Fraction(1)
-        for (u, v, mult) in edges:
-            w = weight(image[u], image[v])
+        term = 1
+        for u, v, table in plan:
+            w = table[image[u]][image[v]]
             if w == 0:
-                term = 0
                 break
-            term = term * (w if mult == 1 else w ** mult)
-        if term != 0:
+            term = term * w
+        else:
             total = total + term
+    if isinstance(total, int):
+        return Fraction(total, (den or 1) ** sum(mult for _, _, mult in edges))
     return total
 
 
@@ -298,7 +325,7 @@ def hom_count(f: BipartiteMultigraph, host: WeightedHost):
     """Sum over all maps h of the product of host weights along F's edges."""
     _check_cap(host.n ** f.a_count * host.m ** f.b_count)
     domains = [range(host.n)] * f.a_count + [range(host.m)] * f.b_count
-    return _weighted_sum(_global_edges(f), host.get, itertools.product(*domains))
+    return _weighted_sum(_global_edges(f), host.get, domains)
 
 
 def hom_poly(f: BipartiteMultigraph, n: int, m: int) -> SparsePolynomial:
@@ -307,7 +334,7 @@ def hom_poly(f: BipartiteMultigraph, n: int, m: int) -> SparsePolynomial:
     names = [[var_name(i + 1, j + 1) for j in range(m)] for i in range(n)]
     variables = tuple(sorted(name for row in names for name in row))
     pos = {v: k for k, v in enumerate(variables)}
-    terms: Dict[Tuple[int, ...], Fraction] = {}
+    terms: Dict[Tuple[int, ...], int] = {}
     edges = sorted(f.edges.items())
     zero_exp = [0] * len(variables)
     for a_img in itertools.product(range(n), repeat=f.a_count):
@@ -316,7 +343,7 @@ def hom_poly(f: BipartiteMultigraph, n: int, m: int) -> SparsePolynomial:
             for (i, j), mult in edges:
                 exp[pos[names[a_img[i]][b_img[j]]]] += mult
             key = tuple(exp)
-            terms[key] = terms.get(key, Fraction(0)) + 1
+            terms[key] = terms.get(key, 0) + 1
     return SparsePolynomial(variables, terms)
 
 
@@ -338,7 +365,7 @@ def coloured_hom_eval(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
         count *= max(s, 1)
         _check_cap(count)
     domains = [[(colouring[v], i) for i in range(s)] for v, s in zip(f.vertices(), sizes)]
-    return _weighted_sum(_global_edges(f), g.get, itertools.product(*domains))
+    return _weighted_sum(_global_edges(f), g.get, domains)
 
 
 def identity_colouring(f: BipartiteMultigraph) -> Dict[int, int]:
@@ -361,13 +388,13 @@ def colhom_poly(f: BipartiteMultigraph, n: int) -> SparsePolynomial:
         for (u, v, _) in edges for i in range(n) for j in range(n)
     })
     pos = {name: k for k, name in enumerate(varset)}
-    terms: Dict[Tuple[int, ...], Fraction] = {}
+    terms: Dict[Tuple[int, ...], int] = {}
     for image in itertools.product(range(n), repeat=f.num_vertices()):
         exp = [0] * len(varset)
         for (u, v, mult) in edges:
             exp[pos[colour_var_name(u + 1, image[u] + 1, v + 1, image[v] + 1)]] += mult
         key = tuple(exp)
-        terms[key] = terms.get(key, Fraction(0)) + 1
+        terms[key] = terms.get(key, 0) + 1
     return SparsePolynomial(varset, terms)
 
 
@@ -390,7 +417,7 @@ def labelled_hom_eval(p: LabelledPattern, v: Sequence[int], w: Sequence[int],
     _check_cap(host.n ** len(free_a) * host.m ** len(free_b))
     domains = ([(fixed_a[i],) if i in fixed_a else range(host.n) for i in range(f.a_count)]
                + [(fixed_b[j],) if j in fixed_b else range(host.m) for j in range(f.b_count)])
-    return _weighted_sum(_global_edges(f), host.get, itertools.product(*domains))
+    return _weighted_sum(_global_edges(f), host.get, domains)
 
 
 def emb_eval(f: BipartiteMultigraph, host: WeightedHost):
@@ -406,7 +433,8 @@ def emb_eval(f: BipartiteMultigraph, host: WeightedHost):
     maps = (a_img + b_img
             for a_img in itertools.permutations(range(host.n), f.a_count)
             for b_img in itertools.permutations(range(host.m), f.b_count))
-    return _weighted_sum(_global_edges(f), host.get, maps)
+    domains = [range(host.n)] * f.a_count + [range(host.m)] * f.b_count
+    return _weighted_sum(_global_edges(f), host.get, domains, maps)
 
 
 # -- hom-to-emb expansion -------------------------------------------------------------

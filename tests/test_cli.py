@@ -109,6 +109,10 @@ def test_caps_file(capsys, tmp_path):
     _run(capsys, "pattern", "gen", "path", "--v", "6", "--out", str(p6))
     code, _, err = _run(capsys, "--caps", str(caps), "width", "tw", "--graph", str(p6))
     assert code == 2 and "cap" in err
+    for shape in ("td", "pw", "tw"):
+        code, _, err = _run(capsys, "--caps", str(caps), "compile", "--graph", str(p6),
+                            "--shape", shape, "--n", "1", "--m", "1")
+        assert code == 2 and "cap" in err, shape
 
 
 def test_verify_json_flag(capsys):
@@ -194,3 +198,37 @@ def test_caps_do_not_outlive_run(capsys, tmp_path):
     assert oracle.BRUTE_FORCE_CAP == 10 ** 7
     code, out, _ = _run(capsys, "oracle", "hom", "--pattern", p3, "--host", host)
     assert code == 0 and json.loads(out)["value"] == {"num": "0", "den": "1"}
+
+
+def test_malformed_json_files(capsys, tmp_path):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"a": 1, ')
+    not_object = _write(tmp_path, "list.json", [1, 2])
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    host = _write(tmp_path, "host.json", {"n": 1, "m": 1, "weights": []})
+    for bad in (str(truncated), not_object):
+        commands = [
+            ["width", "tw", "--graph", bad],
+            ["compile", "--graph", bad, "--shape", "td", "--n", "1", "--m", "1"],
+            ["compile", "--graph", p2, "--shape", "td", "--n", "1", "--m", "1", "--decomp", bad],
+            ["analyze", "--circuit", bad, "--n", "1", "--m", "1"],
+            ["oracle", "hom", "--pattern", bad, "--host", host],
+            ["oracle", "hom", "--pattern", p2, "--host", bad],
+            ["--caps", bad, "width", "tw", "--graph", p2],
+        ]
+        for argv in commands:
+            code, _, err = _run(capsys, *argv)
+            assert code == 2 and err.startswith("error:"), argv
+
+
+def test_extract_lincomb_rejects_bad_alphas(capsys, tmp_path):
+    p2 = {"a": 1, "b": 1, "edges": [[1, 1, 1]]}
+    cases = {
+        "zero_den": {"alpha": {"num": "1", "den": "0"}, "graph": p2},
+        "no_alpha": {"graph": p2},
+    }
+    for name, term in cases.items():
+        terms = _write(tmp_path, f"{name}.json", {"terms": [term]})
+        code, _, err = _run(capsys, "reduce", "extract-lincomb", "--n", "1",
+                            "--big-n", "2", "--terms", terms)
+        assert code == 2 and err.startswith("error:"), name
