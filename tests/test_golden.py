@@ -10,25 +10,33 @@ digest recorded when the test was written:
   * values and certificates of the tw/pw/td solvers, of the labelled tw/pw
     solvers and of `rooted_certificate`, for every simple bipartite graph
     with at most 6 vertices (labels: the first vertex of each side);
-  * the stdout of `symcirc suite all --seed 1`.
+  * the stdout of `symcirc suite all --seed 1`;
+  * vertex contraction: `quotient` under every two-colouring and
+    `hom_to_emb_terms` of every multigraph with at most 5 vertices, and
+    `glue` on seeded pairs of labelled patterns from the same census.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import random
 
 from symcirc import cli, compilers, width
-from symcirc.pattern import LabelledPattern, enumerate_bipartite_multigraphs
+from symcirc.oracle import hom_to_emb_terms
+from symcirc.pattern import LabelledPattern, enumerate_bipartite_multigraphs, glue, quotient
 
 SAMPLE = enumerate_bipartite_multigraphs(6, 8, max_mult=2)[::7]
 SIMPLE = enumerate_bipartite_multigraphs(6, 9)
+SMALL = enumerate_bipartite_multigraphs(5, 6, max_mult=2)
 
 EXPECTED = {
     "compile_single": "687357e15b09edd6d460ba74ea69a9d9efb176d88218b7e9cf38f7d0fb0754a1",
     "compile_colourful": "403654c54b7b356b4c8e3c8883b82188e4c396774a1f8b8180c82528558e7af0",
     "certificates": "0ff38d1c82decc4f5907f9cfaf471e45d372529b75d9dbb9c5c8b0e33b99cb77",
     "suite_all_seed1": "0b7dce3fd423a0ba04cfefa32e0d8c65832eb55d884f95011ba40ca8660175d7",
+    "contraction": "029814fecfa731fd2bf20dbd282e40ac2b88c47abf5a2c0d8ac77e7b9104d785",
 }
 
 
@@ -70,6 +78,31 @@ def _certificate_chunks():
         yield _cert([w, depth], cert)
 
 
+def _graph(g) -> bytes:
+    # Edge insertion order is part of the output: oracles iterate it.
+    return repr((g.a_count, g.b_count, list(g.edges.items()))).encode("utf-8")
+
+
+def _contraction_chunks():
+    for f in SMALL:
+        for colours in itertools.product("AB", repeat=f.num_vertices()):
+            yield _graph(quotient(f, dict(enumerate(colours))))
+        for t in hom_to_emb_terms(f):
+            yield _graph(t)
+    rng = random.Random(4)
+
+    def labels(count, arity):
+        return tuple(rng.randrange(count) for _ in range(arity)) if count else ()
+
+    for _ in range(400):
+        f, g = rng.choice(SMALL), rng.choice(SMALL)
+        l = rng.randint(0, 2) if f.a_count and g.a_count else 0
+        r = rng.randint(0, 2) if f.b_count and g.b_count else 0
+        p = glue(LabelledPattern(f, labels(f.a_count, l), labels(f.b_count, r)),
+                 LabelledPattern(g, labels(g.a_count, l), labels(g.b_count, r)))
+        yield _graph(p.graph) + repr((p.a_labels, p.b_labels)).encode("utf-8")
+
+
 def _suite_chunks():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -79,7 +112,7 @@ def _suite_chunks():
 
 
 def test_sample_sizes():
-    assert (len(SAMPLE), len(SIMPLE)) == (133, 163)
+    assert (len(SAMPLE), len(SIMPLE), len(SMALL)) == (133, 163, 206)
 
 
 def test_compile_single_circuits_unchanged():
@@ -96,3 +129,7 @@ def test_width_certificates_unchanged():
 
 def test_suite_all_stdout_unchanged():
     assert _digest(_suite_chunks()) == EXPECTED["suite_all_seed1"]
+
+
+def test_vertex_contraction_unchanged():
+    assert _digest(_contraction_chunks()) == EXPECTED["contraction"]
