@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidParameter, MissingVariable, ParseError, SizeCap
 from .exactnum import (Rational, SparsePolynomial, add_terms, common_denominator, mul_terms,
-                       pow_terms)
+                       pow_terms, rational_from_json, rational_to_json)
 
 GENERAL = "general"
 SKEW = "skew"
@@ -62,8 +62,8 @@ def colour_var_name(cu, i: int, cv, j: int) -> str:
 class Circuit:
     """Immutable gate-labelled DAG; construct through CircuitBuilder."""
 
-    __slots__ = ("labels", "children", "output", "_parents", "_topo",
-                 "_formula_shaped", "_program", "_lifted")
+    __slots__ = ("labels", "children", "output", "_parents", "_topo", "_shapes",
+                 "_program", "_lifted")
 
     def __init__(self, labels: List, children: List[Dict[int, int]], output: int):
         self.labels = labels
@@ -71,7 +71,7 @@ class Circuit:
         self.output = output
         self._parents: Optional[List[List[int]]] = None
         self._topo: Optional[List[int]] = None
-        self._formula_shaped: Optional[bool] = None
+        self._shapes: Dict[str, Tuple[bool, str]] = {}
         self._program = None
         self._lifted = None
 
@@ -297,15 +297,49 @@ class Circuit:
     # -- validation ---------------------------------------------------------------
 
     def validate(self, shape: str = GENERAL) -> Tuple[bool, str]:
-        """Structural invariants for the given shape; (ok, first violation)."""
+        """Structural invariants for the given shape; (ok, first violation).
+
+        Each shape is checked once per circuit and the result kept.  The
+        GENERAL invariants come first in every shape and are checked once
+        for all of them.
+        """
         if shape not in SHAPES:
             raise InvalidParameter(f"unknown shape {shape!r}")
+        if shape not in self._shapes:
+            reason = self.validate(GENERAL)[1] if shape != GENERAL else ""
+            reason = reason or self._violation(shape)
+            self._shapes[shape] = (not reason, reason)
+        return self._shapes[shape]
+
+    def _violation(self, shape: str) -> str:
+        """The first invariant of `shape` the circuit breaks, or ''; a shape
+        other than GENERAL is only checked for what it adds to GENERAL."""
+        if shape == SKEW:
+            for g, lbl in enumerate(self.labels):
+                if lbl[0] == TIMES:
+                    internal = [c for c in self.children[g] if not self.is_input(c)]
+                    if len(internal) > 1:
+                        return f"times gate {g} has {len(internal)} internal children"
+            return ""
+        if shape != GENERAL:
+            # Formula variants: internal gates induce a tree rooted at the output.
+            parents = self.parents()
+            for g, lbl in enumerate(self.labels):
+                if lbl[0] in (PLUS, TIMES) and g != self.output:
+                    if len(parents[g]) != 1:
+                        return f"internal gate {g} has {len(parents[g])} parents"
+            if shape == FORMULA:
+                for g, ch in enumerate(self.children):
+                    for child, mult in ch.items():
+                        if mult != 1:
+                            return f"multiedge ({g},{child}) with multiplicity {mult}"
+            return ""
         try:
             topo = self.topo_order()
         except InvalidParameter as exc:
-            return False, str(exc)
+            return str(exc)
         if len(topo) != self.num_gates():
-            return False, "topological order missed gates"
+            return "topological order missed gates"
         seen_inputs = {}
         for g, lbl in enumerate(self.labels):
             if lbl[0] == "var":
@@ -316,47 +350,20 @@ class Circuit:
                 key = None
             if key is not None:
                 if key in seen_inputs:
-                    return False, f"duplicate input gate for {key}"
+                    return f"duplicate input gate for {key}"
                 seen_inputs[key] = g
                 if self.children[g]:
-                    return False, f"input gate {g} has children"
+                    return f"input gate {g} has children"
             else:
                 if lbl[0] not in (PLUS, TIMES):
-                    return False, f"unknown gate label {lbl!r}"
+                    return f"unknown gate label {lbl!r}"
                 if not self.children[g]:
-                    return False, f"internal gate {g} has no children"
-        parents = self.parents()
-        if parents[self.output]:
-            return False, "output gate has parents"
-        reachable = {self.output}
-        stack = [self.output]
-        while stack:
-            for child in self.children[stack.pop()]:
-                if child not in reachable:
-                    reachable.add(child)
-                    stack.append(child)
-        if len(reachable) != self.num_gates():
-            return False, "unreachable gates present"
-        if shape == GENERAL:
-            return True, ""
-        if shape == SKEW:
-            for g, lbl in enumerate(self.labels):
-                if lbl[0] == TIMES:
-                    internal = [c for c in self.children[g] if not self.is_input(c)]
-                    if len(internal) > 1:
-                        return False, f"times gate {g} has {len(internal)} internal children"
-            return True, ""
-        # Formula variants: internal gates induce a tree rooted at the output.
-        for g, lbl in enumerate(self.labels):
-            if lbl[0] in (PLUS, TIMES) and g != self.output:
-                if len(parents[g]) != 1:
-                    return False, f"internal gate {g} has {len(parents[g])} parents"
-        if shape == FORMULA:
-            for g, ch in enumerate(self.children):
-                for child, mult in ch.items():
-                    if mult != 1:
-                        return False, f"multiedge ({g},{child}) with multiplicity {mult}"
-        return True, ""
+                    return f"internal gate {g} has no children"
+        if self.parents()[self.output]:
+            return "output gate has parents"
+        if len(_reachable(self.children, self.output)) != self.num_gates():
+            return "unreachable gates present"
+        return ""
 
     # -- serialization ---------------------------------------------------------------
 
@@ -366,8 +373,7 @@ class Circuit:
             if lbl[0] == "var":
                 gates.append({"id": g, "label": {"var": lbl[1]}})
             elif lbl[0] == "const":
-                c = lbl[1]
-                gates.append({"id": g, "label": {"const": {"num": str(c.numerator), "den": str(c.denominator)}}})
+                gates.append({"id": g, "label": {"const": rational_to_json(lbl[1])}})
             else:
                 gates.append({"id": g, "label": lbl[0]})
         return {
@@ -396,7 +402,7 @@ class Circuit:
                 elif "var" in lbl:
                     labels[g] = ("var", str(lbl["var"]))
                 elif "const" in lbl:
-                    labels[g] = ("const", Fraction(int(lbl["const"]["num"]), int(lbl["const"]["den"])))
+                    labels[g] = ("const", rational_from_json(lbl["const"]))
                 else:
                     raise ParseError(f"unknown gate label {lbl!r}")
             children: List[Dict[int, int]] = [dict() for _ in range(n)]
@@ -409,7 +415,7 @@ class Circuit:
                 raise ParseError("bad output or gate ids")
         except ParseError:
             raise
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed circuit JSON: {exc}") from exc
         circuit = Circuit(labels, children, output)
         ok, reason = circuit.validate(GENERAL)
@@ -443,6 +449,18 @@ class Circuit:
         return "\n".join(lines)
 
 
+def _reachable(children: Sequence[Dict[int, int]], output: int) -> set:
+    """The gates reachable from `output` along child wires, itself included."""
+    reachable = {output}
+    stack = [output]
+    while stack:
+        for child in children[stack.pop()]:
+            if child not in reachable:
+                reachable.add(child)
+                stack.append(child)
+    return reachable
+
+
 class CircuitBuilder:
     """Accumulates gates; variables and constants are hash-consed.
 
@@ -472,7 +490,13 @@ class CircuitBuilder:
             self._inputs[key] = self._add(key, {})
         return self._inputs[key]
 
-    def _gate(self, kind: str, children: Sequence[Tuple[int, int]]) -> int:
+    def gate(self, label: Tuple, children: Sequence[Tuple[int, int]] = ()) -> int:
+        """A gate with a `Circuit.labels` entry as its label, over (builder
+        gate, multiplicity) children; a variable or constant takes none."""
+        if label[0] == "var":
+            return self.var(label[1])
+        if label[0] == "const":
+            return self.const(label[1])
         acc: Dict[int, int] = {}
         for child, mult in children:
             if mult < 1:
@@ -481,24 +505,17 @@ class CircuitBuilder:
                 raise InvalidParameter(f"unknown child gate {child}")
             acc[child] = acc.get(child, 0) + mult
         if not acc:
-            raise InvalidParameter(f"{kind} gate needs at least one child")
-        return self._add((kind,), acc)
+            raise InvalidParameter(f"{label[0]} gate needs at least one child")
+        return self._add((label[0],), acc)
 
     def plus(self, children: Sequence[Tuple[int, int]]) -> int:
-        return self._gate(PLUS, children)
+        return self.gate((PLUS,), children)
 
     def times(self, children: Sequence[Tuple[int, int]]) -> int:
-        return self._gate(TIMES, children)
+        return self.gate((TIMES,), children)
 
     def finish(self, output: int) -> Circuit:
-        reachable = {output}
-        stack = [output]
-        while stack:
-            for child in self.children[stack.pop()]:
-                if child not in reachable:
-                    reachable.add(child)
-                    stack.append(child)
-        keep = sorted(reachable)
+        keep = sorted(_reachable(self.children, output))
         remap = {old: new for new, old in enumerate(keep)}
         labels = [self.labels[old] for old in keep]
         children = [{remap[c]: m for c, m in self.children[old].items()} for old in keep]

@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import compilers, oracle, pattern, reduce, symmetry, width
 from .circuit import Circuit, SKEW
 from .errors import ParseError, SymcircError
+from .exactnum import rational_from_json, rational_to_json
 from .oracle import ColouredGraph, WeightedHost
 
 
@@ -89,7 +90,6 @@ def _cmd_compile(args) -> int:
     g = pattern.BipartiteMultigraph.from_json(_load_json(args.graph))
     if args.decomp:
         data = _load_json(args.decomp)
-        kind = data.get("kind")
         if args.shape == "td":
             report = compilers.compile_formula_td(
                 g, width.EliminationForest.from_json(data), args.n, args.m)
@@ -134,7 +134,7 @@ def _cmd_oracle(args) -> int:
     else:
         host = ColouredGraph.from_json(_load_json(args.host))
         value = oracle.colhom_eval(g, host)
-    _emit({"value": {"num": str(value.numerator), "den": str(value.denominator)}}, args.out)
+    _emit({"value": rational_to_json(value)}, args.out)
     return 0
 
 
@@ -210,9 +210,8 @@ def _cmd_reduce(args) -> int:
         spec = _load_json(args.terms)
         try:
             patterns = [pattern.BipartiteMultigraph.from_json(t["graph"]) for t in spec["terms"]]
-            alphas = [Fraction(int(t["alpha"]["num"]), int(t["alpha"]["den"]))
-                      for t in spec["terms"]]
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            alphas = [rational_from_json(t["alpha"]) for t in spec["terms"]]
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed terms file {args.terms}: {exc!r}") from exc
 
         def lincomb(host):
@@ -337,10 +336,9 @@ def _verify_minor(trials: int, rng: random.Random) -> List[Tuple[str, bool]]:
         if branch is None:
             out.append((f"minor/{name}", False))
             continue
-        pairs = [(u + 1, v + 1) for (u, v, _) in s.edge_list_global()]
         ok = True
         for _ in range(trials):
-            y = ColouredGraph.random({v + 1: 2 for v in s.vertices()}, pairs, rng)
+            y = _random_coloured_host(s, 2, rng)
             gadget = reduce.minor_gadget(fprime, s, branch, 2, y)
             if oracle.colhom_eval(fprime, gadget) != oracle.colhom_eval(s, y):
                 ok = False
@@ -404,7 +402,6 @@ def _cmd_verify(args) -> int:
 
 
 def _suite_compile(seed: int) -> List[Tuple[str, bool]]:
-    rng = random.Random(seed)
     patterns = {
         "P2": pattern.make_path(2),
         "P3": pattern.make_path(3),
@@ -554,12 +551,14 @@ def build_parser() -> argparse.ArgumentParser:
     vid.add_argument("--name", default="all",
                      choices=["all"] + sorted(IDENTITY_SUITES))
     vid.add_argument("--trials", type=int, default=5)
-    vid.add_argument("--seed", type=int, default=0)
+    vid.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                     help="same as the global --seed")
     vid.set_defaults(func=_cmd_verify)
 
     s = sub.add_parser("suite", help="run acceptance-style suites")
     s.add_argument("which", choices=["all"] + sorted(SUITES))
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="same as the global --seed")
     s.add_argument("--out")
     s.set_defaults(func=_cmd_suite)
 
@@ -572,10 +571,6 @@ def run(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if not hasattr(args, "seed") or args.seed is None:
-        args.seed = 0
-    if not hasattr(args, "json"):
-        args.json = False
     caps: Dict[str, int] = {}
     if getattr(args, "caps", None):
         try:

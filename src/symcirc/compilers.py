@@ -308,14 +308,8 @@ def _copy_into(builder: CircuitBuilder, circuit: Circuit) -> int:
     """Copy a circuit into `builder` (inputs hash-consed); returns the output id."""
     mapping: Dict[int, int] = {}
     for g in circuit.topo_order():
-        lbl = circuit.labels[g]
-        if lbl[0] == "var":
-            mapping[g] = builder.var(lbl[1])
-        elif lbl[0] == "const":
-            mapping[g] = builder.const(lbl[1])
-        else:
-            ch = sorted((mapping[c], mu) for c, mu in circuit.children[g].items())
-            mapping[g] = (builder.plus if lbl[0] == "plus" else builder.times)(ch)
+        mapping[g] = builder.gate(circuit.labels[g],
+                                  sorted((mapping[c], mu) for c, mu in circuit.children[g].items()))
     return mapping[circuit.output]
 
 

@@ -36,7 +36,7 @@ from math import lcm
 from operator import add
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import InvalidParameter, MissingVariable
+from .errors import InvalidParameter, MissingVariable, ParseError
 
 Rational = Fraction
 
@@ -50,6 +50,24 @@ SAMPLE_RANGE = 2 ** 32
 def rat(num, den=1) -> Rational:
     """Build a Rational from integers (or parse a string like '3/4')."""
     return Fraction(num, den) if den != 1 else Fraction(num)
+
+
+def rational_to_json(value) -> Dict[str, str]:
+    """The JSON form {"num": str, "den": str} of an int or Fraction."""
+    value = Fraction(value)
+    return {"num": str(value.numerator), "den": str(value.denominator)}
+
+
+def rational_from_json(data) -> Rational:
+    """Parse the form written by `rational_to_json`; ParseError when a key is
+    missing, a value is not an integer or the denominator is 0."""
+    try:
+        num, den = data["num"], data["den"]
+        if type(num) not in (int, str) or type(den) not in (int, str):
+            raise TypeError("num and den must be integers")
+        return Fraction(int(num), int(den))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed rational {data!r}: {exc}") from exc
 
 
 def common_denominator(values: Iterable) -> Optional[int]:
@@ -275,7 +293,7 @@ class SparsePolynomial:
         return {
             "vars": list(self.variables),
             "terms": [
-                {"exp": list(exp), "num": str(c.numerator), "den": str(c.denominator)}
+                {"exp": list(exp), **rational_to_json(c)}
                 for exp, c in sorted(self.terms.items())
             ],
         }
@@ -285,11 +303,11 @@ class SparsePolynomial:
         try:
             vs = list(data["vars"])
             terms = {
-                tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
+                tuple(t["exp"]): rational_from_json(t)
                 for t in data["terms"]
             }
         except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidParameter(f"malformed polynomial JSON: {exc}") from exc
+            raise ParseError(f"malformed polynomial JSON: {exc}") from exc
         return SparsePolynomial(vs, terms)
 
     def dumps(self) -> str:

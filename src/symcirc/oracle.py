@@ -46,9 +46,10 @@ from .errors import (
     ParseError,
     SizeCap,
 )
-from .exactnum import Rational, SparsePolynomial, common_denominator, exact_det
+from .exactnum import (Rational, SparsePolynomial, common_denominator, exact_det,
+                       rational_from_json, rational_to_json)
 from .circuit import colour_var_name, var_name
-from .pattern import BipartiteMultigraph, LabelledPattern, are_isomorphic
+from .pattern import BipartiteMultigraph, LabelledPattern, are_isomorphic, contract
 
 BRUTE_FORCE_CAP = 10 ** 7
 
@@ -119,7 +120,7 @@ class WeightedHost:
             "n": self.n,
             "m": self.m,
             "weights": [
-                [i + 1, j + 1, {"num": str(Fraction(w).numerator), "den": str(Fraction(w).denominator)}]
+                [i + 1, j + 1, rational_to_json(w)]
                 for (i, j), w in sorted(self.weights.items())
             ],
         }
@@ -128,11 +129,11 @@ class WeightedHost:
     def from_json(data: dict) -> "WeightedHost":
         try:
             weights = {
-                (int(i) - 1, int(j) - 1): Fraction(int(w["num"]), int(w["den"]))
+                (int(i) - 1, int(j) - 1): rational_from_json(w)
                 for i, j, w in data.get("weights", [])
             }
             return WeightedHost(int(data["n"]), int(data["m"]), weights)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed host JSON: {exc}") from exc
 
     @staticmethod
@@ -250,9 +251,7 @@ class ColouredGraph:
         entries = []
         for ((c, i), (c2, j)), w in sorted(self.weights.items(), key=repr):
             if (repr(c), i) <= (repr(c2), j):
-                wf = Fraction(w)
-                entries.append([c, i + 1, c2, j + 1,
-                                {"num": str(wf.numerator), "den": str(wf.denominator)}])
+                entries.append([c, i + 1, c2, j + 1, rational_to_json(w)])
         return {"sizes": {str(c): s for c, s in sorted(self.sizes.items(), key=repr)},
                 "weights": entries}
 
@@ -263,9 +262,9 @@ class ColouredGraph:
             g = ColouredGraph(sizes)
             for c, i, c2, j, w in data.get("weights", []):
                 g.set_weight((_colour_key(c), int(i) - 1), (_colour_key(c2), int(j) - 1),
-                             Fraction(int(w["num"]), int(w["den"])))
+                             rational_from_json(w))
             return g
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed coloured graph JSON: {exc}") from exc
 
 
@@ -453,24 +452,6 @@ def _set_partitions(items: Sequence[int]):
         yield [[first]] + sub
 
 
-def quotient_by_partition(f: BipartiteMultigraph, a_blocks: Sequence[Sequence[int]],
-                          b_blocks: Sequence[Sequence[int]]) -> BipartiteMultigraph:
-    """Merge each block to one vertex; parallel edges accumulate multiplicity."""
-    a_of = {}
-    for k, block in enumerate(a_blocks):
-        for i in block:
-            a_of[i] = k
-    b_of = {}
-    for k, block in enumerate(b_blocks):
-        for j in block:
-            b_of[j] = k
-    edges: Dict[Tuple[int, int], int] = {}
-    for (i, j), m in f.edges.items():
-        key = (a_of[i], b_of[j])
-        edges[key] = edges.get(key, 0) + m
-    return BipartiteMultigraph(len(a_blocks), len(b_blocks), edges)
-
-
 def hom_to_emb_terms(f: BipartiteMultigraph, cap: int = 6) -> List[BipartiteMultigraph]:
     """The quotients F/(pi, sigma) over all per-side partition pairs.
 
@@ -482,8 +463,9 @@ def hom_to_emb_terms(f: BipartiteMultigraph, cap: int = 6) -> List[BipartiteMult
         raise SizeCap(f"partition enumeration capped at side size {cap}")
     out = []
     for pa in _set_partitions(list(range(f.a_count))):
-        for pb in _set_partitions(list(range(f.b_count))):
-            out.append(quotient_by_partition(f, sorted(pa), sorted(pb)))
+        for pb in _set_partitions(list(range(f.a_count, f.num_vertices()))):
+            pairs = [(block[0], v) for block in pa + pb for v in block[1:]]
+            out.append(contract(f, pairs)[0])
     return out
 
 

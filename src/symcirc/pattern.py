@@ -13,7 +13,6 @@ decompositions) we use *global* vertex ids: A-vertex i is `i`, B-vertex j is
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -385,7 +384,50 @@ def are_isomorphic(f: BipartiteMultigraph, g: BipartiteMultigraph, cap: int = 10
     return f.canonical_key(cap) == g.canonical_key(cap)
 
 
-# -- quotients -------------------------------------------------------------------
+# -- vertex contraction ---------------------------------------------------------
+
+
+def contract(f: BipartiteMultigraph, pairs: Sequence[Tuple[int, int]],
+             sides: Optional[Sequence[str]] = None) -> Tuple[BipartiteMultigraph, List[int]]:
+    """Merge the vertex pairs (global ids) of F; returns (graph, index).
+
+    `sides[v]` is the side v lands on (default: its own), and merged vertices
+    share a side.  The classes of each side are numbered by their least
+    global id, and `index[v]` is the local id of v's class.  Edges whose two
+    ends land on the same side are dropped; the others keep their order in
+    `f.edges` and parallel ones add up their multiplicities.
+    """
+    n = f.num_vertices()
+    sides = sides or [f.side(v) for v in range(n)]
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for u, v in pairs:
+        if sides[u] != sides[v]:
+            raise InvalidParameter(f"cannot merge vertices {u} and {v} of different sides")
+        ru, rv = find(u), find(v)
+        root[max(ru, rv)] = min(ru, rv)
+    index = [0] * n
+    counts = {SIDE_A: 0, SIDE_B: 0}
+    for v in range(n):  # a class's least id, its root, comes first
+        r = find(v)
+        if r == v:
+            index[v] = counts[sides[v]]
+            counts[sides[v]] += 1
+        else:
+            index[v] = index[r]
+    edges: Dict[Tuple[int, int], int] = {}
+    for (i, j), m in f.edges.items():
+        u, v = i, f.a_count + j
+        if sides[u] != sides[v]:
+            key = (index[u], index[v]) if sides[u] == SIDE_A else (index[v], index[u])
+            edges[key] = edges.get(key, 0) + m
+    return BipartiteMultigraph(counts[SIDE_A], counts[SIDE_B], edges), index
 
 
 def quotient(f: BipartiteMultigraph, s: Dict[int, str]) -> BipartiteMultigraph:
@@ -398,40 +440,8 @@ def quotient(f: BipartiteMultigraph, s: Dict[int, str]) -> BipartiteMultigraph:
     for v in f.vertices():
         if s.get(v) not in (SIDE_A, SIDE_B):
             raise InvalidParameter(f"colouring must assign A or B to vertex {v}")
-    parent = list(range(f.num_vertices()))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for (i, j) in f.edges:
-        u, v = i, f.a_count + j
-        if s[u] == s[v]:
-            union(u, v)
-
-    reps = sorted({find(v) for v in f.vertices()})
-    a_reps = [r for r in reps if s[r] == SIDE_A]
-    b_reps = [r for r in reps if s[r] == SIDE_B]
-    a_index = {r: k for k, r in enumerate(a_reps)}
-    b_index = {r: k for k, r in enumerate(b_reps)}
-    edges: Dict[Tuple[int, int], int] = {}
-    for (i, j), m in f.edges.items():
-        u, v = find(i), find(f.a_count + j)
-        if s[u] == s[v]:
-            continue
-        if s[u] == SIDE_A:
-            key = (a_index[u], b_index[v])
-        else:
-            key = (a_index[v], b_index[u])
-        edges[key] = edges.get(key, 0) + m
-    return BipartiteMultigraph(len(a_reps), len(b_reps), edges)
+    pairs = [(i, f.a_count + j) for (i, j) in f.edges if s[i] == s[f.a_count + j]]
+    return contract(f, pairs, [s[v] for v in f.vertices()])[0]
 
 
 # -- labelled patterns -------------------------------------------------------------
@@ -496,54 +506,15 @@ def glue(f: LabelledPattern, g: LabelledPattern) -> LabelledPattern:
     """
     if f.arity() != g.arity():
         raise ArityMismatch(f"gluing needs equal arities, got {f.arity()} vs {g.arity()}")
-    fg = f.graph
-    gg = g.graph
-    union = fg.disjoint_union(gg)
-    # Union-find over the union's global ids; g's vertices are shifted.
-    parent = list(range(union.num_vertices()))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def merge(x: int, y: int):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    # Shifted ids in the union: union A = fg.A ++ gg.A, union B = fg.B ++ gg.B.
-    def f_a(i: int) -> int:
-        return i
-
-    def f_b(j: int) -> int:
-        return union.a_count + j
-
-    def g_a(i: int) -> int:
-        return fg.a_count + i
-
-    def g_b(j: int) -> int:
-        return union.a_count + fg.b_count + j
-
-    for fi, gi in zip(f.a_labels, g.a_labels):
-        merge(f_a(fi), g_a(gi))
-    for fj, gj in zip(f.b_labels, g.b_labels):
-        merge(f_b(fj), g_b(gj))
-
-    reps = sorted({find(v) for v in range(union.num_vertices())})
-    a_reps = [r for r in reps if r < union.a_count]
-    b_reps = [r for r in reps if r >= union.a_count]
-    a_index = {r: k for k, r in enumerate(a_reps)}
-    b_index = {r: k for k, r in enumerate(b_reps)}
-    edges: Dict[Tuple[int, int], int] = {}
-    for (i, j), m in union.edges.items():
-        key = (a_index[find(i)], b_index[find(union.a_count + j)])
-        edges[key] = edges.get(key, 0) + m
-    glued = BipartiteMultigraph(len(a_reps), len(b_reps), edges)
-    a_labels = tuple(a_index[find(f_a(i))] for i in f.a_labels)
-    b_labels = tuple(b_index[find(f_b(j))] for j in f.b_labels)
-    return LabelledPattern(glued, a_labels, b_labels)
+    # Global ids in the union: A = f's A ++ g's A, then B = f's B ++ g's B.
+    union = f.graph.disjoint_union(g.graph)
+    g_a, f_b = f.graph.a_count, union.a_count
+    g_b = f_b + f.graph.b_count
+    pairs = [(i, g_a + k) for i, k in zip(f.a_labels, g.a_labels)]
+    pairs += [(f_b + j, g_b + k) for j, k in zip(f.b_labels, g.b_labels)]
+    glued, index = contract(union, pairs)
+    return LabelledPattern(glued, tuple(index[i] for i in f.a_labels),
+                           tuple(index[f_b + j] for j in f.b_labels))
 
 
 def drop_label(p: LabelledPattern, side: str, position: int) -> LabelledPattern:

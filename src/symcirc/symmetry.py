@@ -29,17 +29,13 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .circuit import (
     Circuit,
     CircuitBuilder,
-    FORMULA,
     FORMULA_MULTI,
-    GENERAL,
     PLUS,
-    SKEW,
     TIMES,
     parse_var_name,
     var_name,
@@ -153,12 +149,6 @@ def _gate_signatures(c: Circuit, rename=None, interner: Optional[_SigInterner] =
     return sig  # type: ignore[return-value]
 
 
-def _is_formula_shaped(c: Circuit) -> bool:
-    if getattr(c, "_formula_shaped", None) is None:
-        c._formula_shaped = c.validate(FORMULA_MULTI)[0]
-    return c._formula_shaped
-
-
 # -- automorphism extension ----------------------------------------------------
 
 
@@ -246,7 +236,7 @@ def extend_to_automorphism(c: Circuit, pair: PermutationPair,
     for name in var_gates:
         if pair.apply_var(name) not in var_gates:
             return []
-    if _is_formula_shaped(c):
+    if c.validate(FORMULA_MULTI)[0]:
         return _extend_formula(c, pair, var_gates, count_limit)
     interner = _SigInterner()
     sig = _gate_signatures(c, interner=interner)
@@ -333,7 +323,7 @@ def is_rigid(c: Circuit, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
     multiplicity iff the two subtrees can be swapped.  Other circuits get an
     exhaustive (budgeted) search for a second identity extension.
     """
-    if _is_formula_shaped(c):
+    if c.validate(FORMULA_MULTI)[0]:
         sig = _gate_signatures(c)
         for g in range(c.num_gates()):
             if c.is_input(g):
@@ -365,17 +355,11 @@ def _rigidify_dag(c: Circuit) -> Circuit:
         if s in rep:
             new_id[g] = rep[s]
             continue
-        lbl = c.labels[g]
-        if lbl[0] == "var":
-            gid = builder.var(lbl[1])
-        elif lbl[0] == "const":
-            gid = builder.const(lbl[1])
-        else:
-            merged: Dict[int, int] = {}
-            for ch, mult in c.children[g].items():
-                t = new_id[ch]
-                merged[t] = merged.get(t, 0) + mult
-            gid = (builder.plus if lbl[0] == PLUS else builder.times)(sorted(merged.items()))
+        merged: Dict[int, int] = {}
+        for ch, mult in c.children[g].items():
+            t = new_id[ch]
+            merged[t] = merged.get(t, 0) + mult
+        gid = builder.gate(c.labels[g], sorted(merged.items()))
         rep[s] = gid
         new_id[g] = gid
     return builder.finish(new_id[c.output])
@@ -392,11 +376,6 @@ def _rigidify_formula(c: Circuit) -> Circuit:
     builder = CircuitBuilder()
 
     def rebuild(g: int) -> int:
-        lbl = c.labels[g]
-        if lbl[0] == "var":
-            return builder.var(lbl[1])
-        if lbl[0] == "const":
-            return builder.const(lbl[1])
         groups: Dict = {}
         for ch, mult in sorted(c.children[g].items()):
             key = sig[ch]
@@ -408,7 +387,7 @@ def _rigidify_formula(c: Circuit) -> Circuit:
         for key in sorted(groups, key=repr):
             ch, mult = groups[key]
             children.append((rebuild(ch), mult))
-        return (builder.plus if lbl[0] == PLUS else builder.times)(children)
+        return builder.gate(c.labels[g], children)
 
     return builder.finish(rebuild(c.output))
 
@@ -681,20 +660,14 @@ def random_symmetric_circuit(n: int, m: int, rng: random.Random, max_gates: int 
     """
     if mode not in ("general", "skew"):
         raise InvalidParameter("random circuits support modes 'general' and 'skew'")
-    labels: List[Tuple] = []
-    children: List[Dict[int, int]] = []
+    builder = CircuitBuilder()
+    labels = builder.labels
     gate_of_var: Dict[str, int] = {}
-
-    def add(label, ch: Dict[int, int]) -> int:
-        labels.append(label)
-        children.append(ch)
-        return len(labels) - 1
-
     for i in range(1, n + 1):
         for j in range(1, m + 1):
             name = var_name(i, j)
-            gate_of_var[name] = add(("var", name), {})
-    const_one = add(("const", Fraction(1)), {})
+            gate_of_var[name] = builder.var(name)
+    const_one = builder.const(1)
 
     pairs = [PermutationPair.left_transposition(n, m, a, a + 1) for a in range(n - 1)]
     pairs += [PermutationPair.right_transposition(n, m, a, a + 1) for a in range(m - 1)]
@@ -728,7 +701,7 @@ def random_symmetric_circuit(n: int, m: int, rng: random.Random, max_gates: int 
             multiset = queue.pop()
             if multiset in seen:
                 continue
-            gid = add((kind,), dict(multiset))
+            gid = builder.gate((kind,), multiset)
             seen[multiset] = gid
             created.append(gid)
             for k in range(len(pairs)):
@@ -763,21 +736,10 @@ def random_symmetric_circuit(n: int, m: int, rng: random.Random, max_gates: int 
         if len(labels) > max_gates - 1:
             # Over budget: drop the layer.
             del labels[before:]
-            del children[before:]
+            del builder.children[before:]
             for k in range(len(pairs)):
                 del gen_images[k][before:]
             break
         layers.append(created)
     top_layer = layers[-1] if len(layers) > 1 else layers[0]
-    output = add((PLUS,), {g: 1 for g in top_layer})
-    builder = CircuitBuilder()
-    remap: Dict[int, int] = {}
-    for g, lbl in enumerate(labels):
-        if lbl[0] == "var":
-            remap[g] = builder.var(lbl[1])
-        elif lbl[0] == "const":
-            remap[g] = builder.const(lbl[1])
-        else:
-            remap[g] = (builder.plus if lbl[0] == PLUS else builder.times)(
-                sorted((remap[ch], mv) for ch, mv in children[g].items()))
-    return builder.finish(remap[output])
+    return builder.finish(builder.plus([(g, 1) for g in top_layer]))

@@ -149,7 +149,7 @@ class EliminationForest:
     def from_json(data: dict) -> "EliminationForest":
         try:
             parent = {int(v) - 1: (None if p == 0 else p - 1) for v, p in data["parent"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed elimination forest: {exc}") from exc
         return EliminationForest(parent)
 
@@ -309,19 +309,12 @@ def _subset_dp(n: int, start: int, step: Callable[[int, int], int]) -> Tuple[int
     return cost[full], order
 
 
-def treewidth_exact(f: BipartiteMultigraph, cap: int = DEFAULT_VERTEX_CAP,
-                    labels_in_one_bag: Optional[Sequence[int]] = None) -> Tuple[int, TreeDecomposition]:
-    """Exact treewidth with a certificate, by DP over eliminated vertex subsets.
-
-    With labels_in_one_bag set, minimizes over decompositions where some bag
-    contains all the listed global vertices.  Without it, this is
-    `labelled_treewidth` with no labels.
-    """
-    if labels_in_one_bag is None:
-        if f.num_vertices() > cap:
-            raise SizeCap(f"treewidth solver capped at {cap} vertices")
-        labels_in_one_bag = ()
-    return labelled_treewidth(_with_labels(f, labels_in_one_bag), cap)
+def treewidth_exact(f: BipartiteMultigraph,
+                    cap: int = DEFAULT_VERTEX_CAP) -> Tuple[int, TreeDecomposition]:
+    """Exact treewidth with a certificate: `labelled_treewidth` with no labels."""
+    if f.num_vertices() > cap:
+        raise SizeCap(f"treewidth solver capped at {cap} vertices")
+    return labelled_treewidth(LabelledPattern(f), cap)
 
 
 def _decomposition_from_order(adj: List[FrozenSet[int]], order: List[int]) -> TreeDecomposition:
@@ -353,22 +346,9 @@ def _decomposition_from_order(adj: List[FrozenSet[int]], order: List[int]) -> Tr
 # -- pathwidth --------------------------------------------------------------------
 
 
-def _with_labels(f: BipartiteMultigraph, labels: Sequence[int]) -> LabelledPattern:
-    """Wrap global vertex ids as a labelled pattern (sides inferred)."""
-    a_labels = tuple(v for v in labels if f.side(v) == "A")
-    b_labels = tuple(v - f.a_count for v in labels if f.side(v) == "B")
-    return LabelledPattern(f, a_labels, b_labels)
-
-
-def pathwidth_exact(f: BipartiteMultigraph, cap: int = DEFAULT_VERTEX_CAP,
-                    labels_in_one_bag: Optional[Sequence[int]] = None) -> Tuple[int, PathDecomposition]:
-    """Exact pathwidth with a certificate, via the vertex-separation DP.
-
-    With labels_in_one_bag set, minimizes over decompositions whose first bag
-    contains all the listed global vertices.
-    """
-    if labels_in_one_bag is not None:
-        return labelled_pathwidth(_with_labels(f, labels_in_one_bag), cap)
+def pathwidth_exact(f: BipartiteMultigraph,
+                    cap: int = DEFAULT_VERTEX_CAP) -> Tuple[int, PathDecomposition]:
+    """Exact pathwidth with a certificate, via the vertex-separation DP."""
     width, order = _vertex_separation(f, frozenset(), cap)
     return width, _path_bags_from_layout(f, order, frozenset())
 

@@ -232,3 +232,29 @@ def test_extract_lincomb_rejects_bad_alphas(capsys, tmp_path):
         code, _, err = _run(capsys, "reduce", "extract-lincomb", "--n", "1",
                             "--big-n", "2", "--terms", terms)
         assert code == 2 and err.startswith("error:"), name
+
+
+def test_global_seed_reaches_suite_and_verify(capsys):
+    code, out, _ = _run(capsys, "--seed", "5", "suite", "symmetry")
+    assert code == 0 and json.loads(out)["seed"] == 5
+    code, after, _ = _run(capsys, "suite", "symmetry", "--seed", "5")
+    assert code == 0 and after == out
+    argv = ["--json", "verify", "identity", "--name", "quotient", "--trials", "2"]
+    _, before, _ = _run(capsys, "--seed", "7", *argv)
+    _, after, _ = _run(capsys, *argv, "--seed", "7")
+    assert before == after
+
+
+def test_forest_parent_of_the_wrong_type(capsys, tmp_path):
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    forest = _write(tmp_path, "forest.json", {"kind": "elim", "parent": [0, 1]})
+    code, _, err = _run(capsys, "compile", "--graph", p2, "--shape", "td",
+                        "--n", "1", "--m", "1", "--decomp", forest)
+    assert code == 2 and err.startswith("error:")
+
+
+def test_coloured_sizes_of_the_wrong_type(capsys, tmp_path):
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    coloured = _write(tmp_path, "coloured.json", {"sizes": [1, 1], "weights": []})
+    code, _, err = _run(capsys, "oracle", "colhom", "--pattern", p2, "--host", coloured)
+    assert code == 2 and err.startswith("error:")

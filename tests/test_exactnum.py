@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from symcirc.errors import InvalidParameter, MissingVariable
+from symcirc.errors import InvalidParameter, MissingVariable, ParseError
 from symcirc.exactnum import (
     SparsePolynomial,
     exact_det,
@@ -13,6 +13,8 @@ from symcirc.exactnum import (
     poly_equal_symbolic,
     poly_eval,
     rat,
+    rational_from_json,
+    rational_to_json,
     solve_linear,
 )
 
@@ -128,6 +130,29 @@ def test_json_round_trip():
     q = SparsePolynomial.from_json(p.to_json())
     assert poly_equal_symbolic(p, q)
     assert SparsePolynomial.from_json(SparsePolynomial.zero().to_json()).is_zero()
+
+
+def test_malformed_polynomial_json():
+    good = {"vars": ["x"], "terms": [{"exp": [1], "num": "3", "den": "2"}]}
+    assert SparsePolynomial.from_json(good) == x.scale(rat(3, 2))
+    for term in ({"exp": [1], "num": "3", "den": "0"}, {"exp": [1], "num": "3"},
+                 {"num": "3", "den": "1"}):
+        with pytest.raises(ParseError):
+            SparsePolynomial.from_json({"vars": ["x"], "terms": [term]})
+    with pytest.raises(ParseError):
+        SparsePolynomial.from_json({"terms": []})
+
+
+def test_rational_json_codec():
+    for value in (0, 7, -3, rat(-5, 6), Fraction(10 ** 30, 7)):
+        data = rational_to_json(value)
+        assert set(data) == {"num", "den"} and all(isinstance(v, str) for v in data.values())
+        assert rational_from_json(data) == value
+    for bad in ({"num": "1"}, {"den": "1"}, {"num": "1", "den": "0"}, {"num": "x", "den": "1"},
+                {"num": "1.5", "den": "1"}, {"num": 1.5, "den": 1}, {"num": True, "den": "1"},
+                {"num": None, "den": "1"}, [1, 2], "1/2"):
+        with pytest.raises(ParseError):
+            rational_from_json(bad)
 
 
 def test_degree_and_zero_conventions():

@@ -10,6 +10,7 @@ from symcirc.pattern import (
     BipartiteMultigraph,
     LabelledPattern,
     are_isomorphic,
+    contract,
     drop_label,
     enumerate_bipartite_multigraphs,
     find_minor,
@@ -106,6 +107,22 @@ def test_quotient_respects_colouring_as_bipartition():
         # Every surviving edge has one endpoint per side by construction;
         # the graph type enforces it, so just sanity-check slot conservation.
         assert q.num_edge_slots() <= g.num_edge_slots()
+
+
+def test_contract_numbers_classes_by_least_id():
+    # K_{2,2}: A = {0, 1}, B = {2, 3}.  Merging 1 with 0 and 3 with 2 stacks
+    # all four edges on one pair.
+    k22 = make_complete_bipartite(2, 2)
+    merged, index = contract(k22, [(1, 0), (3, 2)])
+    assert (merged.a_count, merged.b_count, merged.edges) == (1, 1, {(0, 0): 4})
+    assert index == [0, 0, 0, 0]
+    # Moving vertex 0 to side B drops its edges; the classes of each side
+    # are numbered in order of their least global id.
+    moved, index = contract(k22, [], ["B", "A", "B", "B"])
+    assert (moved.a_count, moved.b_count, moved.edges) == (1, 3, {(0, 1): 1, (0, 2): 1})
+    assert index == [0, 0, 1, 2]
+    with pytest.raises(InvalidParameter):
+        contract(k22, [(0, 2)])
 
 
 def test_tensor_union_examples():

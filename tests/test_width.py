@@ -154,12 +154,14 @@ def test_labelled_widths():
 
 
 def test_labels_in_one_bag_flag():
+    # The labelled solvers with global vertices 0 and 1 (both on side A) as labels.
     p4 = make_path(4)
+    labelled = LabelledPattern(p4, (0, 1), ())
     plain, _ = treewidth_exact(p4)
-    constrained, cert = treewidth_exact(p4, labels_in_one_bag=[0, 1])
+    constrained, cert = labelled_treewidth(labelled)
     assert constrained >= plain
     assert any({0, 1} <= b for b in cert.bags)
-    pw_val, pcert = pathwidth_exact(p4, labels_in_one_bag=[0, 1])
+    pw_val, pcert = labelled_pathwidth(labelled)
     assert {0, 1} <= pcert.bags[0]
     assert validate_decomposition(p4, pcert)[0]
 
