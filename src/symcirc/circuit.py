@@ -490,7 +490,7 @@ class CircuitBuilder:
             self._inputs[key] = self._add(key, {})
         return self._inputs[key]
 
-    def gate(self, label: Tuple, children: Sequence[Tuple[int, int]] = ()) -> int:
+    def gate(self, label: Tuple, children: Sequence[Tuple[int, int]]) -> int:
         """A gate with a `Circuit.labels` entry as its label, over (builder
         gate, multiplicity) children; a variable or constant takes none."""
         if label[0] == "var":
