@@ -13,7 +13,12 @@ digest recorded when the test was written:
   * the stdout of `symcirc suite all --seed 1`;
   * vertex contraction: `quotient` under every two-colouring and
     `hom_to_emb_terms` of every multigraph with at most 5 vertices, and
-    `glue` on seeded pairs of labelled patterns from the same census.
+    `glue` on seeded pairs of labelled patterns from the same census;
+  * symmetry analysis: the `analyze` report, the orbits and every
+    transposition map (adjacent and not) of td/pw/tw compiles of P3, P4, C4,
+    K22 and star3 at n = m in {2, 3, 4}, and of seeded random symmetric
+    circuits summed with a copy of themselves (not rigid, so `rigidify`
+    merges gates).
 """
 
 import contextlib
@@ -24,8 +29,18 @@ import json
 import random
 
 from symcirc import cli, compilers, width
+from symcirc.circuit import CircuitBuilder
 from symcirc.oracle import hom_to_emb_terms
-from symcirc.pattern import LabelledPattern, enumerate_bipartite_multigraphs, glue, quotient
+from symcirc.pattern import (
+    LabelledPattern,
+    enumerate_bipartite_multigraphs,
+    glue,
+    make_complete_bipartite,
+    make_cycle,
+    make_path,
+    quotient,
+)
+from symcirc.symmetry import SymmetryAnalysis, analyze, random_symmetric_circuit, rigidify
 
 SAMPLE = enumerate_bipartite_multigraphs(6, 8, max_mult=2)[::7]
 SIMPLE = enumerate_bipartite_multigraphs(6, 9)
@@ -37,6 +52,7 @@ EXPECTED = {
     "certificates": "0ff38d1c82decc4f5907f9cfaf471e45d372529b75d9dbb9c5c8b0e33b99cb77",
     "suite_all_seed1": "0b7dce3fd423a0ba04cfefa32e0d8c65832eb55d884f95011ba40ca8660175d7",
     "contraction": "029814fecfa731fd2bf20dbd282e40ac2b88c47abf5a2c0d8ac77e7b9104d785",
+    "analyze": "776735eec2e6263e019f21535fd90abe7a6a2bb5eed5781bd4110416804e140d",
 }
 
 
@@ -103,6 +119,44 @@ def _contraction_chunks():
         yield _graph(p.graph) + repr((p.a_labels, p.b_labels)).encode("utf-8")
 
 
+def _doubled(c):
+    """Two copies of `c` sharing their input gates, summed."""
+    b = CircuitBuilder()
+    outputs = []
+    for _ in range(2):
+        new = {}
+        for g in c.topo_order():
+            new[g] = b.gate(c.labels[g], sorted((new[ch], mult)
+                                                for ch, mult in c.children[g].items()))
+        outputs.append(new[c.output])
+    return b.finish(b.plus([(g, 1) for g in outputs]))
+
+
+def _analyze_inputs():
+    patterns = (make_path(3), make_path(4), make_cycle(4),
+                make_complete_bipartite(2, 2), make_complete_bipartite(1, 3))
+    for f in patterns:
+        for n in (2, 3, 4):
+            for shape in ("td", "pw", "tw"):
+                yield compilers.compile_single(f, n, n, shape).circuit, n
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.choice((2, 3, 4))
+        c = random_symmetric_circuit(n, n, rng, rng.choice((40, 80, 160)),
+                                     rng.choice(("general", "skew")))
+        yield _doubled(c), n
+
+
+def _analyze_chunks():
+    for c, n in _analyze_inputs():
+        yield json.dumps(analyze(c, n, n).to_json(), sort_keys=True).encode("utf-8")
+        analysis = SymmetryAnalysis(rigidify(c, n, n), n, n)
+        yield repr(analysis.orbits()).encode("utf-8")
+        for side in "LR":
+            for a, b in itertools.combinations(range(n), 2):
+                yield repr((side, a, b, analysis.transposition_map(side, a, b))).encode("utf-8")
+
+
 def _suite_chunks():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -133,3 +187,7 @@ def test_suite_all_stdout_unchanged():
 
 def test_vertex_contraction_unchanged():
     assert _digest(_contraction_chunks()) == EXPECTED["contraction"]
+
+
+def test_symmetry_analysis_unchanged():
+    assert _digest(_analyze_chunks()) == EXPECTED["analyze"]
