@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidParameter, MissingVariable, ParseError, SizeCap
 from .exactnum import (Rational, SparsePolynomial, add_terms, common_denominator, mul_terms,
-                       pow_terms, rational_from_json, rational_to_json)
+                       int_from_json, pow_terms, rational_from_json, rational_to_json)
 
 GENERAL = "general"
 SKEW = "skew"
@@ -391,7 +391,7 @@ class Circuit:
             n = len(data["gates"])
             labels: List = [None] * n
             for entry in data["gates"]:
-                g = int(entry["id"])
+                g = int_from_json(entry["id"])
                 if not 0 <= g < n or labels[g] is not None:
                     raise ParseError(f"gate id {g} is out of range [0, {n}) or repeated")
                 lbl = entry["label"]
@@ -406,11 +406,12 @@ class Circuit:
                 else:
                     raise ParseError(f"unknown gate label {lbl!r}")
             children: List[Dict[int, int]] = [dict() for _ in range(n)]
-            for p, c, m in data["wires"]:
+            for wire in data["wires"]:
+                p, c, m = (int_from_json(x) for x in wire)
                 if not (0 <= p < n and 0 <= c < n) or m < 1:
                     raise ParseError(f"bad wire [{p},{c},{m}]")
-                children[int(p)][int(c)] = children[int(p)].get(int(c), 0) + int(m)
-            output = int(data["output"])
+                children[p][c] = children[p].get(c, 0) + m
+            output = int_from_json(data["output"])
             if not 0 <= output < n or any(l is None for l in labels):
                 raise ParseError("bad output or gate ids")
         except ParseError:

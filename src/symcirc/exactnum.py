@@ -58,15 +58,26 @@ def rational_to_json(value) -> Dict[str, str]:
     return {"num": str(value.numerator), "den": str(value.denominator)}
 
 
+def int_from_json(value) -> int:
+    """An integer read from JSON: an int (not a bool) or an integer string.
+    Anything else, a float such as 1.5 included, raises ParseError instead of
+    being truncated."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"not an integer: {value!r}")
+
+
 def rational_from_json(data) -> Rational:
     """Parse the form written by `rational_to_json`; ParseError when a key is
     missing, a value is not an integer or the denominator is 0."""
     try:
-        num, den = data["num"], data["den"]
-        if type(num) not in (int, str) or type(den) not in (int, str):
-            raise TypeError("num and den must be integers")
-        return Fraction(int(num), int(den))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        return Fraction(int_from_json(data["num"]), int_from_json(data["den"]))
+    except (KeyError, TypeError, ZeroDivisionError, ParseError) as exc:
         raise ParseError(f"malformed rational {data!r}: {exc}") from exc
 
 

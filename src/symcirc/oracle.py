@@ -47,7 +47,7 @@ from .errors import (
     SizeCap,
 )
 from .exactnum import (Rational, SparsePolynomial, common_denominator, exact_det,
-                       rational_from_json, rational_to_json)
+                       int_from_json, rational_from_json, rational_to_json)
 from .circuit import colour_var_name, var_name
 from .pattern import BipartiteMultigraph, LabelledPattern, are_isomorphic, contract
 
@@ -129,10 +129,10 @@ class WeightedHost:
     def from_json(data: dict) -> "WeightedHost":
         try:
             weights = {
-                (int(i) - 1, int(j) - 1): rational_from_json(w)
+                (int_from_json(i) - 1, int_from_json(j) - 1): rational_from_json(w)
                 for i, j, w in data.get("weights", [])
             }
-            return WeightedHost(int(data["n"]), int(data["m"]), weights)
+            return WeightedHost(int_from_json(data["n"]), int_from_json(data["m"]), weights)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed host JSON: {exc}") from exc
 
@@ -258,10 +258,11 @@ class ColouredGraph:
     @staticmethod
     def from_json(data: dict) -> "ColouredGraph":
         try:
-            sizes = {_colour_key(c): int(s) for c, s in data["sizes"].items()}
+            sizes = {_colour_key(c): int_from_json(s) for c, s in data["sizes"].items()}
             g = ColouredGraph(sizes)
             for c, i, c2, j, w in data.get("weights", []):
-                g.set_weight((_colour_key(c), int(i) - 1), (_colour_key(c2), int(j) - 1),
+                g.set_weight((_colour_key(c), int_from_json(i) - 1),
+                             (_colour_key(c2), int_from_json(j) - 1),
                              rational_from_json(w))
             return g
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     SizeCap,
 )
+from .exactnum import int_from_json
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -208,8 +209,9 @@ class BipartiteMultigraph:
     @staticmethod
     def from_json(data: dict) -> "BipartiteMultigraph":
         try:
-            edges = {(int(i) - 1, int(j) - 1): int(m) for i, j, m in data.get("edges", [])}
-            return BipartiteMultigraph(int(data["a"]), int(data["b"]), edges)
+            edges = {(int_from_json(i) - 1, int_from_json(j) - 1): int_from_json(m)
+                     for i, j, m in data.get("edges", [])}
+            return BipartiteMultigraph(int_from_json(data["a"]), int_from_json(data["b"]), edges)
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph JSON: {exc}") from exc
 
@@ -484,9 +486,9 @@ class LabelledPattern:
     def from_json(data: dict) -> "LabelledPattern":
         g = BipartiteMultigraph.from_json(data)
         try:
-            a_labels = tuple(int(i) - 1 for i in data.get("a_labels", []))
-            b_labels = tuple(int(j) - 1 for j in data.get("b_labels", []))
-        except (TypeError, ValueError) as exc:
+            a_labels = tuple(int_from_json(i) - 1 for i in data.get("a_labels", []))
+            b_labels = tuple(int_from_json(j) - 1 for j in data.get("b_labels", []))
+        except TypeError as exc:
             raise ParseError(f"malformed labels: {exc}") from exc
         return LabelledPattern(g, a_labels, b_labels)
 

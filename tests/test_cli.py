@@ -258,3 +258,34 @@ def test_coloured_sizes_of_the_wrong_type(capsys, tmp_path):
     coloured = _write(tmp_path, "coloured.json", {"sizes": [1, 1], "weights": []})
     code, _, err = _run(capsys, "oracle", "colhom", "--pattern", p2, "--host", coloured)
     assert code == 2 and err.startswith("error:")
+
+
+def test_json_integers_are_not_truncated(capsys, tmp_path):
+    one = {"num": "1", "den": "1"}
+    var = {"id": 0, "label": {"var": "x_1_1"}}
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    graphs = {
+        "float_multiplicity": {"a": 1, "b": 1, "edges": [[1, 1, 1.5]]},
+        "bool_side_size": {"a": True, "b": 1, "edges": [[1, 1, 1]]},
+    }
+    circuits = {
+        "float_gate_id": {"gates": [dict(var, id=0.0)], "wires": [], "output": 0},
+        "float_wire_multiplicity": {"gates": [var, {"id": 1, "label": "plus"}],
+                                    "wires": [[1, 0, 1.5]], "output": 1},
+    }
+    hosts = {
+        "hom": {"n": 1, "m": 1, "weights": [[1.0, 1, one]]},
+        "colhom": {"sizes": {"1": 1.5, "2": 1}, "weights": [[1, 1, 2, 1, one]]},
+    }
+    commands = {}
+    for name, data in graphs.items():
+        commands[name] = ["width", "tw", "--graph", _write(tmp_path, f"{name}.json", data)]
+    for name, data in circuits.items():
+        path = _write(tmp_path, f"{name}.json", data)
+        commands[name] = ["analyze", "--circuit", path, "--n", "1", "--m", "1"]
+    for which, data in hosts.items():
+        path = _write(tmp_path, f"{which}.json", data)
+        commands[which] = ["oracle", which, "--pattern", p2, "--host", path]
+    for name, argv in commands.items():
+        code, _, err = _run(capsys, *argv)
+        assert code == 2 and err.startswith("error:"), name

@@ -13,6 +13,7 @@ from symcirc.exactnum import (
     poly_equal_symbolic,
     poly_eval,
     rat,
+    int_from_json,
     rational_from_json,
     rational_to_json,
     solve_linear,
@@ -153,6 +154,13 @@ def test_rational_json_codec():
                 {"num": None, "den": "1"}, [1, 2], "1/2"):
         with pytest.raises(ParseError):
             rational_from_json(bad)
+
+
+def test_int_from_json_is_strict():
+    assert [int_from_json(v) for v in (0, -3, "12", "-7", 10 ** 30)] == [0, -3, 12, -7, 10 ** 30]
+    for bad in (1.5, 1.0, True, False, None, "1.5", "x", [1], {"num": "1"}):
+        with pytest.raises(ParseError):
+            int_from_json(bad)
 
 
 def test_degree_and_zero_conventions():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from symcirc import width
-from symcirc.errors import ArityMismatch, IndexOutOfRange, InvalidParameter
+from symcirc.errors import ArityMismatch, IndexOutOfRange, InvalidParameter, ParseError
 from symcirc.pattern import (
     BipartiteMultigraph,
     LabelledPattern,
@@ -279,3 +279,11 @@ def test_graph_json_round_trip():
         assert BipartiteMultigraph.from_json(g.to_json()) == g
     p = LabelledPattern(make_path(3), (0, 1), ())
     assert LabelledPattern.from_json(p.to_json()) == p
+
+
+def test_labelled_pattern_json_rejects_non_integer_labels():
+    data = LabelledPattern(make_path(3), (0, 1), ()).to_json()
+    assert LabelledPattern.from_json(dict(data, a_labels=["1", 2])).a_labels == (0, 1)
+    for labels in ([1.0, 2], [1, 2.5], [True, 2], [None]):
+        with pytest.raises(ParseError):
+            LabelledPattern.from_json(dict(data, a_labels=labels))
