@@ -9,6 +9,17 @@ generators of both factors.  A symmetric circuit is rigid when the only
 automorphism fixing all input gates is the identity; extensions are then
 unique and the group acts on the gates.
 
+Everything an extension needs that does not depend on the pair (the
+signatures of the unpermuted circuit, the matchers' lookup tables) is built
+once per circuit, so one symmetry check or analysis pays for it once and each
+pair only costs the permuted signatures and the matching.  `SymmetryAnalysis`
+searches extensions for the adjacent transpositions only: the map of a
+non-adjacent transposition (a b) is the conjugate (a a+1)(a+1 b)(a a+1) of
+maps it already has.  That conjugate is an extension of (a b), and it is the
+one a search would return because a rigid circuit has exactly one; on a
+circuit that is not rigid it may differ, so `assume_rigid=True` there is a
+caller error.
+
 Rigidification merges interchangeable gates.  For formulas it repeatedly
 merges equal sibling subtrees (summing wire multiplicities), which keeps the
 internal gates a tree and can only introduce multiedges; for general and skew
@@ -29,6 +40,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .circuit import (
@@ -152,72 +164,175 @@ def _gate_signatures(c: Circuit, rename=None, interner: Optional[_SigInterner] =
 # -- automorphism extension ----------------------------------------------------
 
 
-def _extend_formula(c: Circuit, pair: PermutationPair, var_gates: Dict[str, int],
-                    count_limit: int) -> List[Dict[int, int]]:
-    """Extensions of `pair` for formula-shaped circuits, by top-down matching.
+class _Extender:
+    """Everything about one circuit that extending a pair does not depend on.
 
-    Internal children are grouped by (signature, wire multiplicity); a
-    subtree with permuted variables maps onto a target subtree iff the group
-    multisets agree, which the interned root signature equality guarantees
-    all the way down, and within a group any pairing works because equal
-    signatures mean isomorphic subtrees.  Returns the canonical pairing, plus
-    one transposed variant when a second extension is requested and some
-    group has at least two members.
+    Built once per circuit: the formula flag, the signatures of the
+    unpermuted circuit (in one interner that the permuted signatures of every
+    later pair share, so equal structure gets equal ids across pairs) and
+    `_tables`.  `extend` then only computes the permuted signatures `need`
+    and matches.
     """
-    interner = _SigInterner()
-    sig = _gate_signatures(c, interner=interner)
-    need = _gate_signatures(c, rename=pair.apply_var, interner=interner)
-    if need[c.output] != sig[c.output]:
-        return []
-    base: Dict[int, int] = {}
-    for g in range(c.num_gates()):
-        lbl = c.labels[g]
-        if lbl[0] == "const":
-            base[g] = g
-        elif lbl[0] == "var":
-            base[g] = var_gates[pair.apply_var(lbl[1])]
-    swap_site: List[Tuple[int, int, int, int]] = []
 
-    def match(g: int, h: int, out: Dict[int, int], record_swaps: bool):
-        out[g] = h
-        if c.is_input(g):
-            return
-        mine: Dict[Tuple[int, int], List[int]] = {}
-        for ch, mult in c.children[g].items():
-            if not c.is_input(ch):
+    def __init__(self, c: Circuit):
+        self.c = c
+        self.formula = c.validate(FORMULA_MULTI)[0]
+        self.interner = _SigInterner()
+        self.sig = _gate_signatures(c, interner=self.interner)
+
+    @cached_property
+    def _tables(self) -> Tuple:
+        """The input gates, the variable gates by name and the matcher's
+        lookup tables, built on the first `extend` (a structural rigidity
+        check needs none of them).
+
+        For formulas: each internal gate's internal children in id order, and
+        the same children grouped by (signature, wire multiplicity).  For
+        other circuits: the internal gates in topological order, and the
+        internal gates keyed by (signature, weighted children).
+        """
+        c, sig = self.c, self.sig
+        inputs = [(g, lbl) for g, lbl in enumerate(c.labels) if c.is_input(g)]
+        var_gates = {lbl[1]: g for g, lbl in inputs if lbl[0] == "var"}
+        internal = [g for g in c.topo_order() if not c.is_input(g)]
+        if self.formula:
+            kids: Dict[int, List[Tuple[int, int]]] = {}
+            groups: Dict[int, Dict[Tuple[int, int], List[int]]] = {}
+            for g in internal:
+                kids[g] = sorted((ch, mult) for ch, mult in c.children[g].items()
+                                 if not c.is_input(ch))
+                groups[g] = {}
+                for ch, mult in kids[g]:
+                    groups[g].setdefault((sig[ch], mult), []).append(ch)
+            return inputs, var_gates, kids, groups
+        index: Dict = {}
+        for g in sorted(internal):
+            index.setdefault((sig[g], frozenset(c.children[g].items())), []).append(g)
+        return inputs, var_gates, internal, index
+
+    def extend(self, pair: PermutationPair, node_budget: int = DEFAULT_NODE_BUDGET,
+               count_limit: int = 1) -> List[Dict[int, int]]:
+        """See `extend_to_automorphism`."""
+        inputs, var_gates, *tables = self._tables
+        for name in var_gates:
+            if pair.apply_var(name) not in var_gates:
+                return []
+        need = _gate_signatures(self.c, rename=pair.apply_var, interner=self.interner)
+        phi = {g: (g if lbl[0] == "const" else var_gates[pair.apply_var(lbl[1])])
+               for g, lbl in inputs}
+        if self.formula:
+            return self._extend_formula(need, phi, count_limit, *tables)
+        return self._extend_dag(need, phi, node_budget, count_limit, *tables)
+
+    def is_rigid(self, node_budget: int) -> bool:
+        """See `is_rigid`."""
+        if self.formula:
+            sig = self.sig
+            return all(len(kids) < 2 or len({(sig[ch], mult) for ch, mult in kids.items()})
+                       == len(kids) for kids in self.c.children)
+        vn, vm = circuit_variable_bounds(self.c)
+        solutions = self.extend(PermutationPair.identity(vn, vm),
+                                node_budget=node_budget, count_limit=2)
+        return len(solutions) <= 1
+
+    def _extend_formula(self, need: List[int], base: Dict[int, int], count_limit: int,
+                        kids: Dict, groups: Dict) -> List[Dict[int, int]]:
+        """Extensions for formula-shaped circuits, by top-down matching.
+
+        Internal children are grouped by (signature, wire multiplicity); a
+        subtree with permuted variables maps onto a target subtree iff the
+        group multisets agree, which the interned root signature equality
+        guarantees all the way down, and within a group any pairing works
+        because equal signatures mean isomorphic subtrees.  Returns the
+        canonical pairing, plus one transposed variant when a second
+        extension is requested and some group has at least two members.
+        """
+        c = self.c
+        if need[c.output] != self.sig[c.output]:
+            return []
+        swap_site: List[Tuple[int, int, int, int]] = []
+
+        def match(g: int, h: int, out: Dict[int, int], record_swaps: bool):
+            out[g] = h
+            if c.is_input(g):
+                return
+            mine: Dict[Tuple[int, int], List[int]] = {}
+            for ch, mult in kids[g]:
                 mine.setdefault((need[ch], mult), []).append(ch)
-        theirs: Dict[Tuple[int, int], List[int]] = {}
-        for ch, mult in c.children[h].items():
-            if not c.is_input(ch):
-                theirs.setdefault((sig[ch], mult), []).append(ch)
-        for key, group in sorted(mine.items()):
-            group = sorted(group)
-            targets = sorted(theirs[key])
-            if record_swaps and len(group) >= 2 and not swap_site:
-                swap_site.append((group[0], group[1], targets[0], targets[1]))
-            for child, target in zip(group, targets):
-                match(child, target, out, record_swaps)
+            theirs = groups[h]
+            for key, group in sorted(mine.items()):
+                targets = theirs[key]
+                if record_swaps and len(group) >= 2 and not swap_site:
+                    swap_site.append((group[0], group[1], targets[0], targets[1]))
+                for child, target in zip(group, targets):
+                    match(child, target, out, record_swaps)
 
-    canonical = dict(base)
-    match(c.output, c.output, canonical, record_swaps=True)
-    solutions = [canonical]
-    if count_limit > 1 and swap_site:
-        a, b, ta, tb = swap_site[0]
-        second = dict(canonical)
-        match(a, tb, second, record_swaps=False)
-        match(b, ta, second, record_swaps=False)
-        solutions.append(second)
-    return solutions
+        canonical = dict(base)
+        match(c.output, c.output, canonical, record_swaps=True)
+        solutions = [canonical]
+        if count_limit > 1 and swap_site:
+            a, b, ta, tb = swap_site[0]
+            second = dict(canonical)
+            match(a, tb, second, record_swaps=False)
+            match(b, ta, second, record_swaps=False)
+            solutions.append(second)
+        return solutions
 
+    def _extend_dag(self, need: List[int], phi: Dict[int, int], node_budget: int,
+                    count_limit: int, internal: List[int], index: Dict) -> List[Dict[int, int]]:
+        """Match internal gates in topological order by (signature, image
+        multiset of weighted children), backtracking when several gates share
+        that key."""
+        c = self.c
+        used: Set[int] = set(phi.values())
+        solutions: List[Dict[int, int]] = []
+        budget = node_budget
 
-def _child_key_index(c: Circuit, sig: List[int]) -> Dict:
-    index: Dict = {}
-    for g in range(c.num_gates()):
-        if c.is_input(g):
-            continue
-        key = (sig[g], frozenset(c.children[g].items()))
-        index.setdefault(key, []).append(g)
-    return index
+        # Iterative depth-first search over positions in `internal`; the stack
+        # holds one candidate iterator per assigned position.
+        def candidates_for(pos: int):
+            g = internal[pos]
+            key = (need[g], frozenset((phi[ch], m) for ch, m in c.children[g].items()))
+            return iter(index.get(key, ()))
+
+        if not internal:
+            return [dict(phi)]
+        stack: List = [candidates_for(0)]
+        chosen: List[Optional[int]] = [None]
+        while stack:
+            pos = len(stack) - 1
+            g = internal[pos]
+            if chosen[pos] is not None:
+                # Returning to this frame: undo the previous choice first.
+                used.discard(chosen[pos])
+                del phi[g]
+                chosen[pos] = None
+            advanced = False
+            for candidate in stack[pos]:
+                budget -= 1
+                if budget <= 0:
+                    raise SizeCap("automorphism search exceeded its node budget")
+                if candidate in used:
+                    continue
+                phi[g] = candidate
+                used.add(candidate)
+                chosen[pos] = candidate
+                if pos + 1 == len(internal):
+                    solutions.append(dict(phi))
+                    used.discard(candidate)
+                    del phi[g]
+                    chosen[pos] = None
+                    if len(solutions) >= count_limit:
+                        return solutions
+                else:
+                    stack.append(candidates_for(pos + 1))
+                    chosen.append(None)
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                chosen.pop()
+        return solutions
 
 
 def extend_to_automorphism(c: Circuit, pair: PermutationPair,
@@ -231,74 +346,12 @@ def extend_to_automorphism(c: Circuit, pair: PermutationPair,
     with backtracking when several gates share that key.  Returns [] when the
     pair does not extend.
     """
-    var_gates = {c.labels[g][1]: g for g in range(c.num_gates())
-                 if c.labels[g][0] == "var"}
-    for name in var_gates:
-        if pair.apply_var(name) not in var_gates:
-            return []
-    if c.validate(FORMULA_MULTI)[0]:
-        return _extend_formula(c, pair, var_gates, count_limit)
-    interner = _SigInterner()
-    sig = _gate_signatures(c, interner=interner)
-    need = _gate_signatures(c, rename=pair.apply_var, interner=interner)
-    phi: Dict[int, int] = {}
-    for g in range(c.num_gates()):
-        lbl = c.labels[g]
-        if lbl[0] == "const":
-            phi[g] = g
-        elif lbl[0] == "var":
-            phi[g] = var_gates[pair.apply_var(lbl[1])]
-    internal = [g for g in c.topo_order() if not c.is_input(g)]
-    index = _child_key_index(c, sig)
-    used: Set[int] = set(phi.values())
-    solutions: List[Dict[int, int]] = []
-    budget = node_budget
+    return _Extender(c).extend(pair, node_budget, count_limit)
 
-    # Iterative depth-first search over positions in `internal`; the stack
-    # holds one candidate iterator per assigned position.
-    def candidates_for(pos: int):
-        g = internal[pos]
-        key = (need[g], frozenset((phi[ch], m) for ch, m in c.children[g].items()))
-        return iter(index.get(key, ()))
 
-    if not internal:
-        return [dict(phi)]
-    stack: List = [candidates_for(0)]
-    chosen: List[Optional[int]] = [None]
-    while stack:
-        pos = len(stack) - 1
-        g = internal[pos]
-        if chosen[pos] is not None:
-            # Returning to this frame: undo the previous choice first.
-            used.discard(chosen[pos])
-            del phi[g]
-            chosen[pos] = None
-        advanced = False
-        for candidate in stack[pos]:
-            budget -= 1
-            if budget <= 0:
-                raise SizeCap("automorphism search exceeded its node budget")
-            if candidate in used:
-                continue
-            phi[g] = candidate
-            used.add(candidate)
-            chosen[pos] = candidate
-            if pos + 1 == len(internal):
-                solutions.append(dict(phi))
-                used.discard(candidate)
-                del phi[g]
-                chosen[pos] = None
-                if len(solutions) >= count_limit:
-                    return solutions
-            else:
-                stack.append(candidates_for(pos + 1))
-                chosen.append(None)
-                advanced = True
-                break
-        if not advanced:
-            stack.pop()
-            chosen.pop()
-    return solutions
+def _generator_pairs(n: int, m: int) -> List[PermutationPair]:
+    return [PermutationPair.left_transposition(n, m, a, a + 1) for a in range(n - 1)] + \
+        [PermutationPair.right_transposition(n, m, a, a + 1) for a in range(m - 1)]
 
 
 def is_symmetric(c: Circuit, n: int, m: int) -> bool:
@@ -306,13 +359,8 @@ def is_symmetric(c: Circuit, n: int, m: int) -> bool:
     vn, vm = circuit_variable_bounds(c)
     if vn > n or vm > m:
         raise InvalidParameter(f"circuit variables exceed the ({n},{m}) matrix")
-    for a in range(n - 1):
-        if not extend_to_automorphism(c, PermutationPair.left_transposition(n, m, a, a + 1)):
-            return False
-    for a in range(m - 1):
-        if not extend_to_automorphism(c, PermutationPair.right_transposition(n, m, a, a + 1)):
-            return False
-    return True
+    extender = _Extender(c)
+    return all(extender.extend(pair) for pair in _generator_pairs(n, m))
 
 
 def is_rigid(c: Circuit, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -320,25 +368,11 @@ def is_rigid(c: Circuit, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
 
     For formula-shaped circuits this is a structural criterion: some internal
     gate has two distinct children with equal subtree signature and wire
-    multiplicity iff the two subtrees can be swapped.  Other circuits get an
-    exhaustive (budgeted) search for a second identity extension.
+    multiplicity iff the two subtrees can be swapped (input children are
+    unique per label and never collide).  Other circuits get an exhaustive
+    (budgeted) search for a second identity extension.
     """
-    if c.validate(FORMULA_MULTI)[0]:
-        sig = _gate_signatures(c)
-        for g in range(c.num_gates()):
-            if c.is_input(g):
-                continue
-            seen: Set[Tuple[int, int]] = set()
-            for ch, mult in c.children[g].items():
-                key = (sig[ch], mult)
-                if key in seen:
-                    return False
-                seen.add(key)
-        return True
-    vn, vm = circuit_variable_bounds(c)
-    solutions = extend_to_automorphism(
-        c, PermutationPair.identity(vn, vm), node_budget=node_budget, count_limit=2)
-    return len(solutions) <= 1
+    return _Extender(c).is_rigid(node_budget)
 
 
 # -- rigidification --------------------------------------------------------------
@@ -425,10 +459,16 @@ def rigidify(c: Circuit, n: Optional[int] = None, m: Optional[int] = None,
 class SymmetryAnalysis:
     """Cached group action data for one rigid symmetric circuit.
 
-    Extension maps are computed per transposition on demand; orbits come from
-    the adjacent-transposition generators, supports from exhaustive
-    increasing-size search at one representative per orbit, translated along
-    the orbit by the generator maps.
+    The map of an adjacent transposition (a generator) comes from one
+    extension search; the map of a non-adjacent transposition (a b) is the
+    conjugate s (a+1 b) s of a cached map by the generator s = (a a+1).  The
+    conjugate is the search's answer only because extensions are unique on a
+    rigid circuit (two extensions of one pair differ by an input-fixing
+    automorphism, which is the identity), so passing assume_rigid=True for a
+    circuit that is not rigid is a caller error.  Orbits come from the
+    generators, supports from exhaustive increasing-size search at one
+    representative per orbit, translated along the orbit by the generator
+    maps; each is computed once per analysis.
     """
 
     def __init__(self, c: Circuit, n: int, m: int, node_budget: int = DEFAULT_NODE_BUDGET,
@@ -440,9 +480,12 @@ class SymmetryAnalysis:
         self.n = n
         self.m = m
         self.node_budget = node_budget
-        if not assume_rigid and not is_rigid(c, node_budget):
+        self._extender = _Extender(c)
+        if not assume_rigid and not self._extender.is_rigid(node_budget):
             raise NotRigid("orbit and support analysis requires a rigid circuit")
         self._maps: Dict[Tuple[str, int, int], List[int]] = {}
+        self._orbits: Optional[List[List[int]]] = None
+        self._supports: Dict[bool, List[FrozenSet]] = {}
 
     # transposition extension maps, cached ------------------------------------
 
@@ -451,47 +494,54 @@ class SymmetryAnalysis:
             a, b = b, a
         key = (side, a, b)
         if key not in self._maps:
-            if side == "L":
-                pair = PermutationPair.left_transposition(self.n, self.m, a, b)
+            if b > a + 1:
+                s = self.transposition_map(side, a, a + 1)
+                mid = self.transposition_map(side, a + 1, b)
+                self._maps[key] = [s[mid[s[g]]] for g in range(len(s))]
             else:
-                pair = PermutationPair.right_transposition(self.n, self.m, a, b)
-            solutions = extend_to_automorphism(self.circuit, pair, self.node_budget, 1)
-            if not solutions:
-                raise NotSymmetric(f"generator {key} does not extend")
-            phi = solutions[0]
-            self._maps[key] = [phi[g] for g in range(self.circuit.num_gates())]
+                if side == "L":
+                    pair = PermutationPair.left_transposition(self.n, self.m, a, b)
+                else:
+                    pair = PermutationPair.right_transposition(self.n, self.m, a, b)
+                solutions = self._extender.extend(pair, self.node_budget, 1)
+                if not solutions:
+                    raise NotSymmetric(f"generator {key} does not extend")
+                phi = solutions[0]
+                self._maps[key] = [phi[g] for g in range(self.circuit.num_gates())]
         return self._maps[key]
 
+    def _generator_tags(self) -> List[Tuple[str, int, int]]:
+        return [("L", a, a + 1) for a in range(self.n - 1)] + \
+            [("R", a, a + 1) for a in range(self.m - 1)]
+
     def generators(self) -> List[List[int]]:
-        gens = []
-        for a in range(self.n - 1):
-            gens.append(self.transposition_map("L", a, a + 1))
-        for a in range(self.m - 1):
-            gens.append(self.transposition_map("R", a, a + 1))
-        return gens
+        return [self.transposition_map(*tag) for tag in self._generator_tags()]
 
     # orbits -----------------------------------------------------------------
 
     def orbits(self) -> List[List[int]]:
-        gens = self.generators()
-        n_gates = self.circuit.num_gates()
-        parent = list(range(n_gates))
+        """The gate orbits, each sorted, ordered by least member; a fresh copy
+        on every call."""
+        if self._orbits is None:
+            n_gates = self.circuit.num_gates()
+            parent = list(range(n_gates))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+            def find(x):
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
 
-        for gmap in gens:
+            for gmap in self.generators():
+                for g in range(n_gates):
+                    rg, ri = find(g), find(gmap[g])
+                    if rg != ri:
+                        parent[max(rg, ri)] = min(rg, ri)
+            groups: Dict[int, List[int]] = {}
             for g in range(n_gates):
-                rg, ri = find(g), find(gmap[g])
-                if rg != ri:
-                    parent[max(rg, ri)] = min(rg, ri)
-        groups: Dict[int, List[int]] = {}
-        for g in range(n_gates):
-            groups.setdefault(find(g), []).append(g)
-        return [sorted(v) for _, v in sorted(groups.items())]
+                groups.setdefault(find(g), []).append(g)
+            self._orbits = [sorted(v) for _, v in sorted(groups.items())]
+        return [list(orbit) for orbit in self._orbits]
 
     def max_orbit(self) -> int:
         return max(len(o) for o in self.orbits())
@@ -540,30 +590,28 @@ class SymmetryAnalysis:
 
         The support of an orbit-mate is the image of the representative's
         support under the connecting generator word, so only one exhaustive
-        search per orbit is needed.
+        search per orbit is needed.  The result is kept per `strict`; a
+        strict search that raises keeps nothing.
         """
-        n_gates = self.circuit.num_gates()
-        supports: List[Optional[FrozenSet]] = [None] * n_gates
-        gens = self.generators()
-        gen_tags: List[Tuple[str, int, int]] = []
-        for a in range(self.n - 1):
-            gen_tags.append(("L", a, a + 1))
-        for a in range(self.m - 1):
-            gen_tags.append(("R", a, a + 1))
-        for orbit in self.orbits():
-            rep = orbit[0]
-            sup, _ = self.minimal_support(rep, strict=strict)
-            supports[rep] = sup
-            queue = [rep]
-            while queue:
-                g = queue.pop()
-                for gmap, (side, a, b) in zip(gens, gen_tags):
-                    h = gmap[g]
-                    if supports[h] is None:
-                        supports[h] = frozenset(_apply_transposition(e, side, a, b)
-                                                for e in supports[g])
-                        queue.append(h)
-        return supports  # type: ignore[return-value]
+        if strict not in self._supports:
+            supports: List[Optional[FrozenSet]] = [None] * self.circuit.num_gates()
+            tags = self._generator_tags()
+            gens = self.generators()
+            for orbit in self.orbits():
+                rep = orbit[0]
+                sup, _ = self.minimal_support(rep, strict=strict)
+                supports[rep] = sup
+                queue = [rep]
+                while queue:
+                    g = queue.pop()
+                    for gmap, (side, a, b) in zip(gens, tags):
+                        h = gmap[g]
+                        if supports[h] is None:
+                            supports[h] = frozenset(_apply_transposition(e, side, a, b)
+                                                    for e in supports[g])
+                            queue.append(h)
+            self._supports[strict] = supports  # type: ignore[assignment]
+        return list(self._supports[strict])
 
     def max_support(self, strict: bool = False) -> int:
         return max(len(s) for s in self.all_supports(strict=strict))
@@ -669,8 +717,7 @@ def random_symmetric_circuit(n: int, m: int, rng: random.Random, max_gates: int 
             gate_of_var[name] = builder.var(name)
     const_one = builder.const(1)
 
-    pairs = [PermutationPair.left_transposition(n, m, a, a + 1) for a in range(n - 1)]
-    pairs += [PermutationPair.right_transposition(n, m, a, a + 1) for a in range(m - 1)]
+    pairs = _generator_pairs(n, m)
     # gen_images[k][g] = image of gate g under generator k, maintained as we build.
     gen_images: List[List[int]] = [[] for _ in pairs]
     for k, pair in enumerate(pairs):

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from symcirc import compilers
+from symcirc import compilers, symmetry
 from symcirc.circuit import CircuitBuilder, FORMULA, FORMULA_MULTI, SKEW
 from symcirc.errors import NotRigid, NotSymmetric, UniquenessUnavailable
-from symcirc.pattern import make_path
+from symcirc.pattern import make_complete_bipartite, make_cycle, make_path
 from symcirc.symmetry import (
     PermutationPair,
     SymmetryAnalysis,
@@ -257,3 +257,69 @@ def test_rigidify_all_conclusions_random():
             assert c.evaluate(point) == r.evaluate(point)
         if was_skew:
             assert r.validate(SKEW)[0]
+
+
+def _rigid_circuits_up_to_five():
+    for f in (make_path(3), make_cycle(4), make_complete_bipartite(1, 3)):
+        for n, m in ((3, 3), (3, 5), (5, 4)):
+            for shape in ("td", "pw", "tw"):
+                yield compilers.compile_single(f, n, m, shape).circuit, n, m
+    rng = random.Random(13)
+    for k in range(12):
+        n = rng.choice((3, 4, 5))
+        c = random_symmetric_circuit(n, n, rng, 80, rng.choice(("general", "skew")))
+        yield rigidify(c, n, n), n, n
+
+
+def test_non_adjacent_maps_are_conjugates_of_the_searched_extension():
+    # On a rigid circuit the conjugate s (a+1 b) s equals the unique extension.
+    for c, n, m in _rigid_circuits_up_to_five():
+        analysis = SymmetryAnalysis(c, n, m)
+        for side, size in (("L", n), ("R", m)):
+            for a in range(size):
+                for b in range(a + 2, size):
+                    if side == "L":
+                        pair = PermutationPair.left_transposition(n, m, a, b)
+                    else:
+                        pair = PermutationPair.right_transposition(n, m, a, b)
+                    phi = extend_to_automorphism(c, pair)[0]
+                    expected = [phi[g] for g in range(c.num_gates())]
+                    assert analysis.transposition_map(side, a, b) == expected, (side, a, b)
+
+
+def test_analyze_searches_generators_once_and_one_support_per_orbit(monkeypatch):
+    n = m = 6
+    extend, minimal_support = symmetry._Extender.extend, SymmetryAnalysis.minimal_support
+    calls = {"extend": 0, "support": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(symmetry._Extender, "extend", counted("extend", extend))
+    monkeypatch.setattr(SymmetryAnalysis, "minimal_support", counted("support", minimal_support))
+    for shape in ("td", "tw"):
+        c = compilers.compile_single(make_path(3), n, m, shape).circuit
+        orbit_count = len(SymmetryAnalysis(rigidify(c, n, m), n, m).orbits())
+        calls.update(extend=0, support=0)
+        analyze(c, n, m)
+        assert calls["extend"] <= 2 * ((n - 1) + (m - 1)), shape
+        assert calls["support"] == orbit_count, shape
+
+
+def test_orbits_and_supports_are_kept_and_handed_out_as_copies():
+    c = compilers.compile_single(make_path(2), 2, 2, "td").circuit
+    analysis = SymmetryAnalysis(c, 2, 2)
+    fresh = SymmetryAnalysis(c, 2, 2)
+    orbits = analysis.orbits()
+    orbits[0].append(-1)
+    orbits.append([])
+    assert analysis.orbits() == fresh.orbits()
+    analysis.all_supports().clear()
+    assert analysis.all_supports() == fresh.all_supports()
+    with pytest.raises(UniquenessUnavailable):
+        analysis.all_supports(strict=True)
+    with pytest.raises(UniquenessUnavailable):
+        analysis.all_supports(strict=True)
