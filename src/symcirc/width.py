@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidDecomposition, InvalidParameter, ParseError, SizeCap
+from .exactnum import int_from_json
 from .pattern import BipartiteMultigraph, LabelledPattern
 
 DEFAULT_VERTEX_CAP = 14
@@ -70,8 +71,8 @@ class TreeDecomposition:
     @staticmethod
     def from_json(data: dict) -> "TreeDecomposition":
         try:
-            bags = [frozenset(v - 1 for v in bag) for bag in data["bags"]]
-            parent = [None if p == 0 else p - 1 for p in data["parent"]]
+            bags = [frozenset(int_from_json(v) - 1 for v in bag) for bag in data["bags"]]
+            parent = [None if p == 0 else p - 1 for p in map(int_from_json, data["parent"])]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed tree decomposition: {exc}") from exc
         return TreeDecomposition(bags, parent)
@@ -96,7 +97,8 @@ class PathDecomposition:
     @staticmethod
     def from_json(data: dict) -> "PathDecomposition":
         try:
-            return PathDecomposition([frozenset(v - 1 for v in bag) for bag in data["bags"]])
+            return PathDecomposition([frozenset(int_from_json(v) - 1 for v in bag)
+                                      for bag in data["bags"]])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed path decomposition: {exc}") from exc
 
@@ -148,7 +150,10 @@ class EliminationForest:
     @staticmethod
     def from_json(data: dict) -> "EliminationForest":
         try:
-            parent = {int(v) - 1: (None if p == 0 else p - 1) for v, p in data["parent"].items()}
+            parent = {}
+            for v, p in data["parent"].items():
+                p = int_from_json(p)
+                parent[int_from_json(v) - 1] = None if p == 0 else p - 1
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed elimination forest: {exc}") from exc
         return EliminationForest(parent)

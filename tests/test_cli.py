@@ -277,9 +277,18 @@ def test_json_integers_are_not_truncated(capsys, tmp_path):
         "hom": {"n": 1, "m": 1, "weights": [[1.0, 1, one]]},
         "colhom": {"sizes": {"1": 1.5, "2": 1}, "weights": [[1, 1, 2, 1, one]]},
     }
+    decompositions = {
+        "float_bag_vertex": ("tw", {"kind": "tree", "bags": [[1.0, 3], [2, 3]], "parent": [0, 1]}),
+        "bool_bag_vertex": ("pw", {"kind": "path", "bags": [[1, 3], [True, 2, 3]]}),
+        "float_forest_parent": ("td", {"kind": "elim", "parent": {"1": 0, "2": 1, "3": 2.0}}),
+    }
+    p3 = _write(tmp_path, "p3.json", {"a": 2, "b": 1, "edges": [[1, 1, 1], [2, 1, 1]]})
     commands = {}
     for name, data in graphs.items():
         commands[name] = ["width", "tw", "--graph", _write(tmp_path, f"{name}.json", data)]
+    for name, (shape, data) in decompositions.items():
+        commands[name] = ["compile", "--graph", p3, "--shape", shape, "--n", "2", "--m", "2",
+                          "--decomp", _write(tmp_path, f"{name}.json", data)]
     for name, data in circuits.items():
         path = _write(tmp_path, f"{name}.json", data)
         commands[name] = ["analyze", "--circuit", path, "--n", "1", "--m", "1"]
