@@ -265,7 +265,7 @@ def _rigid_circuits_up_to_five():
             for shape in ("td", "pw", "tw"):
                 yield compilers.compile_single(f, n, m, shape).circuit, n, m
     rng = random.Random(13)
-    for k in range(12):
+    for _ in range(12):
         n = rng.choice((3, 4, 5))
         c = random_symmetric_circuit(n, n, rng, 80, rng.choice(("general", "skew")))
         yield rigidify(c, n, n), n, n
