@@ -622,6 +622,7 @@ def test_criterion_09_width_golden_and_inequalities():
             if not ok:
                 failures.append(f"{name}: certificate invalid ({why})")
     graphs = enumerate_bipartite_multigraphs(8, 16, max_mult=1)
+    assert len(graphs) == 1236
     checked = 0
     for g in graphs:
         tw, _ = width.treewidth_exact(g)

@@ -18,7 +18,9 @@ digest recorded when the test was written:
     transposition map (adjacent and not) of td/pw/tw compiles of P3, P4, C4,
     K22 and star3 at n = m in {2, 3, 4}, and of seeded random symmetric
     circuits summed with a copy of themselves (not rigid, so `rigidify`
-    merges gates).
+    merges gates);
+  * the census: the JSON of every graph that `enumerate_bipartite_multigraphs`
+    returns for (6, 8, max_mult=2) and (7, 12, max_mult=1), in order.
 """
 
 import contextlib
@@ -53,6 +55,7 @@ EXPECTED = {
     "suite_all_seed1": "0b7dce3fd423a0ba04cfefa32e0d8c65832eb55d884f95011ba40ca8660175d7",
     "contraction": "029814fecfa731fd2bf20dbd282e40ac2b88c47abf5a2c0d8ac77e7b9104d785",
     "analyze": "776735eec2e6263e019f21535fd90abe7a6a2bb5eed5781bd4110416804e140d",
+    "census": "032ba7cdd4f5bda6f72c87d02a67f88d8b417385ddb18040c51a0a602366a9f8",
 }
 
 
@@ -157,6 +160,12 @@ def _analyze_chunks():
                 yield repr((side, a, b, analysis.transposition_map(side, a, b))).encode("utf-8")
 
 
+def _census_chunks():
+    for caps in ((6, 8, 2), (7, 12, 1)):
+        for g in enumerate_bipartite_multigraphs(*caps):
+            yield json.dumps(g.to_json(), sort_keys=True).encode("utf-8")
+
+
 def _suite_chunks():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -191,3 +200,7 @@ def test_vertex_contraction_unchanged():
 
 def test_symmetry_analysis_unchanged():
     assert _digest(_analyze_chunks()) == EXPECTED["analyze"]
+
+
+def test_census_unchanged():
+    assert _digest(_census_chunks()) == EXPECTED["census"]

@@ -1,11 +1,12 @@
 """Patterns, generators, isomorphism, quotients, labelled algebra, minors."""
 
+import itertools
 import random
 
 import pytest
 
 from symcirc import width
-from symcirc.errors import ArityMismatch, IndexOutOfRange, InvalidParameter, ParseError
+from symcirc.errors import ArityMismatch, IndexOutOfRange, InvalidParameter, ParseError, SizeCap
 from symcirc.pattern import (
     BipartiteMultigraph,
     LabelledPattern,
@@ -85,6 +86,38 @@ def test_isomorphism_is_equivalence_and_permutation_invariant():
     for g in graphs[:12]:
         for h in graphs[:12]:
             assert are_isomorphic(g, h) == are_isomorphic(h, g)
+
+
+def test_canonical_key_matches_two_side_reference():
+    # Reference: g and h are isomorphic iff some pair of side permutations
+    # maps the edges of g onto those of h, so the graphs with g's key must be
+    # exactly g's orbit.
+    for a, b, max_mult in ((3, 3, 1), (2, 3, 2)):
+        cells = list(itertools.product(range(a), range(b)))
+        graphs = [BipartiteMultigraph(a, b, {c: m for c, m in zip(cells, mults) if m})
+                  for mults in itertools.product(range(max_mult + 1), repeat=len(cells))]
+        by_key = {}
+        for g in graphs:
+            by_key.setdefault(g.canonical_key(), set()).add(frozenset(g.edges.items()))
+        for g in graphs:
+            orbit = {frozenset(((pa[i], pb[j]), m) for (i, j), m in g.edges.items())
+                     for pa in itertools.permutations(range(a))
+                     for pb in itertools.permutations(range(b))}
+            assert by_key[g.canonical_key()] == orbit
+
+
+def test_isomorphism_caps_side_size_at_ten():
+    wide = BipartiteMultigraph(1, 11)
+    with pytest.raises(SizeCap, match="^canonical form capped at side size 10$"):
+        wide.canonical_key()
+    with pytest.raises(SizeCap, match="^canonical form capped at side size 10$"):
+        BipartiteMultigraph(11, 1).canonical_key()
+    with pytest.raises(SizeCap, match="^isomorphism test capped at side size 10$"):
+        are_isomorphic(wide, make_path(2))
+    with pytest.raises(SizeCap, match="^isomorphism test capped at side size 10$"):
+        are_isomorphic(make_path(2), BipartiteMultigraph(11, 0))
+    fan = BipartiteMultigraph(1, 10, {(0, j): j + 1 for j in range(10)})
+    assert are_isomorphic(fan, fan)
 
 
 def test_quotient_examples():
