@@ -83,9 +83,6 @@ class Circuit:
     def is_input(self, g: int) -> bool:
         return self.labels[g][0] in ("var", "const")
 
-    def gate_kind(self, g: int) -> str:
-        return self.labels[g][0]
-
     def wires(self) -> List[Tuple[int, int, int]]:
         out = []
         for parent, ch in enumerate(self.children):

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from . import compilers, oracle, pattern, reduce, symmetry, width
 from .circuit import Circuit, SKEW
 from .errors import ParseError, SymcircError
-from .exactnum import rational_from_json, rational_to_json
+from .exactnum import int_from_json, rational_from_json, rational_to_json
 from .oracle import ColouredGraph, WeightedHost
 
 
@@ -31,6 +31,29 @@ def _load_json(path: str) -> dict:
     if not isinstance(data, dict):
         raise ParseError(f"{path} does not hold a JSON object")
     return data
+
+
+def _load_option(args, option: str) -> dict:
+    """The JSON object in the file given by `--option`; ParseError if it is absent."""
+    path = getattr(args, option.replace("-", "_"))
+    if path is None:
+        raise ParseError(f"{args.command} {args.gadget} needs --{option}")
+    return _load_json(path)
+
+
+CAP_NAMES = ("width_vertices", "brute_force_maps", "minor_norm")
+
+
+def _load_caps(path: str) -> Dict[str, int]:
+    """The caps file: documented cap names mapped to positive integers."""
+    caps = {}
+    for name, value in _load_json(path).items():
+        if name not in CAP_NAMES:
+            raise ParseError(f"unknown cap {name!r}; the caps are {', '.join(CAP_NAMES)}")
+        caps[name] = int_from_json(value)
+        if caps[name] < 1:
+            raise ParseError(f"cap {name} must be a positive integer, got {caps[name]}")
+    return caps
 
 
 def _emit(data, out: Optional[str]):
@@ -177,8 +200,8 @@ def _cmd_reduce(args) -> int:
             reduce.path_vbp_poly(m, x, y)
         payload = {"gadget": gadget.to_json(), "identity_holds": bool(check)}
     elif args.gadget == "minor":
-        s = pattern.BipartiteMultigraph.from_json(_load_json(args.minor_pattern))
-        fprime = pattern.BipartiteMultigraph.from_json(_load_json(args.host_pattern))
+        s = pattern.BipartiteMultigraph.from_json(_load_option(args, "minor-pattern"))
+        fprime = pattern.BipartiteMultigraph.from_json(_load_option(args, "host-pattern"))
         branch = pattern.find_minor(s, fprime, norm_cap=args.caps.get("minor_norm", 24))
         if branch is None:
             print("no minor witness found", file=sys.stderr)
@@ -194,8 +217,8 @@ def _cmd_reduce(args) -> int:
             "identity_holds": bool(check),
         }
     elif args.gadget in ("extract-subgraph", "extract-minor"):
-        s = pattern.BipartiteMultigraph.from_json(_load_json(args.minor_pattern))
-        f = pattern.BipartiteMultigraph.from_json(_load_json(args.host_pattern))
+        s = pattern.BipartiteMultigraph.from_json(_load_option(args, "minor-pattern"))
+        f = pattern.BipartiteMultigraph.from_json(_load_option(args, "host-pattern"))
         handle = reduce.brute_hom_oracle(f)
         if args.gadget == "extract-subgraph":
             evaluator = reduce.extract_colhom_via_subgraph(f, s, args.n, handle)
@@ -207,7 +230,7 @@ def _cmd_reduce(args) -> int:
             check = check and evaluator(g) == oracle.colhom_eval(s, g)
         payload = {"identity_holds": bool(check)}
     elif args.gadget == "extract-lincomb":
-        spec = _load_json(args.terms)
+        spec = _load_option(args, "terms")
         try:
             patterns = [pattern.BipartiteMultigraph.from_json(t["graph"]) for t in spec["terms"]]
             alphas = [rational_from_json(t["alpha"]) for t in spec["terms"]]
@@ -483,8 +506,7 @@ def _cmd_suite(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="symcirc")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    parser.add_argument("--caps", help="JSON file overriding size caps "
-                                       "(width_vertices, brute_force_maps, minor_norm)")
+    parser.add_argument("--caps", help=f"JSON file overriding size caps ({', '.join(CAP_NAMES)})")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output for text-mode commands")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -574,8 +596,8 @@ def run(argv: Optional[List[str]] = None) -> int:
     caps: Dict[str, int] = {}
     if getattr(args, "caps", None):
         try:
-            caps = {k: int(v) for k, v in _load_json(args.caps).items()}
-        except (OSError, ValueError, AttributeError, ParseError) as exc:
+            caps = _load_caps(args.caps)
+        except (OSError, ParseError) as exc:
             print(f"error: bad caps file: {exc}", file=sys.stderr)
             return 2
     args.caps = caps

@@ -99,6 +99,9 @@ def _colour_varmap(f: BipartiteMultigraph, colouring: Mapping[int, Hashable]):
 
 
 def _matrix_ranges(f: BipartiteMultigraph, n: int, m: int) -> Callable[[int], int]:
+    if n < 1 or m < 1:
+        raise InvalidParameter("host sizes must be >= 1")
+
     def rng(v: int) -> int:
         return n if f.side(v) == SIDE_A else m
     return rng
@@ -371,6 +374,8 @@ def compile_colourful(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
     over [n].  With `colouring` the identity this computes the colourful
     homomorphism polynomial.
     """
+    if n < 1:
+        raise InvalidParameter("host sizes must be >= 1")
     for v in f.vertices():
         if v not in colouring:
             raise InvalidParameter(f"colouring misses vertex {v}")

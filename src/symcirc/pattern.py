@@ -28,6 +28,7 @@ from .exactnum import int_from_json
 
 SIDE_A = "A"
 SIDE_B = "B"
+SIDE_CAP = 10  # largest side `canonical_key` and `are_isomorphic` accept
 
 
 class BipartiteMultigraph:
@@ -64,9 +65,6 @@ class BipartiteMultigraph:
     def is_simple(self) -> bool:
         return all(m == 1 for m in self.edges.values())
 
-    def underlying_simple(self) -> "BipartiteMultigraph":
-        return BipartiteMultigraph(self.a_count, self.b_count, {e: 1 for e in self.edges})
-
     # Global-id helpers.  A-vertex i -> i, B-vertex j -> a_count + j.
 
     def vertices(self) -> range:
@@ -76,9 +74,6 @@ class BipartiteMultigraph:
         if not 0 <= v < self.num_vertices():
             raise IndexOutOfRange(f"vertex {v} out of range")
         return SIDE_A if v < self.a_count else SIDE_B
-
-    def global_id(self, side: str, local: int) -> int:
-        return local if side == SIDE_A else self.a_count + local
 
     def local_id(self, v: int) -> Tuple[str, int]:
         return (SIDE_A, v) if v < self.a_count else (SIDE_B, v - self.a_count)
@@ -127,19 +122,6 @@ class BipartiteMultigraph:
                     stack.append(w)
         return len(seen) == n
 
-    def without_isolated(self) -> Tuple["BipartiteMultigraph", Dict[int, int]]:
-        """Drop isolated vertices; returns (graph, old global id -> new global id)."""
-        iso = set(self.isolated_vertices())
-        keep_a = [i for i in range(self.a_count) if i not in iso]
-        keep_b = [j for j in range(self.b_count) if self.a_count + j not in iso]
-        amap = {old: new for new, old in enumerate(keep_a)}
-        bmap = {old: new for new, old in enumerate(keep_b)}
-        edges = {(amap[i], bmap[j]): m for (i, j), m in self.edges.items()}
-        g = BipartiteMultigraph(len(keep_a), len(keep_b), edges)
-        vmap = {old: amap[old] for old in keep_a}
-        vmap.update({self.a_count + old: len(keep_a) + bmap[old] for old in keep_b})
-        return g, vmap
-
     def disjoint_union(self, other: "BipartiteMultigraph") -> "BipartiteMultigraph":
         edges = dict(self.edges)
         for (i, j), m in other.edges.items():
@@ -148,42 +130,29 @@ class BipartiteMultigraph:
 
     # -- canonical form, equality, hashing ------------------------------------
 
-    def canonical_key(self, cap: int = 10):
+    def canonical_key(self):
         """Canonical form under independent permutations of A and B.
 
-        Exhaustive minimization over side permutations with degree-profile
-        pruning; sufficient at desk scale (sides capped at `cap`).
+        Once side A is ordered, side B is only a multiset of columns, so just
+        A is permuted, within its groups of equal weighted-degree profile.
+        For each A-order, B is read as the sorted tuple of its columns, each
+        the sorted tuple of (A index, multiplicity); the least reading wins.
         """
-        if self.a_count > cap or self.b_count > cap:
-            raise SizeCap(f"canonical form capped at side size {cap}")
-        # Group side vertices by weighted-degree profile to cut the search.
-        a_profiles = [tuple(sorted(m for (i, j), m in self.edges.items() if i == ai))
-                      for ai in range(self.a_count)]
-        b_profiles = [tuple(sorted(m for (i, j), m in self.edges.items() if j == bj))
-                      for bj in range(self.b_count)]
-
-        def perms_by_profile(profiles):
-            order = sorted(range(len(profiles)), key=lambda v: (profiles[v], v))
-            groups: List[List[int]] = []
-            for v in order:
-                if groups and profiles[groups[-1][0]] == profiles[v]:
-                    groups[-1].append(v)
-                else:
-                    groups.append([v])
-            for combo in itertools.product(*(itertools.permutations(g) for g in groups)):
-                perm: List[int] = []
-                for block in combo:
-                    perm.extend(block)
-                yield perm  # perm[new_index] = old_index
-
+        if self.a_count > SIDE_CAP or self.b_count > SIDE_CAP:
+            raise SizeCap(f"canonical form capped at side size {SIDE_CAP}")
+        profiles = [tuple(sorted(m for (i, _), m in self.edges.items() if i == a))
+                    for a in range(self.a_count)]
+        order = sorted(range(self.a_count), key=profiles.__getitem__)
+        groups = [tuple(g) for _, g in itertools.groupby(order, key=profiles.__getitem__)]
         best = None
-        for pa in perms_by_profile(a_profiles):
-            inv_a = {old: new for new, old in enumerate(pa)}
-            for pb in perms_by_profile(b_profiles):
-                inv_b = {old: new for new, old in enumerate(pb)}
-                key = tuple(sorted((inv_a[i], inv_b[j], m) for (i, j), m in self.edges.items()))
-                if best is None or key < best:
-                    best = key
+        for blocks in itertools.product(*(itertools.permutations(g) for g in groups)):
+            new = {old: k for k, old in enumerate(itertools.chain.from_iterable(blocks))}
+            columns: List[List[Tuple[int, int]]] = [[] for _ in range(self.b_count)]
+            for (i, j), m in self.edges.items():
+                columns[j].append((new[i], m))
+            key = tuple(sorted(tuple(sorted(col)) for col in columns))
+            if best is None or key < best:
+                best = key
         return (self.a_count, self.b_count, best)
 
     def __eq__(self, other):
@@ -371,19 +340,11 @@ def enumerate_bipartite_multigraphs(max_vertices: int, max_slots: int,
     return out
 
 
-def are_isomorphic(f: BipartiteMultigraph, g: BipartiteMultigraph, cap: int = 10) -> bool:
-    """Bipartition- and multiplicity-preserving isomorphism test.
-
-    Exhaustive backtracking over A-side images with degree-profile pruning;
-    the B-side matching is then checked directly.
-    """
-    if max(f.a_count, f.b_count, g.a_count, g.b_count) > cap:
-        raise SizeCap(f"isomorphism test capped at side size {cap}")
-    if (f.a_count, f.b_count) != (g.a_count, g.b_count):
-        return False
-    if sorted(f.edges.values()) != sorted(g.edges.values()):
-        return False
-    return f.canonical_key(cap) == g.canonical_key(cap)
+def are_isomorphic(f: BipartiteMultigraph, g: BipartiteMultigraph) -> bool:
+    """Bipartition- and multiplicity-preserving isomorphism: equal canonical keys."""
+    if max(f.a_count, f.b_count, g.a_count, g.b_count) > SIDE_CAP:
+        raise SizeCap(f"isomorphism test capped at side size {SIDE_CAP}")
+    return f.canonical_key() == g.canonical_key()
 
 
 # -- vertex contraction ---------------------------------------------------------

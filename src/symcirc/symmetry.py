@@ -91,10 +91,6 @@ class PermutationPair:
         sigma[a], sigma[b] = sigma[b], sigma[a]
         return PermutationPair(tuple(range(n)), tuple(sigma))
 
-    def is_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.pi)) and \
-            all(s == j for j, s in enumerate(self.sigma))
-
     def apply_var(self, name: str) -> str:
         i, j = parse_var_name(name)  # 1-based
         return var_name(self.pi[i - 1] + 1, self.sigma[j - 1] + 1)
@@ -427,7 +423,7 @@ def _rigidify_formula(c: Circuit) -> Circuit:
 
 
 def rigidify(c: Circuit, n: Optional[int] = None, m: Optional[int] = None,
-             check_symmetric: bool = True, seed: int = 0) -> Circuit:
+             check_symmetric: bool = True) -> Circuit:
     """A rigid circuit computing the same polynomial, never larger.
 
     Formulas (with or without multiedges) stay trees on their internal gates,
@@ -444,7 +440,7 @@ def rigidify(c: Circuit, n: Optional[int] = None, m: Optional[int] = None,
         result = _rigidify_dag(c)
     if result.size() > c.size():
         raise InvalidParameter("rigidification grew the circuit; this is a bug")
-    rng = random.Random(seed)
+    rng = random.Random(0)
     names = c.variables()
     for _ in range(4):
         point = {v: rng.randrange(0, 2 ** 16) for v in names}
@@ -667,23 +663,13 @@ class SupportReport:
         }
 
 
-def analyze(c: Circuit, n: int, m: int, rigidify_first: bool = True,
-            include_gates: bool = True) -> SupportReport:
-    """Full symmetry report; non-rigid circuits are rigidified first."""
-    circuit = c
-    if rigidify_first:
-        circuit = rigidify(c, n, m)
-        analysis = SymmetryAnalysis(circuit, n, m, assume_rigid=True)
-    else:
-        analysis = SymmetryAnalysis(circuit, n, m)
+def analyze(c: Circuit, n: int, m: int) -> SupportReport:
+    """Full symmetry report of the rigidified circuit."""
+    circuit = rigidify(c, n, m)
+    analysis = SymmetryAnalysis(circuit, n, m, assume_rigid=True)
     supports = analysis.all_supports()
-    per_gate = []
-    if include_gates:
-        for g in range(circuit.num_gates()):
-            per_gate.append({
-                "gate": g,
-                "support": sorted((s, i + 1) for s, i in supports[g]),
-            })
+    per_gate = [{"gate": g, "support": sorted((s, i + 1) for s, i in supports[g])}
+                for g in range(circuit.num_gates())]
     return SupportReport(
         n=n,
         m=m,

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from symcirc.cli import run
 
 
@@ -298,3 +300,40 @@ def test_json_integers_are_not_truncated(capsys, tmp_path):
     for name, argv in commands.items():
         code, _, err = _run(capsys, *argv)
         assert code == 2 and err.startswith("error:"), name
+
+
+@pytest.mark.parametrize("gadget, given, missing", [
+    ("minor", [], "--minor-pattern"),
+    ("extract-subgraph", ["--minor-pattern"], "--host-pattern"),
+    ("extract-minor", ["--host-pattern"], "--minor-pattern"),
+    ("extract-lincomb", [], "--terms"),
+])
+def test_reduce_names_a_missing_file_option(capsys, tmp_path, gadget, given, missing):
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    argv = ["reduce", gadget, "--n", "1"]
+    for option in given:
+        argv += [option, p2]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2 and err.startswith("error:") and missing in err
+
+
+def test_compile_rejects_empty_hosts(capsys, tmp_path):
+    p3 = _write(tmp_path, "p3.json", {"a": 2, "b": 1, "edges": [[1, 1, 1], [2, 1, 1]]})
+    for shape in ("td", "pw", "tw"):
+        for n, m in (("0", "1"), ("1", "0")):
+            code, _, err = _run(capsys, "compile", "--graph", p3, "--shape", shape,
+                                "--n", n, "--m", m)
+            assert code == 2 and "host sizes must be >= 1" in err, (shape, n, m)
+
+
+@pytest.mark.parametrize("caps", [
+    {"width_vertices": 2.9},
+    {"width_vertices": True},
+    {"width_vertices": -5},
+    {"widht_vertices": 1},
+])
+def test_caps_are_read_strictly(capsys, tmp_path, caps):
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    path = _write(tmp_path, "caps.json", caps)
+    code, out, err = _run(capsys, "--caps", path, "width", "tw", "--graph", p2)
+    assert code == 2 and out == "" and err.startswith("error: bad caps file:")

@@ -7,7 +7,7 @@ import pytest
 
 from symcirc import compilers, oracle, symmetry, width
 from symcirc.circuit import FORMULA_MULTI, GENERAL, SKEW
-from symcirc.errors import InvalidDecomposition, InvalidEliminationTree
+from symcirc.errors import InvalidDecomposition, InvalidEliminationTree, InvalidParameter
 from symcirc.oracle import ColouredGraph, WeightedHost
 from symcirc.pattern import (
     BipartiteMultigraph,
@@ -167,6 +167,13 @@ def test_colourful_examples():
     rep2 = compilers.compile_colourful(p2, idc, 2, "pw")
     ones = {name: Fraction(1) for name in rep2.circuit.variables()}
     assert rep2.circuit.evaluate(ones) == 4
+
+
+def test_colourful_rejects_empty_hosts():
+    p3 = make_path(3)
+    for shape in ("td", "pw", "tw"):
+        with pytest.raises(InvalidParameter, match="host sizes must be >= 1"):
+            compilers.compile_colourful(p3, oracle.identity_colouring(p3), 0, shape)
 
 
 def test_colourful_matches_oracle():

@@ -1,7 +1,9 @@
-"""Package hygiene: the library has no runtime dependencies."""
+"""Package hygiene: no runtime dependencies and no unused public names."""
 
 import ast
+import collections
 import pathlib
+import re
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "symcirc"
@@ -22,3 +24,23 @@ def test_imports_only_stdlib_and_symcirc():
                 found.setdefault(name.split(".")[0], set()).add(path.name)
     assert found, "no imports found; is SRC right?"
     assert {name: files for name, files in found.items() if name not in allowed} == {}
+
+
+def test_every_public_name_is_referenced():
+    """Each public function and method is used somewhere besides its `def`."""
+    root = SRC.parents[1]
+    texts = [path.read_text(encoding="utf-8")
+             for folder in ("src", "tests", "perfbench")
+             for path in sorted((root / folder).rglob("*.py"))]
+    words = collections.Counter(w for text in texts for w in re.findall(r"\w+", text))
+    defs = collections.Counter(w for text in texts for w in re.findall(r"\bdef (\w+)", text))
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bodies = [tree.body] + [node.body for node in tree.body if isinstance(node, ast.ClassDef)]
+        for body in bodies:
+            for node in body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    defined.setdefault(node.name, set()).add(path.name)
+    unused = {name: files for name, files in defined.items() if words[name] <= defs[name]}
+    assert unused == {}
