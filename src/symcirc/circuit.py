@@ -23,6 +23,7 @@ colourful variables are x_<u>_<i>__<v>_<j>.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -47,11 +48,15 @@ def var_name(i: int, j: int) -> str:
     return f"x_{i}_{j}"
 
 
+_VAR_NAME = re.compile(r"x_([1-9][0-9]*)_([1-9][0-9]*)")
+
+
 def parse_var_name(name: str) -> Tuple[int, int]:
-    parts = name.split("_")
-    if len(parts) != 3 or parts[0] != "x":
+    """(i, j) of the name `var_name(i, j)`, i, j >= 1; InvalidParameter otherwise."""
+    match = _VAR_NAME.fullmatch(name)
+    if match is None:
         raise InvalidParameter(f"not a matrix variable name: {name!r}")
-    return int(parts[1]), int(parts[2])
+    return int(match[1]), int(match[2])
 
 
 def colour_var_name(cu, i: int, cv, j: int) -> str:

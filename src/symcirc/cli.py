@@ -454,7 +454,7 @@ def _suite_symmetry(seed: int) -> List[Tuple[str, bool]]:
         mode = rng.choice(("general", "skew"))
         c = symmetry.random_symmetric_circuit(n, n, rng, 40, mode)
         was_skew = c.validate(SKEW)[0]
-        r = symmetry.rigidify(c, n, n)
+        r = symmetry.rigidify(c)
         ok = symmetry.is_rigid(r) and r.size() <= c.size()
         names = c.variables()
         for _ in range(5):
@@ -464,7 +464,7 @@ def _suite_symmetry(seed: int) -> List[Tuple[str, bool]]:
             ok = ok and r.validate(SKEW)[0]
         results.append((f"symmetry/rigidify/{idx:02d}", ok))
     report = compilers.compile_single(pattern.make_path(3), 2, 2, "td")
-    analysis = symmetry.SymmetryAnalysis(report.circuit, 2, 2, assume_rigid=True)
+    analysis = symmetry.SymmetryAnalysis(report.circuit, 2, 2)
     results.append(("symmetry/td-P3-support-bound", analysis.max_support() <= 2))
     return sorted(results)
 
@@ -501,6 +501,13 @@ def _cmd_suite(args) -> int:
 
 
 # -- entry point ---------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -563,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--terms", help="JSON with the linear combination's terms")
     r.add_argument("--ell", type=int, default=0, help="term index to extract")
     r.add_argument("--big-n", type=int, default=3, help="basis host size N")
-    r.add_argument("--trials", type=int, default=3)
+    r.add_argument("--trials", type=_positive_int, default=3)
     r.add_argument("--out")
     r.set_defaults(func=_cmd_reduce)
 
@@ -572,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     vid = vsub.add_parser("identity")
     vid.add_argument("--name", default="all",
                      choices=["all"] + sorted(IDENTITY_SUITES))
-    vid.add_argument("--trials", type=int, default=5)
+    vid.add_argument("--trials", type=_positive_int, default=5)
     vid.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                      help="same as the global --seed")
     vid.set_defaults(func=_cmd_verify)
@@ -606,10 +613,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         oracle.BRUTE_FORCE_CAP = caps["brute_force_maps"]
     try:
         return args.func(args)
-    except SymcircError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SymcircError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -29,6 +29,13 @@ constant n^(isolated left) * m^(isolated right).
 `compile_colourful` runs the same dynamic programs over colour-indexed
 variables, and `compile_lincomb` combines per-pattern circuits into a tagged
 weighted sum.
+
+The treedepth formula is rigid as built: its products' children are
+distinct variables and subformulas tagged by distinct powers of 1, and the
+summands of a sum fix different images h of a vertex with an edge, so they
+differ in their least degree in row (or column) h.  `compile_lincomb` tags
+its terms alike, so it is rigid too; both raise if `is_rigid` disagrees.  The
+bag tables repeat equal forget gates across labellings, so they rigidify.
 """
 
 from __future__ import annotations
@@ -148,7 +155,7 @@ def compile_formula_td(f: BipartiteMultigraph, forest: EliminationForest,
     circuit = _formula_from_forest(f, forest, _matrix_ranges(f, n, m), _matrix_varmap(f),
                                    _isolated_factor(f, n, m))
     if not is_rigid(circuit):
-        circuit = rigidify(circuit, check_symmetric=False)
+        raise InvalidParameter("treedepth compiler produced a non-rigid formula; this is a bug")
     ok, reason = circuit.validate(FORMULA_MULTI)
     if not ok:
         raise InvalidParameter(f"treedepth compiler produced a non-formula: {reason}")
@@ -253,7 +260,7 @@ def _compile_bag_table(f: BipartiteMultigraph, deco, n: int, m: int, shape: str)
         raise InvalidDecomposition(reason)
     tree = deco.as_tree() if isinstance(deco, PathDecomposition) else deco
     raw = _general_from_tree(f, tree, _matrix_ranges(f, n, m), _matrix_varmap(f))
-    circuit = rigidify(raw, n, m, check_symmetric=False)
+    circuit = rigidify(raw)
     ok, reason = circuit.validate(shape)
     if not ok:
         raise InvalidParameter(f"bag-table compiler produced a non-{shape} circuit: {reason}")
@@ -349,7 +356,7 @@ def compile_lincomb(terms: Sequence[Tuple[Rational, BipartiteMultigraph]],
         tagged.append((builder.times(parts), 1))
     circuit = builder.finish(builder.plus(tagged))
     if not is_rigid(circuit):
-        circuit = rigidify(circuit, check_symmetric=False)
+        raise InvalidParameter("lincomb compiler produced a non-rigid circuit; this is a bug")
     result_shape = {"td": FORMULA_MULTI, "pw": SKEW, "tw": GENERAL}[shape]
     ok, reason = circuit.validate(result_shape)
     if not ok:
@@ -382,9 +389,7 @@ def compile_colourful(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
     ranges = lambda v: n
     varmap = _colour_varmap(f, colouring)
     if shape == "td":
-        # Rigidity analysis only applies to matrix variables, so the formula
-        # is emitted as built; the 1^tag factors still make it rigid in the
-        # non-degenerate cases.
+        # Rigid as built, by the argument in the module docstring.
         _, forest = treedepth_exact(f)
         circuit = _formula_from_forest(f, forest, ranges, varmap,
                                        Fraction(n) ** len(f.isolated_vertices()))

@@ -16,9 +16,7 @@ pair only costs the permuted signatures and the matching.  `SymmetryAnalysis`
 searches extensions for the adjacent transpositions only: the map of a
 non-adjacent transposition (a b) is the conjugate (a a+1)(a+1 b)(a a+1) of
 maps it already has.  That conjugate is an extension of (a b), and it is the
-one a search would return because a rigid circuit has exactly one; on a
-circuit that is not rigid it may differ, so `assume_rigid=True` there is a
-caller error.
+one a search would return because a rigid circuit has exactly one.
 
 Rigidification merges interchangeable gates.  For formulas it repeatedly
 merges equal sibling subtrees (summing wire multiplicities), which keeps the
@@ -26,6 +24,11 @@ internal gates a tree and can only introduce multiedges; for general and skew
 circuits it merges all gates with equal recursive structure.  Both reach a
 rigid fixpoint in one bottom-up pass, never grow the circuit, preserve the
 computed polynomial, and preserve skewness.
+
+Preconditions are checked where they are needed: rigidity by
+`SymmetryAnalysis` (from structure where `is_rigid` can), symmetry by
+`analyze` on its input, since a circuit that is not symmetric can have a
+symmetric rigidification.
 
 Supports: sup(g) is the smallest S subseteq [n] disjoint-union [m] whose
 pointwise stabiliser fixes the gate g; it is found by exhaustive search in
@@ -60,7 +63,7 @@ from .errors import (
     UniquenessUnavailable,
 )
 
-DEFAULT_NODE_BUDGET = 2_000_000
+NODE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -109,25 +112,13 @@ def circuit_variable_bounds(c: Circuit) -> Tuple[int, int]:
 # -- structural signatures ------------------------------------------------------
 
 
-class _SigInterner:
-    """Hash-consing of recursive gate structure into integer ids.
-
-    Two gates get the same id iff their labelled subcircuit expansions agree
-    (with same-signature children merged and wire multiplicities summed), so
-    signature comparison is O(1) and grouping by signature is cheap even on
-    deep formulas.
-    """
-
-    def __init__(self):
-        self.table: Dict = {}
-
-    def intern(self, key) -> int:
-        return self.table.setdefault(key, len(self.table))
-
-
-def _gate_signatures(c: Circuit, rename=None, interner: Optional[_SigInterner] = None,
+def _gate_signatures(c: Circuit, rename=None, interner: Optional[Dict] = None,
                      summed: bool = False) -> List[int]:
     """Interned recursive signature per gate; `rename` permutes variable labels.
+
+    `interner` hash-conses each gate's structure key into an integer id, so
+    signature comparison is O(1) even on deep formulas; passes that share it
+    give equal structure equal ids.
 
     With summed=False the signature records each child's (signature, wire
     multiplicity) pair, which characterises subcircuits up to label- and
@@ -136,7 +127,7 @@ def _gate_signatures(c: Circuit, rename=None, interner: Optional[_SigInterner] =
     first, which characterises the fixpoint of merging interchangeable gates
     (the right notion for rigidification).
     """
-    interner = interner or _SigInterner()
+    interner = {} if interner is None else interner
     sig: List[Optional[int]] = [None] * c.num_gates()
     for g in c.topo_order():
         lbl = c.labels[g]
@@ -153,7 +144,7 @@ def _gate_signatures(c: Circuit, rename=None, interner: Optional[_SigInterner] =
         else:
             key = (lbl[0], tuple(sorted((sig[ch], mult)
                                         for ch, mult in c.children[g].items())))
-        sig[g] = interner.intern(key)
+        sig[g] = interner.setdefault(key, len(interner))
     return sig  # type: ignore[return-value]
 
 
@@ -173,7 +164,7 @@ class _Extender:
     def __init__(self, c: Circuit):
         self.c = c
         self.formula = c.validate(FORMULA_MULTI)[0]
-        self.interner = _SigInterner()
+        self.interner: Dict = {}
         self.sig = _gate_signatures(c, interner=self.interner)
 
     @cached_property
@@ -206,9 +197,8 @@ class _Extender:
             index.setdefault((sig[g], frozenset(c.children[g].items())), []).append(g)
         return inputs, var_gates, internal, index
 
-    def extend(self, pair: PermutationPair, node_budget: int = DEFAULT_NODE_BUDGET,
-               count_limit: int = 1) -> List[Dict[int, int]]:
-        """See `extend_to_automorphism`."""
+    def extend(self, pair: PermutationPair, count_limit: int = 1) -> List[Dict[int, int]]:
+        """See `extend_to_automorphism`; up to `count_limit` extensions."""
         inputs, var_gates, *tables = self._tables
         for name in var_gates:
             if pair.apply_var(name) not in var_gates:
@@ -218,18 +208,18 @@ class _Extender:
                for g, lbl in inputs}
         if self.formula:
             return self._extend_formula(need, phi, count_limit, *tables)
-        return self._extend_dag(need, phi, node_budget, count_limit, *tables)
+        return self._extend_dag(need, phi, count_limit, *tables)
 
-    def is_rigid(self, node_budget: int) -> bool:
+    def is_rigid(self) -> bool:
         """See `is_rigid`."""
+        sig = self.sig
         if self.formula:
-            sig = self.sig
-            return all(len(kids) < 2 or len({(sig[ch], mult) for ch, mult in kids.items()})
-                       == len(kids) for kids in self.c.children)
+            return all(len({(sig[ch], mult) for ch, mult in kids.items()}) == len(kids)
+                       for kids in self.c.children)
+        if len(set(sig)) == len(sig):
+            return True
         vn, vm = circuit_variable_bounds(self.c)
-        solutions = self.extend(PermutationPair.identity(vn, vm),
-                                node_budget=node_budget, count_limit=2)
-        return len(solutions) <= 1
+        return len(self.extend(PermutationPair.identity(vn, vm), count_limit=2)) <= 1
 
     def _extend_formula(self, need: List[int], base: Dict[int, int], count_limit: int,
                         kids: Dict, groups: Dict) -> List[Dict[int, int]]:
@@ -274,15 +264,15 @@ class _Extender:
             solutions.append(second)
         return solutions
 
-    def _extend_dag(self, need: List[int], phi: Dict[int, int], node_budget: int,
-                    count_limit: int, internal: List[int], index: Dict) -> List[Dict[int, int]]:
+    def _extend_dag(self, need: List[int], phi: Dict[int, int], count_limit: int,
+                    internal: List[int], index: Dict) -> List[Dict[int, int]]:
         """Match internal gates in topological order by (signature, image
         multiset of weighted children), backtracking when several gates share
-        that key."""
+        that key; at most NODE_BUDGET candidates are tried."""
         c = self.c
         used: Set[int] = set(phi.values())
         solutions: List[Dict[int, int]] = []
-        budget = node_budget
+        budget = NODE_BUDGET
 
         # Iterative depth-first search over positions in `internal`; the stack
         # holds one candidate iterator per assigned position.
@@ -331,18 +321,16 @@ class _Extender:
         return solutions
 
 
-def extend_to_automorphism(c: Circuit, pair: PermutationPair,
-                           node_budget: int = DEFAULT_NODE_BUDGET,
-                           count_limit: int = 1) -> List[Dict[int, int]]:
-    """Gate bijections extending the variable permutation, up to count_limit.
+def extend_to_automorphism(c: Circuit, pair: PermutationPair) -> List[Dict[int, int]]:
+    """A gate bijection extending the variable permutation, as a one-element
+    list; [] when the pair does not extend.
 
     Input-gate images are forced by the labels.  Formula-shaped circuits use
     the top-down tree matcher; other circuits match internal gates in
     topological order by (signature, image multiset of weighted children),
-    with backtracking when several gates share that key.  Returns [] when the
-    pair does not extend.
+    with backtracking when several gates share that key.
     """
-    return _Extender(c).extend(pair, node_budget, count_limit)
+    return _Extender(c).extend(pair)
 
 
 def _generator_pairs(n: int, m: int) -> List[PermutationPair]:
@@ -359,16 +347,18 @@ def is_symmetric(c: Circuit, n: int, m: int) -> bool:
     return all(extender.extend(pair) for pair in _generator_pairs(n, m))
 
 
-def is_rigid(c: Circuit, node_budget: int = DEFAULT_NODE_BUDGET) -> bool:
+def is_rigid(c: Circuit) -> bool:
     """No input-fixing automorphism besides the identity.
 
     For formula-shaped circuits this is a structural criterion: some internal
     gate has two distinct children with equal subtree signature and wire
     multiplicity iff the two subtrees can be swapped (input children are
-    unique per label and never collide).  Other circuits get an exhaustive
-    (budgeted) search for a second identity extension.
+    unique per label and never collide).  Other circuits are rigid if their
+    gate signatures are pairwise distinct, as an input-fixing automorphism
+    preserves signatures; otherwise a budgeted search looks for a second
+    identity extension.
     """
-    return _Extender(c).is_rigid(node_budget)
+    return _Extender(c).is_rigid()
 
 
 # -- rigidification --------------------------------------------------------------
@@ -422,18 +412,14 @@ def _rigidify_formula(c: Circuit) -> Circuit:
     return builder.finish(rebuild(c.output))
 
 
-def rigidify(c: Circuit, n: Optional[int] = None, m: Optional[int] = None,
-             check_symmetric: bool = True) -> Circuit:
+def rigidify(c: Circuit) -> Circuit:
     """A rigid circuit computing the same polynomial, never larger.
 
-    Formulas (with or without multiedges) stay trees on their internal gates,
-    at worst acquiring multiedges; skew circuits stay skew.  Equality of the
-    computed polynomial is spot-checked on seeded random points.
+    Rigid whatever the input: after the DAG merge no two gates share a
+    signature, after the formula merge no two siblings do.  Formulas stay
+    trees on their internal gates, at worst acquiring multiedges; skew
+    circuits stay skew.  The polynomial is spot-checked on seeded random points.
     """
-    if n is None or m is None:
-        n, m = circuit_variable_bounds(c)
-    if check_symmetric and not is_symmetric(c, n, m):
-        raise NotSymmetric("rigidify requires a symmetric circuit")
     if c.validate(FORMULA_MULTI)[0]:
         result = _rigidify_formula(c)
     else:
@@ -455,29 +441,26 @@ def rigidify(c: Circuit, n: Optional[int] = None, m: Optional[int] = None,
 class SymmetryAnalysis:
     """Cached group action data for one rigid symmetric circuit.
 
+    Construction raises `NotRigid` for a circuit that is not rigid; a
+    generator that does not extend raises `NotSymmetric` when first needed.
     The map of an adjacent transposition (a generator) comes from one
     extension search; the map of a non-adjacent transposition (a b) is the
-    conjugate s (a+1 b) s of a cached map by the generator s = (a a+1).  The
-    conjugate is the search's answer only because extensions are unique on a
-    rigid circuit (two extensions of one pair differ by an input-fixing
-    automorphism, which is the identity), so passing assume_rigid=True for a
-    circuit that is not rigid is a caller error.  Orbits come from the
-    generators, supports from exhaustive increasing-size search at one
-    representative per orbit, translated along the orbit by the generator
-    maps; each is computed once per analysis.
+    conjugate s (a+1 b) s of a cached map by the generator s = (a a+1), which
+    is the search's answer because extensions are unique on a rigid circuit.
+    Orbits come from the generators, supports from exhaustive increasing-size
+    search at one representative per orbit, translated along the orbit by the
+    generator maps; each is computed once per analysis.
     """
 
-    def __init__(self, c: Circuit, n: int, m: int, node_budget: int = DEFAULT_NODE_BUDGET,
-                 assume_rigid: bool = False):
+    def __init__(self, c: Circuit, n: int, m: int):
         vn, vm = circuit_variable_bounds(c)
         if vn > n or vm > m:
             raise InvalidParameter(f"circuit variables exceed the ({n},{m}) matrix")
         self.circuit = c
         self.n = n
         self.m = m
-        self.node_budget = node_budget
         self._extender = _Extender(c)
-        if not assume_rigid and not self._extender.is_rigid(node_budget):
+        if not self._extender.is_rigid():
             raise NotRigid("orbit and support analysis requires a rigid circuit")
         self._maps: Dict[Tuple[str, int, int], List[int]] = {}
         self._orbits: Optional[List[List[int]]] = None
@@ -499,7 +482,7 @@ class SymmetryAnalysis:
                     pair = PermutationPair.left_transposition(self.n, self.m, a, b)
                 else:
                     pair = PermutationPair.right_transposition(self.n, self.m, a, b)
-                solutions = self._extender.extend(pair, self.node_budget, 1)
+                solutions = self._extender.extend(pair)
                 if not solutions:
                     raise NotSymmetric(f"generator {key} does not extend")
                 phi = solutions[0]
@@ -609,14 +592,14 @@ class SymmetryAnalysis:
             self._supports[strict] = supports  # type: ignore[assignment]
         return list(self._supports[strict])
 
-    def max_support(self, strict: bool = False) -> int:
-        return max(len(s) for s in self.all_supports(strict=strict))
+    def max_support(self) -> int:
+        return max(len(s) for s in self.all_supports())
 
-    def support_depth(self, strict: bool = False) -> int:
+    def support_depth(self) -> int:
         """Max over root-to-input paths of the number of support-changing
         steps (a gate counted when the path continues into a child whose
         support escapes the gate's)."""
-        supports = self.all_supports(strict=strict)
+        supports = self.all_supports()
         c = self.circuit
         depth = [0] * c.num_gates()
         for g in c.topo_order():
@@ -664,9 +647,11 @@ class SupportReport:
 
 
 def analyze(c: Circuit, n: int, m: int) -> SupportReport:
-    """Full symmetry report of the rigidified circuit."""
-    circuit = rigidify(c, n, m)
-    analysis = SymmetryAnalysis(circuit, n, m, assume_rigid=True)
+    """Full symmetry report of the rigidified circuit of a symmetric `c`."""
+    if not is_symmetric(c, n, m):
+        raise NotSymmetric("analyze requires a symmetric circuit")
+    circuit = rigidify(c)
+    analysis = SymmetryAnalysis(circuit, n, m)
     supports = analysis.all_supports()
     per_gate = [{"gate": g, "support": sorted((s, i + 1) for s, i in supports[g])}
                 for g in range(circuit.num_gates())]

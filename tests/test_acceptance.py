@@ -125,7 +125,7 @@ def test_criterion_02_shape_and_symmetry():
             size_bound = (f.num_vertices() * f.num_edge_slots() * (nm + nm)) ** d
             if td_rep.circuit.size() > size_bound:
                 failures.append(f"{name}@{nm}: td size {td_rep.circuit.size()} > {size_bound}")
-            analysis = symmetry.SymmetryAnalysis(td_rep.circuit, nm, nm, assume_rigid=True)
+            analysis = symmetry.SymmetryAnalysis(td_rep.circuit, nm, nm)
             if analysis.max_support() > d:
                 failures.append(f"{name}@{nm}: maxSup {analysis.max_support()} > {d}")
 
@@ -135,7 +135,7 @@ def test_criterion_02_shape_and_symmetry():
             if not symmetry.is_symmetric(pw_rep.circuit, nm, nm):
                 failures.append(f"{name}@{nm}: pw symmetry")
             orbit_bound = (2 * nm) ** (pw + 1)
-            pw_analysis = symmetry.SymmetryAnalysis(pw_rep.circuit, nm, nm, assume_rigid=True)
+            pw_analysis = symmetry.SymmetryAnalysis(pw_rep.circuit, nm, nm)
             if pw_analysis.max_orbit() > orbit_bound:
                 failures.append(f"{name}@{nm}: maxOrb {pw_analysis.max_orbit()} > {orbit_bound}")
 
@@ -166,9 +166,9 @@ def _duplicated_formula(rng: random.Random):
     return builder.finish(builder.plus([(first, 1), (second, 1)])), n
 
 
-def test_criterion_03_rigidification():
-    rng = random.Random(33)
-    failures = []
+def _criterion_3_cases(rng: random.Random):
+    """80 general and 80 skew random symmetric circuits, then 40 formulas
+    summed with a copy of themselves, each with its n = m."""
     cases = []
     while len(cases) < 80:
         n = rng.choice((2, 3))
@@ -180,10 +180,17 @@ def test_criterion_03_rigidification():
         circuit, n = _duplicated_formula(rng)
         if circuit.num_gates() <= 40:
             cases.append((circuit, n))
+    return cases
+
+
+def test_criterion_03_rigidification():
+    rng = random.Random(33)
+    failures = []
+    cases = _criterion_3_cases(rng)
     for idx, (circuit, n) in enumerate(cases):
         was_skew = circuit.validate(SKEW)[0]
         was_formula = circuit.validate(FORMULA_MULTI)[0]
-        rigid = symmetry.rigidify(circuit, n, n)
+        rigid = symmetry.rigidify(circuit)
         if not symmetry.is_rigid(rigid):
             failures.append(f"case {idx}: not rigid")
         if rigid.size() > circuit.size():
@@ -217,7 +224,7 @@ def test_criterion_04_support_depth_inequality():
             continue
         _, forest = width.treedepth_exact(f)
         report = compilers.compile_formula_td(f, forest, n, n)
-        analysis = symmetry.SymmetryAnalysis(report.circuit, n, n, assume_rigid=True)
+        analysis = symmetry.SymmetryAnalysis(report.circuit, n, n)
         max_sup = analysis.max_support()
         if max_sup > 4:
             continue

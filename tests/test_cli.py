@@ -337,3 +337,38 @@ def test_caps_are_read_strictly(capsys, tmp_path, caps):
     path = _write(tmp_path, "caps.json", caps)
     code, out, err = _run(capsys, "--caps", path, "width", "tw", "--graph", p2)
     assert code == 2 and out == "" and err.startswith("error: bad caps file:")
+
+
+@pytest.mark.parametrize("option", ["width --graph", "pattern gen --out", "compile --dot"])
+def test_a_directory_as_a_file_option_exits_2(capsys, tmp_path, option):
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    argv = {
+        "width --graph": ["width", "tw", "--graph", str(tmp_path)],
+        "pattern gen --out": ["pattern", "gen", "path", "--out", str(tmp_path)],
+        "compile --dot": ["compile", "--graph", p2, "--shape", "td", "--n", "1", "--m", "1",
+                          "--dot", str(tmp_path)],
+    }[option]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2 and err.startswith("error:"), option
+
+
+@pytest.mark.parametrize("name", ["x_a_1", "x_0_1", "x_-1_1"])
+def test_analyze_rejects_malformed_variable_names(capsys, tmp_path, name):
+    circuit = _write(tmp_path, "c.json", {"gates": [{"id": 0, "label": {"var": name}}],
+                                          "wires": [], "output": 0})
+    code, out, err = _run(capsys, "analyze", "--circuit", circuit, "--n", "1", "--m", "1")
+    assert code == 2 and out == "" and "not a matrix variable name" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "reduce"])
+def test_trials_below_one_exit_2(capsys, tmp_path, command):
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    p3 = _write(tmp_path, "p3.json", {"a": 2, "b": 1, "edges": [[1, 1, 1], [2, 1, 1]]})
+    argv = {
+        "verify": ["verify", "identity", "--name", "product"],
+        "reduce": ["reduce", "minor", "--n", "2", "--minor-pattern", p2, "--host-pattern", p3],
+    }[command]
+    code, out, _ = _run(capsys, *argv, "--trials", "1")
+    assert code == 0
+    code, out, err = _run(capsys, *argv, "--trials", "0")
+    assert code == 2 and out == "" and "--trials" in err

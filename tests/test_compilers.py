@@ -257,7 +257,7 @@ def test_lincomb_orbit_bound():
     rep = compilers.compile_lincomb([(Fraction(1), p2), (Fraction(2), p3)], 3, 3, "td")
     d = max(width.treedepth_exact(p2)[0], width.treedepth_exact(p3)[0])
     assert rep.claimed_bounds["orbit_bound"] == (3 + 3) ** d
-    analysis = symmetry.SymmetryAnalysis(rep.circuit, 3, 3, assume_rigid=True)
+    analysis = symmetry.SymmetryAnalysis(rep.circuit, 3, 3)
     assert analysis.max_orbit() <= rep.claimed_bounds["orbit_bound"]
 
 

@@ -153,7 +153,7 @@ def _analyze_inputs():
 def _analyze_chunks():
     for c, n in _analyze_inputs():
         yield json.dumps(analyze(c, n, n).to_json(), sort_keys=True).encode("utf-8")
-        analysis = SymmetryAnalysis(rigidify(c, n, n), n, n)
+        analysis = SymmetryAnalysis(rigidify(c), n, n)
         yield repr(analysis.orbits()).encode("utf-8")
         for side in "LR":
             for a, b in itertools.combinations(range(n), 2):

@@ -61,7 +61,7 @@ def test_is_symmetric_examples():
 def test_rigidify_fixpoint_on_rigid_circuit():
     report = compilers.compile_single(make_path(2), 2, 2, "td")
     c = report.circuit
-    r = rigidify(c, 2, 2)
+    r = rigidify(c)
     assert r.num_gates() == c.num_gates()
     assert r.size() == c.size()
 
@@ -76,7 +76,7 @@ def test_rigidify_merges_duplicates():
     c = b.finish(b.plus([(copy(), 1), (copy(), 1)]))
     assert c.validate(FORMULA)[0]
     assert not is_rigid(c)
-    r = rigidify(c, 2, 2)
+    r = rigidify(c)
     assert is_rigid(r)
     assert r.size() < c.size()
     assert r.validate(FORMULA_MULTI)[0]
@@ -92,7 +92,7 @@ def test_rigidify_merges_siblings_under_times():
     s1 = b.plus(vars_)
     s2 = b.plus(list(reversed(vars_)))
     c = b.finish(b.times([(s1, 1), (s2, 1)]))
-    r = rigidify(c, 2, 2)
+    r = rigidify(c)
     assert is_rigid(r)
     rng = random.Random(0)
     for _ in range(10):
@@ -100,11 +100,11 @@ def test_rigidify_merges_siblings_under_times():
         assert c.evaluate(point) == r.evaluate(point)
 
 
-def test_rigidify_requires_symmetry():
+def test_analyze_requires_symmetry():
     b = CircuitBuilder()
     c = b.finish(b.plus([(b.var("x_1_1"), 1), (b.var("x_1_2"), 2)]))
     with pytest.raises(NotSymmetric):
-        rigidify(c, 1, 2)
+        analyze(c, 1, 2)
 
 
 def test_extension_is_homomorphism_on_generators():
@@ -144,7 +144,7 @@ def test_constant_gate_orbit_is_singleton():
 
 def test_minimal_support_examples():
     report = compilers.compile_single(make_path(3), 3, 3, "td")
-    analysis = SymmetryAnalysis(report.circuit, 3, 3, assume_rigid=True)
+    analysis = SymmetryAnalysis(report.circuit, 3, 3)
     out_sup, unique = analysis.minimal_support(report.circuit.output)
     assert out_sup == frozenset()
     assert unique
@@ -157,7 +157,7 @@ def test_minimal_support_examples():
 
 def test_minimal_support_strict_mode():
     report = compilers.compile_single(make_path(2), 2, 2, "td")
-    analysis = SymmetryAnalysis(report.circuit, 2, 2, assume_rigid=True)
+    analysis = SymmetryAnalysis(report.circuit, 2, 2)
     c = report.circuit
     input_gate = next(g for g in range(c.num_gates()) if c.labels[g] == ("var", "x_1_1"))
     # At n = m = 2 the one-per-side support is not strictly below half.
@@ -170,16 +170,16 @@ def test_minimal_support_strict_mode():
 def test_support_depth_examples():
     b = CircuitBuilder()
     c = b.finish(b.var("x_1_1"))
-    analysis = SymmetryAnalysis(c, 1, 1, assume_rigid=True)
+    analysis = SymmetryAnalysis(c, 1, 1)
     assert analysis.support_depth() == 0
     # One flat summation layer: the single support change input -> output.
     flat = _sum_of_all_vars(3, 3)
-    analysis = SymmetryAnalysis(flat, 3, 3, assume_rigid=True)
+    analysis = SymmetryAnalysis(flat, 3, 3)
     assert analysis.support_depth() == 1
     # The compiled formulas change support once per elimination-forest level.
     for pattern_size, expected in ((2, 2), (3, 2)):
         report = compilers.compile_single(make_path(pattern_size), 3, 3, "td")
-        analysis = SymmetryAnalysis(report.circuit, 3, 3, assume_rigid=True)
+        analysis = SymmetryAnalysis(report.circuit, 3, 3)
         assert analysis.support_depth() == expected
 
 
@@ -187,7 +187,7 @@ def test_skew_compiler_gate_supports_are_bag_labellings():
     # The pathwidth compiler's working gates carry exactly the bag labelling
     # as their support: one row and one column index for P_3's size-one bags.
     report = compilers.compile_single(make_path(3), 3, 3, "pw")
-    analysis = SymmetryAnalysis(report.circuit, 3, 3, assume_rigid=True)
+    analysis = SymmetryAnalysis(report.circuit, 3, 3)
     supports = set(analysis.all_supports())
     for i in range(3):
         for j in range(3):
@@ -207,7 +207,56 @@ def test_orbit_requires_rigid():
         SymmetryAnalysis(c, 2, 2)
 
 
-def test_extension_budget_cap():
+def test_non_rigid_dag_raises_not_rigid():
+    # g1 and g2 are interchangeable: swapping them fixes the product and the sum.
+    b = CircuitBuilder()
+    x1, x2 = b.var("x_1_1"), b.var("x_2_1")
+    g1, g2 = (b.plus([(x1, 1), (x2, 1)]) for _ in range(2))
+    c = b.finish(b.plus([(g1, 1), (g2, 1), (b.times([(g1, 1), (g2, 1)]), 1)]))
+    assert not c.validate(FORMULA_MULTI)[0]
+    assert is_symmetric(c, 2, 1) and not is_rigid(c)
+    with pytest.raises(NotRigid):
+        SymmetryAnalysis(c, 2, 1)
+
+
+def test_analyze_checks_symmetry_before_rigidifying():
+    # A rigid DAG whose signatures repeat (S1, S2 and S3), so is_rigid has to
+    # search.  It is not symmetric, since swapping the rows would need S1 to
+    # map to both S2 and S3, but its rigidification merges them and is.
+    b = CircuitBuilder()
+    x1, x2 = b.var("x_1_1"), b.var("x_2_1")
+    s1, s2, s3 = (b.plus([(x1, 1), (x2, 1)]) for _ in range(3))
+    c = b.finish(b.plus([(b.times([(s1, 1), (x1, 1)]), 1), (b.plus([(s1, 1), (x1, 1)]), 1),
+                         (b.times([(s2, 1), (x2, 1)]), 1), (b.plus([(s3, 1), (x2, 1)]), 1)]))
+    sig = symmetry._Extender(c).sig
+    assert c.num_gates() == 10 and not c.validate(FORMULA_MULTI)[0]
+    assert len(set(sig)) < len(sig)
+    assert is_rigid(c)
+    assert not is_symmetric(c, 2, 1) and is_symmetric(rigidify(c), 2, 1)
+    with pytest.raises(NotSymmetric):
+        analyze(c, 2, 1)
+
+
+def _identity_search_is_rigid(c):
+    """The reference answer: the identity has at most one extension."""
+    vn, vm = symmetry.circuit_variable_bounds(c)
+    return len(symmetry._Extender(c).extend(PermutationPair.identity(vn, vm),
+                                            count_limit=2)) <= 1
+
+
+def test_is_rigid_matches_the_identity_search():
+    from test_acceptance import _criterion_3_cases
+    from test_golden import _analyze_inputs
+
+    circuits = [c for c, _ in _criterion_3_cases(random.Random(33))]
+    circuits += [rigidify(c) for c in circuits]
+    circuits += [c for c, _ in _analyze_inputs()]
+    answers = [is_rigid(c) for c in circuits]
+    assert answers == [_identity_search_is_rigid(c) for c in circuits]
+    assert True in answers and False in answers
+
+
+def test_extension_budget_cap(monkeypatch):
     from symcirc.errors import SizeCap
 
     # A DAG (not formula-shaped) with a tiny budget trips the cap.
@@ -217,8 +266,9 @@ def test_extension_budget_cap():
     t2 = b.times([(shared, 1), (b.var("x_1_2"), 1)])
     c = b.finish(b.plus([(t1, 1), (t2, 1)]))
     assert not c.validate(FORMULA_MULTI)[0]
+    monkeypatch.setattr(symmetry, "NODE_BUDGET", 1)
     with pytest.raises(SizeCap):
-        extend_to_automorphism(c, PermutationPair.identity(1, 2), node_budget=1)
+        extend_to_automorphism(c, PermutationPair.identity(1, 2))
 
 
 def test_analyze_report():
@@ -228,7 +278,7 @@ def test_analyze_report():
     assert data["maxSup"] <= 2
     assert data["maxOrb"] >= 4
     assert data["supportDepth"] >= 1
-    assert len(data["perGate"]) == rigidify(report.circuit, 2, 2).num_gates()
+    assert len(data["perGate"]) == rigidify(report.circuit).num_gates()
 
 
 def test_random_symmetric_circuits_are_symmetric():
@@ -248,7 +298,7 @@ def test_rigidify_all_conclusions_random():
         mode = rng.choice(("general", "skew"))
         c = random_symmetric_circuit(n, n, rng, 40, mode)
         was_skew = c.validate(SKEW)[0]
-        r = rigidify(c, n, n)
+        r = rigidify(c)
         assert is_rigid(r)
         assert r.size() <= c.size()
         names = c.variables()
@@ -268,7 +318,7 @@ def _rigid_circuits_up_to_five():
     for _ in range(12):
         n = rng.choice((3, 4, 5))
         c = random_symmetric_circuit(n, n, rng, 80, rng.choice(("general", "skew")))
-        yield rigidify(c, n, n), n, n
+        yield rigidify(c), n, n
 
 
 def test_non_adjacent_maps_are_conjugates_of_the_searched_extension():
@@ -302,7 +352,7 @@ def test_analyze_searches_generators_once_and_one_support_per_orbit(monkeypatch)
     monkeypatch.setattr(SymmetryAnalysis, "minimal_support", counted("support", minimal_support))
     for shape in ("td", "tw"):
         c = compilers.compile_single(make_path(3), n, m, shape).circuit
-        orbit_count = len(SymmetryAnalysis(rigidify(c, n, m), n, m).orbits())
+        orbit_count = len(SymmetryAnalysis(rigidify(c), n, m).orbits())
         calls.update(extend=0, support=0)
         analyze(c, n, m)
         assert calls["extend"] <= 2 * ((n - 1) + (m - 1)), shape
