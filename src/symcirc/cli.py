@@ -9,6 +9,7 @@ seeded by --seed, so identical argv produce identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -202,7 +203,8 @@ def _cmd_reduce(args) -> int:
     elif args.gadget == "minor":
         s = pattern.BipartiteMultigraph.from_json(_load_option(args, "minor-pattern"))
         fprime = pattern.BipartiteMultigraph.from_json(_load_option(args, "host-pattern"))
-        branch = pattern.find_minor(s, fprime, norm_cap=args.caps.get("minor_norm", 24))
+        cap = args.caps.get("minor_norm", pattern.MINOR_NORM_CAP)
+        branch = pattern.find_minor(s, fprime, norm_cap=cap)
         if branch is None:
             print("no minor witness found", file=sys.stderr)
             return 1
@@ -510,7 +512,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(prog="symcirc")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     parser.add_argument("--caps", help=f"JSON file overriding size caps ({', '.join(CAP_NAMES)})")

@@ -46,11 +46,6 @@ class NotRigid(SymcircError):
     """A circuit operation requiring rigidity got a non-rigid circuit."""
 
 
-class UniquenessUnavailable(SymcircError):
-    """Minimal support requested in strict mode, but the per-side
-    smaller-than-half condition that guarantees uniqueness fails."""
-
-
 class ParseError(SymcircError):
     """Malformed serialized input."""
 

@@ -29,6 +29,7 @@ from .exactnum import int_from_json
 SIDE_A = "A"
 SIDE_B = "B"
 SIDE_CAP = 10  # largest side `canonical_key` and `are_isomorphic` accept
+MINOR_NORM_CAP = 24  # largest host norm `find_minor` searches by default
 
 
 class BipartiteMultigraph:
@@ -552,7 +553,7 @@ def _has_cross_edge(adj: Sequence[FrozenSet[int]], xs: FrozenSet[int], ys: Froze
 
 
 def find_minor(s: BipartiteMultigraph, f: BipartiteMultigraph,
-               norm_cap: int = 24) -> Optional[BranchSets]:
+               norm_cap: int = MINOR_NORM_CAP) -> Optional[BranchSets]:
     """Exhaustive branch-set search for S as a minor of F's underlying simple graph.
 
     S must be simple.  Returns a validated BranchSets witness or None.  The

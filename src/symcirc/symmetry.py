@@ -26,16 +26,20 @@ rigid fixpoint in one bottom-up pass, never grow the circuit, preserve the
 computed polynomial, and preserve skewness.
 
 Preconditions are checked where they are needed: rigidity by
-`SymmetryAnalysis` (from structure where `is_rigid` can), symmetry by
-`analyze` on its input, since a circuit that is not symmetric can have a
-symmetric rigidification.
+`SymmetryAnalysis` (from structure where `is_rigid` can), symmetry by its
+generator searches.  `analyze` rigidifies first and searches each generator
+once.  If `rigidify` kept the gate count, its output is the input renumbered
+(it never adds a gate, and maps the input's gates onto its own keeping labels
+and weighted wires), so a generator extends on one exactly when on the other.
+If it merged, `is_symmetric` checks the input first: a circuit that is not
+symmetric can have a symmetric rigidification.
 
 Supports: sup(g) is the smallest S subseteq [n] disjoint-union [m] whose
 pointwise stabiliser fixes the gate g; it is found by exhaustive search in
 increasing size, testing a candidate S against the transposition generators
 of the complement's symmetric groups.  The canonical (lexicographically
-first) minimal-size support is returned even when the smaller-than-half-side
-condition guaranteeing uniqueness fails; strict mode raises instead.
+first) minimal-size support is returned together with a flag telling whether
+the smaller-than-half-side condition guaranteeing uniqueness holds.
 """
 
 from __future__ import annotations
@@ -55,13 +59,7 @@ from .circuit import (
     parse_var_name,
     var_name,
 )
-from .errors import (
-    InvalidParameter,
-    NotRigid,
-    NotSymmetric,
-    SizeCap,
-    UniquenessUnavailable,
-)
+from .errors import InvalidParameter, NotRigid, NotSymmetric, SizeCap
 
 NODE_BUDGET = 2_000_000
 
@@ -83,16 +81,12 @@ class PermutationPair:
         return PermutationPair(tuple(range(n)), tuple(range(m)))
 
     @staticmethod
-    def left_transposition(n: int, m: int, a: int, b: int) -> "PermutationPair":
-        pi = list(range(n))
-        pi[a], pi[b] = pi[b], pi[a]
-        return PermutationPair(tuple(pi), tuple(range(m)))
-
-    @staticmethod
-    def right_transposition(n: int, m: int, a: int, b: int) -> "PermutationPair":
-        sigma = list(range(m))
-        sigma[a], sigma[b] = sigma[b], sigma[a]
-        return PermutationPair(tuple(range(n)), tuple(sigma))
+    def transposition(n: int, m: int, side: str, a: int, b: int) -> "PermutationPair":
+        """(a b) on the rows (side "L") or on the columns (side "R")."""
+        pi, sigma = list(range(n)), list(range(m))
+        perm = pi if side == "L" else sigma
+        perm[a], perm[b] = perm[b], perm[a]
+        return PermutationPair(tuple(pi), tuple(sigma))
 
     def apply_var(self, name: str) -> str:
         i, j = parse_var_name(name)  # 1-based
@@ -107,6 +101,20 @@ def circuit_variable_bounds(c: Circuit) -> Tuple[int, int]:
         n = max(n, i)
         m = max(m, j)
     return n, m
+
+
+def _check_matrix(c: Circuit, n: int, m: int):
+    """InvalidParameter unless both sizes are >= 1 and the matrix holds c's variables."""
+    if n < 1 or m < 1:
+        raise InvalidParameter("matrix sizes must be >= 1")
+    vn, vm = circuit_variable_bounds(c)
+    if vn > n or vm > m:
+        raise InvalidParameter(f"circuit variables exceed the ({n},{m}) matrix")
+
+
+def _generators(n: int, m: int) -> List[Tuple[str, int, int]]:
+    """The adjacent transpositions (side, a, a+1) of Sym_n x Sym_m, rows first."""
+    return [("L", a, a + 1) for a in range(n - 1)] + [("R", a, a + 1) for a in range(m - 1)]
 
 
 # -- structural signatures ------------------------------------------------------
@@ -333,18 +341,12 @@ def extend_to_automorphism(c: Circuit, pair: PermutationPair) -> List[Dict[int, 
     return _Extender(c).extend(pair)
 
 
-def _generator_pairs(n: int, m: int) -> List[PermutationPair]:
-    return [PermutationPair.left_transposition(n, m, a, a + 1) for a in range(n - 1)] + \
-        [PermutationPair.right_transposition(n, m, a, a + 1) for a in range(m - 1)]
-
-
 def is_symmetric(c: Circuit, n: int, m: int) -> bool:
     """Every adjacent-transposition generator extends; extensions compose."""
-    vn, vm = circuit_variable_bounds(c)
-    if vn > n or vm > m:
-        raise InvalidParameter(f"circuit variables exceed the ({n},{m}) matrix")
+    _check_matrix(c, n, m)
     extender = _Extender(c)
-    return all(extender.extend(pair) for pair in _generator_pairs(n, m))
+    return all(extender.extend(PermutationPair.transposition(n, m, *tag))
+               for tag in _generators(n, m))
 
 
 def is_rigid(c: Circuit) -> bool:
@@ -442,7 +444,8 @@ class SymmetryAnalysis:
     """Cached group action data for one rigid symmetric circuit.
 
     Construction raises `NotRigid` for a circuit that is not rigid; a
-    generator that does not extend raises `NotSymmetric` when first needed.
+    generator that does not extend raises `NotSymmetric` when first needed,
+    so the analysis decides symmetry by the same searches that give its maps.
     The map of an adjacent transposition (a generator) comes from one
     extension search; the map of a non-adjacent transposition (a b) is the
     conjugate s (a+1 b) s of a cached map by the generator s = (a a+1), which
@@ -453,9 +456,7 @@ class SymmetryAnalysis:
     """
 
     def __init__(self, c: Circuit, n: int, m: int):
-        vn, vm = circuit_variable_bounds(c)
-        if vn > n or vm > m:
-            raise InvalidParameter(f"circuit variables exceed the ({n},{m}) matrix")
+        _check_matrix(c, n, m)
         self.circuit = c
         self.n = n
         self.m = m
@@ -464,7 +465,7 @@ class SymmetryAnalysis:
             raise NotRigid("orbit and support analysis requires a rigid circuit")
         self._maps: Dict[Tuple[str, int, int], List[int]] = {}
         self._orbits: Optional[List[List[int]]] = None
-        self._supports: Dict[bool, List[FrozenSet]] = {}
+        self._supports: Optional[List[FrozenSet]] = None
 
     # transposition extension maps, cached ------------------------------------
 
@@ -478,23 +479,16 @@ class SymmetryAnalysis:
                 mid = self.transposition_map(side, a + 1, b)
                 self._maps[key] = [s[mid[s[g]]] for g in range(len(s))]
             else:
-                if side == "L":
-                    pair = PermutationPair.left_transposition(self.n, self.m, a, b)
-                else:
-                    pair = PermutationPair.right_transposition(self.n, self.m, a, b)
+                pair = PermutationPair.transposition(self.n, self.m, side, a, b)
                 solutions = self._extender.extend(pair)
                 if not solutions:
-                    raise NotSymmetric(f"generator {key} does not extend")
+                    raise NotSymmetric(f"the circuit is not symmetric: {key} does not extend")
                 phi = solutions[0]
                 self._maps[key] = [phi[g] for g in range(self.circuit.num_gates())]
         return self._maps[key]
 
-    def _generator_tags(self) -> List[Tuple[str, int, int]]:
-        return [("L", a, a + 1) for a in range(self.n - 1)] + \
-            [("R", a, a + 1) for a in range(self.m - 1)]
-
     def generators(self) -> List[List[int]]:
-        return [self.transposition_map(*tag) for tag in self._generator_tags()]
+        return [self.transposition_map(*tag) for tag in _generators(self.n, self.m)]
 
     # orbits -----------------------------------------------------------------
 
@@ -527,29 +521,20 @@ class SymmetryAnalysis:
 
     # supports ------------------------------------------------------------------
 
-    def _fixes_gate(self, side: str, a: int, b: int, g: int) -> bool:
-        return self.transposition_map(side, a, b)[g] == g
-
     def _is_support(self, g: int, left: Tuple[int, ...], right: Tuple[int, ...]) -> bool:
         """StabP(S) <= Stab(g), tested on transposition generators of the
         complement's symmetric groups."""
-        comp_l = [i for i in range(self.n) if i not in left]
-        comp_r = [j for j in range(self.m) if j not in right]
-        for x, y in zip(comp_l, comp_l[1:]):
-            if not self._fixes_gate("L", x, y, g):
-                return False
-        for x, y in zip(comp_r, comp_r[1:]):
-            if not self._fixes_gate("R", x, y, g):
-                return False
-        return True
+        rest = (("L", [i for i in range(self.n) if i not in left]),
+                ("R", [j for j in range(self.m) if j not in right]))
+        return all(self.transposition_map(side, x, y)[g] == g
+                   for side, comp in rest for x, y in zip(comp, comp[1:]))
 
-    def minimal_support(self, g: int, strict: bool = False) -> Tuple[FrozenSet, bool]:
+    def minimal_support(self, g: int) -> Tuple[FrozenSet, bool]:
         """((elements tagged 'L'/'R'), uniqueness flag) for gate g.
 
         Searches subsets in increasing size, lexicographically, and returns
         the first support found.  The flag records whether the per-side
-        smaller-than-half condition for uniqueness holds; in strict mode a
-        failing condition raises UniquenessUnavailable instead.
+        smaller-than-half condition for uniqueness holds.
         """
         ground = [("L", i) for i in range(self.n)] + [("R", j) for j in range(self.m)]
         for size in range(len(ground) + 1):
@@ -558,27 +543,23 @@ class SymmetryAnalysis:
                 right = tuple(j for s, j in combo if s == "R")
                 if self._is_support(g, left, right):
                     unique = 2 * len(left) < self.n and 2 * len(right) < self.m
-                    if strict and not unique:
-                        raise UniquenessUnavailable(
-                            f"support of gate {g} has a side of at least half the indices")
                     return frozenset(combo), unique
         raise InvalidParameter("the full index set is always a support; this is a bug")
 
-    def all_supports(self, strict: bool = False) -> List[FrozenSet]:
+    def all_supports(self) -> List[FrozenSet]:
         """Minimal supports for every gate, one search per orbit.
 
         The support of an orbit-mate is the image of the representative's
         support under the connecting generator word, so only one exhaustive
-        search per orbit is needed.  The result is kept per `strict`; a
-        strict search that raises keeps nothing.
+        search per orbit is needed.
         """
-        if strict not in self._supports:
+        if self._supports is None:
             supports: List[Optional[FrozenSet]] = [None] * self.circuit.num_gates()
-            tags = self._generator_tags()
+            tags = _generators(self.n, self.m)
             gens = self.generators()
             for orbit in self.orbits():
                 rep = orbit[0]
-                sup, _ = self.minimal_support(rep, strict=strict)
+                sup, _ = self.minimal_support(rep)
                 supports[rep] = sup
                 queue = [rep]
                 while queue:
@@ -589,8 +570,8 @@ class SymmetryAnalysis:
                             supports[h] = frozenset(_apply_transposition(e, side, a, b)
                                                     for e in supports[g])
                             queue.append(h)
-            self._supports[strict] = supports  # type: ignore[assignment]
-        return list(self._supports[strict])
+            self._supports = supports  # type: ignore[assignment]
+        return list(self._supports)
 
     def max_support(self) -> int:
         return max(len(s) for s in self.all_supports())
@@ -647,10 +628,11 @@ class SupportReport:
 
 
 def analyze(c: Circuit, n: int, m: int) -> SupportReport:
-    """Full symmetry report of the rigidified circuit of a symmetric `c`."""
-    if not is_symmetric(c, n, m):
-        raise NotSymmetric("analyze requires a symmetric circuit")
+    """Full symmetry report of the rigidified circuit of a symmetric `c`; each
+    generator is searched once (see the module docstring)."""
     circuit = rigidify(c)
+    if circuit.num_gates() < c.num_gates() and not is_symmetric(c, n, m):
+        raise NotSymmetric("the circuit is not symmetric")
     analysis = SymmetryAnalysis(circuit, n, m)
     supports = analysis.all_supports()
     per_gate = [{"gate": g, "support": sorted((s, i + 1) for s, i in supports[g])}
@@ -688,7 +670,7 @@ def random_symmetric_circuit(n: int, m: int, rng: random.Random, max_gates: int 
             gate_of_var[name] = builder.var(name)
     const_one = builder.const(1)
 
-    pairs = _generator_pairs(n, m)
+    pairs = [PermutationPair.transposition(n, m, *tag) for tag in _generators(n, m)]
     # gen_images[k][g] = image of gate g under generator k, maintained as we build.
     gen_images: List[List[int]] = [[] for _ in pairs]
     for k, pair in enumerate(pairs):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from symcirc.circuit import CircuitBuilder
 from symcirc.cli import run
 
 
@@ -358,6 +359,28 @@ def test_analyze_rejects_malformed_variable_names(capsys, tmp_path, name):
                                           "wires": [], "output": 0})
     code, out, err = _run(capsys, "analyze", "--circuit", circuit, "--n", "1", "--m", "1")
     assert code == 2 and out == "" and "not a matrix variable name" in err
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_analyze_rejects_matrix_sizes_below_one(capsys, tmp_path, size):
+    one = {"const": {"num": "1", "den": "1"}}
+    circuit = _write(tmp_path, "c.json", {"gates": [{"id": 0, "label": one}],
+                                          "wires": [], "output": 0})
+    code, out, err = _run(capsys, "analyze", "--circuit", circuit, "--n", size, "--m", size)
+    assert code == 2 and out == "" and "matrix sizes must be >= 1" in err
+
+
+def test_analyze_rejects_non_symmetric_circuits(capsys, tmp_path):
+    from test_symmetry import _ten_gate_dag
+
+    b = CircuitBuilder()
+    unmerged = b.finish(b.plus([(b.var("x_1_1"), 1), (b.var("x_1_2"), 2)]))
+    for name, c, n, m in (("unmerged", unmerged, 1, 2), ("merged", _ten_gate_dag(), 2, 1)):
+        circuit = _write(tmp_path, f"{name}.json", c.to_json())
+        code, out, err = _run(capsys, "analyze", "--circuit", circuit,
+                              "--n", str(n), "--m", str(m))
+        assert code == 2 and out == "", name
+        assert err.startswith("error:") and "not symmetric" in err, name
 
 
 @pytest.mark.parametrize("command", ["verify", "reduce"])

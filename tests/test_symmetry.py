@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from symcirc import compilers, symmetry
-from symcirc.circuit import CircuitBuilder, FORMULA, FORMULA_MULTI, SKEW
-from symcirc.errors import NotRigid, NotSymmetric, UniquenessUnavailable
+from symcirc.circuit import Circuit, CircuitBuilder, FORMULA, FORMULA_MULTI, SKEW
+from symcirc.errors import NotRigid, NotSymmetric
 from symcirc.pattern import make_complete_bipartite, make_cycle, make_path
 from symcirc.symmetry import (
     PermutationPair,
@@ -35,7 +35,7 @@ def test_identity_extends_to_identity():
 
 def test_extension_on_compiled_formula():
     report = compilers.compile_single(make_path(2), 2, 2, "td")
-    swap = PermutationPair.left_transposition(2, 2, 0, 1)
+    swap = PermutationPair.transposition(2, 2, "L", 0, 1)
     sols = extend_to_automorphism(report.circuit, swap)
     assert sols
     phi = sols[0]
@@ -45,7 +45,7 @@ def test_extension_on_compiled_formula():
 def test_missing_image_variable_blocks_extension():
     b = CircuitBuilder()
     c = b.finish(b.var("x_1_1"))
-    swap = PermutationPair.left_transposition(2, 2, 0, 1)
+    swap = PermutationPair.transposition(2, 2, "L", 0, 1)
     assert extend_to_automorphism(c, swap) == []
     assert not is_symmetric(c, 2, 2)
 
@@ -111,8 +111,8 @@ def test_extension_is_homomorphism_on_generators():
     # The unique extensions of rigid circuits compose like the group.
     report = compilers.compile_single(make_path(3), 2, 2, "td")
     c = report.circuit
-    left = PermutationPair.left_transposition(2, 2, 0, 1)
-    right = PermutationPair.right_transposition(2, 2, 0, 1)
+    left = PermutationPair.transposition(2, 2, "L", 0, 1)
+    right = PermutationPair.transposition(2, 2, "R", 0, 1)
     phi_l = extend_to_automorphism(c, left)[0]
     phi_r = extend_to_automorphism(c, right)[0]
     both = PermutationPair(left.pi, right.sigma)
@@ -155,15 +155,13 @@ def test_minimal_support_examples():
     assert unique
 
 
-def test_minimal_support_strict_mode():
+def test_minimal_support_flags_non_unique():
     report = compilers.compile_single(make_path(2), 2, 2, "td")
     analysis = SymmetryAnalysis(report.circuit, 2, 2)
     c = report.circuit
     input_gate = next(g for g in range(c.num_gates()) if c.labels[g] == ("var", "x_1_1"))
     # At n = m = 2 the one-per-side support is not strictly below half.
-    with pytest.raises(UniquenessUnavailable):
-        analysis.minimal_support(input_gate, strict=True)
-    sup, unique = analysis.minimal_support(input_gate, strict=False)
+    sup, unique = analysis.minimal_support(input_gate)
     assert len(sup) == 2 and not unique
 
 
@@ -223,11 +221,7 @@ def test_analyze_checks_symmetry_before_rigidifying():
     # A rigid DAG whose signatures repeat (S1, S2 and S3), so is_rigid has to
     # search.  It is not symmetric, since swapping the rows would need S1 to
     # map to both S2 and S3, but its rigidification merges them and is.
-    b = CircuitBuilder()
-    x1, x2 = b.var("x_1_1"), b.var("x_2_1")
-    s1, s2, s3 = (b.plus([(x1, 1), (x2, 1)]) for _ in range(3))
-    c = b.finish(b.plus([(b.times([(s1, 1), (x1, 1)]), 1), (b.plus([(s1, 1), (x1, 1)]), 1),
-                         (b.times([(s2, 1), (x2, 1)]), 1), (b.plus([(s3, 1), (x2, 1)]), 1)]))
+    c = _ten_gate_dag()
     sig = symmetry._Extender(c).sig
     assert c.num_gates() == 10 and not c.validate(FORMULA_MULTI)[0]
     assert len(set(sig)) < len(sig)
@@ -235,6 +229,53 @@ def test_analyze_checks_symmetry_before_rigidifying():
     assert not is_symmetric(c, 2, 1) and is_symmetric(rigidify(c), 2, 1)
     with pytest.raises(NotSymmetric):
         analyze(c, 2, 1)
+
+
+def _ten_gate_dag():
+    """The circuit of `test_analyze_checks_symmetry_before_rigidifying`."""
+    b = CircuitBuilder()
+    x1, x2 = b.var("x_1_1"), b.var("x_2_1")
+    s1, s2, s3 = (b.plus([(x1, 1), (x2, 1)]) for _ in range(3))
+    return b.finish(b.plus([(b.times([(s1, 1), (x1, 1)]), 1), (b.plus([(s1, 1), (x1, 1)]), 1),
+                            (b.times([(s2, 1), (x2, 1)]), 1), (b.plus([(s3, 1), (x2, 1)]), 1)]))
+
+
+def _with_one_wire_bumped(c):
+    """c with the multiplicity of its first wire into a variable gate raised by one."""
+    parent, child, mult = next(w for w in c.wires() if c.labels[w[1]][0] == "var")
+    children = [dict(ch) for ch in c.children]
+    children[parent][child] = mult + 1
+    return Circuit(list(c.labels), children, c.output)
+
+
+def _reference_report(c, n):
+    """analyze's report, read off `SymmetryAnalysis(rigidify(c))` directly."""
+    analysis = SymmetryAnalysis(rigidify(c), n, n)
+    supports = analysis.all_supports()
+    return {"n": n, "m": n, "maxOrb": analysis.max_orbit(), "maxSup": analysis.max_support(),
+            "supportDepth": analysis.support_depth(),
+            "perGate": [{"gate": g, "support": sorted((s, i + 1) for s, i in sup)}
+                        for g, sup in enumerate(supports)]}
+
+
+def test_analyze_matches_the_check_on_its_input():
+    # analyze raises NotSymmetric exactly when is_symmetric(c) is false, and
+    # otherwise reports the analysis of rigidify(c), whether it merged or not.
+    from test_acceptance import _criterion_3_cases
+    from test_golden import _analyze_inputs
+
+    cases = _criterion_3_cases(random.Random(33)) + list(_analyze_inputs())
+    cases += [(_with_one_wire_bumped(c), n) for c, n in cases] + [(_ten_gate_dag(), 2)]
+    rejected = set()
+    for k, (c, n) in enumerate(cases):
+        merged = rigidify(c).num_gates() < c.num_gates()
+        if is_symmetric(c, n, n):
+            assert analyze(c, n, n).to_json() == _reference_report(c, n), k
+        else:
+            with pytest.raises(NotSymmetric):
+                analyze(c, n, n)
+            rejected.add(merged)
+    assert rejected == {True, False}
 
 
 def _identity_search_is_rigid(c):
@@ -328,10 +369,7 @@ def test_non_adjacent_maps_are_conjugates_of_the_searched_extension():
         for side, size in (("L", n), ("R", m)):
             for a in range(size):
                 for b in range(a + 2, size):
-                    if side == "L":
-                        pair = PermutationPair.left_transposition(n, m, a, b)
-                    else:
-                        pair = PermutationPair.right_transposition(n, m, a, b)
+                    pair = PermutationPair.transposition(n, m, side, a, b)
                     phi = extend_to_automorphism(c, pair)[0]
                     expected = [phi[g] for g in range(c.num_gates())]
                     assert analysis.transposition_map(side, a, b) == expected, (side, a, b)
@@ -350,12 +388,12 @@ def test_analyze_searches_generators_once_and_one_support_per_orbit(monkeypatch)
 
     monkeypatch.setattr(symmetry._Extender, "extend", counted("extend", extend))
     monkeypatch.setattr(SymmetryAnalysis, "minimal_support", counted("support", minimal_support))
-    for shape in ("td", "tw"):
+    for shape in ("td", "pw", "tw"):
         c = compilers.compile_single(make_path(3), n, m, shape).circuit
         orbit_count = len(SymmetryAnalysis(rigidify(c), n, m).orbits())
         calls.update(extend=0, support=0)
         analyze(c, n, m)
-        assert calls["extend"] <= 2 * ((n - 1) + (m - 1)), shape
+        assert calls["extend"] == (n - 1) + (m - 1), shape
         assert calls["support"] == orbit_count, shape
 
 
@@ -369,7 +407,3 @@ def test_orbits_and_supports_are_kept_and_handed_out_as_copies():
     assert analysis.orbits() == fresh.orbits()
     analysis.all_supports().clear()
     assert analysis.all_supports() == fresh.all_supports()
-    with pytest.raises(UniquenessUnavailable):
-        analysis.all_supports(strict=True)
-    with pytest.raises(UniquenessUnavailable):
-        analysis.all_supports(strict=True)

@@ -44,3 +44,12 @@ def test_every_public_name_is_referenced():
                     defined.setdefault(node.name, set()).add(path.name)
     unused = {name: files for name, files in defined.items() if words[name] <= defs[name]}
     assert unused == {}
+
+
+def test_every_error_type_is_raised():
+    """Each exception class in errors.py but the base class is raised in the package."""
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")))
+    raised = set(re.findall(r"\braise (\w+)\(", text)) | {"SymcircError"}
+    assert len(classes) > 1 and [name for name in classes if name not in raised] == []
