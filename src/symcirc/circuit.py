@@ -41,6 +41,7 @@ SHAPES = (GENERAL, SKEW, FORMULA, FORMULA_MULTI)
 
 PLUS = "plus"
 TIMES = "times"
+EXPANSION_TERM_LIMIT = 10 ** 6  # most terms `expand_symbolic` keeps at one gate
 
 
 def var_name(i: int, j: int) -> str:
@@ -259,7 +260,7 @@ class Circuit:
             return out
         return Fraction(out, den ** top)
 
-    def expand_symbolic(self, term_cap: int = 10 ** 6) -> SparsePolynomial:
+    def expand_symbolic(self) -> SparsePolynomial:
         """The computed polynomial, fully expanded; SizeCap guards blow-up.
 
         Every gate's polynomial is a term dict over the circuit's whole
@@ -289,10 +290,10 @@ class Circuit:
                 for child, mult in children:
                     factor = terms[child] if mult == 1 else pow_terms(terms[child], mult, width)
                     acc = factor if acc is None else mul_terms(acc, factor)
-                    if len(acc) > term_cap:
-                        raise SizeCap(f"symbolic expansion exceeds {term_cap} terms")
-            if len(acc) > term_cap:
-                raise SizeCap(f"symbolic expansion exceeds {term_cap} terms")
+                    if len(acc) > EXPANSION_TERM_LIMIT:
+                        raise SizeCap(f"symbolic expansion exceeds {EXPANSION_TERM_LIMIT} terms")
+            if len(acc) > EXPANSION_TERM_LIMIT:
+                raise SizeCap(f"symbolic expansion exceeds {EXPANSION_TERM_LIMIT} terms")
             terms[g] = acc
         return SparsePolynomial(universe, terms[self.output])
 

@@ -14,11 +14,12 @@ import json
 import random
 import sys
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from . import compilers, oracle, pattern, reduce, symmetry, width
 from .circuit import Circuit, SKEW
-from .errors import ParseError, SymcircError
+from .errors import CAPS, IdentityFailed, ParseError, SymcircError
 from .exactnum import int_from_json, rational_from_json, rational_to_json
 from .oracle import ColouredGraph, WeightedHost
 
@@ -27,7 +28,7 @@ def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, over-long ints
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path} does not hold a JSON object")
@@ -42,19 +43,16 @@ def _load_option(args, option: str) -> dict:
     return _load_json(path)
 
 
-CAP_NAMES = ("width_vertices", "brute_force_maps", "minor_norm")
-
-
-def _load_caps(path: str) -> Dict[str, int]:
-    """The caps file: documented cap names mapped to positive integers."""
-    caps = {}
+def _load_caps(path: str) -> Mapping[str, int]:
+    """The caps in force, overridden by the file's cap names and positive integers."""
+    caps = dict(CAPS.get())
     for name, value in _load_json(path).items():
-        if name not in CAP_NAMES:
-            raise ParseError(f"unknown cap {name!r}; the caps are {', '.join(CAP_NAMES)}")
+        if name not in caps:
+            raise ParseError(f"unknown cap {name!r}; the caps are {', '.join(caps)}")
         caps[name] = int_from_json(value)
         if caps[name] < 1:
             raise ParseError(f"cap {name} must be a positive integer, got {caps[name]}")
-    return caps
+    return MappingProxyType(caps)
 
 
 def _emit(data, out: Optional[str]):
@@ -78,10 +76,8 @@ def _cmd_pattern(args) -> int:
         g = pattern.make_complete_binary_tree(args.v)
     elif args.kind == "kbipartite":
         g = pattern.make_complete_bipartite(args.a, args.b)
-    elif args.kind == "cycle":
+    else:  # cycle
         g = pattern.make_cycle(args.v)
-    else:
-        raise SymcircError(f"unknown generator {args.kind!r}")
     _emit(g.to_json(), args.out)
     return 0
 
@@ -91,13 +87,9 @@ def _cmd_pattern(args) -> int:
 
 def _cmd_width(args) -> int:
     g = pattern.BipartiteMultigraph.from_json(_load_json(args.graph))
-    cap = args.caps.get("width_vertices", width.DEFAULT_VERTEX_CAP)
-    if args.parameter == "tw":
-        value, cert = width.treewidth_exact(g, cap=cap)
-    elif args.parameter == "pw":
-        value, cert = width.pathwidth_exact(g, cap=cap)
-    else:
-        value, cert = width.treedepth_exact(g, cap=cap)
+    solver = {"tw": width.treewidth_exact, "pw": width.pathwidth_exact,
+              "td": width.treedepth_exact}[args.parameter]
+    value, cert = solver(g)
     ok, reason = width.validate_decomposition(g, cert)
     if not ok:
         print(f"certificate failed validation: {reason}", file=sys.stderr)
@@ -124,8 +116,7 @@ def _cmd_compile(args) -> int:
             report = compilers.compile_circuit_tw(
                 g, width.TreeDecomposition.from_json(data), args.n, args.m)
     else:
-        cap = args.caps.get("width_vertices", width.DEFAULT_VERTEX_CAP)
-        report = compilers.compile_single(g, args.n, args.m, args.shape, cap=cap)
+        report = compilers.compile_single(g, args.n, args.m, args.shape)
     payload = report.to_json()
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -203,8 +194,7 @@ def _cmd_reduce(args) -> int:
     elif args.gadget == "minor":
         s = pattern.BipartiteMultigraph.from_json(_load_option(args, "minor-pattern"))
         fprime = pattern.BipartiteMultigraph.from_json(_load_option(args, "host-pattern"))
-        cap = args.caps.get("minor_norm", pattern.MINOR_NORM_CAP)
-        branch = pattern.find_minor(s, fprime, norm_cap=cap)
+        branch = pattern.find_minor(s, fprime)
         if branch is None:
             print("no minor witness found", file=sys.stderr)
             return 1
@@ -231,7 +221,7 @@ def _cmd_reduce(args) -> int:
             g = _random_coloured_host(s, args.n, rng)
             check = check and evaluator(g) == oracle.colhom_eval(s, g)
         payload = {"identity_holds": bool(check)}
-    elif args.gadget == "extract-lincomb":
+    else:  # extract-lincomb
         spec = _load_option(args, "terms")
         try:
             patterns = [pattern.BipartiteMultigraph.from_json(t["graph"]) for t in spec["terms"]]
@@ -249,8 +239,6 @@ def _cmd_reduce(args) -> int:
             g = WeightedHost.random(args.n, args.n, rng)
             check = check and evaluator(g) == oracle.hom_count(patterns[args.ell], g)
         payload = {"identity_holds": bool(check)}
-    else:
-        raise SymcircError(f"unknown gadget {args.gadget!r}")
     _emit(payload, args.out)
     return 0 if payload["identity_holds"] else 1
 
@@ -268,7 +256,7 @@ def _verify_uncolour(trials: int, rng: random.Random) -> List[Tuple[str, bool]]:
                                      [(a, b) for a in colours for b in colours if a <= b], rng)
             try:
                 reduce.uncolour_expand(f, colours, 1, g)
-            except SymcircError:
+            except IdentityFailed:
                 ok = False
         out.append((f"uncolour/{name}", ok))
     return out
@@ -410,9 +398,6 @@ def _cmd_verify(args) -> int:
     names = sorted(IDENTITY_SUITES) if args.name == "all" else [args.name]
     results: List[Tuple[str, bool]] = []
     for name in names:
-        if name not in IDENTITY_SUITES:
-            print(f"unknown identity {name!r}", file=sys.stderr)
-            return 2
         results.extend(IDENTITY_SUITES[name](args.trials, rng))
     results.sort()
     if args.json:
@@ -517,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; callers must not change it."""
     parser = argparse.ArgumentParser(prog="symcirc")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
-    parser.add_argument("--caps", help=f"JSON file overriding size caps ({', '.join(CAP_NAMES)})")
+    parser.add_argument("--caps", help=f"JSON file overriding size caps ({', '.join(CAPS.get())})")
     parser.add_argument("--json", action="store_true",
                         help="machine-readable output for text-mode commands")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -604,24 +589,19 @@ def run(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    caps: Dict[str, int] = {}
-    if getattr(args, "caps", None):
-        try:
-            caps = _load_caps(args.caps)
-        except (OSError, ParseError) as exc:
-            print(f"error: bad caps file: {exc}", file=sys.stderr)
-            return 2
-    args.caps = caps
-    saved_cap = oracle.BRUTE_FORCE_CAP
-    if "brute_force_maps" in caps:
-        oracle.BRUTE_FORCE_CAP = caps["brute_force_maps"]
+    try:
+        caps = _load_caps(args.caps) if args.caps else CAPS.get()
+    except (OSError, ParseError) as exc:
+        print(f"error: bad caps file: {exc}", file=sys.stderr)
+        return 2
+    token = CAPS.set(caps)
     try:
         return args.func(args)
     except (SymcircError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        oracle.BRUTE_FORCE_CAP = saved_cap
+        CAPS.reset(token)
 
 
 def main() -> None:

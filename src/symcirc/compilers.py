@@ -63,7 +63,6 @@ from .exactnum import Rational
 from .pattern import BipartiteMultigraph, SIDE_A
 from .symmetry import is_rigid, rigidify
 from .width import (
-    DEFAULT_VERTEX_CAP,
     EliminationForest,
     PathDecomposition,
     TreeDecomposition,
@@ -323,18 +322,17 @@ def _copy_into(builder: CircuitBuilder, circuit: Circuit) -> int:
     return mapping[circuit.output]
 
 
-def compile_single(f: BipartiteMultigraph, n: int, m: int, shape: str,
-                   cap: int = DEFAULT_VERTEX_CAP) -> CompileReport:
+def compile_single(f: BipartiteMultigraph, n: int, m: int, shape: str) -> CompileReport:
     """Compile hom_{F,n,m} at the given shape, computing the decomposition
-    (exactly, for patterns with at most `cap` vertices)."""
+    exactly (SizeCap past the `width_vertices` cap, see `errors.CAPS`)."""
     if shape == "td":
-        _, forest = treedepth_exact(f, cap=cap)
+        _, forest = treedepth_exact(f)
         return compile_formula_td(f, forest, n, m)
     if shape == "pw":
-        _, deco = pathwidth_exact(f, cap=cap)
+        _, deco = pathwidth_exact(f)
         return compile_skew_pw(f, deco, n, m)
     if shape == "tw":
-        _, deco = treewidth_exact(f, cap=cap)
+        _, deco = treewidth_exact(f)
         return compile_circuit_tw(f, deco, n, m)
     raise InvalidParameter(f"unknown compile shape {shape!r}")
 

@@ -1,9 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the size caps.
 
 Every operation that can fail raises one of these instead of returning a
 sentinel, so callers (and the CLI exit-code mapping) can distinguish usage
-errors from verification failures.
+errors from verification failures.  The three caps a user can set live in
+the context variable `CAPS`, a read-only mapping that `cli.run` overrides
+with `--caps` for one run; the routines they bound call `check_cap` where
+the size is known, and the SizeCap raised names the cap's key.
 """
+
+import contextvars
+from types import MappingProxyType
 
 
 class SymcircError(Exception):
@@ -20,6 +26,17 @@ class MissingVariable(SymcircError):
 
 class SizeCap(SymcircError):
     """An exact computation would exceed its configured size cap."""
+
+
+CAPS = contextvars.ContextVar("caps", default=MappingProxyType(
+    {"width_vertices": 14, "brute_force_maps": 10 ** 7, "minor_norm": 24}))
+
+
+def check_cap(name: str, count: int, what: str) -> None:
+    """SizeCap if `count` (the size of `what`) exceeds the cap `name` in CAPS."""
+    cap = CAPS.get()[name]
+    if count > cap:
+        raise SizeCap(f"{what} {count} exceeds cap {cap} (set by --caps {name})")
 
 
 class ArityMismatch(SymcircError):
@@ -72,3 +89,7 @@ class BasisNotFound(SymcircError):
 
 class ZeroCoefficient(SymcircError):
     """Extraction of a term whose coefficient is zero."""
+
+
+class IdentityFailed(SymcircError):
+    """Both sides of a checked identity were computed and differ."""

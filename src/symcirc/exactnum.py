@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 from math import lcm
 from operator import add
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import InvalidParameter, MissingVariable, ParseError
+from .errors import InvalidParameter, MissingVariable, ParseError, SizeCap
 
 Rational = Fraction
 
@@ -53,9 +54,13 @@ def rat(num, den=1) -> Rational:
 
 
 def rational_to_json(value) -> Dict[str, str]:
-    """The JSON form {"num": str, "den": str} of an int or Fraction."""
+    """The JSON form {"num": str, "den": str} of an int or Fraction; SizeCap
+    if a part is longer than Python converts to a string."""
     value = Fraction(value)
-    return {"num": str(value.numerator), "den": str(value.denominator)}
+    try:
+        return {"num": str(value.numerator), "den": str(value.denominator)}
+    except ValueError as exc:
+        raise SizeCap(f"exact value over Python's {sys.get_int_max_str_digits()}-digit limit") from exc
 
 
 def int_from_json(value) -> int:

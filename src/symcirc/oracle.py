@@ -45,13 +45,15 @@ from .errors import (
     InvalidParameter,
     ParseError,
     SizeCap,
+    check_cap,
 )
 from .exactnum import (Rational, SparsePolynomial, common_denominator, exact_det,
                        int_from_json, rational_from_json, rational_to_json)
 from .circuit import colour_var_name, var_name
 from .pattern import BipartiteMultigraph, LabelledPattern, are_isomorphic, contract
 
-BRUTE_FORCE_CAP = 10 ** 7
+PARTITION_SIDE_CAP = 6  # largest side `hom_to_emb_terms` partitions
+BASIS_ATTEMPTS = 200  # random point sets `find_hom_basis` tries before giving up
 
 
 def _colour_key(text):
@@ -133,7 +135,7 @@ class WeightedHost:
                 for i, j, w in data.get("weights", [])
             }
             return WeightedHost(int_from_json(data["n"]), int_from_json(data["m"]), weights)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed host JSON: {exc}") from exc
 
     @staticmethod
@@ -272,11 +274,8 @@ class ColouredGraph:
 # -- homomorphism counting ---------------------------------------------------------
 
 
-def _check_cap(count: int, cap: Optional[int] = None):
-    if cap is None:
-        cap = BRUTE_FORCE_CAP  # looked up at call time so caps can be overridden
-    if count > cap:
-        raise SizeCap(f"brute-force enumeration of {count} maps exceeds cap {cap}")
+def _check_cap(count: int):
+    check_cap("brute_force_maps", count, "brute-force map count")
 
 
 def _weighted_sum(edges: Sequence[Tuple[int, int, int]], weight, domains: Sequence[Sequence],
@@ -453,15 +452,15 @@ def _set_partitions(items: Sequence[int]):
         yield [[first]] + sub
 
 
-def hom_to_emb_terms(f: BipartiteMultigraph, cap: int = 6) -> List[BipartiteMultigraph]:
+def hom_to_emb_terms(f: BipartiteMultigraph) -> List[BipartiteMultigraph]:
     """The quotients F/(pi, sigma) over all per-side partition pairs.
 
     hom_{F,n,m} equals the sum of emb over these terms; created parallel edges
     accumulate into multiplicities, which is the reading under which the
     identity holds at weighted hosts.
     """
-    if f.a_count > cap or f.b_count > cap:
-        raise SizeCap(f"partition enumeration capped at side size {cap}")
+    if f.a_count > PARTITION_SIDE_CAP or f.b_count > PARTITION_SIDE_CAP:
+        raise SizeCap(f"partition enumeration capped at side size {PARTITION_SIDE_CAP}")
     out = []
     for pa in _set_partitions(list(range(f.a_count))):
         for pb in _set_partitions(list(range(f.a_count, f.num_vertices()))):
@@ -490,8 +489,8 @@ class HomBasisCertificate:
         }
 
 
-def find_hom_basis(patterns: Sequence[BipartiteMultigraph], big_n: int, seed: int,
-                   attempts: int = 200) -> HomBasisCertificate:
+def find_hom_basis(patterns: Sequence[BipartiteMultigraph], big_n: int,
+                   seed: int) -> HomBasisCertificate:
     """Random small-integer points until the hom evaluation matrix inverts.
 
     Entries are drawn from {0..3} at first and the range widens every 50
@@ -508,7 +507,7 @@ def find_hom_basis(patterns: Sequence[BipartiteMultigraph], big_n: int, seed: in
                 raise InvalidParameter(f"patterns {i} and {j} are isomorphic")
     rng = random.Random(seed)
     r = len(patterns)
-    for attempt in range(attempts):
+    for attempt in range(BASIS_ATTEMPTS):
         hi = 3 + attempt // 50
         points = [
             WeightedHost(big_n, big_n, {
@@ -520,7 +519,7 @@ def find_hom_basis(patterns: Sequence[BipartiteMultigraph], big_n: int, seed: in
         matrix = [[hom_count(p, x) for x in points] for p in patterns]
         if exact_det(matrix) != 0:
             return HomBasisCertificate(patterns, points, matrix)
-    raise BasisNotFound(f"no invertible hom matrix after {attempts} attempts")
+    raise BasisNotFound(f"no invertible hom matrix after {BASIS_ATTEMPTS} attempts")
 
 
 # -- indistinguishability ---------------------------------------------------------------

@@ -23,13 +23,13 @@ from .errors import (
     InvalidParameter,
     ParseError,
     SizeCap,
+    check_cap,
 )
 from .exactnum import int_from_json
 
 SIDE_A = "A"
 SIDE_B = "B"
 SIDE_CAP = 10  # largest side `canonical_key` and `are_isomorphic` accept
-MINOR_NORM_CAP = 24  # largest host norm `find_minor` searches by default
 
 
 class BipartiteMultigraph:
@@ -182,7 +182,7 @@ class BipartiteMultigraph:
             edges = {(int_from_json(i) - 1, int_from_json(j) - 1): int_from_json(m)
                      for i, j, m in data.get("edges", [])}
             return BipartiteMultigraph(int_from_json(data["a"]), int_from_json(data["b"]), edges)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph JSON: {exc}") from exc
 
 
@@ -552,8 +552,7 @@ def _has_cross_edge(adj: Sequence[FrozenSet[int]], xs: FrozenSet[int], ys: Froze
     return any(adj[x] & ys for x in xs)
 
 
-def find_minor(s: BipartiteMultigraph, f: BipartiteMultigraph,
-               norm_cap: int = MINOR_NORM_CAP) -> Optional[BranchSets]:
+def find_minor(s: BipartiteMultigraph, f: BipartiteMultigraph) -> Optional[BranchSets]:
     """Exhaustive branch-set search for S as a minor of F's underlying simple graph.
 
     S must be simple.  Returns a validated BranchSets witness or None.  The
@@ -562,8 +561,7 @@ def find_minor(s: BipartiteMultigraph, f: BipartiteMultigraph,
     """
     if not s.is_simple():
         raise InvalidParameter("minor pattern S must be simple")
-    if f.norm() > norm_cap:
-        raise SizeCap(f"minor search capped at norm {norm_cap}")
+    check_cap("minor_norm", f.norm(), "minor search host norm")
     nf = f.num_vertices()
     ns = s.num_vertices()
     if ns == 0:

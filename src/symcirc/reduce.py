@@ -22,6 +22,7 @@ from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, 
 
 from .errors import (
     ColourMismatch,
+    IdentityFailed,
     InvalidBranchSets,
     InvalidParameter,
     NotConnected,
@@ -48,6 +49,9 @@ from .pattern import (
     path_vertex_ids,
     quotient,
 )
+
+COLOURING_LIMIT = 10 ** 6  # most colourings `uncolour_expand` sums over
+CFI_DEGREE_CAP = 5  # largest base degree `cfi_pair` accepts (classes of 2^(deg-1))
 
 
 @dataclass
@@ -326,14 +330,14 @@ def minor_gadget(fprime: BipartiteMultigraph, s: BipartiteMultigraph,
 
 
 def uncolour_expand(f: BipartiteMultigraph, colours: Sequence[Hashable], n: int,
-                    g: ColouredGraph, cap: int = 10 ** 6):
+                    g: ColouredGraph):
     """Both sides of hom_{F,|C|n}(G flattened) = sum_c colhom_{F,c,n}(G);
     asserts the identity and returns the common value."""
     if sorted(colours, key=repr) != g.colours:
         raise ColourMismatch("colour list does not match the coloured host")
     if any(g.sizes[c] != n for c in colours):
         raise InvalidParameter("uncolour expects uniform class size n")
-    if len(colours) ** f.num_vertices() > cap:
+    if len(colours) ** f.num_vertices() > COLOURING_LIMIT:
         raise SizeCap("too many colourings to enumerate")
     lhs = hom_count(f, g.flatten())
     rhs = Fraction(0)
@@ -341,7 +345,7 @@ def uncolour_expand(f: BipartiteMultigraph, colours: Sequence[Hashable], n: int,
         colouring = dict(zip(f.vertices(), values))
         rhs = rhs + coloured_hom_eval(f, colouring, g)
     if lhs != rhs:
-        raise InvalidParameter(f"uncolour identity failed: {lhs} != {rhs}")
+        raise IdentityFailed(f"uncolour identity failed: {lhs} != {rhs}")
     return lhs
 
 
@@ -400,7 +404,7 @@ class CfiPair:
     odd: ColouredGraph
 
 
-def cfi_pair(s: BipartiteMultigraph, max_degree_cap: int = 5) -> CfiPair:
+def cfi_pair(s: BipartiteMultigraph) -> CfiPair:
     """CFI construction: per-vertex gadgets of even-size incident-edge subsets.
 
     The S-coloured graph S_0 joins (u,X) and (v,Y) for an edge e=uv iff X and
@@ -412,8 +416,10 @@ def cfi_pair(s: BipartiteMultigraph, max_degree_cap: int = 5) -> CfiPair:
         raise InvalidParameter("CFI bases must be simple")
     if not s.is_connected():
         raise NotConnected("CFI bases must be connected")
-    if s.max_degree() > max_degree_cap:
-        raise SizeCap(f"CFI capped at maximum degree {max_degree_cap}")
+    if not s.edges:
+        raise InvalidParameter("CFI bases need at least one edge")
+    if s.max_degree() > CFI_DEGREE_CAP:
+        raise SizeCap(f"CFI capped at maximum degree {CFI_DEGREE_CAP}")
     colour = identity_colouring(s)
     edges = [(u, v) for (u, v, _) in s.edge_list_global()]
     incident: Dict[int, List[Tuple[int, int]]] = {v: [] for v in s.vertices()}

@@ -31,11 +31,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .errors import InvalidDecomposition, InvalidParameter, ParseError, SizeCap
+from .errors import InvalidDecomposition, InvalidParameter, ParseError, check_cap
 from .exactnum import int_from_json
 from .pattern import BipartiteMultigraph, LabelledPattern
-
-DEFAULT_VERTEX_CAP = 14
 
 
 @dataclass
@@ -314,12 +312,9 @@ def _subset_dp(n: int, start: int, step: Callable[[int, int], int]) -> Tuple[int
     return cost[full], order
 
 
-def treewidth_exact(f: BipartiteMultigraph,
-                    cap: int = DEFAULT_VERTEX_CAP) -> Tuple[int, TreeDecomposition]:
+def treewidth_exact(f: BipartiteMultigraph) -> Tuple[int, TreeDecomposition]:
     """Exact treewidth with a certificate: `labelled_treewidth` with no labels."""
-    if f.num_vertices() > cap:
-        raise SizeCap(f"treewidth solver capped at {cap} vertices")
-    return labelled_treewidth(LabelledPattern(f), cap)
+    return labelled_treewidth(LabelledPattern(f))
 
 
 def _decomposition_from_order(adj: List[FrozenSet[int]], order: List[int]) -> TreeDecomposition:
@@ -351,23 +346,22 @@ def _decomposition_from_order(adj: List[FrozenSet[int]], order: List[int]) -> Tr
 # -- pathwidth --------------------------------------------------------------------
 
 
-def pathwidth_exact(f: BipartiteMultigraph,
-                    cap: int = DEFAULT_VERTEX_CAP) -> Tuple[int, PathDecomposition]:
+def pathwidth_exact(f: BipartiteMultigraph) -> Tuple[int, PathDecomposition]:
     """Exact pathwidth with a certificate, via the vertex-separation DP."""
-    width, order = _vertex_separation(f, frozenset(), cap)
+    width, order = _vertex_separation(f, frozenset())
     return width, _path_bags_from_layout(f, order, frozenset())
 
 
-def labelled_pathwidth(p: LabelledPattern, cap: int = DEFAULT_VERTEX_CAP) -> Tuple[int, PathDecomposition]:
+def labelled_pathwidth(p: LabelledPattern) -> Tuple[int, PathDecomposition]:
     """Exact pathwidth among decompositions whose *first* bag holds all labels."""
     q = p.labelled_vertices_global()
-    width, order = _vertex_separation(p.graph, q, cap)
+    width, order = _vertex_separation(p.graph, q)
     bags = _path_bags_from_layout(p.graph, order, q)
     bags.bags.reverse()  # the label bag is built last; present it first
     return width, bags
 
 
-def _vertex_separation(f: BipartiteMultigraph, pinned: FrozenSet[int], cap: int):
+def _vertex_separation(f: BipartiteMultigraph, pinned: FrozenSet[int]):
     """DP over layout prefixes; `pinned` vertices count as boundary forever.
 
     The cost of a layout is the maximum boundary over proper non-empty
@@ -376,8 +370,7 @@ def _vertex_separation(f: BipartiteMultigraph, pinned: FrozenSet[int], cap: int)
     it is the minimum width subject to the final bag containing all pins.
     """
     n = f.num_vertices()
-    if n > cap:
-        raise SizeCap(f"pathwidth solver capped at {cap} vertices")
+    check_cap("width_vertices", n, "pathwidth solver vertex count")
     if n == 0:
         return -1, []
     adj = f.adjacency()
@@ -429,11 +422,10 @@ def _path_bags_from_layout(f: BipartiteMultigraph, order: List[int],
 # -- treedepth --------------------------------------------------------------------
 
 
-def treedepth_exact(f: BipartiteMultigraph, cap: int = DEFAULT_VERTEX_CAP) -> Tuple[int, EliminationForest]:
+def treedepth_exact(f: BipartiteMultigraph) -> Tuple[int, EliminationForest]:
     """Exact treedepth with an elimination forest, by recursive root choice."""
     n = f.num_vertices()
-    if n > cap:
-        raise SizeCap(f"treedepth solver capped at {cap} vertices")
+    check_cap("width_vertices", n, "treedepth solver vertex count")
     adj = f.adjacency()
     memo: Dict[FrozenSet[int], Tuple[int, Dict[int, Optional[int]]]] = {}
 
@@ -490,7 +482,7 @@ def treedepth_exact(f: BipartiteMultigraph, cap: int = DEFAULT_VERTEX_CAP) -> Tu
 # -- labelled treewidth (clique trick) ---------------------------------------------
 
 
-def labelled_treewidth(p: LabelledPattern, cap: int = DEFAULT_VERTEX_CAP) -> Tuple[int, TreeDecomposition]:
+def labelled_treewidth(p: LabelledPattern) -> Tuple[int, TreeDecomposition]:
     """Exact treewidth among decompositions with all labels in one bag.
 
     Equivalent to the treewidth of the graph augmented with a clique on the
@@ -499,8 +491,7 @@ def labelled_treewidth(p: LabelledPattern, cap: int = DEFAULT_VERTEX_CAP) -> Tup
     """
     g = p.graph
     n = g.num_vertices()
-    if n > cap:
-        raise SizeCap(f"labelled treewidth capped at {cap} vertices")
+    check_cap("width_vertices", n, "treewidth solver vertex count")
     labels = sorted(p.labelled_vertices_global())
     adj = [set(s) for s in g.adjacency()]
     for u, v in itertools.combinations(labels, 2):
@@ -517,7 +508,7 @@ def labelled_treewidth(p: LabelledPattern, cap: int = DEFAULT_VERTEX_CAP) -> Tup
     return width, _decomposition_from_order(adj_f, order)
 
 
-def rooted_certificate(p: LabelledPattern, cap: int = DEFAULT_VERTEX_CAP) -> Tuple[int, int, TreeDecomposition]:
+def rooted_certificate(p: LabelledPattern) -> Tuple[int, int, TreeDecomposition]:
     """(width, depth, certificate) with all labels in the root bag.
 
     Width is exact (labelled treewidth); the depth is that of the returned
@@ -526,7 +517,7 @@ def rooted_certificate(p: LabelledPattern, cap: int = DEFAULT_VERTEX_CAP) -> Tup
     width/depth classes; the depth is not separately minimized.
     """
     labels = p.labelled_vertices_global()
-    width, deco = labelled_treewidth(p, cap)
+    width, deco = labelled_treewidth(p)
     host = next(i for i, b in enumerate(deco.bags) if labels <= b)
     reroot = _reroot(deco, host)
     bags = [frozenset(labels)] + reroot.bags

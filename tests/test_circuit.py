@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from symcirc import circuit
 from symcirc.circuit import (
     Circuit,
     CircuitBuilder,
@@ -95,13 +96,14 @@ def test_expand_examples():
     assert c.expand_symbolic() == x * x - SparsePolynomial.constant(1)
 
 
-def test_expand_cap():
+def test_expand_cap(monkeypatch):
     b = CircuitBuilder()
     acc = b.plus([(b.var(f"v{i}"), 1) for i in range(8)])
     sq = b.times([(acc, 4)])
     c = b.finish(sq)
+    monkeypatch.setattr(circuit, "EXPANSION_TERM_LIMIT", 10)
     with pytest.raises(SizeCap):
-        c.expand_symbolic(term_cap=10)
+        c.expand_symbolic()
 
 
 def _random_circuit(rng: random.Random) -> Circuit:

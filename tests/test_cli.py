@@ -6,6 +6,9 @@ import pytest
 
 from symcirc.circuit import CircuitBuilder
 from symcirc.cli import run
+from symcirc.errors import CAPS
+
+DEFAULT_CAPS = {"width_vertices": 14, "brute_force_maps": 10 ** 7, "minor_norm": 24}
 
 
 def _run(capsys, *argv):
@@ -191,14 +194,12 @@ def test_zero_denominator_hosts(capsys, tmp_path):
 
 
 def test_caps_do_not_outlive_run(capsys, tmp_path):
-    from symcirc import oracle
-
     caps = _write(tmp_path, "caps.json", {"brute_force_maps": 5})
     p3 = _write(tmp_path, "p3.json", {"a": 2, "b": 1, "edges": [[1, 1, 1], [2, 1, 1]]})
     host = _write(tmp_path, "host.json", {"n": 2, "m": 2, "weights": []})
     code, _, err = _run(capsys, "--caps", caps, "oracle", "hom", "--pattern", p3, "--host", host)
     assert code == 2 and "cap 5" in err
-    assert oracle.BRUTE_FORCE_CAP == 10 ** 7
+    assert dict(CAPS.get()) == DEFAULT_CAPS
     code, out, _ = _run(capsys, "oracle", "hom", "--pattern", p3, "--host", host)
     assert code == 0 and json.loads(out)["value"] == {"num": "0", "den": "1"}
 
@@ -395,3 +396,50 @@ def test_trials_below_one_exit_2(capsys, tmp_path, command):
     assert code == 0
     code, out, err = _run(capsys, *argv, "--trials", "0")
     assert code == 2 and out == "" and "--trials" in err
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("width_vertices", ["width", "tw", "--graph", "{p6}"]),
+    ("width_vertices", ["width", "pw", "--graph", "{p6}"]),
+    ("width_vertices", ["width", "td", "--graph", "{p6}"]),
+    ("width_vertices", ["compile", "--graph", "{p6}", "--shape", "tw", "--n", "1", "--m", "1"]),
+    ("width_vertices", ["suite", "compile"]),
+    ("brute_force_maps", ["oracle", "hom", "--pattern", "{p6}", "--host", "{host}"]),
+    ("brute_force_maps", ["verify", "identity", "--name", "uncolour"]),
+    ("brute_force_maps", ["suite", "reductions"]),
+    ("minor_norm", ["reduce", "minor", "--n", "1", "--minor-pattern", "{p6}",
+                    "--host-pattern", "{p6}"]),
+    ("minor_norm", ["verify", "identity", "--name", "minor"]),
+])
+def test_each_cap_reaches_every_command_and_is_named(capsys, tmp_path, key, argv):
+    """A cap hit exits 2 (never a FAIL line), naming its value and its key."""
+    files = {"p6": _write(tmp_path, "p6.json", {"a": 3, "b": 3, "edges": [
+                 [1, 1, 1], [2, 1, 1], [2, 2, 1], [3, 2, 1], [3, 3, 1]]}),
+             "host": _write(tmp_path, "host.json", {"n": 2, "m": 2, "weights": []})}
+    caps = _write(tmp_path, "caps.json", {key: 3})
+    code, out, err = _run(capsys, "--caps", caps, *(a.format(**files) for a in argv))
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert err.rstrip().endswith(f"exceeds cap 3 (set by --caps {key})")
+
+
+def test_json_integers_past_the_digit_limit_exit_2(capsys, tmp_path):
+    graph = tmp_path / "long.json"
+    graph.write_text('{"a": ' + "1" * 5000 + ', "b": 1}')
+    code, out, err = _run(capsys, "width", "tw", "--graph", str(graph))
+    assert code == 2 and out == "" and err.startswith("error:") and "not valid JSON" in err
+
+
+def test_a_term_graph_that_is_not_an_object_exits_2(capsys, tmp_path):
+    terms = _write(tmp_path, "terms.json",
+                   {"terms": [{"alpha": {"num": "1", "den": "1"}, "graph": 0}]})
+    code, out, err = _run(capsys, "reduce", "extract-lincomb", "--n", "1", "--big-n", "2",
+                          "--terms", terms)
+    assert code == 2 and out == "" and "malformed graph JSON" in err
+
+
+def test_values_too_long_to_print_exit_2(capsys, tmp_path):
+    pattern = _write(tmp_path, "p.json", {"a": 1, "b": 1, "edges": [[1, 1, 6000]]})
+    seven = {"num": "7", "den": "1"}
+    host = _write(tmp_path, "host.json", {"n": 1, "m": 1, "weights": [[1, 1, seven]]})
+    code, out, err = _run(capsys, "oracle", "hom", "--pattern", pattern, "--host", host)
+    assert code == 2 and out == "" and "4300-digit limit" in err

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from symcirc.errors import InvalidParameter, SizeCap
+from symcirc.errors import InvalidParameter, ParseError, SizeCap
 from symcirc.oracle import (
     ColouredGraph,
     WeightedHost,
@@ -214,3 +214,10 @@ def test_coloured_graph_json_round_trip():
     again = ColouredGraph.from_json(g.to_json())
     assert again.sizes == g.sizes
     assert again.weights == g.weights
+
+
+@pytest.mark.parametrize("data", [0, None, "host", [1, 1], 1.5])
+def test_from_json_rejects_non_objects(data):
+    for cls in (WeightedHost, ColouredGraph, BipartiteMultigraph):
+        with pytest.raises(ParseError):
+            cls.from_json(data)

@@ -224,6 +224,9 @@ def test_cfi_preconditions():
         reduce.cfi_pair(BipartiteMultigraph(2, 0))
     with pytest.raises(InvalidParameter):
         reduce.cfi_pair(BipartiteMultigraph(1, 1, {(0, 0): 2}))
+    for one_vertex in (BipartiteMultigraph(1, 0), BipartiteMultigraph(0, 1)):
+        with pytest.raises(InvalidParameter, match="at least one edge"):
+            reduce.cfi_pair(one_vertex)
 
 
 def test_bipartite_double_examples():

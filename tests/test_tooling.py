@@ -53,3 +53,29 @@ def test_every_error_type_is_raised():
     text = "\n".join(path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py")))
     raised = set(re.findall(r"\braise (\w+)\(", text)) | {"SymcircError"}
     assert len(classes) > 1 and [name for name in classes if name not in raised] == []
+
+
+def test_no_module_level_mutable_state_is_rebound():
+    """No `global` statement, and no assignment to an attribute of an imported module."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+                modules |= {alias.asname or alias.name for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno} global {', '.join(node.names)}")
+            # Assignment, augmented and annotated assignment, del, for targets.
+            targets = list(getattr(node, "targets", [])) + [getattr(node, "target", None)]
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("setattr", "delattr") and node.args):
+                targets.append(ast.Attribute(value=node.args[0], attr="?"))
+            for target in targets:
+                if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                        and target.value.id in modules):
+                    found.append(f"{path.name}:{node.lineno} sets {target.value.id}.{target.attr}")
+    assert found == []

@@ -134,7 +134,7 @@ def test_width_ignores_multiplicities():
 def test_size_cap():
     big = BipartiteMultigraph(8, 8)
     with pytest.raises(SizeCap):
-        treewidth_exact(big, cap=10)
+        treewidth_exact(big)
 
 
 def test_labelled_widths():
