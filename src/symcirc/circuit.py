@@ -18,6 +18,31 @@ Shapes:
 
 Variable naming: x_<i>_<j> for the matrix variable x_{i,j} (1-based);
 colourful variables are x_<u>_<i>__<v>_<j>.
+
+Evaluation runs in two tiers.  A circuit keeps two gate plans, a plain one
+for int and ring-element inputs and a lifted one for rational inputs, and
+counts the evaluations of each apart.  The first KERNEL_AFTER - 1 run an
+interpreter loop over the plan; the KERNEL_AFTER-th builds one Python
+function from the same plan, one assignment per gate (`g12 = g3 * g5 ** 2`),
+and every later evaluation calls it.  The constants were measured on the
+`compile_extract` benchmark workload (Python 3.11, 2 shared vCPUs):
+  KERNEL_AFTER = 32      a build takes about 11 us per gate (0.55 ms for 49
+                         gates), the time of about 34 interpreted
+                         evaluations; built on the second evaluation
+                         instead, rigidify's 4-point spot check and the 5
+                         rational hosts of each compiled circuit pay for
+                         kernels that barely run, and a round took 2.07 s
+                         against 1.80 s (2.00 s with no kernel at all);
+  KERNEL_GATE_CAP = 2048 larger plans stay interpreted: the workload's
+                         15,577-gate extraction circuit takes 0.20 s to
+                         compile, and compiling it raised the peak RSS from
+                         60 to 79 MB, while the largest plan the workload
+                         compiles has 199 internal gates (53 on average);
+  KERNEL_LINE_OPERANDS = 64  longer sums and products go on several lines,
+                         because compiling a 5000-operand `a + a + ...`
+                         raises RecursionError.
+The kernel's source holds only gate ids, wire multiplicities and shift
+exponents, never a label or a variable name: values come in by position.
 """
 
 from __future__ import annotations
@@ -42,6 +67,9 @@ SHAPES = (GENERAL, SKEW, FORMULA, FORMULA_MULTI)
 PLUS = "plus"
 TIMES = "times"
 EXPANSION_TERM_LIMIT = 10 ** 6  # most terms `expand_symbolic` keeps at one gate
+KERNEL_AFTER = 32  # the evaluation of a plan that builds its kernel
+KERNEL_GATE_CAP = 2048  # plans with more internal gates are never compiled
+KERNEL_LINE_OPERANDS = 64  # most operands of one sum or product on a kernel line
 
 
 def var_name(i: int, j: int) -> str:
@@ -69,7 +97,7 @@ class Circuit:
     """Immutable gate-labelled DAG; construct through CircuitBuilder."""
 
     __slots__ = ("labels", "children", "output", "_parents", "_topo", "_shapes",
-                 "_program", "_lifted")
+                 "_program", "_lifted", "_runs", "_kernels")
 
     def __init__(self, labels: List, children: List[Dict[int, int]], output: int):
         self.labels = labels
@@ -80,6 +108,8 @@ class Circuit:
         self._shapes: Dict[str, Tuple[bool, str]] = {}
         self._program = None
         self._lifted = None
+        self._runs = [0, 0]  # evaluations of the plain and the lifted plan
+        self._kernels: List = [None, None]  # and their kernels, once built
 
     # -- structure ------------------------------------------------------------
 
@@ -155,29 +185,30 @@ class Circuit:
     # -- semantics --------------------------------------------------------------
 
     def _evaluation_program(self):
-        """The evaluation plan, built once: the variable gates, the constant
-        gates with the lcm of their denominators, and the internal gates in
-        topological order as (gate, children, shifted children), the last
-        None at a Times gate.
+        """The evaluation plan, built once: the variable gates and their
+        names, the constant gates, their values and the lcm of their
+        denominators, and the internal gates in topological order as (gate,
+        children, shifted children), the last None at a Times gate.
 
         Integral constants are stored as plain ints so 0/1 and integer
         evaluations stay in fast integer arithmetic.  No child is shifted
         here; see `_lifted_program` for rational inputs.
         """
         if self._program is None:
-            variables, constants, gates = [], [], []
+            var_gates, names, const_gates, consts, gates = [], [], [], [], []
             for g in self.topo_order():
                 lbl = self.labels[g]
                 if lbl[0] == "var":
-                    variables.append((g, lbl[1]))
+                    var_gates.append(g)
+                    names.append(lbl[1])
                 elif lbl[0] == "const":
-                    value = lbl[1]
-                    constants.append((g, int(value) if value.denominator == 1 else value))
+                    const_gates.append(g)
+                    consts.append(int(lbl[1]) if lbl[1].denominator == 1 else lbl[1])
                 else:
                     gates.append((g, sorted(self.children[g].items()),
                                   None if lbl[0] == TIMES else ()))
-            const_den = common_denominator([value for _, value in constants])
-            self._program = (variables, constants, const_den, gates)
+            self._program = (var_gates, names, const_gates, consts, common_denominator(consts),
+                             gates)
         return self._program
 
     def _lifted_program(self):
@@ -193,7 +224,7 @@ class Circuit:
         if self._lifted is None:
             degree = [1] * self.num_gates()
             lifted = []
-            for gate in self._evaluation_program()[3]:
+            for gate in self._evaluation_program()[5]:
                 g, children, shifted = gate
                 degrees = [degree[c] for c, _ in children]
                 if shifted is None:
@@ -216,46 +247,64 @@ class Circuit:
         `_lifted_program`) and divided once at the output; the result is
         an int when every input is an int, as plain arithmetic would give.
         Any other input value (a ring element) is used as given.
+
+        The plain and the lifted plan are each interpreted on their first
+        KERNEL_AFTER - 1 evaluations and run by their kernel (see
+        `_build_kernel`) from then on, unless they have more than
+        KERNEL_GATE_CAP internal gates; the module docstring gives the
+        measurements behind both constants.  The two tiers give the same
+        value of the same type.  The kernel takes the values in plan order,
+        so no variable name or other text of the circuit reaches its source.
         """
-        variables, constants, const_den, gates = self._evaluation_program()
-        values: List = [None] * self.num_gates()
-        others = []
-        for g, name in variables:
-            if name not in assignment:
-                raise MissingVariable(f"assignment lacks {name!r}")
-            value = values[g] = assignment[name]
-            if type(value) is not int:
-                others.append(value)
+        var_gates, names, const_gates, consts, const_den, gates = self._evaluation_program()
+        try:
+            xs = [assignment[name] for name in names]
+        except KeyError:
+            missing = next(name for name in names if name not in assignment)
+            raise MissingVariable(f"assignment lacks {missing!r}") from None
+        others = [v for v in xs if type(v) is not int]
         var_den = common_denominator(others)
         ints_in = False
         if var_den is None:
             den = 1
         else:
             den = lcm(var_den, const_den)
-            ints_in = den == 1 and all(isinstance(v, int) for v in others)
+            ints_in = den == 1 and (not others or all(isinstance(v, int) for v in others))
             if not ints_in:
-                for g, _ in variables:
-                    v = values[g]
-                    values[g] = v.numerator * (den // v.denominator)
+                xs = [v.numerator * (den // v.denominator) for v in xs]
+        lifted = den != 1
         top = 0
-        if den != 1:
+        if lifted:
             gates, top = self._lifted_program()
-        for g, value in constants:
-            values[g] = value if den == 1 else value.numerator * (den // value.denominator)
-        for g, children, shifted in gates:
-            if shifted is None:
-                total = 1
-                for child, mult in children:
-                    total = total * (values[child] if mult == 1 else values[child] ** mult)
-            else:
-                total = 0
-                for child, mult in children:
-                    total = total + (values[child] if mult == 1 else mult * values[child])
-                for child, mult, shift in shifted:
-                    v = values[child] * den ** shift
-                    total = total + (v if mult == 1 else mult * v)
-            values[g] = total
-        out = values[self.output]
+            consts = [v.numerator * (den // v.denominator) for v in consts]
+        kernel = self._kernels[lifted]
+        if kernel is None:
+            runs = self._runs[lifted] = self._runs[lifted] + 1
+            if runs >= KERNEL_AFTER and len(gates) <= KERNEL_GATE_CAP:
+                kernel = self._kernels[lifted] = _build_kernel(var_gates, const_gates, gates,
+                                                               self.output)
+        if kernel is None:
+            values: List = [None] * self.num_gates()
+            for g, value in zip(var_gates, xs):
+                values[g] = value
+            for g, value in zip(const_gates, consts):
+                values[g] = value
+            for g, children, shifted in gates:
+                if shifted is None:
+                    total = 1
+                    for child, mult in children:
+                        total = total * (values[child] if mult == 1 else values[child] ** mult)
+                else:
+                    total = 0
+                    for child, mult in children:
+                        total = total + (values[child] if mult == 1 else mult * values[child])
+                    for child, mult, shift in shifted:
+                        v = values[child] * den ** shift
+                        total = total + (v if mult == 1 else mult * v)
+                values[g] = total
+            out = values[self.output]
+        else:
+            out = kernel(xs, consts, den)
         if var_den is None or ints_in:
             return out
         return Fraction(out, den ** top)
@@ -463,6 +512,39 @@ def _reachable(children: Sequence[Dict[int, int]], output: int) -> set:
                 reachable.add(child)
                 stack.append(child)
     return reachable
+
+
+def _build_kernel(var_gates: List[int], const_gates: List[int], gates: List,
+                  output: int):
+    """A gate plan as one straight-line function `kernel(xs, cs, den)`.
+
+    `xs` and `cs` are the values of `var_gates` and `const_gates` in that
+    order, `den` is the D of a lifted plan.  Each internal gate is one
+    assignment, `g12 = g3 + 2 * g5 + g7 * den ** 1`, doing the interpreter's
+    operations in its order but for its leading `0 +` or `1 *`, which
+    changes no int, Fraction or ring-element value or type; a sum or product
+    of more than KERNEL_LINE_OPERANDS operands continues on further lines.
+    The source holds gate ids, multiplicities and shifts only, and runs
+    without builtins.
+    """
+    lines = ["def kernel(xs, cs, den):"]
+    for ids, arg in ((var_gates, "xs"), (const_gates, "cs")):
+        if ids:
+            lines.append("    " + "".join(f"g{g}, " for g in ids) + f"= {arg}")
+    for g, children, shifted in gates:
+        if shifted is None:
+            op, terms = " * ", [f"g{c}" if m == 1 else f"g{c} ** {m}" for c, m in children]
+        else:
+            op, terms = " + ", [f"g{c}" if m == 1 else f"{m} * g{c}" for c, m in children]
+            terms += [f"g{c} * den ** {k}" if m == 1 else f"{m} * (g{c} * den ** {k})"
+                      for c, m, k in shifted]
+        for start in range(0, len(terms), KERNEL_LINE_OPERANDS):
+            head = [f"g{g}"] if start else []
+            lines.append(f"    g{g} = " + op.join(head + terms[start:start + KERNEL_LINE_OPERANDS]))
+    lines.append(f"    return g{output}")
+    namespace: Dict = {"__builtins__": {}}
+    exec(compile("\n".join(lines), "<circuit kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 class CircuitBuilder:

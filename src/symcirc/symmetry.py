@@ -205,6 +205,20 @@ class _Extender:
             index.setdefault((sig[g], frozenset(c.children[g].items())), []).append(g)
         return inputs, var_gates, internal, index
 
+    @cached_property
+    def _used(self) -> Set[Tuple[str, int]]:
+        """The rows ("L", i) and columns ("R", j), 0-based, of the variables."""
+        used = set()
+        for name in self.c.variables():
+            i, j = parse_var_name(name)
+            used |= {("L", i - 1), ("R", j - 1)}
+        return used
+
+    def moves(self, side: str, a: int, b: int) -> bool:
+        """Whether the transposition (a b) on `side` moves a row or column of
+        a variable; if not, it fixes every variable and the identity extends it."""
+        return (side, a) in self._used or (side, b) in self._used
+
     def extend(self, pair: PermutationPair, count_limit: int = 1) -> List[Dict[int, int]]:
         """See `extend_to_automorphism`; up to `count_limit` extensions."""
         inputs, var_gates, *tables = self._tables
@@ -342,10 +356,12 @@ def extend_to_automorphism(c: Circuit, pair: PermutationPair) -> List[Dict[int, 
 
 
 def is_symmetric(c: Circuit, n: int, m: int) -> bool:
-    """Every adjacent-transposition generator extends; extensions compose."""
+    """Every adjacent-transposition generator extends; extensions compose.
+    A generator that moves no variable extends to the identity unsearched."""
     _check_matrix(c, n, m)
     extender = _Extender(c)
-    return all(extender.extend(PermutationPair.transposition(n, m, *tag))
+    return all(not extender.moves(*tag)
+               or extender.extend(PermutationPair.transposition(n, m, *tag))
                for tag in _generators(n, m))
 
 
@@ -450,6 +466,9 @@ class SymmetryAnalysis:
     extension search; the map of a non-adjacent transposition (a b) is the
     conjugate s (a+1 b) s of a cached map by the generator s = (a a+1), which
     is the search's answer because extensions are unique on a rigid circuit.
+    For the same reason a transposition that moves no row or column of a
+    variable maps every gate to itself, with no pair built and no search, so
+    a large matrix around few variables costs time linear in its size.
     Orbits come from the generators, supports from exhaustive increasing-size
     search at one representative per orbit, translated along the orbit by the
     generator maps; each is computed once per analysis.
@@ -464,6 +483,7 @@ class SymmetryAnalysis:
         if not self._extender.is_rigid():
             raise NotRigid("orbit and support analysis requires a rigid circuit")
         self._maps: Dict[Tuple[str, int, int], List[int]] = {}
+        self._identity = list(range(c.num_gates()))
         self._orbits: Optional[List[List[int]]] = None
         self._supports: Optional[List[FrozenSet]] = None
 
@@ -474,7 +494,9 @@ class SymmetryAnalysis:
             a, b = b, a
         key = (side, a, b)
         if key not in self._maps:
-            if b > a + 1:
+            if not self._extender.moves(side, a, b):
+                self._maps[key] = self._identity
+            elif b > a + 1:
                 s = self.transposition_map(side, a, a + 1)
                 mid = self.transposition_map(side, a + 1, b)
                 self._maps[key] = [s[mid[s[g]]] for g in range(len(s))]

@@ -1,5 +1,6 @@
 """Circuit IR: validation, evaluation, expansion, serialization."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -179,3 +180,50 @@ def test_depth_metric():
     outer = b.times([(inner, 1), (b.var("y"), 1)])
     c = b.finish(outer)
     assert c.depth() == 2
+
+
+def _past_kernel_threshold(c, assignment):
+    """The values of the first evaluation of a fresh circuit, which is
+    interpreted, and of one run by the kernel built since."""
+    values = [c.evaluate(assignment) for _ in range(circuit.KERNEL_AFTER + 1)]
+    assert c._kernels != [None, None]
+    return values[0], values[-1]
+
+
+def test_kernel_takes_wide_gates():
+    # 5000 operands on one line would make compile() raise RecursionError.
+    names = [f"v{k}" for k in range(5000)]
+    ints = {name: -1 if k % 100 else 3 for k, name in enumerate(names)}
+    halves = {name: Fraction(v, 2) for name, v in ints.items()}
+    for kind in ("plus", "times"):
+        b = CircuitBuilder()
+        c = b.finish(b.gate((kind,), [(b.var(name), 2) for name in names]))
+        for point in (ints, halves):
+            if kind == "plus":
+                want = 2 * sum(point.values())
+            else:
+                want = math.prod(point.values()) ** 2
+            assert _past_kernel_threshold(c, point) == (want, want)
+        assert None not in c._kernels
+
+
+def test_kernel_source_holds_no_variable_names():
+    hostile = ['"); import os; ("', "g1", "xs", "den", "__import__('os').getcwd()",
+               "a\nb", "\\", "'''"]
+    gates = [{"id": k, "label": {"var": name}} for k, name in enumerate(hostile)]
+    gates += [{"id": 8, "label": {"const": {"num": "3", "den": "2"}}},
+              {"id": 9, "label": "times"}, {"id": 10, "label": "plus"}]
+    wires = [[9, k, k % 3 + 1] for k in range(8)] + [[10, 9, 1], [10, 8, 1], [10, 1, 2]]
+    c = Circuit.from_json({"gates": gates, "wires": wires, "output": 10})
+    point = {name: k + 1 for k, name in enumerate(hostile)}
+    product = 1
+    for k in range(8):
+        product *= (k + 1) ** (k % 3 + 1)
+    want = product + Fraction(3, 2) + 2 * 2
+    assert _past_kernel_threshold(c, point) == (want, want)
+    del point["den"]
+    fresh = Circuit.from_json(c.to_json())
+    for tier in (fresh, c):
+        with pytest.raises(MissingVariable) as exc:
+            tier.evaluate(point)
+        assert str(exc.value) == "assignment lacks 'den'"

@@ -4,7 +4,8 @@ The brute-force oracles, circuit evaluation and symbolic expansion compute
 over the integers and divide once; every check below recomputes the same
 value the slow, obvious way, with one Fraction operation per step, on seeded
 rational inputs with negative and zero entries, mixed denominators and
-multiedges.
+multiedges.  Circuit evaluation is checked on both of its tiers: the
+interpreter loop and, past KERNEL_AFTER evaluations, the generated kernel.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 
 from symcirc import compilers
-from symcirc.circuit import CircuitBuilder
+from symcirc.circuit import KERNEL_AFTER, CircuitBuilder
 from symcirc.exactnum import SparsePolynomial
 from symcirc.oracle import (
     ColouredGraph,
@@ -214,3 +215,41 @@ def test_circuits_match_fraction_loops():
         assert isinstance(got, int if integral else Fraction)
         if names:
             assert isinstance(c.evaluate({x: Fraction(v) for x, v in ints.items()}), Fraction)
+
+
+def test_kernels_match_fraction_loops():
+    """Past KERNEL_AFTER evaluations of each plan, on int, Fraction, integral
+    Fraction and polynomial inputs, values and types match the reference."""
+    rng = random.Random(16)
+    circuits = [_random_circuit(rng, ["x", "y", "z"], rng.randint(4, 12)) for _ in range(12)]
+    circuits += [compilers.compile_single(f, 2, 2, shape).circuit
+                 for f in PATTERNS[1:3] for shape in ("td", "pw", "tw")]
+    t = SparsePolynomial.variable("t")
+    shifted = 0
+    for c in circuits:
+        names = c.variables()
+        if not names:
+            continue
+        integral = all(lbl[1].denominator == 1 for lbl in c.labels if lbl[0] == "const")
+        shifted += any(gate[2] for gate in c._lifted_program()[0])
+        for _ in range(KERNEL_AFTER + 2):
+            ints = {x: rng.randint(-4, 4) for x in names}
+            got = c.evaluate(ints)
+            assert got == _reference_evaluate(c, ints)
+            assert type(got) is (int if integral else Fraction)
+            point = {x: _weight(rng) for x in names}
+            point[names[0]] = Fraction(2 * rng.randint(-3, 3) + 1, 2)  # so D > 1
+            got = c.evaluate(point)
+            assert got == _reference_evaluate(c, point) and type(got) is Fraction
+            got = c.evaluate({x: Fraction(v) for x, v in ints.items()})
+            assert got == _reference_evaluate(c, ints) and type(got) is Fraction
+            # Each variable is t + q; the value at t = 0 and t = 1 is the
+            # reference at q and at q + 1.
+            lifts = {x: rng.randint(-3, 3) for x in names}
+            got = c.evaluate({x: t + q for x, q in lifts.items()})
+            assert type(got) is SparsePolynomial
+            for t0 in (0, 1):
+                assert got.evaluate({"t": t0}) == \
+                    _reference_evaluate(c, {x: q + t0 for x, q in lifts.items()})
+        assert None not in c._kernels
+    assert shifted >= 3

@@ -407,3 +407,36 @@ def test_orbits_and_supports_are_kept_and_handed_out_as_copies():
     assert analysis.orbits() == fresh.orbits()
     analysis.all_supports().clear()
     assert analysis.all_supports() == fresh.all_supports()
+
+
+def test_generators_that_move_no_variable_map_gates_to_themselves(monkeypatch):
+    # A one-gate constant circuit has no variable, so each of the 2 * 4999
+    # generators extends to the identity; building their permutation pairs
+    # made analyze quadratic in the matrix size.
+    def refuse(*args):
+        raise AssertionError("built a permutation pair")
+
+    monkeypatch.setattr(PermutationPair, "transposition", staticmethod(refuse))
+    b = CircuitBuilder()
+    c = b.finish(b.const(Fraction(7, 2)))
+    assert is_symmetric(c, 5000, 5000)
+    report = analyze(c, 5000, 5000)
+    assert (report.max_orbit, report.max_support, report.support_depth) == (1, 0, 0)
+    assert SymmetryAnalysis(c, 5000, 5000).transposition_map("R", 3, 4000) == [0]
+
+
+def test_unmoved_rows_and_columns_keep_the_searched_maps():
+    # Matrix variables in the first rows and columns only: a transposition
+    # among the others fixes every variable, and on a rigid circuit its map is
+    # the identity a search would also find.
+    for c, n, m in _rigid_circuits_up_to_five():
+        big = SymmetryAnalysis(c, n + 2, m + 2)
+        extender = symmetry._Extender(c)
+        for side, size in (("L", n + 2), ("R", m + 2)):
+            for a in range(size):
+                for b in range(a + 1, size):
+                    if not extender.moves(side, a, b):
+                        pair = PermutationPair.transposition(n + 2, m + 2, side, a, b)
+                        phi = extend_to_automorphism(c, pair)[0]
+                        assert big.transposition_map(side, a, b) == \
+                            [phi[g] for g in range(c.num_gates())]

@@ -79,3 +79,23 @@ def test_no_module_level_mutable_state_is_rebound():
                         and target.value.id in modules):
                     found.append(f"{path.name}:{node.lineno} sets {target.value.id}.{target.attr}")
     assert found == []
+
+
+def test_code_is_generated_in_one_place():
+    """The builtins compile and exec are called only by circuit.py's kernel
+    builder, and eval nowhere."""
+    found = []
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("compile", "exec", "eval")):
+            found.append((path.name, where, node.func.id))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+    assert sorted(found) == [("circuit.py", "_build_kernel", "compile"),
+                             ("circuit.py", "_build_kernel", "exec")]
