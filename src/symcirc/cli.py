@@ -553,12 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("gadget", choices=["clique-grid", "btree", "path", "minor",
                                       "extract-subgraph", "extract-minor",
                                       "extract-lincomb"])
-    r.add_argument("--n", type=int, required=True)
+    r.add_argument("--n", type=_positive_int, required=True)
     r.add_argument("--minor-pattern", help="pattern S being projected or extracted")
     r.add_argument("--host-pattern", help="pattern F or F' supplying the oracle")
     r.add_argument("--terms", help="JSON with the linear combination's terms")
     r.add_argument("--ell", type=int, default=0, help="term index to extract")
-    r.add_argument("--big-n", type=int, default=3, help="basis host size N")
+    r.add_argument("--big-n", type=_positive_int, default=3, help="basis host size N")
     r.add_argument("--trials", type=_positive_int, default=3)
     r.add_argument("--out")
     r.set_defaults(func=_cmd_reduce)

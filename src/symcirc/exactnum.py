@@ -174,27 +174,16 @@ class SparsePolynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(variables: Sequence[str] = ()) -> "SparsePolynomial":
-        return SparsePolynomial(variables, {})
+    def zero() -> "SparsePolynomial":
+        return SparsePolynomial((), {})
 
     @staticmethod
-    def constant(value, variables: Sequence[str] = ()) -> "SparsePolynomial":
-        c = Fraction(value)
-        vs = tuple(sorted(variables))
-        if c == 0:
-            return SparsePolynomial(vs, {})
-        return SparsePolynomial(vs, {(0,) * len(vs): c})
+    def constant(value) -> "SparsePolynomial":
+        return SparsePolynomial((), {(): Fraction(value)})
 
     @staticmethod
     def variable(name: str) -> "SparsePolynomial":
         return SparsePolynomial((name,), {(1,): Fraction(1)})
-
-    @staticmethod
-    def monomial(powers: Mapping[str, int], coeff=1) -> "SparsePolynomial":
-        """Polynomial with a single term, e.g. monomial({'x': 2, 'y': 1}, 3)."""
-        vs = tuple(sorted(powers))
-        exp = tuple(powers[v] for v in vs)
-        return SparsePolynomial(vs, {exp: Fraction(coeff)})
 
     # -- variable alignment ------------------------------------------------
 

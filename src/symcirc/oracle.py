@@ -240,13 +240,14 @@ class ColouredGraph:
 
     @staticmethod
     def random(sizes: Mapping[Hashable, int], pairs: Iterable[Tuple[Hashable, Hashable]],
-               rng: random.Random, lo: int = -4, hi: int = 4, den: int = 3) -> "ColouredGraph":
-        """Random rational weights on all member pairs of the given colour pairs."""
+               rng: random.Random) -> "ColouredGraph":
+        """Random rational weights a/b, -4 <= a <= 4 and 1 <= b <= 3, on all
+        member pairs of the given colour pairs."""
         g = ColouredGraph(sizes)
         for (c, c2) in pairs:
             for i in range(g.sizes[c]):
                 for j in range(g.sizes[c2]):
-                    g.set_weight((c, i), (c2, j), Fraction(rng.randint(lo, hi), rng.randint(1, den)))
+                    g.set_weight((c, i), (c2, j), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
         return g
 
     def to_json(self) -> dict:

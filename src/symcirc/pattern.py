@@ -110,18 +110,8 @@ class BipartiteMultigraph:
         return [v for v in self.vertices() if v not in touched]
 
     def is_connected(self) -> bool:
-        n = self.num_vertices()
-        if n <= 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
+        return self.num_vertices() <= 1 or _connected_in(self.adjacency(),
+                                                          frozenset(self.vertices()))
 
     def disjoint_union(self, other: "BipartiteMultigraph") -> "BipartiteMultigraph":
         edges = dict(self.edges)
@@ -304,9 +294,8 @@ def make_cycle(v: int) -> BipartiteMultigraph:
 
 
 def enumerate_bipartite_multigraphs(max_vertices: int, max_slots: int,
-                                    max_mult: int = 1,
-                                    min_vertices: int = 1) -> List[BipartiteMultigraph]:
-    """All bipartite multigraphs up to isomorphism within the given caps.
+                                    max_mult: int = 1) -> List[BipartiteMultigraph]:
+    """All non-empty bipartite multigraphs up to isomorphism within the given caps.
 
     Sides are distinguishable (an (a,b) graph is not identified with its
     (b,a) transpose); enumeration is by side sizes, then multiplicity
@@ -316,7 +305,7 @@ def enumerate_bipartite_multigraphs(max_vertices: int, max_slots: int,
     out: List[BipartiteMultigraph] = []
     for a in range(0, max_vertices + 1):
         for b in range(0, max_vertices + 1 - a):
-            if not min_vertices <= a + b <= max_vertices:
+            if a + b == 0:
                 continue
             cells = [(i, j) for i in range(a) for j in range(b)]
             current: Dict[Tuple[int, int], int] = {}

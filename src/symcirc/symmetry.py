@@ -35,16 +35,18 @@ If it merged, `is_symmetric` checks the input first: a circuit that is not
 symmetric can have a symmetric rigidification.
 
 Supports: sup(g) is the smallest S subseteq [n] disjoint-union [m] whose
-pointwise stabiliser fixes the gate g; it is found by exhaustive search in
-increasing size, testing a candidate S against the transposition generators
-of the complement's symmetric groups.  The canonical (lexicographically
-first) minimal-size support is returned together with a flag telling whether
-the smaller-than-half-side condition guaranteeing uniqueness holds.
+pointwise stabiliser Sym([n] - S_L) x Sym([m] - S_R) fixes the gate g.  On
+each side, x ~ y iff the transposition (x y) fixes g; this is an equivalence
+relation, because (x z) = (x y)(y z)(x y).  So S is a support iff each side's
+complement lies in one class, and a minimal support is, on each side, the
+complement of a largest class.  The canonical one takes the lexicographically
+least such complement per side, which is the first minimal-size support in
+lexicographic order; it is returned together with a flag telling whether the
+smaller-than-half-side condition guaranteeing uniqueness holds.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -469,9 +471,10 @@ class SymmetryAnalysis:
     For the same reason a transposition that moves no row or column of a
     variable maps every gate to itself, with no pair built and no search, so
     a large matrix around few variables costs time linear in its size.
-    Orbits come from the generators, supports from exhaustive increasing-size
-    search at one representative per orbit, translated along the orbit by the
-    generator maps; each is computed once per analysis.
+    Orbits come from the generators.  Supports come from the transposition
+    classes of one representative per orbit (a support's complement lies in
+    one class per side; see the module docstring), translated along the orbit
+    by the generator maps; each is computed once per analysis.
     """
 
     def __init__(self, c: Circuit, n: int, m: int):
@@ -543,37 +546,37 @@ class SymmetryAnalysis:
 
     # supports ------------------------------------------------------------------
 
-    def _is_support(self, g: int, left: Tuple[int, ...], right: Tuple[int, ...]) -> bool:
-        """StabP(S) <= Stab(g), tested on transposition generators of the
-        complement's symmetric groups."""
-        rest = (("L", [i for i in range(self.n) if i not in left]),
-                ("R", [j for j in range(self.m) if j not in right]))
-        return all(self.transposition_map(side, x, y)[g] == g
-                   for side, comp in rest for x, y in zip(comp, comp[1:]))
-
     def minimal_support(self, g: int) -> Tuple[FrozenSet, bool]:
         """((elements tagged 'L'/'R'), uniqueness flag) for gate g.
 
-        Searches subsets in increasing size, lexicographically, and returns
-        the first support found.  The flag records whether the per-side
-        smaller-than-half condition for uniqueness holds.
+        Per side, sorts the indices into the classes of x ~ y iff (x y) fixes
+        g, and keeps the lexicographically least complement of a largest
+        class (see the module docstring).  The flag records whether the
+        per-side smaller-than-half condition for uniqueness holds.
         """
-        ground = [("L", i) for i in range(self.n)] + [("R", j) for j in range(self.m)]
-        for size in range(len(ground) + 1):
-            for combo in itertools.combinations(ground, size):
-                left = tuple(i for s, i in combo if s == "L")
-                right = tuple(j for s, j in combo if s == "R")
-                if self._is_support(g, left, right):
-                    unique = 2 * len(left) < self.n and 2 * len(right) < self.m
-                    return frozenset(combo), unique
-        raise InvalidParameter("the full index set is always a support; this is a bug")
+        support: List[Tuple[str, int]] = []
+        unique = True
+        for side, size in (("L", self.n), ("R", self.m)):
+            least: List[int] = []  # the least member of each class
+            label: List[int] = []
+            for x in range(size):
+                k = next((k for k, y in enumerate(least)
+                          if self.transposition_map(side, y, x)[g] == g), len(least))
+                if k == len(least):
+                    least.append(x)
+                label.append(k)
+            rest = min((tuple(x for x in range(size) if label[x] != k) for k in range(len(least))),
+                       key=lambda r: (len(r), r))
+            support += [(side, x) for x in rest]
+            unique = unique and 2 * len(rest) < size
+        return frozenset(support), unique
 
     def all_supports(self) -> List[FrozenSet]:
-        """Minimal supports for every gate, one search per orbit.
+        """Minimal supports for every gate, one `minimal_support` per orbit.
 
         The support of an orbit-mate is the image of the representative's
-        support under the connecting generator word, so only one exhaustive
-        search per orbit is needed.
+        support under the connecting generator word, so only the
+        representative's is computed.
         """
         if self._supports is None:
             supports: List[Optional[FrozenSet]] = [None] * self.circuit.num_gates()

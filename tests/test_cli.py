@@ -443,3 +443,18 @@ def test_values_too_long_to_print_exit_2(capsys, tmp_path):
     host = _write(tmp_path, "host.json", {"n": 1, "m": 1, "weights": [[1, 1, seven]]})
     code, out, err = _run(capsys, "oracle", "hom", "--pattern", pattern, "--host", host)
     assert code == 2 and out == "" and "4300-digit limit" in err
+
+
+@pytest.mark.parametrize("gadget", ["clique-grid", "btree", "path", "minor", "extract-subgraph",
+                                    "extract-minor", "extract-lincomb"])
+@pytest.mark.parametrize("option", ["--n", "--big-n"])
+def test_reduce_host_sizes_below_one_exit_2(capsys, tmp_path, gadget, option):
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    p3 = _write(tmp_path, "p3.json", {"a": 2, "b": 1, "edges": [[1, 1, 1], [2, 1, 1]]})
+    terms = _write(tmp_path, "terms.json", {"terms": [
+        {"alpha": {"num": "1", "den": "1"}, "graph": {"a": 1, "b": 1, "edges": [[1, 1, 1]]}}]})
+    sizes = {"--n": "1", "--big-n": "2", option: "0"}
+    code, out, err = _run(capsys, "reduce", gadget, "--n", sizes["--n"],
+                          "--big-n", sizes["--big-n"], "--trials", "1",
+                          "--minor-pattern", p2, "--host-pattern", p3, "--terms", terms)
+    assert code == 2 and out == "" and option in err

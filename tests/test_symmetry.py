@@ -160,9 +160,11 @@ def test_minimal_support_flags_non_unique():
     analysis = SymmetryAnalysis(report.circuit, 2, 2)
     c = report.circuit
     input_gate = next(g for g in range(c.num_gates()) if c.labels[g] == ("var", "x_1_1"))
-    # At n = m = 2 the one-per-side support is not strictly below half.
+    # At n = m = 2 the one-per-side support is not strictly below half, and
+    # any one row with any one column is as small: the lexicographically
+    # least wins the tie.
     sup, unique = analysis.minimal_support(input_gate)
-    assert len(sup) == 2 and not unique
+    assert sup == frozenset({("L", 0), ("R", 0)}) and not unique
 
 
 def test_support_depth_examples():

@@ -1,0 +1,154 @@
+"""A definitional reference for the symmetry layer.
+
+The reference enumerates the whole of Sym_n x Sym_m and maps the gates of a
+rigid circuit for each pair by its own permuted-signature lookup: a gate's
+image is the gate whose structure equals the gate's structure with the
+variables permuted.  Where the signatures are pairwise distinct (a DAG after
+`rigidify`) that is a direct lookup; in a rigid formula it follows from the
+output down, as siblings differ in (signature, wire multiplicity).  From the
+maps it reads orbits as image sets and the minimal support as the least S, by
+size and then lexicographically, whose pointwise stabiliser fixes the gate.
+It uses none of the analysis' shortcuts (extension search, conjugation,
+transposition classes, translation along orbits), and `SymmetryAnalysis` is
+compared with it.
+"""
+
+import itertools
+import random
+
+from symcirc import compilers
+from symcirc.circuit import parse_var_name, var_name
+from symcirc.pattern import enumerate_bipartite_multigraphs, make_cycle
+from symcirc.symmetry import SymmetryAnalysis, rigidify
+
+from test_acceptance import _criterion_3_cases
+from test_golden import _analyze_inputs
+
+CENSUS_STRIDE = 67  # every 67th graph of enumerate_bipartite_multigraphs(6, 8, 2)
+
+
+def _pair_maps(c, n, m):
+    """{(pi, sigma): image of every gate} over all of Sym_n x Sym_m; asserts
+    that every pair extends, i.e. that `c` is symmetric."""
+    steps = [(g, c.labels[g], list(c.children[g].items())) for g in c.topo_order()]
+    interner = {}
+
+    def signatures(rename):
+        """Hash-consed structure of every gate, variable names passed through `rename`."""
+        sig = [0] * len(steps)
+        for g, label, kids in steps:
+            if label[0] == "var":
+                key = ("var", rename[label[1]])
+            elif label[0] == "const":
+                key = label
+            else:
+                key = (label[0], tuple(sorted([(sig[ch], mult) for ch, mult in kids])))
+            sig[g] = interner.setdefault(key, len(interner))
+        return sig
+
+    cells = {label[1]: parse_var_name(label[1]) for _, label, _ in steps if label[0] == "var"}
+    sig = signatures({name: name for name in cells})
+    distinct = len(set(sig)) == len(sig)
+    where = {s: g for g, s in enumerate(sig)}
+    maps = {}
+    for pi in itertools.permutations(range(n)):
+        for sigma in itertools.permutations(range(m)):
+            need = signatures({name: var_name(pi[i - 1] + 1, sigma[j - 1] + 1)
+                               for name, (i, j) in cells.items()})
+            if distinct:
+                image = [where[s] for s in need]
+            else:
+                assert need[c.output] == sig[c.output], (pi, sigma)
+                image = [None] * c.num_gates()
+                stack = [(c.output, c.output)]
+                while stack:
+                    g, h = stack.pop()
+                    assert image[g] in (None, h)
+                    image[g] = h
+                    target = {(sig[ch], mult): ch for ch, mult in c.children[h].items()}
+                    assert len(target) == len(c.children[h]), "siblings must differ"
+                    stack += [(ch, target[need[ch], mult]) for ch, mult in c.children[g].items()]
+            maps[pi, sigma] = image
+    return maps
+
+
+def _least_supports(c, maps, n, m):
+    """Per gate, the least S (by size, then lexicographically over rows before
+    columns) such that every pair fixing S pointwise fixes the gate: S must
+    meet the moved rows and columns of every pair that moves the gate."""
+    moving = [set() for _ in range(c.num_gates())]
+    for (pi, sigma), image in maps.items():
+        moved = (sum(1 << i for i, p in enumerate(pi) if p != i)
+                 + sum(1 << (n + j) for j, s in enumerate(sigma) if s != j))
+        for g, h in enumerate(image):
+            if h != g:
+                moving[g].add(moved)
+    candidates = [combo for size in range(n + m + 1)
+                  for combo in itertools.combinations(range(n + m), size)]
+    masks = [sum(1 << k for k in combo) for combo in candidates]
+    least = []
+    for sets in moving:
+        k = next(k for k, mask in enumerate(masks) if all(mask & moved for moved in sets))
+        least.append(frozenset(("L", x) if x < n else ("R", x - n) for x in candidates[k]))
+    return least
+
+
+def _image(support, pi, sigma):
+    return frozenset((side, (pi if side == "L" else sigma)[k]) for side, k in support)
+
+
+def _check(c, n, m):
+    """Compare the analysis of rigidify(c) with the reference; the number of gates."""
+    c = rigidify(c)
+    maps = _pair_maps(c, n, m)
+    analysis = SymmetryAnalysis(c, n, m)
+    gates = range(c.num_gates())
+    orbits = sorted({tuple(sorted({image[g] for image in maps.values()})) for g in gates})
+    assert analysis.orbits() == [list(orbit) for orbit in orbits]
+
+    for side, size in (("L", n), ("R", m)):
+        for a, b in itertools.combinations(range(size), 2):
+            swap = list(range(size))
+            swap[a], swap[b] = b, a
+            pair = (tuple(swap), tuple(range(m))) if side == "L" else (tuple(range(n)), tuple(swap))
+            assert analysis.transposition_map(side, a, b) == maps[pair], (side, a, b)
+
+    least = _least_supports(c, maps, n, m)
+    for g in gates:
+        left = sum(side == "L" for side, _ in least[g])
+        unique = 2 * left < n and 2 * (len(least[g]) - left) < m
+        assert analysis.minimal_support(g) == (least[g], unique), g
+
+    # A support carried along the orbit from its least member: the image of
+    # that member's least support under some pair mapping the member to g.
+    carried = [set() for _ in gates]
+    for orbit in orbits:
+        for (pi, sigma), image in maps.items():
+            carried[image[orbit[0]]].add(_image(least[orbit[0]], pi, sigma))
+    for g, support in enumerate(analysis.all_supports()):
+        assert support in carried[g], g
+    return len(gates)
+
+
+def _inputs():
+    for c, n in _criterion_3_cases(random.Random(33)):
+        yield c, n, n
+    for c, n in _analyze_inputs():
+        if n <= 3:
+            yield c, n, n
+    for f in enumerate_bipartite_multigraphs(6, 8, 2)[::CENSUS_STRIDE]:
+        for n, m in ((2, 2), (2, 3), (3, 3)):
+            for shape in ("td", "pw", "tw"):
+                yield compilers.compile_single(f, n, m, shape).circuit, n, m
+
+
+def test_analysis_matches_the_definitional_reference():
+    circuits = gates = 0
+    for c, n, m in _inputs():
+        gates += _check(c, n, m)
+        circuits += 1
+    assert circuits > 300 and gates > 10_000
+
+
+def test_analysis_matches_the_reference_on_all_of_sym4_x_sym4():
+    assert _check(compilers.compile_single(make_cycle(4), 4, 4, "pw").circuit, 4, 4) == 110

@@ -1,7 +1,6 @@
 """Package hygiene: no runtime dependencies and no unused public names."""
 
 import ast
-import collections
 import pathlib
 import re
 import sys
@@ -26,14 +25,38 @@ def test_imports_only_stdlib_and_symcirc():
     assert {name: files for name, files in found.items() if name not in allowed} == {}
 
 
+def _referenced_words(tree: ast.AST) -> set:
+    """Identifiers the code uses, and the words of its string constants other
+    than docstrings; comments and docstrings do not count."""
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.add(id(first.value))
+    words = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            words.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            words.add(node.attr)
+        elif isinstance(node, ast.alias):
+            words.add(node.name.split(".")[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            words.update(re.findall(r"\w+", node.value))
+    return words
+
+
 def test_every_public_name_is_referenced():
-    """Each public function and method is used somewhere besides its `def`."""
+    """Each public function and method is used somewhere besides its `def`:
+    named in code, or in a string that is not a docstring."""
     root = SRC.parents[1]
-    texts = [path.read_text(encoding="utf-8")
-             for folder in ("src", "tests", "perfbench")
-             for path in sorted((root / folder).rglob("*.py"))]
-    words = collections.Counter(w for text in texts for w in re.findall(r"\w+", text))
-    defs = collections.Counter(w for text in texts for w in re.findall(r"\bdef (\w+)", text))
+    referenced = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            referenced |= _referenced_words(ast.parse(path.read_text(encoding="utf-8")))
     defined = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -42,7 +65,7 @@ def test_every_public_name_is_referenced():
             for node in body:
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                     defined.setdefault(node.name, set()).add(path.name)
-    unused = {name: files for name, files in defined.items() if words[name] <= defs[name]}
+    unused = {name: files for name, files in defined.items() if name not in referenced}
     assert unused == {}
 
 
