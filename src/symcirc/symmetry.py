@@ -224,11 +224,11 @@ class _Extender:
     def extend(self, pair: PermutationPair, count_limit: int = 1) -> List[Dict[int, int]]:
         """See `extend_to_automorphism`; up to `count_limit` extensions."""
         inputs, var_gates, *tables = self._tables
-        for name in var_gates:
-            if pair.apply_var(name) not in var_gates:
-                return []
-        need = _gate_signatures(self.c, rename=pair.apply_var, interner=self.interner)
-        phi = {g: (g if lbl[0] == "const" else var_gates[pair.apply_var(lbl[1])])
+        renamed = {name: pair.apply_var(name) for name in var_gates}
+        if any(image not in var_gates for image in renamed.values()):
+            return []
+        need = _gate_signatures(self.c, rename=renamed.__getitem__, interner=self.interner)
+        phi = {g: (g if lbl[0] == "const" else var_gates[renamed[lbl[1]]])
                for g, lbl in inputs}
         if self.formula:
             return self._extend_formula(need, phi, count_limit, *tables)
@@ -546,6 +546,16 @@ class SymmetryAnalysis:
 
     # supports ------------------------------------------------------------------
 
+    def _fixes(self, g: int, side: str, a: int, b: int) -> bool:
+        """Whether (a b), a < b, fixes g; a pair with no map yet is followed
+        through the word (a a+1) ... (b-1 b) ... (a a+1), building no map."""
+        if (side, a, b) in self._maps or not self._extender.moves(side, a, b):
+            return self.transposition_map(side, a, b)[g] == g
+        h = g
+        for i in [*range(a, b), *range(b - 2, a - 1, -1)]:
+            h = self.transposition_map(side, i, i + 1)[h]
+        return h == g
+
     def minimal_support(self, g: int) -> Tuple[FrozenSet, bool]:
         """((elements tagged 'L'/'R'), uniqueness flag) for gate g.
 
@@ -557,16 +567,22 @@ class SymmetryAnalysis:
         support: List[Tuple[str, int]] = []
         unique = True
         for side, size in (("L", self.n), ("R", self.m)):
-            least: List[int] = []  # the least member of each class
+            last: List[int] = []  # the greatest member of each class so far
+            recent: List[int] = []  # extended last first: x mostly joins x-1's class
             label: List[int] = []
             for x in range(size):
-                k = next((k for k, y in enumerate(least)
-                          if self.transposition_map(side, y, x)[g] == g), len(least))
-                if k == len(least):
-                    least.append(x)
+                k = next((k for k in recent if self._fixes(g, side, last[k], x)), len(last))
+                if k < len(last):
+                    recent.remove(k)
+                    last[k] = x
+                else:
+                    last.append(x)
+                recent.insert(0, k)
                 label.append(k)
-            rest = min((tuple(x for x in range(size) if label[x] != k) for k in range(len(least))),
-                       key=lambda r: (len(r), r))
+            # Classes are numbered by least member; of two largest, the later
+            # has the lesser complement, as only the earlier's misses its least.
+            best = max(range(len(last)), key=lambda k: (label.count(k), k))
+            rest = [x for x in range(size) if label[x] != best]
             support += [(side, x) for x in rest]
             unique = unique and 2 * len(rest) < size
         return frozenset(support), unique

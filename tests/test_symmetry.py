@@ -365,15 +365,20 @@ def _rigid_circuits_up_to_five():
 
 
 def test_non_adjacent_maps_are_conjugates_of_the_searched_extension():
-    # On a rigid circuit the conjugate s (a+1 b) s equals the unique extension.
+    # On a rigid circuit the conjugate s (a+1 b) s equals the unique extension,
+    # and a support test that follows a gate through the adjacent word, with
+    # no map of (a b) built, agrees with it.
     for c, n, m in _rigid_circuits_up_to_five():
         analysis = SymmetryAnalysis(c, n, m)
+        unbuilt = SymmetryAnalysis(c, n, m)
         for side, size in (("L", n), ("R", m)):
             for a in range(size):
                 for b in range(a + 2, size):
                     pair = PermutationPair.transposition(n, m, side, a, b)
                     phi = extend_to_automorphism(c, pair)[0]
                     expected = [phi[g] for g in range(c.num_gates())]
+                    assert [unbuilt._fixes(g, side, a, b) for g in range(c.num_gates())] == \
+                        [expected[g] == g for g in range(c.num_gates())], (side, a, b)
                     assert analysis.transposition_map(side, a, b) == expected, (side, a, b)
 
 
@@ -425,6 +430,17 @@ def test_generators_that_move_no_variable_map_gates_to_themselves(monkeypatch):
     report = analyze(c, 5000, 5000)
     assert (report.max_orbit, report.max_support, report.support_depth) == (1, 0, 0)
     assert SymmetryAnalysis(c, 5000, 5000).transposition_map("R", 3, 4000) == [0]
+
+
+def test_supports_of_a_wide_sum_build_no_distant_map():
+    # Every row holds a variable, so each support test moves a row; testing
+    # an index against a distant class member once built the map of every
+    # pair between them, recursively, and ran out of stack near n = 1000.
+    n = 1500
+    report = analyze(_sum_of_all_vars(n, 1), n, 1)
+    supports = {tuple(entry["support"]) for entry in report.per_gate}
+    assert supports == {()} | {(("L", i),) for i in range(1, n + 1)}
+    assert (report.max_orbit, report.max_support) == (n, 1)
 
 
 def test_unmoved_rows_and_columns_keep_the_searched_maps():
