@@ -551,30 +551,33 @@ class CircuitBuilder:
     """Accumulates gates; variables and constants are hash-consed.
 
     Internal gates are fresh on every call, so formulas keep their parallel
-    subtrees; `finish` prunes gates unreachable from the output.
+    subtrees; with share=True they are keyed by label and merged children, so
+    equal structure gets one gate.  `finish` prunes unreachable gates.
     """
 
-    def __init__(self):
+    def __init__(self, share: bool = False):
         self.labels: List = []
         self.children: List[Dict[int, int]] = []
-        self._inputs: Dict = {}
+        self._keys: Dict = {}  # input labels, and internal gate keys when sharing
+        self._share = share
 
-    def _add(self, label, children: Dict[int, int]) -> int:
+    def _add(self, label, children: Dict[int, int], key=None) -> int:
+        """A new gate, or the one already added under `key`."""
+        if key in self._keys:
+            return self._keys[key]
         self.labels.append(label)
         self.children.append(children)
+        if key is not None:
+            self._keys[key] = len(self.labels) - 1
         return len(self.labels) - 1
 
     def var(self, name: str) -> int:
         key = ("var", name)
-        if key not in self._inputs:
-            self._inputs[key] = self._add(key, {})
-        return self._inputs[key]
+        return self._add(key, {}, key)
 
     def const(self, value) -> int:
         key = ("const", Fraction(value))
-        if key not in self._inputs:
-            self._inputs[key] = self._add(key, {})
-        return self._inputs[key]
+        return self._add(key, {}, key)
 
     def gate(self, label: Tuple, children: Sequence[Tuple[int, int]]) -> int:
         """A gate with a `Circuit.labels` entry as its label, over (builder
@@ -592,7 +595,18 @@ class CircuitBuilder:
             acc[child] = acc.get(child, 0) + mult
         if not acc:
             raise InvalidParameter(f"{label[0]} gate needs at least one child")
-        return self._add((label[0],), acc)
+        if not self._share:
+            return self._add((label[0],), acc)
+        key = (label[0], tuple(sorted(acc.items())))
+        return self._add((label[0],), dict(key[1]), key)
+
+    def copy(self, circuit: Circuit) -> int:
+        """Copy `circuit` in topological order; returns the id of its output."""
+        new = [0] * circuit.num_gates()
+        for g in circuit.topo_order():
+            new[g] = self.gate(circuit.labels[g],
+                               sorted((new[c], mu) for c, mu in circuit.children[g].items()))
+        return new[circuit.output]
 
     def plus(self, children: Sequence[Tuple[int, int]]) -> int:
         return self.gate((PLUS,), children)

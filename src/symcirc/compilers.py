@@ -13,12 +13,12 @@ Three constructions, all taking an explicit decomposition certificate:
   * compile_circuit_tw: a symmetric circuit from a tree decomposition.  Per
     node and per labelling of its bag, a gate multiplies the edge variables
     charged to the node with one summation gate per child subtree that
-    forgets the labels leaving the bag.  General shape; rigidified.
+    forgets the labels leaving the bag.  General shape; rigid.
 
   * compile_skew_pw: the same bag-table dynamic program run over the path
     decomposition as a path-shaped tree (`deco.as_tree()`).  Every node has
     at most one child, so multiplication gates touch at most one internal
-    child and the circuit is skew.  The result is rigidified.
+    child and the circuit is skew.  Rigid as well.
 
 Each edge is charged to exactly one decomposition node (the smallest-index
 bag containing both endpoints), and every map of the pattern into the host
@@ -35,7 +35,10 @@ distinct variables and subformulas tagged by distinct powers of 1, and the
 summands of a sum fix different images h of a vertex with an edge, so they
 differ in their least degree in row (or column) h.  `compile_lincomb` tags
 its terms alike, so it is rigid too; both raise if `is_rigid` disagrees.  The
-bag tables repeat equal forget gates across labellings, so they rigidify.
+bag tables repeat equal forget gates across labellings, so they are built in a
+sharing `CircuitBuilder`, which gives `rigidify` of the unshared tables and is
+checked by `is_rigid`; tree-shaped tables form a formula whose rigidification
+merges only siblings, so those are built unshared and rigidified.
 """
 
 from __future__ import annotations
@@ -253,22 +256,32 @@ def compile_circuit_tw(f: BipartiteMultigraph, deco: TreeDecomposition,
 
 def _compile_bag_table(f: BipartiteMultigraph, deco, n: int, m: int, shape: str) -> Circuit:
     """Validate `deco`, run the bag-table DP over it (a path as a path-shaped
-    tree), rigidify, and check the promised shape."""
+    tree), rigidify tree-shaped tables, and check rigidity and the shape."""
     ok, reason = validate_decomposition(f, deco)
     if not ok:
         raise InvalidDecomposition(reason)
     tree = deco.as_tree() if isinstance(deco, PathDecomposition) else deco
-    raw = _general_from_tree(f, tree, _matrix_ranges(f, n, m), _matrix_varmap(f))
-    circuit = rigidify(raw)
+    circuit, formula = _general_from_tree(f, tree, _matrix_ranges(f, n, m), _matrix_varmap(f),
+                                          rigid=True)
+    if formula:
+        circuit = rigidify(circuit)
+    elif not is_rigid(circuit):
+        raise InvalidParameter("bag-table compiler produced a non-rigid circuit; this is a bug")
     ok, reason = circuit.validate(shape)
     if not ok:
         raise InvalidParameter(f"bag-table compiler produced a non-{shape} circuit: {reason}")
     return circuit
 
 
-def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, varmap) -> Circuit:
-    builder = CircuitBuilder()
-    const1 = builder.const(1)
+def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, varmap,
+                       rigid: bool) -> Tuple[Circuit, bool]:
+    """The bag-table circuit over `deco` and whether its tables are tree-shaped
+    (a formula), sharing equal gates if `rigid` and they are not.
+
+    A child's entry with children or charged multiplicity >= 2 is an internal
+    gate, summed once per image of the parent's vertices outside the child's
+    bag: more than once if one of them ranges over more than one image.
+    """
     children = deco.children()
     # Charge each edge to its smallest-index covering node.
     assignment: Dict[int, List[Tuple[int, int, int]]] = {i: [] for i in range(len(deco.bags))}
@@ -276,6 +289,12 @@ def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, 
         a_g, b_g = i, f.a_count + j
         idx = next(k for k, bag in enumerate(deco.bags) if a_g in bag and b_g in bag)
         assignment[idx].append((a_g, b_g, mult))
+    formula = not any(
+        (children[ch] or sum(mult for *_, mult in assignment[ch]) >= 2)
+        and any(ranges(v) > 1 for v in deco.bags[deco.parent[ch]] - deco.bags[ch])
+        for ch in range(len(deco.bags)) if ch != deco.root)
+    builder = CircuitBuilder(share=rigid and not formula)
+    const1 = builder.const(1)
 
     def table_for(t: int) -> Dict:
         bag = deco.bags[t]
@@ -307,19 +326,10 @@ def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, 
 
     root_table = table_for(deco.root)
     output = builder.plus([(gid, 1) for _, gid in sorted(root_table.items())])
-    return builder.finish(output)
+    return builder.finish(output), formula
 
 
 # -- linear combinations ------------------------------------------------------------------------
-
-
-def _copy_into(builder: CircuitBuilder, circuit: Circuit) -> int:
-    """Copy a circuit into `builder` (inputs hash-consed); returns the output id."""
-    mapping: Dict[int, int] = {}
-    for g in circuit.topo_order():
-        mapping[g] = builder.gate(circuit.labels[g],
-                                  sorted((mapping[c], mu) for c, mu in circuit.children[g].items()))
-    return mapping[circuit.output]
 
 
 def compile_single(f: BipartiteMultigraph, n: int, m: int, shape: str) -> CompileReport:
@@ -347,7 +357,7 @@ def compile_lincomb(terms: Sequence[Tuple[Rational, BipartiteMultigraph]],
     const1 = builder.const(1)
     tagged: List[Tuple[int, int]] = []
     for idx, ((alpha, _), report) in enumerate(zip(terms, reports)):
-        root = _copy_into(builder, report.circuit)
+        root = builder.copy(report.circuit)
         parts = [(root, 1), (const1, idx + 1)]
         if Fraction(alpha) != 1:
             parts.append((builder.const(alpha), 1))
@@ -394,11 +404,11 @@ def compile_colourful(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
         result_shape = FORMULA_MULTI
     elif shape == "pw":
         _, deco = pathwidth_exact(f)
-        circuit = _general_from_tree(f, deco.as_tree(), ranges, varmap)
+        circuit, _ = _general_from_tree(f, deco.as_tree(), ranges, varmap, rigid=False)
         result_shape = SKEW
     elif shape == "tw":
         _, deco = treewidth_exact(f)
-        circuit = _general_from_tree(f, deco, ranges, varmap)
+        circuit, _ = _general_from_tree(f, deco, ranges, varmap, rigid=False)
         result_shape = GENERAL
     else:
         raise InvalidParameter(f"unknown compile shape {shape!r}")

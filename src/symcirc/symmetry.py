@@ -14,16 +14,17 @@ signatures of the unpermuted circuit, the matchers' lookup tables) is built
 once per circuit, so one symmetry check or analysis pays for it once and each
 pair only costs the permuted signatures and the matching.  `SymmetryAnalysis`
 searches extensions for the adjacent transpositions only: the map of a
-non-adjacent transposition (a b) is the conjugate (a a+1)(a+1 b)(a a+1) of
-maps it already has.  That conjugate is an extension of (a b), and it is the
-one a search would return because a rigid circuit has exactly one.
+non-adjacent transposition (a b) is the composite of the generator maps along
+the word (a a+1) ... (b-1 b) ... (a a+1).  That composite is an extension of
+(a b), and it is the one a search would return because a rigid circuit has
+exactly one.
 
-Rigidification merges interchangeable gates.  For formulas it repeatedly
-merges equal sibling subtrees (summing wire multiplicities), which keeps the
-internal gates a tree and can only introduce multiedges; for general and skew
-circuits it merges all gates with equal recursive structure.  Both reach a
-rigid fixpoint in one bottom-up pass, never grow the circuit, preserve the
-computed polynomial, and preserve skewness.
+Rigidification merges interchangeable gates by a copy into a sharing
+`CircuitBuilder`, which gives gates of equal structure one gate.  For general
+and skew circuits the copy is the result; a formula is rebuilt from it with
+equal siblings merged (summing wire multiplicities), which keeps the internal
+gates a tree.  Both reach a rigid fixpoint in one pass, never grow the
+circuit, and preserve the polynomial and skewness.
 
 Preconditions are checked where they are needed: rigidity by
 `SymmetryAnalysis` (from structure where `is_rigid` can), symmetry by its
@@ -122,20 +123,14 @@ def _generators(n: int, m: int) -> List[Tuple[str, int, int]]:
 # -- structural signatures ------------------------------------------------------
 
 
-def _gate_signatures(c: Circuit, rename=None, interner: Optional[Dict] = None,
-                     summed: bool = False) -> List[int]:
+def _gate_signatures(c: Circuit, rename=None, interner: Optional[Dict] = None) -> List[int]:
     """Interned recursive signature per gate; `rename` permutes variable labels.
 
     `interner` hash-conses each gate's structure key into an integer id, so
     signature comparison is O(1) even on deep formulas; passes that share it
-    give equal structure equal ids.
-
-    With summed=False the signature records each child's (signature, wire
-    multiplicity) pair, which characterises subcircuits up to label- and
-    wire-preserving isomorphism (the right notion for automorphisms).  With
-    summed=True equal-signature children have their multiplicities added
-    first, which characterises the fixpoint of merging interchangeable gates
-    (the right notion for rigidification).
+    give equal structure equal ids.  The signature records each child's
+    (signature, wire multiplicity) pair, which characterises subcircuits up
+    to label- and wire-preserving isomorphism.
     """
     interner = {} if interner is None else interner
     sig: List[Optional[int]] = [None] * c.num_gates()
@@ -145,12 +140,6 @@ def _gate_signatures(c: Circuit, rename=None, interner: Optional[Dict] = None,
             key = ("var", rename(lbl[1]) if rename else lbl[1])
         elif lbl[0] == "const":
             key = ("const", lbl[1])
-        elif summed:
-            merged: Dict[int, int] = {}
-            for ch, mult in c.children[g].items():
-                s = sig[ch]
-                merged[s] = merged.get(s, 0) + mult
-            key = (lbl[0], tuple(sorted(merged.items())))
         else:
             key = (lbl[0], tuple(sorted((sig[ch], mult)
                                         for ch, mult in c.children[g].items())))
@@ -385,24 +374,9 @@ def is_rigid(c: Circuit) -> bool:
 
 
 def _rigidify_dag(c: Circuit) -> Circuit:
-    """Merge all gates with equal signatures, summing wire multiplicities."""
-    sig = _gate_signatures(c, summed=True)
-    builder = CircuitBuilder()
-    rep: Dict = {}
-    new_id: Dict[int, int] = {}
-    for g in c.topo_order():
-        s = sig[g]
-        if s in rep:
-            new_id[g] = rep[s]
-            continue
-        merged: Dict[int, int] = {}
-        for ch, mult in c.children[g].items():
-            t = new_id[ch]
-            merged[t] = merged.get(t, 0) + mult
-        gid = builder.gate(c.labels[g], sorted(merged.items()))
-        rep[s] = gid
-        new_id[g] = gid
-    return builder.finish(new_id[c.output])
+    """Merge all gates with equal structure, summing wire multiplicities."""
+    builder = CircuitBuilder(share=True)
+    return builder.finish(builder.copy(c))
 
 
 def _rigidify_formula(c: Circuit) -> Circuit:
@@ -410,26 +384,18 @@ def _rigidify_formula(c: Circuit) -> Circuit:
 
     Merging is restricted to siblings because only those are interchangeable
     by an automorphism of a formula; a global merge would introduce shared
-    subtrees and destroy tree-ness.
+    subtrees and destroy tree-ness.  Siblings are rebuilt from a sharing copy,
+    in the string order of their ids there (the serialized output keeps it).
     """
-    sig = _gate_signatures(c, summed=True)
+    shared = CircuitBuilder(share=True)
+    top = shared.copy(c)
     builder = CircuitBuilder()
 
     def rebuild(g: int) -> int:
-        groups: Dict = {}
-        for ch, mult in sorted(c.children[g].items()):
-            key = sig[ch]
-            if key in groups:
-                groups[key][1] += mult
-            else:
-                groups[key] = [ch, mult]
-        children = []
-        for key in sorted(groups, key=repr):
-            ch, mult = groups[key]
-            children.append((rebuild(ch), mult))
-        return builder.gate(c.labels[g], children)
+        children = sorted(shared.children[g].items(), key=lambda item: repr(item[0]))
+        return builder.gate(shared.labels[g], [(rebuild(ch), mult) for ch, mult in children])
 
-    return builder.finish(rebuild(c.output))
+    return builder.finish(rebuild(top))
 
 
 def rigidify(c: Circuit) -> Circuit:
@@ -465,9 +431,8 @@ class SymmetryAnalysis:
     generator that does not extend raises `NotSymmetric` when first needed,
     so the analysis decides symmetry by the same searches that give its maps.
     The map of an adjacent transposition (a generator) comes from one
-    extension search; the map of a non-adjacent transposition (a b) is the
-    conjugate s (a+1 b) s of a cached map by the generator s = (a a+1), which
-    is the search's answer because extensions are unique on a rigid circuit.
+    extension search and is cached; that of (a b) is composed along its word,
+    the search's answer because extensions are unique on a rigid circuit.
     For the same reason a transposition that moves no row or column of a
     variable maps every gate to itself, with no pair built and no search, so
     a large matrix around few variables costs time linear in its size.
@@ -492,28 +457,37 @@ class SymmetryAnalysis:
 
     # transposition extension maps, cached ------------------------------------
 
+    def _generator(self, side: str, a: int) -> List[int]:
+        """The map of (a a+1), from one extension search, cached."""
+        tag = (side, a, a + 1)
+        if tag not in self._maps:
+            if not self._extender.moves(*tag):
+                self._maps[tag] = self._identity
+            else:
+                solutions = self._extender.extend(
+                    PermutationPair.transposition(self.n, self.m, *tag))
+                if not solutions:
+                    raise NotSymmetric(f"the circuit is not symmetric: {tag} does not extend")
+                self._maps[tag] = [solutions[0][g] for g in range(self.circuit.num_gates())]
+        return self._maps[tag]
+
+    def _word(self, side: str, a: int, b: int) -> List[List[int]]:
+        """The generator maps along (a a+1) ... (b-1 b) ... (a a+1), a < b, whose
+        composite is the map of (a b); none when (a b) moves no variable."""
+        if not self._extender.moves(side, a, b):
+            return []
+        return [self._generator(side, i) for i in [*range(a, b), *range(b - 2, a - 1, -1)]]
+
     def transposition_map(self, side: str, a: int, b: int) -> List[int]:
         if a > b:
             a, b = b, a
-        key = (side, a, b)
-        if key not in self._maps:
-            if not self._extender.moves(side, a, b):
-                self._maps[key] = self._identity
-            elif b > a + 1:
-                s = self.transposition_map(side, a, a + 1)
-                mid = self.transposition_map(side, a + 1, b)
-                self._maps[key] = [s[mid[s[g]]] for g in range(len(s))]
-            else:
-                pair = PermutationPair.transposition(self.n, self.m, side, a, b)
-                solutions = self._extender.extend(pair)
-                if not solutions:
-                    raise NotSymmetric(f"the circuit is not symmetric: {key} does not extend")
-                phi = solutions[0]
-                self._maps[key] = [phi[g] for g in range(self.circuit.num_gates())]
-        return self._maps[key]
+        gmap = self._identity
+        for s in self._word(side, a, b):
+            gmap = [s[h] for h in gmap]
+        return gmap
 
     def generators(self) -> List[List[int]]:
-        return [self.transposition_map(*tag) for tag in _generators(self.n, self.m)]
+        return [self._generator(side, a) for side, a, _ in _generators(self.n, self.m)]
 
     # orbits -----------------------------------------------------------------
 
@@ -547,13 +521,11 @@ class SymmetryAnalysis:
     # supports ------------------------------------------------------------------
 
     def _fixes(self, g: int, side: str, a: int, b: int) -> bool:
-        """Whether (a b), a < b, fixes g; a pair with no map yet is followed
-        through the word (a a+1) ... (b-1 b) ... (a a+1), building no map."""
-        if (side, a, b) in self._maps or not self._extender.moves(side, a, b):
-            return self.transposition_map(side, a, b)[g] == g
+        """Whether (a b), a < b, fixes g; g is followed through the word of
+        `_word`, building no map of (a b)."""
         h = g
-        for i in [*range(a, b), *range(b - 2, a - 1, -1)]:
-            h = self.transposition_map(side, i, i + 1)[h]
+        for s in self._word(side, a, b):
+            h = s[h]
         return h == g
 
     def minimal_support(self, g: int) -> Tuple[FrozenSet, bool]:

@@ -41,11 +41,15 @@ def _check_pattern_against_oracle(payload):
     f = BipartiteMultigraph.from_json(graph_json)
     rng = random.Random(seed)
     failures = []
+    # One certificate per shape, compiled at every host size.
+    certificates = [("td", compilers.compile_formula_td, width.treedepth_exact(f)[1]),
+                    ("pw", compilers.compile_skew_pw, width.pathwidth_exact(f)[1]),
+                    ("tw", compilers.compile_circuit_tw, width.treewidth_exact(f)[1])]
     for n, m in itertools.product((1, 2, 3), repeat=2):
         hom = oracle.hom_poly(f, n, m)
         circuits = []
-        for shape in ("td", "pw", "tw"):
-            report = compilers.compile_single(f, n, m, shape)
+        for shape, compile_shape, certificate in certificates:
+            report = compile_shape(f, certificate, n, m)
             if not report.circuit.expand_symbolic() == hom:
                 failures.append(f"{graph_json} {shape} {n}x{m}: symbolic mismatch")
                 continue
@@ -161,8 +165,8 @@ def _duplicated_formula(rng: random.Random):
     n = 2
     inner = compilers.compile_single(f, n, n, "td").circuit
     builder = CircuitBuilder()
-    first = compilers._copy_into(builder, inner)
-    second = compilers._copy_into(builder, inner)
+    first = builder.copy(inner)
+    second = builder.copy(inner)
     return builder.finish(builder.plus([(first, 1), (second, 1)])), n
 
 

@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, determinism."""
 
+import itertools
 import json
 
 import pytest
@@ -458,3 +459,11 @@ def test_reduce_host_sizes_below_one_exit_2(capsys, tmp_path, gadget, option):
                           "--big-n", sizes["--big-n"], "--trials", "1",
                           "--minor-pattern", p2, "--host-pattern", p3, "--terms", terms)
     assert code == 2 and out == "" and option in err
+
+
+@pytest.mark.parametrize("option", ["--n", "--big-n", "--trials"])
+def test_non_integer_counts_exit_2_with_a_plain_message(capsys, option):
+    sizes = {"--n": "1", "--big-n": "2", "--trials": "1", option: "abc"}
+    code, out, err = _run(capsys, "reduce", "clique-grid", *itertools.chain(*sizes.items()))
+    assert code == 2 and out == ""
+    assert f"argument {option}: not an integer: 'abc'" in err and "_positive_int" not in err

@@ -1,5 +1,6 @@
 """Compilers against the brute-force oracle and their shape/symmetry contracts."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from symcirc.errors import InvalidDecomposition, InvalidEliminationTree, Invalid
 from symcirc.oracle import ColouredGraph, WeightedHost
 from symcirc.pattern import (
     BipartiteMultigraph,
+    enumerate_bipartite_multigraphs,
     make_complete_binary_tree,
     make_complete_bipartite,
     make_cycle,
@@ -249,6 +251,45 @@ def test_compilers_accept_arbitrary_valid_certificates():
         rep_td = compilers.compile_formula_td(f, forest, 2, 2)
         assert rep_td.circuit.expand_symbolic() == hp
         assert rep_td.circuit.validate(FORMULA_MULTI)[0]
+
+
+def _check_bag_table_against_rigidify(f, deco, n, m, branches):
+    """The shared bag-table compile equals `rigidify` of the unshared tables,
+    byte for byte; tallies which branch the compile took."""
+    tree = deco.as_tree() if isinstance(deco, width.PathDecomposition) else deco
+    raw, formula = compilers._general_from_tree(f, tree, compilers._matrix_ranges(f, n, m),
+                                                compilers._matrix_varmap(f), rigid=False)
+    assert formula == raw.validate(FORMULA_MULTI)[0], (f.to_json(), n, m)
+    compile_shape = (compilers.compile_skew_pw if isinstance(deco, width.PathDecomposition)
+                     else compilers.compile_circuit_tw)
+    built = compile_shape(f, deco, n, m).circuit
+    assert built.serialize() == symmetry.rigidify(raw).serialize(), (f.to_json(), n, m)
+    branches[formula] += 1
+
+
+def test_bag_tables_equal_rigidify_of_the_unshared_tables():
+    branches = {True: 0, False: 0}
+    for f in enumerate_bipartite_multigraphs(6, 8, max_mult=2)[::7]:
+        decos = [width.pathwidth_exact(f)[1], width.treewidth_exact(f)[1]]
+        for n, m in itertools.product((1, 2, 3), repeat=2):
+            for deco in decos:
+                _check_bag_table_against_rigidify(f, deco, n, m, branches)
+    # Certificates that are not optimal: one bag holding every vertex, and
+    # trees from seeded random elimination orders.
+    rng = random.Random(12)
+    for f in (make_path(5), make_cycle(4), make_complete_bipartite(2, 3),
+              BipartiteMultigraph(2, 2, {(0, 0): 2, (0, 1): 1, (1, 1): 1})):
+        everything = frozenset(f.vertices())
+        order = list(f.vertices())
+        rng.shuffle(order)
+        decos = [width.PathDecomposition([everything]),
+                 width.TreeDecomposition([everything], [None]),
+                 width._decomposition_from_order(f.adjacency(), order)]
+        for n, m in ((2, 2), (2, 3), (3, 2)):
+            for deco in decos:
+                assert width.validate_decomposition(f, deco)[0]
+                _check_bag_table_against_rigidify(f, deco, n, m, branches)
+    assert branches[True] and branches[False], branches
 
 
 def test_lincomb_orbit_bound():

@@ -443,6 +443,16 @@ def test_supports_of_a_wide_sum_build_no_distant_map():
     assert (report.max_orbit, report.max_support) == (n, 1)
 
 
+def test_a_distant_transposition_map_is_composed_without_recursion():
+    # The map of (1 1100) once recursed through every map (k 1100), k > 1,
+    # and raised RecursionError.
+    n = 1100
+    analysis = SymmetryAnalysis(_sum_of_all_vars(n, 1), n, 1)
+    swapped = list(range(n + 1))
+    swapped[0], swapped[n - 1] = n - 1, 0
+    assert analysis.transposition_map("L", 0, n - 1) == swapped
+
+
 def test_unmoved_rows_and_columns_keep_the_searched_maps():
     # Matrix variables in the first rows and columns only: a transposition
     # among the others fixes every variable, and on a rigid circuit its map is
