@@ -13,12 +13,12 @@ Three constructions, all taking an explicit decomposition certificate:
   * compile_circuit_tw: a symmetric circuit from a tree decomposition.  Per
     node and per labelling of its bag, a gate multiplies the edge variables
     charged to the node with one summation gate per child subtree that
-    forgets the labels leaving the bag.  General shape; rigid.
+    forgets the labels leaving the bag.  General shape; rigidified.
 
   * compile_skew_pw: the same bag-table dynamic program run over the path
     decomposition as a path-shaped tree (`deco.as_tree()`).  Every node has
     at most one child, so multiplication gates touch at most one internal
-    child and the circuit is skew.  Rigid as well.
+    child and the circuit is skew.  The result is rigidified.
 
 Each edge is charged to exactly one decomposition node (the smallest-index
 bag containing both endpoints), and every map of the pattern into the host
@@ -35,10 +35,9 @@ distinct variables and subformulas tagged by distinct powers of 1, and the
 summands of a sum fix different images h of a vertex with an edge, so they
 differ in their least degree in row (or column) h.  `compile_lincomb` tags
 its terms alike, so it is rigid too; both raise if `is_rigid` disagrees.  The
-bag tables repeat equal forget gates across labellings, so they are built in a
-sharing `CircuitBuilder`, which gives `rigidify` of the unshared tables and is
-checked by `is_rigid`; tree-shaped tables form a formula whose rigidification
-merges only siblings, so those are built unshared and rigidified.
+bag tables repeat equal forget gates across labellings, so they are built
+unshared and rigidified: a formula has its siblings merged, any other circuit
+is copied into a sharing `CircuitBuilder`.
 """
 
 from __future__ import annotations
@@ -256,32 +255,22 @@ def compile_circuit_tw(f: BipartiteMultigraph, deco: TreeDecomposition,
 
 def _compile_bag_table(f: BipartiteMultigraph, deco, n: int, m: int, shape: str) -> Circuit:
     """Validate `deco`, run the bag-table DP over it (a path as a path-shaped
-    tree), rigidify tree-shaped tables, and check rigidity and the shape."""
+    tree), rigidify, and check the promised shape."""
     ok, reason = validate_decomposition(f, deco)
     if not ok:
         raise InvalidDecomposition(reason)
     tree = deco.as_tree() if isinstance(deco, PathDecomposition) else deco
-    circuit, formula = _general_from_tree(f, tree, _matrix_ranges(f, n, m), _matrix_varmap(f),
-                                          rigid=True)
-    if formula:
-        circuit = rigidify(circuit)
-    elif not is_rigid(circuit):
-        raise InvalidParameter("bag-table compiler produced a non-rigid circuit; this is a bug")
+    raw = _general_from_tree(f, tree, _matrix_ranges(f, n, m), _matrix_varmap(f))
+    circuit = rigidify(raw)
     ok, reason = circuit.validate(shape)
     if not ok:
         raise InvalidParameter(f"bag-table compiler produced a non-{shape} circuit: {reason}")
     return circuit
 
 
-def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, varmap,
-                       rigid: bool) -> Tuple[Circuit, bool]:
-    """The bag-table circuit over `deco` and whether its tables are tree-shaped
-    (a formula), sharing equal gates if `rigid` and they are not.
-
-    A child's entry with children or charged multiplicity >= 2 is an internal
-    gate, summed once per image of the parent's vertices outside the child's
-    bag: more than once if one of them ranges over more than one image.
-    """
+def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, varmap) -> Circuit:
+    builder = CircuitBuilder()
+    const1 = builder.const(1)
     children = deco.children()
     # Charge each edge to its smallest-index covering node.
     assignment: Dict[int, List[Tuple[int, int, int]]] = {i: [] for i in range(len(deco.bags))}
@@ -289,12 +278,6 @@ def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, 
         a_g, b_g = i, f.a_count + j
         idx = next(k for k, bag in enumerate(deco.bags) if a_g in bag and b_g in bag)
         assignment[idx].append((a_g, b_g, mult))
-    formula = not any(
-        (children[ch] or sum(mult for *_, mult in assignment[ch]) >= 2)
-        and any(ranges(v) > 1 for v in deco.bags[deco.parent[ch]] - deco.bags[ch])
-        for ch in range(len(deco.bags)) if ch != deco.root)
-    builder = CircuitBuilder(share=rigid and not formula)
-    const1 = builder.const(1)
 
     def table_for(t: int) -> Dict:
         bag = deco.bags[t]
@@ -326,7 +309,7 @@ def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, 
 
     root_table = table_for(deco.root)
     output = builder.plus([(gid, 1) for _, gid in sorted(root_table.items())])
-    return builder.finish(output), formula
+    return builder.finish(output)
 
 
 # -- linear combinations ------------------------------------------------------------------------
@@ -404,11 +387,11 @@ def compile_colourful(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
         result_shape = FORMULA_MULTI
     elif shape == "pw":
         _, deco = pathwidth_exact(f)
-        circuit, _ = _general_from_tree(f, deco.as_tree(), ranges, varmap, rigid=False)
+        circuit = _general_from_tree(f, deco.as_tree(), ranges, varmap)
         result_shape = SKEW
     elif shape == "tw":
         _, deco = treewidth_exact(f)
-        circuit, _ = _general_from_tree(f, deco, ranges, varmap, rigid=False)
+        circuit = _general_from_tree(f, deco, ranges, varmap)
         result_shape = GENERAL
     else:
         raise InvalidParameter(f"unknown compile shape {shape!r}")

@@ -253,27 +253,29 @@ def test_compilers_accept_arbitrary_valid_certificates():
         assert rep_td.circuit.validate(FORMULA_MULTI)[0]
 
 
-def _check_bag_table_against_rigidify(f, deco, n, m, branches):
-    """The shared bag-table compile equals `rigidify` of the unshared tables,
-    byte for byte; tallies which branch the compile took."""
+def _check_bag_table_is_rigid(f, deco, n, m, branches):
+    """The bag-table compile is rigid, and stays a formula when its unshared
+    tables are one; tallies which rigidification branch it took."""
     tree = deco.as_tree() if isinstance(deco, width.PathDecomposition) else deco
-    raw, formula = compilers._general_from_tree(f, tree, compilers._matrix_ranges(f, n, m),
-                                                compilers._matrix_varmap(f), rigid=False)
-    assert formula == raw.validate(FORMULA_MULTI)[0], (f.to_json(), n, m)
+    raw = compilers._general_from_tree(f, tree, compilers._matrix_ranges(f, n, m),
+                                       compilers._matrix_varmap(f))
     compile_shape = (compilers.compile_skew_pw if isinstance(deco, width.PathDecomposition)
                      else compilers.compile_circuit_tw)
     built = compile_shape(f, deco, n, m).circuit
-    assert built.serialize() == symmetry.rigidify(raw).serialize(), (f.to_json(), n, m)
+    formula = raw.validate(FORMULA_MULTI)[0]
+    assert symmetry.is_rigid(built), (f.to_json(), n, m)
+    if formula:
+        assert built.validate(FORMULA_MULTI)[0], (f.to_json(), n, m)
     branches[formula] += 1
 
 
-def test_bag_tables_equal_rigidify_of_the_unshared_tables():
+def test_bag_tables_rigidify_at_every_host_size_and_certificate():
     branches = {True: 0, False: 0}
     for f in enumerate_bipartite_multigraphs(6, 8, max_mult=2)[::7]:
         decos = [width.pathwidth_exact(f)[1], width.treewidth_exact(f)[1]]
         for n, m in itertools.product((1, 2, 3), repeat=2):
             for deco in decos:
-                _check_bag_table_against_rigidify(f, deco, n, m, branches)
+                _check_bag_table_is_rigid(f, deco, n, m, branches)
     # Certificates that are not optimal: one bag holding every vertex, and
     # trees from seeded random elimination orders.
     rng = random.Random(12)
@@ -288,7 +290,8 @@ def test_bag_tables_equal_rigidify_of_the_unshared_tables():
         for n, m in ((2, 2), (2, 3), (3, 2)):
             for deco in decos:
                 assert width.validate_decomposition(f, deco)[0]
-                _check_bag_table_against_rigidify(f, deco, n, m, branches)
+                _check_bag_table_is_rigid(f, deco, n, m, branches)
+    # Both the sibling merge of a formula and the DAG merge are exercised.
     assert branches[True] and branches[False], branches
 
 

@@ -365,19 +365,18 @@ def _rigid_circuits_up_to_five():
 
 
 def test_non_adjacent_maps_are_conjugates_of_the_searched_extension():
-    # On a rigid circuit the conjugate s (a+1 b) s equals the unique extension,
-    # and a support test that follows a gate through the adjacent word, with
-    # no map of (a b) built, agrees with it.
+    # On a rigid circuit the composite of the generator maps along the word
+    # (a a+1) ... (b-1 b) ... (a a+1) is the unique extension of (a b), and a
+    # support test that follows a gate through that word agrees with it.
     for c, n, m in _rigid_circuits_up_to_five():
         analysis = SymmetryAnalysis(c, n, m)
-        unbuilt = SymmetryAnalysis(c, n, m)
         for side, size in (("L", n), ("R", m)):
             for a in range(size):
                 for b in range(a + 2, size):
                     pair = PermutationPair.transposition(n, m, side, a, b)
                     phi = extend_to_automorphism(c, pair)[0]
                     expected = [phi[g] for g in range(c.num_gates())]
-                    assert [unbuilt._fixes(g, side, a, b) for g in range(c.num_gates())] == \
+                    assert [analysis._fixes(g, side, a, b) for g in range(c.num_gates())] == \
                         [expected[g] == g for g in range(c.num_gates())], (side, a, b)
                     assert analysis.transposition_map(side, a, b) == expected, (side, a, b)
 
@@ -436,21 +435,14 @@ def test_supports_of_a_wide_sum_build_no_distant_map():
     # Every row holds a variable, so each support test moves a row; testing
     # an index against a distant class member once built the map of every
     # pair between them, recursively, and ran out of stack near n = 1000.
+    # The map of (1 n) itself once recursed through every map (k n), k > 1.
     n = 1500
-    report = analyze(_sum_of_all_vars(n, 1), n, 1)
-    supports = {tuple(entry["support"]) for entry in report.per_gate}
-    assert supports == {()} | {(("L", i),) for i in range(1, n + 1)}
-    assert (report.max_orbit, report.max_support) == (n, 1)
-
-
-def test_a_distant_transposition_map_is_composed_without_recursion():
-    # The map of (1 1100) once recursed through every map (k 1100), k > 1,
-    # and raised RecursionError.
-    n = 1100
     analysis = SymmetryAnalysis(_sum_of_all_vars(n, 1), n, 1)
     swapped = list(range(n + 1))
     swapped[0], swapped[n - 1] = n - 1, 0
     assert analysis.transposition_map("L", 0, n - 1) == swapped
+    assert set(analysis.all_supports()) == {frozenset()} | {frozenset({("L", i)}) for i in range(n)}
+    assert max(len(orbit) for orbit in analysis.orbits()) == n
 
 
 def test_unmoved_rows_and_columns_keep_the_searched_maps():
