@@ -10,14 +10,16 @@ automorphism fixing all input gates is the identity; extensions are then
 unique and the group acts on the gates.
 
 Everything an extension needs that does not depend on the pair (the
-signatures of the unpermuted circuit, the matchers' lookup tables) is built
-once per circuit, so one symmetry check or analysis pays for it once and each
-pair only costs the permuted signatures and the matching.  `SymmetryAnalysis`
-searches extensions for the adjacent transpositions only: the map of a
-non-adjacent transposition (a b) is the composite of the generator maps along
-the word (a a+1) ... (b-1 b) ... (a a+1).  That composite is an extension of
-(a b), and it is the one a search would return because a rigid circuit has
-exactly one.
+signatures of the unpermuted circuit, each variable's row and column, the
+matchers' lookup tables) is built once per circuit, so one symmetry check or
+analysis pays for it once.  A pair then costs work on its up-set, the gates
+above a variable it moves: no other gate's signature changes, and the
+matchers stop at the gates outside it that are forced to map to themselves.
+`SymmetryAnalysis` searches extensions for the adjacent transpositions only:
+the map of a non-adjacent transposition (a b) is the composite of the
+generator maps along the word (a a+1) ... (b-1 b) ... (a a+1).  That
+composite is an extension of (a b), and it is the one a search would return
+because a rigid circuit has exactly one.
 
 Rigidification merges interchangeable gates by a copy into a sharing
 `CircuitBuilder`, which gives gates of equal structure one gate.  For general
@@ -123,28 +125,28 @@ def _generators(n: int, m: int) -> List[Tuple[str, int, int]]:
 # -- structural signatures ------------------------------------------------------
 
 
-def _gate_signatures(c: Circuit, rename=None, interner: Optional[Dict] = None) -> List[int]:
-    """Interned recursive signature per gate; `rename` permutes variable labels.
+def _gate_signatures(c: Circuit, interner: Dict, sig: Optional[List[int]] = None,
+                     gates: Optional[List[int]] = None) -> List[int]:
+    """Interned recursive signature per gate.
 
     `interner` hash-conses each gate's structure key into an integer id, so
     signature comparison is O(1) even on deep formulas; passes that share it
     give equal structure equal ids.  The signature records each child's
     (signature, wire multiplicity) pair, which characterises subcircuits up
-    to label- and wire-preserving isomorphism.
+    to label- and wire-preserving isomorphism.  Given `sig` and `gates`
+    (children before parents), only those gates are recomputed, in place.
     """
-    interner = {} if interner is None else interner
-    sig: List[Optional[int]] = [None] * c.num_gates()
-    for g in c.topo_order():
+    if sig is None:
+        sig, gates = [0] * c.num_gates(), c.topo_order()
+    for g in gates:
         lbl = c.labels[g]
-        if lbl[0] == "var":
-            key = ("var", rename(lbl[1]) if rename else lbl[1])
-        elif lbl[0] == "const":
-            key = ("const", lbl[1])
+        if lbl[0] in ("var", "const"):
+            key = (lbl[0], lbl[1])
         else:
             key = (lbl[0], tuple(sorted((sig[ch], mult)
                                         for ch, mult in c.children[g].items())))
         sig[g] = interner.setdefault(key, len(interner))
-    return sig  # type: ignore[return-value]
+    return sig
 
 
 # -- automorphism extension ----------------------------------------------------
@@ -155,31 +157,47 @@ class _Extender:
 
     Built once per circuit: the formula flag, the signatures of the
     unpermuted circuit (in one interner that the permuted signatures of every
-    later pair share, so equal structure gets equal ids across pairs) and
-    `_tables`.  `extend` then only computes the permuted signatures `need`
-    and matches.
+    later pair share, so equal structure gets equal ids across pairs), each
+    variable gate's cell and `_tables`.  A pair then costs work on its up-set
+    U only: the internal gates above a variable gate whose cell it moves.
+    Outside U no signature changes, so `extend` copies `sig` into the
+    permuted signatures `need` and recomputes U's, and the matchers leave
+    gates outside U in place where that is forced (see `_extend_formula`
+    and `_extend_dag`).
     """
 
     def __init__(self, c: Circuit):
         self.c = c
         self.formula = c.validate(FORMULA_MULTI)[0]
         self.interner: Dict = {}
-        self.sig = _gate_signatures(c, interner=self.interner)
+        self.sig = _gate_signatures(c, self.interner)
+        self.distinct = len(set(self.sig)) == len(self.sig)
+        # Every gate map starts as a copy, so the maps share these int objects.
+        self.identity = list(range(c.num_gates()))
+
+    @cached_property
+    def _cells(self) -> Dict[Tuple[int, int], int]:
+        """Each variable gate by its 0-based (row, column); names are parsed
+        here only."""
+        cells = {}
+        for g, lbl in enumerate(self.c.labels):
+            if lbl[0] == "var":
+                i, j = parse_var_name(lbl[1])
+                cells[(i - 1, j - 1)] = g
+        return cells
 
     @cached_property
     def _tables(self) -> Tuple:
-        """The input gates, the variable gates by name and the matcher's
-        lookup tables, built on the first `extend` (a structural rigidity
-        check needs none of them).
+        """The internal gates in topological order and the matcher's lookup
+        tables, built on the first `extend` (a structural rigidity check
+        needs none of them).
 
         For formulas: each internal gate's internal children in id order, and
         the same children grouped by (signature, wire multiplicity).  For
-        other circuits: the internal gates in topological order, and the
-        internal gates keyed by (signature, weighted children).
+        other circuits: the internal gates keyed by (signature, weighted
+        children).
         """
         c, sig = self.c, self.sig
-        inputs = [(g, lbl) for g, lbl in enumerate(c.labels) if c.is_input(g)]
-        var_gates = {lbl[1]: g for g, lbl in inputs if lbl[0] == "var"}
         internal = [g for g in c.topo_order() if not c.is_input(g)]
         if self.formula:
             kids: Dict[int, List[Tuple[int, int]]] = {}
@@ -190,38 +208,50 @@ class _Extender:
                 groups[g] = {}
                 for ch, mult in kids[g]:
                     groups[g].setdefault((sig[ch], mult), []).append(ch)
-            return inputs, var_gates, kids, groups
+            return internal, kids, groups
         index: Dict = {}
         for g in sorted(internal):
             index.setdefault((sig[g], frozenset(c.children[g].items())), []).append(g)
-        return inputs, var_gates, internal, index
+        return internal, index
 
     @cached_property
     def _used(self) -> Set[Tuple[str, int]]:
         """The rows ("L", i) and columns ("R", j), 0-based, of the variables."""
-        used = set()
-        for name in self.c.variables():
-            i, j = parse_var_name(name)
-            used |= {("L", i - 1), ("R", j - 1)}
-        return used
+        return {("L", i) for i, _ in self._cells} | {("R", j) for _, j in self._cells}
 
     def moves(self, side: str, a: int, b: int) -> bool:
         """Whether the transposition (a b) on `side` moves a row or column of
         a variable; if not, it fixes every variable and the identity extends it."""
         return (side, a) in self._used or (side, b) in self._used
 
-    def extend(self, pair: PermutationPair, count_limit: int = 1) -> List[Dict[int, int]]:
-        """See `extend_to_automorphism`; up to `count_limit` extensions."""
-        inputs, var_gates, *tables = self._tables
-        renamed = {name: pair.apply_var(name) for name in var_gates}
-        if any(image not in var_gates for image in renamed.values()):
-            return []
-        need = _gate_signatures(self.c, rename=renamed.__getitem__, interner=self.interner)
-        phi = {g: (g if lbl[0] == "const" else var_gates[renamed[lbl[1]]])
-               for g, lbl in inputs}
+    def extend(self, pair: PermutationPair, count_limit: int = 1) -> List[List[int]]:
+        """See `extend_to_automorphism`; up to `count_limit` extensions, each
+        a list giving every gate's image."""
+        c, sig, cells = self.c, self.sig, self._cells
+        internal, *tables = self._tables
+        phi, need = list(self.identity), list(sig)
+        stack = []  # the moved variable gates, then the walk up from them
+        for (i, j), g in cells.items():
+            image = (pair.pi[i], pair.sigma[j])
+            if image != (i, j):
+                if image not in cells:
+                    return []
+                phi[g] = cells[image]
+                need[g] = sig[phi[g]]
+                stack.append(g)
+        up: Set[int] = set()
+        parents = c.parents()
+        while stack:
+            for p in parents[stack.pop()]:
+                if p not in up:
+                    up.add(p)
+                    stack.append(p)
+        order = [g for g in internal if g in up]
+        _gate_signatures(c, self.interner, need, order)
         if self.formula:
-            return self._extend_formula(need, phi, count_limit, *tables)
-        return self._extend_dag(need, phi, count_limit, *tables)
+            return self._extend_formula(need, phi, count_limit, up, *tables)
+        return self._extend_dag(need, phi, count_limit, order if self.distinct else internal,
+                                *tables)
 
     def is_rigid(self) -> bool:
         """See `is_rigid`."""
@@ -229,13 +259,13 @@ class _Extender:
         if self.formula:
             return all(len({(sig[ch], mult) for ch, mult in kids.items()}) == len(kids)
                        for kids in self.c.children)
-        if len(set(sig)) == len(sig):
+        if self.distinct:
             return True
         vn, vm = circuit_variable_bounds(self.c)
         return len(self.extend(PermutationPair.identity(vn, vm), count_limit=2)) <= 1
 
-    def _extend_formula(self, need: List[int], base: Dict[int, int], count_limit: int,
-                        kids: Dict, groups: Dict) -> List[Dict[int, int]]:
+    def _extend_formula(self, need: List[int], phi: List[int], count_limit: int,
+                        up: Set[int], kids: Dict, groups: Dict) -> List[List[int]]:
         """Extensions for formula-shaped circuits, by top-down matching.
 
         Internal children are grouped by (signature, wire multiplicity); a
@@ -243,68 +273,83 @@ class _Extender:
         group multisets agree, which the interned root signature equality
         guarantees all the way down, and within a group any pairing works
         because equal signatures mean isomorphic subtrees.  Returns the
-        canonical pairing, plus one transposed variant when a second
-        extension is requested and some group has at least two members.
+        canonical pairing (members of a group paired in id order), plus one
+        transposed variant when a second extension is requested and some
+        group has at least two members.
+
+        A gate outside U that is matched to itself holds no moved variable,
+        so the canonical pairing of its subtree is the identity, which `phi`
+        already holds: the match stops there.  A gate outside U matched to
+        another gate is still matched all the way down, and nothing is
+        skipped when a second extension is requested, as a swap site may lie
+        in any subtree.
         """
         c = self.c
         if need[c.output] != self.sig[c.output]:
             return []
+        whole = count_limit > 1
         swap_site: List[Tuple[int, int, int, int]] = []
 
-        def match(g: int, h: int, out: Dict[int, int], record_swaps: bool):
-            out[g] = h
-            if c.is_input(g):
-                return
-            mine: Dict[Tuple[int, int], List[int]] = {}
-            for ch, mult in kids[g]:
-                mine.setdefault((need[ch], mult), []).append(ch)
-            theirs = groups[h]
-            for key, group in sorted(mine.items()):
-                targets = theirs[key]
-                if record_swaps and len(group) >= 2 and not swap_site:
-                    swap_site.append((group[0], group[1], targets[0], targets[1]))
-                for child, target in zip(group, targets):
-                    match(child, target, out, record_swaps)
+        def match(g: int, h: int, out: List[int]):
+            stack = [(g, h)]
+            while stack:
+                g, h = stack.pop()
+                out[g] = h
+                if g == h and not whole and g not in up:
+                    continue
+                mine: Dict[Tuple[int, int], List[int]] = {}
+                for ch, mult in kids.get(g, ()):  # none when the output is an input
+                    mine.setdefault((need[ch], mult), []).append(ch)
+                for key, group in mine.items():
+                    targets = groups[h][key]
+                    if whole and len(group) >= 2 and not swap_site:
+                        swap_site.append((group[0], group[1], targets[0], targets[1]))
+                    stack.extend(zip(group, targets))
 
-        canonical = dict(base)
-        match(c.output, c.output, canonical, record_swaps=True)
-        solutions = [canonical]
-        if count_limit > 1 and swap_site:
+        match(c.output, c.output, phi)
+        solutions = [phi]
+        if swap_site:
             a, b, ta, tb = swap_site[0]
-            second = dict(canonical)
-            match(a, tb, second, record_swaps=False)
-            match(b, ta, second, record_swaps=False)
+            second = list(phi)
+            match(a, tb, second)
+            match(b, ta, second)
             solutions.append(second)
         return solutions
 
-    def _extend_dag(self, need: List[int], phi: Dict[int, int], count_limit: int,
-                    internal: List[int], index: Dict) -> List[Dict[int, int]]:
-        """Match internal gates in topological order by (signature, image
-        multiset of weighted children), backtracking when several gates share
-        that key; at most NODE_BUDGET candidates are tried."""
+    def _extend_dag(self, need: List[int], phi: List[int], count_limit: int,
+                    order: List[int], index: Dict) -> List[List[int]]:
+        """Match the gates of `order` (internal, children first) by
+        (signature, image multiset of weighted children), backtracking when
+        several gates share that key; at most NODE_BUDGET candidates are
+        tried.  `phi` holds the images of the other gates.
+
+        `extend` passes U alone when signatures are pairwise distinct (as
+        after `rigidify`): then sig[phi(g)] = need[g] = sig[g] forces
+        phi(g) = g outside U.  Where signatures repeat it passes every
+        internal gate, as gates outside U may have to swap.
+        """
         c = self.c
-        used: Set[int] = set(phi.values())
-        solutions: List[Dict[int, int]] = []
+        used: Set[int] = set()
+        solutions: List[List[int]] = []
         budget = NODE_BUDGET
 
-        # Iterative depth-first search over positions in `internal`; the stack
+        # Iterative depth-first search over positions in `order`; the stack
         # holds one candidate iterator per assigned position.
         def candidates_for(pos: int):
-            g = internal[pos]
+            g = order[pos]
             key = (need[g], frozenset((phi[ch], m) for ch, m in c.children[g].items()))
             return iter(index.get(key, ()))
 
-        if not internal:
-            return [dict(phi)]
+        if not order:
+            return [phi]
         stack: List = [candidates_for(0)]
         chosen: List[Optional[int]] = [None]
         while stack:
             pos = len(stack) - 1
-            g = internal[pos]
+            g = order[pos]
             if chosen[pos] is not None:
                 # Returning to this frame: undo the previous choice first.
                 used.discard(chosen[pos])
-                del phi[g]
                 chosen[pos] = None
             advanced = False
             for candidate in stack[pos]:
@@ -314,16 +359,13 @@ class _Extender:
                 if candidate in used:
                     continue
                 phi[g] = candidate
-                used.add(candidate)
-                chosen[pos] = candidate
-                if pos + 1 == len(internal):
-                    solutions.append(dict(phi))
-                    used.discard(candidate)
-                    del phi[g]
-                    chosen[pos] = None
+                if pos + 1 == len(order):
+                    solutions.append(list(phi))
                     if len(solutions) >= count_limit:
                         return solutions
                 else:
+                    used.add(candidate)
+                    chosen[pos] = candidate
                     stack.append(candidates_for(pos + 1))
                     chosen.append(None)
                     advanced = True
@@ -343,7 +385,7 @@ def extend_to_automorphism(c: Circuit, pair: PermutationPair) -> List[Dict[int, 
     topological order by (signature, image multiset of weighted children),
     with backtracking when several gates share that key.
     """
-    return _Extender(c).extend(pair)
+    return [dict(enumerate(phi)) for phi in _Extender(c).extend(pair)]
 
 
 def is_symmetric(c: Circuit, n: int, m: int) -> bool:
@@ -451,7 +493,7 @@ class SymmetryAnalysis:
         if not self._extender.is_rigid():
             raise NotRigid("orbit and support analysis requires a rigid circuit")
         self._maps: Dict[Tuple[str, int, int], List[int]] = {}
-        self._identity = list(range(c.num_gates()))
+        self._identity = self._extender.identity
         self._orbits: Optional[List[List[int]]] = None
         self._supports: Optional[List[FrozenSet]] = None
 
@@ -468,7 +510,7 @@ class SymmetryAnalysis:
                     PermutationPair.transposition(self.n, self.m, *tag))
                 if not solutions:
                     raise NotSymmetric(f"the circuit is not symmetric: {tag} does not extend")
-                self._maps[tag] = [solutions[0][g] for g in range(self.circuit.num_gates())]
+                self._maps[tag] = solutions[0]
         return self._maps[tag]
 
     def _word(self, side: str, a: int, b: int) -> List[List[int]]:

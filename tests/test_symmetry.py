@@ -311,7 +311,49 @@ def test_extension_budget_cap(monkeypatch):
     assert not c.validate(FORMULA_MULTI)[0]
     monkeypatch.setattr(symmetry, "NODE_BUDGET", 1)
     with pytest.raises(SizeCap):
-        extend_to_automorphism(c, PermutationPair.identity(1, 2))
+        extend_to_automorphism(c, PermutationPair.transposition(1, 2, "R", 0, 1))
+
+
+def test_gates_above_no_moved_variable_can_have_to_swap():
+    # A and A2 sit above no variable, yet the row swap must exchange them, as
+    # P = x_1_1 A maps to Q = x_2_1 A2.  Their signatures are equal, so the
+    # DAG search may not fix the gates outside the up-set of the moved rows.
+    b = CircuitBuilder()
+    a, a2 = (b.plus([(b.const(1), 1), (b.const(2), 1)]) for _ in range(2))
+    products = [b.times([(b.var(f"x_{i}_{j}"), 1), (shared, 1)])
+                for j in (1, 2) for i, shared in ((1, a), (2, a2))]
+    c = b.finish(b.plus([(p, 1) for p in products]))
+    assert not c.validate(FORMULA_MULTI)[0] and len(set(symmetry._Extender(c).sig)) < c.num_gates()
+    assert is_symmetric(c, 2, 2)
+    phi = extend_to_automorphism(c, PermutationPair.transposition(2, 2, "L", 0, 1))
+    assert phi and (phi[0][a], phi[0][a2]) == (a2, a)
+
+
+def test_formula_subtrees_without_moved_variables_still_move():
+    # Each copy of (x_3_3 + 1) * 2 holds no moved variable, but hangs under
+    # a moved one, so the row swap maps each copy onto the other, all the way
+    # down.
+    b = CircuitBuilder()
+    x33, one = b.var("x_3_3"), b.const(1)
+    copies = [b.plus([(x33, 1), (one, 1)]) for _ in range(2)]
+    doubled = [b.times([(copy, 1), (b.const(2), 1)]) for copy in copies]
+    tops = [b.times([(b.var(f"x_{i}_1"), 1), (d, 1)]) for i, d in zip((1, 2), doubled)]
+    c = b.finish(b.plus([(top, 1) for top in tops]))
+    assert c.validate(FORMULA_MULTI)[0]
+    phi = extend_to_automorphism(c, PermutationPair.transposition(3, 3, "L", 0, 1))[0]
+    for pair in (copies, doubled, tops):
+        assert [phi[g] for g in pair] == pair[::-1]
+    assert phi[x33] == x33 and phi[one] == one and sorted(phi.values()) == list(range(c.num_gates()))
+
+
+def test_a_circuit_whose_output_is_a_variable():
+    b = CircuitBuilder()
+    c = b.finish(b.var("x_1_1"))
+    assert extend_to_automorphism(c, PermutationPair.transposition(3, 1, "L", 1, 2)) == [{0: 0}]
+    assert is_rigid(c) and _identity_search_is_rigid(c)
+    assert analyze(c, 1, 1).to_json() == {"n": 1, "m": 1, "maxOrb": 1, "maxSup": 0,
+                                          "supportDepth": 0,
+                                          "perGate": [{"gate": 0, "support": []}]}
 
 
 def test_analyze_report():
