@@ -51,7 +51,7 @@ import json
 import re
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Generator, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InvalidParameter, MissingVariable, ParseError, SizeCap
 from .exactnum import (Rational, SparsePolynomial, add_terms, common_denominator, mul_terms,
@@ -512,6 +512,24 @@ def _reachable(children: Sequence[Dict[int, int]], output: int) -> set:
                 reachable.add(child)
                 stack.append(child)
     return reachable
+
+
+def _run_nested(root: Generator):
+    """The return value of `root`, a recursive builder written as a generator:
+    it yields the builder of each subresult and is sent that result back.
+    The builders run on an explicit stack, in the order plain recursion
+    would, so depth is bounded by memory and not by the recursion limit."""
+    stack, value = [root], None
+    while stack:
+        try:
+            nested = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+        else:
+            stack.append(nested)
+            value = None
+    return value
 
 
 def _build_kernel(var_gates: List[int], const_gates: List[int], gates: List,

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from . import compilers, oracle, pattern, reduce, symmetry, width
 from .circuit import Circuit, SKEW
-from .errors import CAPS, IdentityFailed, ParseError, SymcircError
+from .errors import CAPS, IdentityFailed, ParseError, SizeCap, SymcircError
 from .exactnum import int_from_json, rational_from_json, rational_to_json
 from .oracle import ColouredGraph, WeightedHost
 
@@ -56,7 +56,10 @@ def _load_caps(path: str) -> Mapping[str, int]:
 
 
 def _emit(data, out: Optional[str]):
-    text = json.dumps(data, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(data, indent=2, sort_keys=True)
+    except ValueError as exc:  # an int longer than Python converts to a string
+        raise SizeCap(f"output value over Python's {sys.get_int_max_str_digits()}-digit limit") from exc
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -87,9 +90,7 @@ def _cmd_pattern(args) -> int:
 
 def _cmd_width(args) -> int:
     g = pattern.BipartiteMultigraph.from_json(_load_json(args.graph))
-    solver = {"tw": width.treewidth_exact, "pw": width.pathwidth_exact,
-              "td": width.treedepth_exact}[args.parameter]
-    value, cert = solver(g)
+    value, cert = compilers._exact_certificate(g, args.parameter)
     ok, reason = width.validate_decomposition(g, cert)
     if not ok:
         print(f"certificate failed validation: {reason}", file=sys.stderr)
@@ -105,16 +106,10 @@ def _cmd_width(args) -> int:
 def _cmd_compile(args) -> int:
     g = pattern.BipartiteMultigraph.from_json(_load_json(args.graph))
     if args.decomp:
-        data = _load_json(args.decomp)
-        if args.shape == "td":
-            report = compilers.compile_formula_td(
-                g, width.EliminationForest.from_json(data), args.n, args.m)
-        elif args.shape == "pw":
-            report = compilers.compile_skew_pw(
-                g, width.PathDecomposition.from_json(data), args.n, args.m)
-        else:
-            report = compilers.compile_circuit_tw(
-                g, width.TreeDecomposition.from_json(data), args.n, args.m)
+        kind = {"td": width.EliminationForest, "pw": width.PathDecomposition,
+                "tw": width.TreeDecomposition}[args.shape]
+        cert = kind.from_json(_load_json(args.decomp))
+        report = compilers.compile_certificate(g, cert, args.n, args.m)
     else:
         report = compilers.compile_single(g, args.n, args.m, args.shape)
     payload = report.to_json()

@@ -1,48 +1,55 @@
 """Compilers from width certificates to symmetric circuits.
 
-Three constructions, all taking an explicit decomposition certificate:
+`compile_certificate(f, cert, n, m)` compiles hom_{F,n,m} from any valid
+certificate.  The certificate's type decides the construction, the circuit
+shape and the bounds the construction claims, matching each class to its
+width measure (symVF: treedepth and formulas, symVBP: pathwidth and skew
+circuits, symVP: treewidth and general circuits):
 
-  * compile_formula_td: a rigid symmetric formula (with multiedges) from an
-    elimination forest.  For each vertex u and each image assignment gamma of
-    its ancestor path, a summation gate ranges over the image h of u; each
-    summand multiplies the variables of u's edges into the path with the
-    recursively built child subformulas, each child tagged by multiplying
-    with 1^(position) so that structurally equal siblings cannot be permuted
-    by an automorphism.
+  * an EliminationForest gives a rigid symmetric formula (with multiedges).
+    For each vertex u and each image assignment gamma of its ancestor path,
+    a summation gate ranges over the image h of u; each summand multiplies
+    the variables of u's edges into the path with the recursively built
+    child subformulas, each child tagged by multiplying with 1^(position) so
+    that structurally equal siblings cannot be permuted by an automorphism.
+    Claimed bounds: size, orbit size and support size.
 
-  * compile_circuit_tw: a symmetric circuit from a tree decomposition.  Per
-    node and per labelling of its bag, a gate multiplies the edge variables
-    charged to the node with one summation gate per child subtree that
-    forgets the labels leaving the bag.  General shape; rigidified.
+  * a TreeDecomposition gives a general circuit by the bag-table dynamic
+    program.  Per node and per labelling of its bag, a gate multiplies the
+    edge variables charged to the node with one summation gate per child
+    subtree that forgets the labels leaving the bag.  No bound is claimed.
 
-  * compile_skew_pw: the same bag-table dynamic program run over the path
-    decomposition as a path-shaped tree (`deco.as_tree()`).  Every node has
-    at most one child, so multiplication gates touch at most one internal
-    child and the circuit is skew.  The result is rigidified.
+  * a PathDecomposition runs the same bag-table program over the path as a
+    path-shaped tree (`deco.as_tree()`).  Every node has at most one child,
+    so multiplication gates touch at most one internal child and the circuit
+    is skew.  Claimed bound: orbit size.
 
 Each edge is charged to exactly one decomposition node (the smallest-index
 bag containing both endpoints), and every map of the pattern into the host
 indices decomposes uniquely along the certificate, so the circuits evaluate
-to the homomorphism polynomial.  Isolated vertices factor out as an explicit
-constant n^(isolated left) * m^(isolated right).
+to the homomorphism polynomial.  In the formula, isolated vertices factor
+out as an explicit constant, the product of their ranges
+(n^(isolated left) * m^(isolated right)).
 
-`compile_colourful` runs the same dynamic programs over colour-indexed
-variables, and `compile_lincomb` combines per-pattern circuits into a tagged
-weighted sum.
+`compile_single` compiles from the exact certificate of the measure that
+its shape names ("td", "pw" or "tw").  `compile_colourful` runs the same
+constructions over colour-indexed variables, and `compile_lincomb` combines
+per-pattern circuits into a tagged weighted sum.
 
-The treedepth formula is rigid as built: its products' children are
-distinct variables and subformulas tagged by distinct powers of 1, and the
-summands of a sum fix different images h of a vertex with an edge, so they
-differ in their least degree in row (or column) h.  `compile_lincomb` tags
-its terms alike, so it is rigid too; both raise if `is_rigid` disagrees.  The
-bag tables repeat equal forget gates across labellings, so they are built
-unshared and rigidified: a formula has its siblings merged, any other circuit
-is copied into a sharing `CircuitBuilder`.
+The formula is rigid as built: its products' children are distinct
+variables and subformulas tagged by distinct powers of 1, and the summands
+of a sum fix different images h of a vertex with an edge, so they differ in
+their least degree in row (or column) h.  `compile_lincomb` tags its terms
+alike, so it is rigid too; both raise if `is_rigid` disagrees.  The bag
+tables repeat equal forget gates across labellings, so they are built
+unshared and rigidified: a formula has its siblings merged, any other
+circuit is copied into a sharing `CircuitBuilder`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
@@ -53,6 +60,7 @@ from .circuit import (
     FORMULA_MULTI,
     GENERAL,
     SKEW,
+    _run_nested,
     colour_var_name,
     var_name,
 )
@@ -94,13 +102,11 @@ class CompileReport:
 # -- variable conventions -----------------------------------------------------------
 
 
-def _matrix_varmap(f: BipartiteMultigraph) -> Callable[[int, int, int, int], str]:
-    def name(a_global: int, a_img: int, b_global: int, b_img: int) -> str:
-        return var_name(a_img, b_img)
-    return name
+def _matrix_varmap(a_global: int, a_img: int, b_global: int, b_img: int) -> str:
+    return var_name(a_img, b_img)
 
 
-def _colour_varmap(f: BipartiteMultigraph, colouring: Mapping[int, Hashable]):
+def _colour_varmap(colouring: Mapping[int, Hashable]) -> Callable[[int, int, int, int], str]:
     def name(a_global: int, a_img: int, b_global: int, b_img: int) -> str:
         return colour_var_name(colouring[a_global], a_img, colouring[b_global], b_img)
     return name
@@ -115,7 +121,63 @@ def _matrix_ranges(f: BipartiteMultigraph, n: int, m: int) -> Callable[[int], in
     return rng
 
 
-# -- shared pieces --------------------------------------------------------------------
+# -- the certificate compiler -----------------------------------------------------------
+
+
+def compile_certificate(f: BipartiteMultigraph, cert, n: int, m: int) -> CompileReport:
+    """Symmetric circuit for hom_{F,n,m} from a width certificate: a rigid
+    formula from an EliminationForest, a rigid skew circuit from a
+    PathDecomposition, a rigid general circuit from a TreeDecomposition.
+    A certificate that is not valid for F raises InvalidEliminationTree
+    (a forest) or InvalidDecomposition (bags)."""
+    ok, reason = validate_decomposition(f, cert)
+    if not ok and isinstance(cert, EliminationForest):
+        raise InvalidEliminationTree(reason)
+    if not ok:
+        raise InvalidDecomposition(reason)
+    circuit, shape = _construct(f, cert, _matrix_ranges(f, n, m), _matrix_varmap)
+    bounds: Dict[str, Optional[int]] = dict.fromkeys(("size_bound", "orbit_bound", "support_bound"))
+    if shape == FORMULA_MULTI:
+        if not is_rigid(circuit):
+            raise InvalidParameter("forest compiler produced a non-rigid formula; this is a bug")
+        height, slots = cert.height(), f.num_edge_slots()
+        bounds.update(size_bound=(f.num_vertices() * slots * (n + m)) ** height if slots else None,
+                      orbit_bound=(n + m) ** height, support_bound=height)
+    else:
+        circuit = rigidify(circuit)
+        if shape == SKEW:
+            bounds["orbit_bound"] = (n + m) ** (cert.width() + 1)
+    ok, reason = circuit.validate(shape)
+    if not ok:
+        raise InvalidParameter(f"certificate compiler produced a non-{shape} circuit: {reason}")
+    return CompileReport(circuit, shape, bounds)
+
+
+def _construct(f: BipartiteMultigraph, cert, ranges, varmap) -> Tuple[Circuit, str]:
+    """The circuit the certificate's construction builds, not rigidified, and
+    the shape it has."""
+    if isinstance(cert, EliminationForest):
+        return _formula_from_forest(f, cert, ranges, varmap), FORMULA_MULTI
+    if isinstance(cert, PathDecomposition):
+        return _general_from_tree(f, cert.as_tree(), ranges, varmap), SKEW
+    return _general_from_tree(f, cert, ranges, varmap), GENERAL
+
+
+def _exact_certificate(f: BipartiteMultigraph, shape: str):
+    """(width, certificate) of the measure `shape` names, computed exactly
+    (SizeCap past the `width_vertices` cap, see `errors.CAPS`).  Each solver
+    is called through its module-level name, so wrappers installed on those
+    names (such as a tracer's) see the call; a table of functions would not."""
+    if shape == "td":
+        return treedepth_exact(f)
+    if shape == "pw":
+        return pathwidth_exact(f)
+    if shape == "tw":
+        return treewidth_exact(f)
+    raise InvalidParameter(f"unknown compile shape {shape!r}")
+
+
+# -- constructions ----------------------------------------------------------------------
 
 
 def _edge_factors(f: BipartiteMultigraph, builder: CircuitBuilder, varmap, images: Mapping[int, int],
@@ -137,44 +199,13 @@ def _labellings(vertices: Sequence[int], ranges) -> List[Tuple[Tuple[int, int], 
     return out
 
 
-def _isolated_factor(f: BipartiteMultigraph, n: int, m: int) -> Fraction:
-    iso = f.isolated_vertices()
-    a_iso = sum(1 for v in iso if f.side(v) == SIDE_A)
-    return Fraction(n) ** a_iso * Fraction(m) ** (len(iso) - a_iso)
-
-
-# -- treedepth formula compiler ----------------------------------------------------------
-
-
-def compile_formula_td(f: BipartiteMultigraph, forest: EliminationForest,
-                       n: int, m: int) -> CompileReport:
-    """Rigid symmetric formula for hom_{F,n,m} from an elimination forest."""
-    ok, reason = validate_decomposition(f, forest)
-    if not ok:
-        raise InvalidEliminationTree(reason)
-    height = forest.height()
-    circuit = _formula_from_forest(f, forest, _matrix_ranges(f, n, m), _matrix_varmap(f),
-                                   _isolated_factor(f, n, m))
-    if not is_rigid(circuit):
-        raise InvalidParameter("treedepth compiler produced a non-rigid formula; this is a bug")
-    ok, reason = circuit.validate(FORMULA_MULTI)
-    if not ok:
-        raise InvalidParameter(f"treedepth compiler produced a non-formula: {reason}")
-    slots = f.num_edge_slots()
-    size_bound = (f.num_vertices() * slots * (n + m)) ** height if slots else None
-    return CompileReport(circuit, FORMULA_MULTI, {
-        "size_bound": size_bound,
-        "orbit_bound": (n + m) ** height,
-        "support_bound": height,
-    })
-
-
 def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
-                         ranges, varmap, constant: Fraction) -> Circuit:
+                         ranges, varmap) -> Circuit:
     builder = CircuitBuilder()
     const1 = builder.const(1)
 
     iso = set(f.isolated_vertices())
+    constant = math.prod(ranges(v) for v in iso)
     parent: Dict[int, Optional[int]] = {}
     for v in forest.parent:
         if v in iso:
@@ -199,7 +230,7 @@ def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
         else:
             adj_edges[b_g].append((a_g, b_g, mult))
 
-    def gate_for(u: int, gamma: Dict[int, int]) -> int:
+    def gate_for(u: int, gamma: Dict[int, int]):
         summands: List[Tuple[int, int]] = []
         kids = sorted(children[u])
         for h in range(1, ranges(u) + 1):
@@ -208,7 +239,7 @@ def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
             factors = _edge_factors(f, builder, varmap, images, adj_edges[u])
             parts = sorted(factors.items())
             for idx, v in enumerate(kids):
-                sub = gate_for(v, images)
+                sub = yield gate_for(v, images)
                 parts.append((builder.times([(sub, 1), (const1, idx + 1)]), 1))
             if parts:
                 summands.append((builder.times(parts), 1))
@@ -219,53 +250,13 @@ def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
     roots = core.roots()
     top: List[Tuple[int, int]] = []
     for idx, r in enumerate(roots):
-        root_gate = gate_for(r, {})
+        root_gate = _run_nested(gate_for(r, {}))
         if len(roots) == 1 and constant == 1:
             return builder.finish(root_gate)
         top.append((builder.times([(root_gate, 1), (const1, idx + 1)]), 1))
     if constant != 1:
         top.append((builder.const(constant), 1))
     return builder.finish(builder.times(top))
-
-
-# -- bag-table compilers (pathwidth skew, treewidth general) ---------------------------------
-
-
-def compile_skew_pw(f: BipartiteMultigraph, deco: PathDecomposition,
-                    n: int, m: int) -> CompileReport:
-    """Symmetric rigid skew circuit for hom_{F,n,m} from a path decomposition."""
-    circuit = _compile_bag_table(f, deco, n, m, SKEW)
-    return CompileReport(circuit, SKEW, {
-        "size_bound": None,
-        "orbit_bound": (n + m) ** (deco.width() + 1),
-        "support_bound": None,
-    })
-
-
-def compile_circuit_tw(f: BipartiteMultigraph, deco: TreeDecomposition,
-                       n: int, m: int) -> CompileReport:
-    """Symmetric circuit for hom_{F,n,m} from a tree decomposition."""
-    circuit = _compile_bag_table(f, deco, n, m, GENERAL)
-    return CompileReport(circuit, GENERAL, {
-        "size_bound": None,
-        "orbit_bound": None,
-        "support_bound": None,
-    })
-
-
-def _compile_bag_table(f: BipartiteMultigraph, deco, n: int, m: int, shape: str) -> Circuit:
-    """Validate `deco`, run the bag-table DP over it (a path as a path-shaped
-    tree), rigidify, and check the promised shape."""
-    ok, reason = validate_decomposition(f, deco)
-    if not ok:
-        raise InvalidDecomposition(reason)
-    tree = deco.as_tree() if isinstance(deco, PathDecomposition) else deco
-    raw = _general_from_tree(f, tree, _matrix_ranges(f, n, m), _matrix_varmap(f))
-    circuit = rigidify(raw)
-    ok, reason = circuit.validate(shape)
-    if not ok:
-        raise InvalidParameter(f"bag-table compiler produced a non-{shape} circuit: {reason}")
-    return circuit
 
 
 def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, varmap) -> Circuit:
@@ -279,11 +270,11 @@ def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, 
         idx = next(k for k, bag in enumerate(deco.bags) if a_g in bag and b_g in bag)
         assignment[idx].append((a_g, b_g, mult))
 
-    def table_for(t: int) -> Dict:
+    def table_for(t: int):
         bag = deco.bags[t]
         child_groups = []
         for ch in sorted(children[t]):
-            sub = table_for(ch)
+            sub = yield table_for(ch)
             groups: Dict = {}
             for phi, gid in sub.items():
                 key = tuple((v, img) for v, img in phi if v in bag)
@@ -307,27 +298,19 @@ def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, 
                 table[phi] = const1
         return table
 
-    root_table = table_for(deco.root)
+    root_table = _run_nested(table_for(deco.root))
     output = builder.plus([(gid, 1) for _, gid in sorted(root_table.items())])
     return builder.finish(output)
 
 
-# -- linear combinations ------------------------------------------------------------------------
+# -- shape-driven entry points ------------------------------------------------------------------
 
 
 def compile_single(f: BipartiteMultigraph, n: int, m: int, shape: str) -> CompileReport:
-    """Compile hom_{F,n,m} at the given shape, computing the decomposition
-    exactly (SizeCap past the `width_vertices` cap, see `errors.CAPS`)."""
-    if shape == "td":
-        _, forest = treedepth_exact(f)
-        return compile_formula_td(f, forest, n, m)
-    if shape == "pw":
-        _, deco = pathwidth_exact(f)
-        return compile_skew_pw(f, deco, n, m)
-    if shape == "tw":
-        _, deco = treewidth_exact(f)
-        return compile_circuit_tw(f, deco, n, m)
-    raise InvalidParameter(f"unknown compile shape {shape!r}")
+    """Compile hom_{F,n,m} at the given shape ("td", "pw" or "tw") from the
+    exact certificate of that measure (SizeCap past the `width_vertices` cap,
+    see `errors.CAPS`)."""
+    return compile_certificate(f, _exact_certificate(f, shape)[1], n, m)
 
 
 def compile_lincomb(terms: Sequence[Tuple[Rational, BipartiteMultigraph]],
@@ -348,7 +331,7 @@ def compile_lincomb(terms: Sequence[Tuple[Rational, BipartiteMultigraph]],
     circuit = builder.finish(builder.plus(tagged))
     if not is_rigid(circuit):
         raise InvalidParameter("lincomb compiler produced a non-rigid circuit; this is a bug")
-    result_shape = {"td": FORMULA_MULTI, "pw": SKEW, "tw": GENERAL}[shape]
+    result_shape = reports[0].shape
     ok, reason = circuit.validate(result_shape)
     if not ok:
         raise InvalidParameter(f"lincomb compiler broke shape {result_shape}: {reason}")
@@ -361,40 +344,22 @@ def compile_lincomb(terms: Sequence[Tuple[Rational, BipartiteMultigraph]],
     })
 
 
-# -- colourful variants -------------------------------------------------------------------------
-
-
 def compile_colourful(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
                       n: int, shape: str) -> CompileReport:
     """Circuit for the coloured homomorphism polynomial colhom_{F,c,n}.
 
-    Same dynamic programs over colour-indexed variables; every vertex ranges
-    over [n].  With `colouring` the identity this computes the colourful
-    homomorphism polynomial.
+    The same constructions over colour-indexed variables, neither checked
+    for rigidity nor rigidified; every vertex ranges over [n].  With
+    `colouring` the identity this computes the colourful homomorphism
+    polynomial.
     """
     if n < 1:
         raise InvalidParameter("host sizes must be >= 1")
     for v in f.vertices():
         if v not in colouring:
             raise InvalidParameter(f"colouring misses vertex {v}")
-    ranges = lambda v: n
-    varmap = _colour_varmap(f, colouring)
-    if shape == "td":
-        # Rigid as built, by the argument in the module docstring.
-        _, forest = treedepth_exact(f)
-        circuit = _formula_from_forest(f, forest, ranges, varmap,
-                                       Fraction(n) ** len(f.isolated_vertices()))
-        result_shape = FORMULA_MULTI
-    elif shape == "pw":
-        _, deco = pathwidth_exact(f)
-        circuit = _general_from_tree(f, deco.as_tree(), ranges, varmap)
-        result_shape = SKEW
-    elif shape == "tw":
-        _, deco = treewidth_exact(f)
-        circuit = _general_from_tree(f, deco, ranges, varmap)
-        result_shape = GENERAL
-    else:
-        raise InvalidParameter(f"unknown compile shape {shape!r}")
+    circuit, result_shape = _construct(f, _exact_certificate(f, shape)[1], lambda v: n,
+                                       _colour_varmap(colouring))
     ok, reason = circuit.validate(result_shape)
     if not ok:
         raise InvalidParameter(f"colourful compiler broke shape {result_shape}: {reason}")

@@ -61,6 +61,7 @@ from .circuit import (
     FORMULA_MULTI,
     PLUS,
     TIMES,
+    _run_nested,
     parse_var_name,
     var_name,
 )
@@ -433,11 +434,13 @@ def _rigidify_formula(c: Circuit) -> Circuit:
     top = shared.copy(c)
     builder = CircuitBuilder()
 
-    def rebuild(g: int) -> int:
-        children = sorted(shared.children[g].items(), key=lambda item: repr(item[0]))
-        return builder.gate(shared.labels[g], [(rebuild(ch), mult) for ch, mult in children])
+    def rebuild(g: int):
+        parts = []
+        for ch, mult in sorted(shared.children[g].items(), key=lambda item: repr(item[0])):
+            parts.append(((yield rebuild(ch)), mult))
+        return builder.gate(shared.labels[g], parts)
 
-    return builder.finish(rebuild(top))
+    return builder.finish(_run_nested(rebuild(top)))
 
 
 def rigidify(c: Circuit) -> Circuit:
@@ -547,10 +550,11 @@ class SymmetryAnalysis:
                 return x
 
             for gmap in self.generators():
-                for g in range(n_gates):
-                    rg, ri = find(g), find(gmap[g])
-                    if rg != ri:
-                        parent[max(rg, ri)] = min(rg, ri)
+                for g, image in enumerate(gmap):
+                    if image != g:
+                        rg, ri = find(g), find(image)
+                        if rg != ri:
+                            parent[max(rg, ri)] = min(rg, ri)
             groups: Dict[int, List[int]] = {}
             for g in range(n_gates):
                 groups.setdefault(find(g), []).append(g)

@@ -42,14 +42,13 @@ def _check_pattern_against_oracle(payload):
     rng = random.Random(seed)
     failures = []
     # One certificate per shape, compiled at every host size.
-    certificates = [("td", compilers.compile_formula_td, width.treedepth_exact(f)[1]),
-                    ("pw", compilers.compile_skew_pw, width.pathwidth_exact(f)[1]),
-                    ("tw", compilers.compile_circuit_tw, width.treewidth_exact(f)[1])]
+    certificates = [("td", width.treedepth_exact(f)[1]), ("pw", width.pathwidth_exact(f)[1]),
+                    ("tw", width.treewidth_exact(f)[1])]
     for n, m in itertools.product((1, 2, 3), repeat=2):
         hom = oracle.hom_poly(f, n, m)
         circuits = []
-        for shape, compile_shape, certificate in certificates:
-            report = compile_shape(f, certificate, n, m)
+        for shape, certificate in certificates:
+            report = compilers.compile_certificate(f, certificate, n, m)
             if not report.circuit.expand_symbolic() == hom:
                 failures.append(f"{graph_json} {shape} {n}x{m}: symbolic mismatch")
                 continue
@@ -121,7 +120,7 @@ def test_criterion_02_shape_and_symmetry():
         d, forest = width.treedepth_exact(f)
         pw, pdeco = width.pathwidth_exact(f)
         for nm in (2, 3, 4):
-            td_rep = compilers.compile_formula_td(f, forest, nm, nm)
+            td_rep = compilers.compile_certificate(f, forest, nm, nm)
             if not td_rep.circuit.validate(FORMULA_MULTI)[0]:
                 failures.append(f"{name}@{nm}: td shape")
             if not symmetry.is_symmetric(td_rep.circuit, nm, nm):
@@ -133,7 +132,7 @@ def test_criterion_02_shape_and_symmetry():
             if analysis.max_support() > d:
                 failures.append(f"{name}@{nm}: maxSup {analysis.max_support()} > {d}")
 
-            pw_rep = compilers.compile_skew_pw(f, pdeco, nm, nm)
+            pw_rep = compilers.compile_certificate(f, pdeco, nm, nm)
             if not pw_rep.circuit.validate(SKEW)[0]:
                 failures.append(f"{name}@{nm}: pw shape")
             if not symmetry.is_symmetric(pw_rep.circuit, nm, nm):
@@ -227,7 +226,7 @@ def test_criterion_04_support_depth_inequality():
         if f.num_vertices() > 6:
             continue
         _, forest = width.treedepth_exact(f)
-        report = compilers.compile_formula_td(f, forest, n, n)
+        report = compilers.compile_certificate(f, forest, n, n)
         analysis = symmetry.SymmetryAnalysis(report.circuit, n, n)
         max_sup = analysis.max_support()
         if max_sup > 4:

@@ -8,6 +8,7 @@ import pytest
 from symcirc.circuit import CircuitBuilder
 from symcirc.cli import run
 from symcirc.errors import CAPS
+from symcirc.pattern import make_path
 
 DEFAULT_CAPS = {"width_vertices": 14, "brute_force_maps": 10 ** 7, "minor_norm": 24}
 
@@ -444,6 +445,45 @@ def test_values_too_long_to_print_exit_2(capsys, tmp_path):
     host = _write(tmp_path, "host.json", {"n": 1, "m": 1, "weights": [[1, 1, seven]]})
     code, out, err = _run(capsys, "oracle", "hom", "--pattern", pattern, "--host", host)
     assert code == 2 and out == "" and "4300-digit limit" in err
+    # The size bound claimed for a forest of height 1200 has about 7,750 digits.
+    path = _write(tmp_path, "p1200.json", make_path(1200).to_json())
+    chain = {"kind": "elim", "parent": {str(v): v - 1 for v in range(1, 1201)}}
+    forest = _write(tmp_path, "chain.json", chain)
+    code, out, err = _run(capsys, "compile", "--graph", path, "--shape", "td",
+                          "--n", "1", "--m", "1", "--decomp", forest)
+    assert code == 2 and out == "" and err.startswith("error:") and "4300-digit limit" in err
+
+
+def test_deep_inputs_stay_within_the_recursion_limit(capsys, tmp_path):
+    one = {"const": {"num": "1", "den": "1"}}
+    gates = [{"id": 0, "label": {"var": "x_1_1"}}, {"id": 1, "label": one}]
+    wires = []
+    for g in range(2, 1202):  # plus(previous, 1), 1200 deep
+        gates.append({"id": g, "label": "plus"})
+        wires += [[g, g - 1 if g > 2 else 0, 1], [g, 1, 1]]
+    chain = _write(tmp_path, "chain.json", {"gates": gates, "wires": wires, "output": 1201})
+    code, out, err = _run(capsys, "analyze", "--circuit", chain, "--n", "1", "--m", "1")
+    assert code == 0 and err == "" and json.loads(out)["maxOrb"] == 1
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    bags = _write(tmp_path, "bags.json", {"kind": "path", "bags": [[1, 2]] * 1200})
+    code, out, err = _run(capsys, "compile", "--graph", p2, "--shape", "pw",
+                          "--n", "1", "--m", "1", "--decomp", bags)
+    assert code == 0 and err == "" and json.loads(out)["shape"] == "skew"
+
+
+@pytest.mark.parametrize("shape", ["td", "pw", "tw"])
+def test_width_certificates_compile_as_compile_single_does(capsys, tmp_path, shape):
+    for kind in ("path", "cycle"):
+        graph = str(tmp_path / f"{kind}.json")
+        _run(capsys, "pattern", "gen", kind, "--v", "4", "--out", graph)
+        code, out, _ = _run(capsys, "width", shape, "--graph", graph)
+        assert code == 0
+        decomp = _write(tmp_path, f"{kind}-{shape}.json", json.loads(out)["certificate"])
+        argv = ["compile", "--graph", graph, "--shape", shape, "--n", "2", "--m", "3"]
+        code, direct, _ = _run(capsys, *argv)
+        assert code == 0
+        code, via_certificate, _ = _run(capsys, *argv, "--decomp", decomp)
+        assert code == 0 and via_certificate == direct, (kind, shape)
 
 
 @pytest.mark.parametrize("gadget", ["clique-grid", "btree", "path", "minor", "extract-subgraph",

@@ -37,7 +37,7 @@ def test_td_compiler_examples():
 def test_td_compiler_shape_and_bounds():
     f = make_path(4)
     d, forest = width.treedepth_exact(f)
-    rep = compilers.compile_formula_td(f, forest, 2, 2)
+    rep = compilers.compile_certificate(f, forest, 2, 2)
     assert rep.shape == FORMULA_MULTI
     assert rep.circuit.validate(FORMULA_MULTI)[0]
     assert rep.claimed_bounds["support_bound"] == d
@@ -49,7 +49,7 @@ def test_td_compiler_rejects_invalid_forest():
     f = make_path(3)
     bad = width.EliminationForest({0: None, 1: None, 2: None})
     with pytest.raises(InvalidEliminationTree):
-        compilers.compile_formula_td(f, bad, 2, 2)
+        compilers.compile_certificate(f, bad, 2, 2)
 
 
 def test_pw_compiler_examples():
@@ -69,7 +69,7 @@ def test_pw_compiler_rejects_invalid_decomposition():
     f = make_path(3)
     bad = width.PathDecomposition([frozenset({0}), frozenset({1})])
     with pytest.raises(InvalidDecomposition):
-        compilers.compile_skew_pw(f, bad, 2, 2)
+        compilers.compile_certificate(f, bad, 2, 2)
 
 
 def test_tw_compiler_examples():
@@ -88,8 +88,8 @@ def test_tw_compiler_examples():
 def test_tw_agrees_with_pw_on_path_decompositions():
     f = make_path(4)
     pw, pdeco = width.pathwidth_exact(f)
-    rep_pw = compilers.compile_skew_pw(f, pdeco, 2, 2)
-    rep_tw = compilers.compile_circuit_tw(f, pdeco.as_tree(), 2, 2)
+    rep_pw = compilers.compile_certificate(f, pdeco, 2, 2)
+    rep_tw = compilers.compile_certificate(f, pdeco.as_tree(), 2, 2)
     rng = random.Random(4)
     for _ in range(10):
         a = {name: Fraction(rng.randint(-4, 4)) for name in ALL_ONES_22}
@@ -120,12 +120,12 @@ def test_compilers_on_every_optimal_decomposition_variant():
     # A wasteful path decomposition.
     deco = width.PathDecomposition([frozenset({0, 2}), frozenset({0, 1, 2})])
     assert width.validate_decomposition(f, deco)[0]
-    rep = compilers.compile_skew_pw(f, deco, 2, 2)
+    rep = compilers.compile_certificate(f, deco, 2, 2)
     assert rep.circuit.expand_symbolic() == hp
     # A deeper elimination tree (path-shaped instead of centred).
     forest = width.EliminationForest({0: None, 2: 0, 1: 2})
     assert width.validate_decomposition(f, forest)[0]
-    rep2 = compilers.compile_formula_td(f, forest, 2, 2)
+    rep2 = compilers.compile_certificate(f, forest, 2, 2)
     assert rep2.circuit.expand_symbolic() == hp
     assert rep2.circuit.validate(FORMULA_MULTI)[0]
 
@@ -236,9 +236,9 @@ def test_compilers_accept_arbitrary_valid_certificates():
         for _ in range(3):
             deco = _fattened_path_decomposition(f, rng)
             assert width.validate_decomposition(f, deco)[0]
-            rep = compilers.compile_skew_pw(f, deco, 2, 2)
+            rep = compilers.compile_certificate(f, deco, 2, 2)
             assert rep.circuit.expand_symbolic() == hp
-            rep_tw = compilers.compile_circuit_tw(f, deco.as_tree(), 2, 2)
+            rep_tw = compilers.compile_certificate(f, deco.as_tree(), 2, 2)
             assert rep_tw.circuit.expand_symbolic() == hp
         # A chain elimination forest (any linear order is valid).
         order = list(f.vertices())
@@ -248,20 +248,27 @@ def test_compilers_accept_arbitrary_valid_certificates():
             parent[v] = prev
         forest = width.EliminationForest(parent)
         assert width.validate_decomposition(f, forest)[0]
-        rep_td = compilers.compile_formula_td(f, forest, 2, 2)
+        rep_td = compilers.compile_certificate(f, forest, 2, 2)
         assert rep_td.circuit.expand_symbolic() == hp
         assert rep_td.circuit.validate(FORMULA_MULTI)[0]
+
+
+def test_compile_certificate_of_a_deep_chain_forest():
+    f = make_path(1200)
+    order = list(f.vertices())
+    forest = width.EliminationForest({v: (order[k - 1] if k else None)
+                                      for k, v in enumerate(order)})
+    rep = compilers.compile_certificate(f, forest, 1, 1)
+    assert rep.shape == FORMULA_MULTI and rep.claimed_bounds["support_bound"] == 1200
+    assert rep.circuit.evaluate({"x_1_1": Fraction(1)}) == 1
 
 
 def _check_bag_table_is_rigid(f, deco, n, m, branches):
     """The bag-table compile is rigid, and stays a formula when its unshared
     tables are one; tallies which rigidification branch it took."""
-    tree = deco.as_tree() if isinstance(deco, width.PathDecomposition) else deco
-    raw = compilers._general_from_tree(f, tree, compilers._matrix_ranges(f, n, m),
-                                       compilers._matrix_varmap(f))
-    compile_shape = (compilers.compile_skew_pw if isinstance(deco, width.PathDecomposition)
-                     else compilers.compile_circuit_tw)
-    built = compile_shape(f, deco, n, m).circuit
+    raw, _ = compilers._construct(f, deco, compilers._matrix_ranges(f, n, m),
+                                  compilers._matrix_varmap)
+    built = compilers.compile_certificate(f, deco, n, m).circuit
     formula = raw.validate(FORMULA_MULTI)[0]
     assert symmetry.is_rigid(built), (f.to_json(), n, m)
     if formula:
