@@ -298,8 +298,13 @@ def enumerate_bipartite_multigraphs(max_vertices: int, max_slots: int,
     """All non-empty bipartite multigraphs up to isomorphism within the given caps.
 
     Sides are distinguishable (an (a,b) graph is not identified with its
-    (b,a) transpose); enumeration is by side sizes, then multiplicity
-    assignments, deduplicated through canonical forms.
+    (b,a) transpose).  For each (a, b), multiplicity vectors (row-major
+    cells, 0 < 1 < 2 ...) are visited in lexicographic order, pruned to the
+    doubly-lexical ones: rows non-decreasing, and columns non-decreasing
+    read top-down.  Swapping an out-of-order pair of rows, or of columns,
+    gives an isomorphic smaller vector with as many slots, so the lex-least
+    vector of every class is visited, and first; deduplicated through
+    canonical forms, it is the one kept.
     """
     seen = set()
     out: List[BipartiteMultigraph] = []
@@ -308,25 +313,33 @@ def enumerate_bipartite_multigraphs(max_vertices: int, max_slots: int,
             if a + b == 0:
                 continue
             cells = [(i, j) for i in range(a) for j in range(b)]
-            current: Dict[Tuple[int, int], int] = {}
+            vec = [0] * len(cells)
+            col_tied = [j > 0 for j in range(b)]  # column j equals column j-1 so far
 
-            def rec(idx: int, total: int):
+            def rec(idx: int, total: int, row_tied: bool):
                 if idx == len(cells):
-                    g = BipartiteMultigraph(a, b, dict(current))
+                    g = BipartiteMultigraph(a, b, {c: m for c, m in zip(cells, vec) if m})
                     key = g.canonical_key()
                     if key not in seen:
                         seen.add(key)
                         out.append(g)
                     return
-                rec(idx + 1, total)
-                for mult in range(1, max_mult + 1):
+                i, j = cells[idx]
+                row_tied = row_tied if j else i > 0  # row i equals row i-1 so far
+                tied = col_tied[j]
+                # A tied row may not fall below the row above, nor a tied
+                # column below the column to its left.
+                above = vec[idx - b] if row_tied else 0
+                left = vec[idx - 1] if tied else 0
+                for mult in range(max(above, left), max_mult + 1):
                     if total + mult > max_slots:
                         break
-                    current[cells[idx]] = mult
-                    rec(idx + 1, total + mult)
-                    del current[cells[idx]]
+                    vec[idx] = mult
+                    col_tied[j] = tied and mult == left
+                    rec(idx + 1, total + mult, row_tied and mult == above)
+                col_tied[j] = tied
 
-            rec(0, 0)
+            rec(0, 0, False)
     return out
 
 

@@ -5,31 +5,42 @@ return both the exact value and a certificate that `validate_decomposition`
 accepts.  Treewidth and pathwidth share one subset DP, `_subset_dp`, over
 vertex orders (Bodlaender et al., On exact algorithms for treewidth, TALG
 2012); it minimizes the maximum step cost, recovers an optimal order, and
-differs per solver only in the step cost of placing v after the set S:
+differs per solver only in the step cost of placing v after the set S.
+Each solve builds one table `nb` of 2^n bitmasks, nb[mask] the union of the
+neighbourhoods of the vertices in mask, and both step costs and both
+certificate builders read it:
 
   * treewidth  -> TreeDecomposition: the number of vertices outside S+v
-    reachable from v through S (its elimination degree), with the
+    reachable from v through S (its elimination degree), found by growing
+    the mask comp = {v} by nb[comp] & S until it stops, with the
     decomposition rebuilt from the optimal elimination order;
   * labelled treewidth: the same count on the graph with a clique on the
     labels; plain treewidth is the case with no labels;
-  * pathwidth  -> PathDecomposition: the boundary of the prefix S+v, i.e.
-    its vertices with a neighbour outside it, plus the pinned labels in the
-    labelled variant (vertex separation number equals pathwidth), with the
-    bags rebuilt from the layout;
+  * pathwidth  -> PathDecomposition: the boundary of the prefix T = S+v,
+    T & (pins | nb[V - T]), i.e. its vertices with a neighbour outside it
+    plus the pinned labels in the labelled variant (vertex separation
+    number equals pathwidth), with the bags rebuilt from the layout;
   * treedepth  -> EliminationForest, via recursive root choice with
     memoization on connected vertex sets.
+
+The DP pulls each subset's cost from its predecessors in numeric mask
+order, taking candidates v in decreasing order and keeping the first
+strictly cheaper one; that tie-break fixes the order, and hence the
+certificate, each solver returns.
 
 Treedepth counts vertices (a single vertex has treedepth 1) and disconnected
 graphs use a forest, so td(F) is the maximum over components.  Labelled
 variants constrain all labelled vertices into one bag (treewidth: clique
 trick) or an end bag (pathwidth: labels never leave the boundary).
+Certificate validation is linear in the decomposition apart from the edge
+checks: parent chains are checked by one walk and ancestry by DFS times.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import InvalidDecomposition, InvalidParameter, ParseError, check_cap
 from .exactnum import int_from_json
@@ -175,41 +186,50 @@ def _path_parent(n: int) -> List[Optional[int]]:
     return [i + 1 for i in range(n - 1)] + [None] if n else []
 
 
+def _first_broken_chain(parent, starts, is_node) -> Optional[int]:
+    """The first of `starts` whose parent chain leaves the nodes or cycles, or None.
+
+    A walk stops where an earlier walk went, as that one reached a root, so
+    each node is entered once.
+    """
+    walked: Dict[int, int] = {}  # node -> the start whose walk entered it
+    for start in starts:
+        x = start
+        while x is not None:
+            if not is_node(x) or walked.get(x) == start:
+                return start
+            if x in walked:
+                break
+            walked[x] = start
+            x = parent[x]
+    return None
+
+
 def _validate_bags(f: BipartiteMultigraph, bags: Sequence[FrozenSet[int]],
                    parent: Sequence[Optional[int]]) -> Tuple[bool, str]:
     # Parent pointers must name bags and lead every bag to the root.
-    for start in range(len(bags)):
-        seen, i = {start}, start
-        while parent[i] is not None:
-            i = parent[i]
-            if not (isinstance(i, int) and 0 <= i < len(bags)) or i in seen:
-                return False, f"parent pointers from bag {start} leave the tree or cycle"
-            seen.add(i)
+    broken = _first_broken_chain(parent, range(len(bags)),
+                                 lambda i: isinstance(i, int) and 0 <= i < len(bags))
+    if broken is not None:
+        return False, f"parent pointers from bag {broken} leave the tree or cycle"
     verts = set(f.vertices())
     covered = set().union(*bags) if bags else set()
     if covered != verts:
         return False, f"bags cover {sorted(covered)} instead of V(F)"
+    occ: Dict[int, List[int]] = {v: [] for v in verts}
+    for i, b in enumerate(bags):
+        for v in b:
+            occ[v].append(i)
     for (i, j) in f.edges:
         u, v = i, f.a_count + j
-        if not any(u in b and v in b for b in bags):
+        if not any(v in bags[k] for k in occ[u]):
             return False, f"edge ({u},{v}) not inside any bag"
-    # Occurrence sets must induce connected subtrees.
-    neighbours: List[Set[int]] = [set() for _ in bags]
-    for i, p in enumerate(parent):
-        if p is not None:
-            neighbours[i].add(p)
-            neighbours[p].add(i)
-    for v in verts:
-        occ = {i for i, b in enumerate(bags) if v in b}
-        start = next(iter(occ))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in neighbours[stack.pop()]:
-                if w in occ and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != occ:
+    # Occurrence sets must induce connected subtrees: in a tree, the bags
+    # holding v form one subtree iff exactly one of them has no parent
+    # holding v.
+    for v in sorted(verts):
+        tops = sum(1 for i in occ[v] if parent[i] is None or v not in bags[parent[i]])
+        if tops > 1:
             return False, f"occurrence set of vertex {v} is disconnected"
     return True, ""
 
@@ -220,20 +240,21 @@ def _validate_elimination(f: BipartiteMultigraph, d: EliminationForest) -> Tuple
     for v, p in d.parent.items():
         if p is not None and p not in d.parent:
             return False, f"vertex {v} has parent {p} outside V(F)"
-    # Detect parent cycles while computing ancestor sets.
-    ancestors: Dict[int, Set[int]] = {}
-    for v in d.parent:
-        seen = set()
-        x = v
-        while d.parent[x] is not None:
-            x = d.parent[x]
-            if x in seen or x == v:
-                return False, f"parent pointers cycle at vertex {v}"
-            seen.add(x)
-        ancestors[v] = seen
+    broken = _first_broken_chain(d.parent, d.parent, d.parent.__contains__)
+    if broken is not None:
+        return False, f"parent pointers cycle at vertex {broken}"
+    # u is an ancestor of v iff v is entered after u and left before it.
+    children, enter, leave = d.children(), {}, {}
+    stack = [(r, False) for r in d.roots()]
+    while stack:
+        v, done = stack.pop()
+        (leave if done else enter)[v] = len(enter) + len(leave)
+        if not done:
+            stack.append((v, True))
+            stack.extend((c, False) for c in children[v])
     for (i, j) in f.edges:
         u, v = i, f.a_count + j
-        if u not in ancestors[v] and v not in ancestors[u]:
+        if not any(enter[x] < enter[y] and leave[y] < leave[x] for x, y in ((u, v), (v, u))):
             return False, f"edge ({u},{v}) joins incomparable vertices"
     return True, ""
 
@@ -251,57 +272,49 @@ def rooted_depth(d: TreeDecomposition) -> int:
     return best
 
 
-# -- treewidth --------------------------------------------------------------------
+# -- the subset DP ----------------------------------------------------------------
 
 
-def _reachable_through(adj: List[FrozenSet[int]], v: int, through: int, n: int) -> int:
-    """Bitmask of vertices outside `through|{v}` reachable from v via `through`."""
-    seen = 1 << v
-    stack = [v]
-    out = 0
-    while stack:
-        x = stack.pop()
-        for w in adj[x]:
-            bit = 1 << w
-            if seen & bit:
-                continue
-            seen |= bit
-            if through & bit:
-                stack.append(w)
-            else:
-                out |= bit
-    return out
+def _neighbourhood_unions(adj: Sequence[Iterable[int]]) -> List[int]:
+    """nb[mask]: the union of the neighbourhoods of the vertices in mask.
+
+    One bitmask per subset of the n vertices, built by doubling: the masks
+    whose top vertex is v are those below 1 << v, joined with v's neighbours.
+    """
+    nb = [0]
+    for ws in adj:
+        row = sum(1 << w for w in ws)
+        nb += [x | row for x in nb]
+    return nb
 
 
 def _subset_dp(n: int, start: int, step: Callable[[int, int], int]) -> Tuple[int, List[int]]:
     """Min over vertex orders of the max step cost, by DP over vertex subsets.
 
-    cost[0] = start and cost[S | {v}] = min over v not in S of
-    max(cost[S], step(S, v)), with S a bitmask of the vertices placed so far.
-    Subsets are visited in increasing popcount and candidates v in increasing
-    order; ties keep the first choice.  Returns (cost of all n vertices, an
-    optimal order, first placed first).
+    cost[0] = start and cost[T] = min over v in T of max(cost[S], step(S, v))
+    with S = T - {v}, T a bitmask of the vertices placed so far.  Masks are
+    filled in numeric order, as every S is below its T.  Candidates v are
+    taken in decreasing order and a later one wins only when strictly
+    cheaper; one whose cost[S] already reaches the best is skipped without
+    computing its step.  Returns (cost of all n vertices, an optimal order,
+    first placed first).
     """
     full = (1 << n) - 1
-    cost = {0: start}
-    choice: Dict[int, int] = {}
-    by_count: List[List[int]] = [[] for _ in range(n + 1)]
-    for mask in range(full + 1):
-        by_count[mask.bit_count()].append(mask)
-    for count in range(n):
-        for mask in by_count[count]:
-            if mask not in cost:
+    cost = [start] * (full + 1)
+    choice = [0] * (full + 1)
+    for new in range(1, full + 1):
+        best, rest = n + 1, new  # every step cost is at most n
+        while rest:
+            v = rest.bit_length() - 1
+            bit = 1 << v
+            rest ^= bit
+            base = cost[new ^ bit]
+            if base >= best:
                 continue
-            base = cost[mask]
-            for v in range(n):
-                bit = 1 << v
-                if mask & bit:
-                    continue
-                value = max(base, step(mask, v))
-                new = mask | bit
-                if new not in cost or value < cost[new]:
-                    cost[new] = value
-                    choice[new] = v
+            value = max(base, step(new ^ bit, v))
+            if value < best:
+                best, choice[new] = value, v
+        cost[new] = best
     order: List[int] = []
     mask = full
     while mask:
@@ -312,25 +325,40 @@ def _subset_dp(n: int, start: int, step: Callable[[int, int], int]) -> Tuple[int
     return cost[full], order
 
 
+def _members(mask: int) -> List[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+# -- treewidth --------------------------------------------------------------------
+
+
+def _eliminated_neighbours(nb: List[int], through: int, v: int) -> int:
+    """Bitmask of vertices outside `through|{v}` reachable from v via `through`."""
+    comp = 1 << v
+    while True:
+        grown = comp | nb[comp] & through
+        if grown == comp:
+            return nb[comp] & ~(through | comp)
+        comp = grown
+
+
 def treewidth_exact(f: BipartiteMultigraph) -> Tuple[int, TreeDecomposition]:
     """Exact treewidth with a certificate: `labelled_treewidth` with no labels."""
     return labelled_treewidth(LabelledPattern(f))
 
 
-def _decomposition_from_order(adj: List[FrozenSet[int]], order: List[int]) -> TreeDecomposition:
+def _decomposition_from_order(nb: List[int], order: List[int]) -> TreeDecomposition:
     """Tree decomposition from an elimination order (classic fill-in bags)."""
     n = len(order)
     position = {v: i for i, v in enumerate(order)}
     bags: List[FrozenSet[int]] = []
     higher: List[List[int]] = []
-    for i, v in enumerate(order):
-        before = 0
-        for w in order[:i]:
-            before |= 1 << w
-        q = _reachable_through(adj, v, before, n)
-        later = [w for w in range(n) if q & (1 << w)]
+    before = 0
+    for v in order:
+        later = _members(_eliminated_neighbours(nb, before, v))
         bags.append(frozenset([v] + later))
         higher.append(later)
+        before |= 1 << v
     parent: List[Optional[int]] = [None] * n
     for i, v in enumerate(order):
         if higher[i]:
@@ -348,20 +376,18 @@ def _decomposition_from_order(adj: List[FrozenSet[int]], order: List[int]) -> Tr
 
 def pathwidth_exact(f: BipartiteMultigraph) -> Tuple[int, PathDecomposition]:
     """Exact pathwidth with a certificate, via the vertex-separation DP."""
-    width, order = _vertex_separation(f, frozenset())
-    return width, _path_bags_from_layout(f, order, frozenset())
+    return _vertex_separation(f, frozenset())
 
 
 def labelled_pathwidth(p: LabelledPattern) -> Tuple[int, PathDecomposition]:
     """Exact pathwidth among decompositions whose *first* bag holds all labels."""
-    q = p.labelled_vertices_global()
-    width, order = _vertex_separation(p.graph, q)
-    bags = _path_bags_from_layout(p.graph, order, q)
+    width, bags = _vertex_separation(p.graph, p.labelled_vertices_global())
     bags.bags.reverse()  # the label bag is built last; present it first
     return width, bags
 
 
-def _vertex_separation(f: BipartiteMultigraph, pinned: FrozenSet[int]):
+def _vertex_separation(f: BipartiteMultigraph,
+                       pinned: FrozenSet[int]) -> Tuple[int, PathDecomposition]:
     """DP over layout prefixes; `pinned` vertices count as boundary forever.
 
     The cost of a layout is the maximum boundary over proper non-empty
@@ -372,51 +398,26 @@ def _vertex_separation(f: BipartiteMultigraph, pinned: FrozenSet[int]):
     n = f.num_vertices()
     check_cap("width_vertices", n, "pathwidth solver vertex count")
     if n == 0:
-        return -1, []
-    adj = f.adjacency()
-    adj_mask = [0] * n
-    for v in range(n):
-        for w in adj[v]:
-            adj_mask[v] |= 1 << w
-    pinned_mask = 0
-    for v in pinned:
-        pinned_mask |= 1 << v
+        return -1, PathDecomposition([frozenset()])
+    nb = _neighbourhood_unions(f.adjacency())
+    pins = sum(1 << v for v in pinned)
     full = (1 << n) - 1
 
     def boundary(mask: int, v: int) -> int:
         # Prefix mask+v: vertices pinned or with a neighbour outside it.  The
         # full prefix has no bag of its own and costs nothing.
         new = mask | 1 << v
-        if new == full:
-            return 0
-        count = 0
-        rest = ~new
-        for u in range(n):
-            bit = 1 << u
-            if new & bit and (bit & pinned_mask or adj_mask[u] & rest & full):
-                count += 1
-        return count
+        return (new & (pins | nb[full ^ new])).bit_count() if new != full else 0
 
-    return _subset_dp(n, 0, boundary)
-
-
-def _path_bags_from_layout(f: BipartiteMultigraph, order: List[int],
-                           pinned: FrozenSet[int]) -> PathDecomposition:
-    n = len(order)
-    if n == 0:
-        return PathDecomposition([frozenset()])
-    adj = f.adjacency()
-    placed: Set[int] = set()
+    width, order = _subset_dp(n, 0, boundary)
+    # Bag i holds order[i] and the placed vertices pinned or with a
+    # neighbour among order[i:].
     bags: List[FrozenSet[int]] = []
-    for i, v in enumerate(order):
-        rest = set(order[i:])
-        bag = {v}
-        for u in placed:
-            if u in pinned or adj[u] & frozenset(rest):
-                bag.add(u)
-        bags.append(frozenset(bag))
-        placed.add(v)
-    return PathDecomposition(bags)
+    placed = 0
+    for v in order:
+        bags.append(frozenset([v] + _members(placed & (pins | nb[full ^ placed]))))
+        placed |= 1 << v
+    return width, PathDecomposition(bags)
 
 
 # -- treedepth --------------------------------------------------------------------
@@ -497,15 +498,15 @@ def labelled_treewidth(p: LabelledPattern) -> Tuple[int, TreeDecomposition]:
     for u, v in itertools.combinations(labels, 2):
         adj[u].add(v)
         adj[v].add(u)
-    adj_f = [frozenset(s) for s in adj]
     if n == 0:
         return -1, TreeDecomposition([frozenset()], [None])
+    nb = _neighbourhood_unions(adj)
     width, order = _subset_dp(
-        n, -1, lambda mask, v: _reachable_through(adj_f, v, mask, n).bit_count())
+        n, -1, lambda mask, v: _eliminated_neighbours(nb, mask, v).bit_count())
     # Bags are built against the augmented adjacency so the clique (= the
     # labels) ends up sharing a bag; the result is a decomposition of the
     # original graph as well.
-    return width, _decomposition_from_order(adj_f, order)
+    return width, _decomposition_from_order(nb, order)
 
 
 def rooted_certificate(p: LabelledPattern) -> Tuple[int, int, TreeDecomposition]:

@@ -293,7 +293,8 @@ def test_bag_tables_rigidify_at_every_host_size_and_certificate():
         rng.shuffle(order)
         decos = [width.PathDecomposition([everything]),
                  width.TreeDecomposition([everything], [None]),
-                 width._decomposition_from_order(f.adjacency(), order)]
+                 width._decomposition_from_order(
+                     width._neighbourhood_unions(f.adjacency()), order)]
         for n, m in ((2, 2), (2, 3), (3, 2)):
             for deco in decos:
                 assert width.validate_decomposition(f, deco)[0]

@@ -106,6 +106,29 @@ def test_canonical_key_matches_two_side_reference():
             assert by_key[g.canonical_key()] == orbit
 
 
+def _definitional_census(max_vertices, max_slots, max_mult):
+    """Every labelled multiplicity vector in lexicographic order, the first of each class kept."""
+    seen, out = set(), []
+    for a in range(max_vertices + 1):
+        for b in range(max_vertices + 1 - a):
+            cells = list(itertools.product(range(a), range(b)))
+            for mults in itertools.product(range(max_mult + 1), repeat=len(cells)):
+                g = BipartiteMultigraph(a, b, {c: m for c, m in zip(cells, mults) if m})
+                if a + b and sum(mults) <= max_slots and g.canonical_key() not in seen:
+                    seen.add(g.canonical_key())
+                    out.append(g)
+    return out
+
+
+def test_census_matches_the_definitional_enumeration():
+    # (5, 4, 2) and (5, 6, 3) have graphs over the slot cap; (6, 9, 1) has none.
+    for caps in ((5, 6, 3), (6, 9, 1), (5, 4, 2)):
+        got = [(g.a_count, g.b_count, list(g.edges.items()))
+               for g in enumerate_bipartite_multigraphs(*caps)]
+        want = [(g.a_count, g.b_count, list(g.edges.items())) for g in _definitional_census(*caps)]
+        assert got == want, caps
+
+
 def test_isomorphism_caps_side_size_at_ten():
     wide = BipartiteMultigraph(1, 11)
     with pytest.raises(SizeCap, match="^canonical form capped at side size 10$"):

@@ -4,10 +4,12 @@ import math
 
 import pytest
 
+from symcirc import width
 from symcirc.errors import SizeCap
 from symcirc.pattern import (
     BipartiteMultigraph,
     LabelledPattern,
+    enumerate_bipartite_multigraphs,
     make_complete_binary_tree,
     make_complete_bipartite,
     make_cycle,
@@ -189,3 +191,104 @@ def test_decomposition_json_round_trip():
     td, ecert = treedepth_exact(g)
     againe = EliminationForest.from_json(ecert.to_json())
     assert validate_decomposition(g, againe)[0] and againe.height() == td
+
+
+def test_validators_report_the_first_violation():
+    p3 = make_path(3)  # the path 0 - 2 - 1 over global ids
+    b02, b12, b2 = frozenset({0, 2}), frozenset({1, 2}), frozenset({2})
+    chain = "parent pointers from bag {} leave the tree or cycle".format
+    cases = [
+        (TreeDecomposition([b02, b12, b2], [1, 0, None]), chain(0)),
+        (TreeDecomposition([b2, b02, b12], [None, 2, 1]), chain(1)),
+        (TreeDecomposition([b02, b12, b2, b2], [2, None, 3, 2]), chain(0)),
+        (TreeDecomposition([b02, b12], [7, None]), chain(0)),
+        (PathDecomposition([b02, b2]), "bags cover [0, 2] instead of V(F)"),
+        (PathDecomposition([frozenset({0}), b2, frozenset({1})]), "edge (0,2) not inside any bag"),
+        (PathDecomposition([b02, frozenset({1}), b02 | b12]),
+         "occurrence set of vertex 0 is disconnected"),
+        (TreeDecomposition([b02, b12, b02], [None, 0, 1]),
+         "occurrence set of vertex 0 is disconnected"),
+        (EliminationForest({0: None, 1: None}), "elimination forest must cover exactly V(F)"),
+        (EliminationForest({0: 7, 1: None, 2: None}), "vertex 0 has parent 7 outside V(F)"),
+        (EliminationForest({0: None, 1: 2, 2: 1}), "parent pointers cycle at vertex 1"),
+        (EliminationForest({2: 0, 0: 1, 1: 0}), "parent pointers cycle at vertex 2"),
+        (EliminationForest({0: None, 2: None, 1: 0}), "edge (0,2) joins incomparable vertices"),
+        (EliminationForest({1: None, 0: 1, 2: 1}), "edge (0,2) joins incomparable vertices"),
+    ]
+    for deco, why in cases:
+        assert validate_decomposition(p3, deco) == (False, why)
+    assert validate_decomposition(p3, EliminationForest({2: None, 0: 2, 1: 0})) == (True, "")
+
+
+class _CountingList(list):
+    """A parent list that counts its element reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+class _CountingDict(dict):
+    """A parent map that counts its element reads."""
+
+    reads = 0
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return super().__getitem__(v)
+
+
+def test_validators_read_each_parent_a_bounded_number_of_times():
+    # A walk from every node to the root reads a path's pointers n^2/2 times.
+    p2, n = make_path(2), 5000
+    parent = _CountingList([i + 1 for i in range(n - 1)] + [None])
+    assert validate_decomposition(p2, TreeDecomposition([frozenset({0, 1})] * n, parent))[0]
+    assert parent.reads <= 5 * n
+    # A chain forest on the path: vertex k of the path is the parent of vertex k-1.
+    path = make_path(3000)
+    ids = [k // 2 if k % 2 == 0 else path.a_count + k // 2 for k in range(3000)]
+    forest = EliminationForest(_CountingDict(zip(ids, ids[1:] + [None])))
+    assert validate_decomposition(path, forest) == (True, "")
+    assert forest.parent.reads <= 2 * len(ids)
+
+
+def _reference_tw_step(adj, through, v):
+    """Vertices outside through+v reachable from v through `through`, by set search."""
+    seen, stack, out = {v}, [v], set()
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                (stack.append if w in through else out.add)(w)
+    return len(out)
+
+
+def _reference_pw_step(adj, pins, prefix, n):
+    """Vertices of the prefix pinned or with a neighbour outside it; 0 for all n."""
+    if len(prefix) == n:
+        return 0
+    return sum(1 for u in prefix if u in pins or adj[u] - prefix)
+
+
+def test_dp_steps_match_a_set_based_recount(monkeypatch):
+    steps = []
+    real = width._subset_dp
+    monkeypatch.setattr(width, "_subset_dp",
+                        lambda n, start, step: steps.append(step) or real(n, start, step))
+    for g in enumerate_bipartite_multigraphs(6, 9):
+        for p in (LabelledPattern(g),
+                  LabelledPattern(g, tuple(range(min(2, g.a_count))), (0,) if g.b_count else ())):
+            n, labels = g.num_vertices(), p.labelled_vertices_global()
+            adj = [set(ws) for ws in g.adjacency()]
+            clique = [ws | (labels - {v} if v in labels else set()) for v, ws in enumerate(adj)]
+            labelled_treewidth(p)
+            tw_step = steps[-1]
+            labelled_pathwidth(p)
+            pw_step = steps[-1]
+            for mask in range(1 << n):
+                through = {u for u in range(n) if mask >> u & 1}
+                for v in set(range(n)) - through:
+                    assert tw_step(mask, v) == _reference_tw_step(clique, through, v)
+                    assert pw_step(mask, v) == _reference_pw_step(adj, labels, through | {v}, n)
