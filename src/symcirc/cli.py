@@ -55,9 +55,44 @@ def _load_caps(path: str) -> Mapping[str, int]:
     return MappingProxyType(caps)
 
 
+def _json_text(value, indent: str = "\n", memo: Optional[Dict] = None) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
+
+    json writes indented text with its pure-Python encoder, which costs a
+    generator per container; this is one recursive writer instead, at the
+    given indentation ("\n" and two spaces per level).  The text of a
+    string, and of a tuple at a given indentation, is kept in `memo` and
+    reused, so the support pairs repeated across an analysis' gates are
+    written once.  Tuples are keyed by repr, which tells 1, 1.0 and True
+    apart.  Other scalars, empty containers and keys that are not strings
+    are written by `json.dumps` itself; a key json would refuse (not str,
+    int, float, bool or None) is not checked for.  A plain function, not a
+    closure: a recursive closure is a reference cycle, which would hold the
+    memo until the next garbage collection.
+    """
+    memo = {} if memo is None else memo
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind is str or kind is tuple:
+        key = value if kind is str else (repr(value), indent)
+        if key not in memo:
+            memo[key] = json.dumps(value) if kind is str else _json_text(list(value), indent, memo)
+        return memo[key]
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_json_text(k if isinstance(k, str) else json.dumps(k), inner, memo) + ": "
+                 + _json_text(v, inner, memo) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    items = [_json_text(v, inner, memo) for v in value]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _emit(data, out: Optional[str]):
     try:
-        text = json.dumps(data, indent=2, sort_keys=True)
+        text = _json_text(data)
     except ValueError as exc:  # an int longer than Python converts to a string
         raise SizeCap(f"output value over Python's {sys.get_int_max_str_digits()}-digit limit") from exc
     if out:

@@ -15,6 +15,9 @@ matchers' lookup tables) is built once per circuit, so one symmetry check or
 analysis pays for it once.  A pair then costs work on its up-set, the gates
 above a variable it moves: no other gate's signature changes, and the
 matchers stop at the gates outside it that are forced to map to themselves.
+Only the formula matcher reads permuted signatures.  The DAG matcher keys a
+gate by its label and its children's images, which imply its permuted
+signature, as the children are matched first.
 `SymmetryAnalysis` searches extensions for the adjacent transpositions only:
 the map of a non-adjacent transposition (a b) is the composite of the
 generator maps along the word (a a+1) ... (b-1 b) ... (a a+1).  That
@@ -161,10 +164,10 @@ class _Extender:
     later pair share, so equal structure gets equal ids across pairs), each
     variable gate's cell and `_tables`.  A pair then costs work on its up-set
     U only: the internal gates above a variable gate whose cell it moves.
-    Outside U no signature changes, so `extend` copies `sig` into the
-    permuted signatures `need` and recomputes U's, and the matchers leave
-    gates outside U in place where that is forced (see `_extend_formula`
-    and `_extend_dag`).
+    Outside U no signature changes.  For a formula, `extend` copies `sig`
+    into the permuted signatures `need` and recomputes U's; the DAG matcher
+    needs no permuted signature (see `_extend_dag`).  The matchers leave
+    gates outside U in place where that is forced.
     """
 
     def __init__(self, c: Circuit):
@@ -195,8 +198,8 @@ class _Extender:
 
         For formulas: each internal gate's internal children in id order, and
         the same children grouped by (signature, wire multiplicity).  For
-        other circuits: the internal gates keyed by (signature, weighted
-        children).
+        other circuits: the internal gates keyed by (label, weighted
+        children), with no signature: see `_extend_dag`.
         """
         c, sig = self.c, self.sig
         internal = [g for g in c.topo_order() if not c.is_input(g)]
@@ -212,7 +215,7 @@ class _Extender:
             return internal, kids, groups
         index: Dict = {}
         for g in sorted(internal):
-            index.setdefault((sig[g], frozenset(c.children[g].items())), []).append(g)
+            index.setdefault((c.labels[g], frozenset(c.children[g].items())), []).append(g)
         return internal, index
 
     @cached_property
@@ -228,9 +231,9 @@ class _Extender:
     def extend(self, pair: PermutationPair, count_limit: int = 1) -> List[List[int]]:
         """See `extend_to_automorphism`; up to `count_limit` extensions, each
         a list giving every gate's image."""
-        c, sig, cells = self.c, self.sig, self._cells
+        c, cells = self.c, self._cells
         internal, *tables = self._tables
-        phi, need = list(self.identity), list(sig)
+        phi = list(self.identity)
         stack = []  # the moved variable gates, then the walk up from them
         for (i, j), g in cells.items():
             image = (pair.pi[i], pair.sigma[j])
@@ -238,8 +241,9 @@ class _Extender:
                 if image not in cells:
                     return []
                 phi[g] = cells[image]
-                need[g] = sig[phi[g]]
                 stack.append(g)
+        if not (self.formula or self.distinct):
+            return self._extend_dag(phi, count_limit, internal, *tables)
         up: Set[int] = set()
         parents = c.parents()
         while stack:
@@ -248,11 +252,11 @@ class _Extender:
                     up.add(p)
                     stack.append(p)
         order = [g for g in internal if g in up]
-        _gate_signatures(c, self.interner, need, order)
         if self.formula:
+            sig = self.sig
+            need = _gate_signatures(c, self.interner, [sig[h] for h in phi], order)
             return self._extend_formula(need, phi, count_limit, up, *tables)
-        return self._extend_dag(need, phi, count_limit, order if self.distinct else internal,
-                                *tables)
+        return self._extend_dag(phi, count_limit, order, *tables)
 
     def is_rigid(self) -> bool:
         """See `is_rigid`."""
@@ -317,12 +321,19 @@ class _Extender:
             solutions.append(second)
         return solutions
 
-    def _extend_dag(self, need: List[int], phi: List[int], count_limit: int,
-                    order: List[int], index: Dict) -> List[List[int]]:
-        """Match the gates of `order` (internal, children first) by
-        (signature, image multiset of weighted children), backtracking when
-        several gates share that key; at most NODE_BUDGET candidates are
-        tried.  `phi` holds the images of the other gates.
+    def _extend_dag(self, phi: List[int], count_limit: int, order: List[int],
+                    index: Dict) -> List[List[int]]:
+        """Match the gates of `order` (internal, children first) by (label,
+        weighted child images), backtracking when several gates share that
+        key; at most NODE_BUDGET candidates are tried.  `phi` holds the
+        images of the other gates.
+
+        No permuted signature is needed.  Write need[x] for the signature of
+        x with the variables permuted.  Every child ch already has an image
+        of signature need[ch] (a variable by its cell, an internal gate by
+        this match), and phi is injective, so a candidate h whose label and
+        weighted children equal g's label and child images has
+        sig[h] = intern(label, sorted (need[ch], mult)) = need[g].
 
         `extend` passes U alone when signatures are pairwise distinct (as
         after `rigidify`): then sig[phi(g)] = need[g] = sig[g] forces
@@ -338,7 +349,7 @@ class _Extender:
         # holds one candidate iterator per assigned position.
         def candidates_for(pos: int):
             g = order[pos]
-            key = (need[g], frozenset((phi[ch], m) for ch, m in c.children[g].items()))
+            key = (c.labels[g], frozenset((phi[ch], m) for ch, m in c.children[g].items()))
             return iter(index.get(key, ()))
 
         if not order:
@@ -427,20 +438,35 @@ def _rigidify_formula(c: Circuit) -> Circuit:
 
     Merging is restricted to siblings because only those are interchangeable
     by an automorphism of a formula; a global merge would introduce shared
-    subtrees and destroy tree-ness.  Siblings are rebuilt from a sharing copy,
-    in the string order of their ids there (the serialized output keeps it).
+    subtrees and destroy tree-ness.  Siblings are rebuilt from a sharing copy
+    by `_rebuild`.
     """
     shared = CircuitBuilder(share=True)
     top = shared.copy(c)
     builder = CircuitBuilder()
+    return builder.finish(_run_nested(_rebuild(shared, builder, {}, top)))
 
-    def rebuild(g: int):
-        parts = []
-        for ch, mult in sorted(shared.children[g].items(), key=lambda item: repr(item[0])):
-            parts.append(((yield rebuild(ch)), mult))
-        return builder.gate(shared.labels[g], parts)
 
-    return builder.finish(_run_nested(rebuild(top)))
+def _rebuild(shared: CircuitBuilder, builder: CircuitBuilder, inputs: Dict[int, int], g: int):
+    """Gate g of `shared` built in `builder`, as a `_run_nested` builder.
+
+    Siblings come in the string order of their ids in `shared` (the
+    serialized output keeps it).  Only internal children nest a builder; an
+    input child is built in place on its first occurrence and then found in
+    `inputs`.  A plain generator function, not a closure: a recursive
+    closure is a reference cycle, which would hold both builders until the
+    next garbage collection.
+    """
+    parts = []
+    for ch, mult in sorted(shared.children[g].items(), key=lambda item: str(item[0])):
+        if shared.children[ch]:
+            ch = yield _rebuild(shared, builder, inputs, ch)
+        else:
+            if ch not in inputs:
+                inputs[ch] = builder.gate(shared.labels[ch], ())
+            ch = inputs[ch]
+        parts.append((ch, mult))
+    return builder.gate(shared.labels[g], parts)
 
 
 def rigidify(c: Circuit) -> Circuit:

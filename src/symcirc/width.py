@@ -20,8 +20,8 @@ certificate builders read it:
     T & (pins | nb[V - T]), i.e. its vertices with a neighbour outside it
     plus the pinned labels in the labelled variant (vertex separation
     number equals pathwidth), with the bags rebuilt from the layout;
-  * treedepth  -> EliminationForest, via recursive root choice with
-    memoization on connected vertex sets.
+  * treedepth  -> EliminationForest, via recursive root choice memoized on
+    vertex masks, components grown by the tw step's closure.
 
 The DP pulls each subset's cost from its predecessors in numeric mask
 order, taking candidates v in decreasing order and keeping the first
@@ -424,60 +424,59 @@ def _vertex_separation(f: BipartiteMultigraph,
 
 
 def treedepth_exact(f: BipartiteMultigraph) -> Tuple[int, EliminationForest]:
-    """Exact treedepth with an elimination forest, by recursive root choice."""
+    """Exact treedepth with an elimination forest: `_treedepth` fills a memo
+    on vertex masks, and `_forest` builds the forest from it once."""
     n = f.num_vertices()
     check_cap("width_vertices", n, "treedepth solver vertex count")
-    adj = f.adjacency()
-    memo: Dict[FrozenSet[int], Tuple[int, Dict[int, Optional[int]]]] = {}
-
-    def components(vs: FrozenSet[int]) -> List[FrozenSet[int]]:
-        remaining = set(vs)
-        out = []
-        while remaining:
-            start = min(remaining)
-            seen = {start}
-            stack = [start]
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w in remaining and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            out.append(frozenset(seen))
-            remaining -= seen
-        return out
-
-    def solve(vs: FrozenSet[int]) -> Tuple[int, Dict[int, Optional[int]]]:
-        if not vs:
-            return 0, {}
-        if vs in memo:
-            return memo[vs]
-        comps = components(vs)
-        if len(comps) > 1:
-            height = 0
-            forest: Dict[int, Optional[int]] = {}
-            for comp in comps:
-                h, sub = solve(comp)
-                height = max(height, h)
-                forest.update(sub)
-            memo[vs] = (height, forest)
-            return memo[vs]
-        best: Optional[Tuple[int, Dict[int, Optional[int]]]] = None
-        for v in sorted(vs):
-            h, sub = solve(vs - {v})
-            if best is None or h + 1 < best[0]:
-                tree = dict(sub)
-                for u, p in sub.items():
-                    if p is None:
-                        tree[u] = v
-                tree[v] = None
-                best = (h + 1, tree)
-                if h + 1 == 1:
-                    break
-        memo[vs] = best
-        return best
-
-    height, parent = solve(frozenset(f.vertices()))
+    memo: Dict[int, Tuple[int, object]] = {0: (0, ())}
+    height = _treedepth(_neighbourhood_unions(f.adjacency()), memo, (1 << n) - 1)
+    parent: Dict[int, Optional[int]] = {}
+    _forest(memo, (1 << n) - 1, None, parent)
     return height, EliminationForest(parent)
+
+
+def _treedepth(nb: List[int], memo: Dict[int, Tuple[int, object]], mask: int) -> int:
+    """td of the graph `mask` induces: the maximum over its components (the
+    tw step's closure over `nb`), and for a connected one 1 + td(S - v) for
+    the first v in increasing order reaching the minimum.  The search stops
+    at a lower bound, 1 or the largest td(S - v) met, as deleting a vertex
+    never raises treedepth.  `memo` keeps a height and a root or the
+    components per mask."""
+    if mask in memo:
+        return memo[mask][0]
+    comps, rest = [], mask
+    while rest:
+        comp, grown = 0, rest & -rest
+        while grown != comp:
+            comp, grown = grown, grown | nb[grown] & rest
+        comps.append(comp)
+        rest ^= comp
+    if len(comps) > 1:
+        memo[mask] = (max(_treedepth(nb, memo, comp) for comp in comps), comps)
+        return memo[mask][0]
+    best, root, floor, rest = mask.bit_count() + 1, 0, 1, mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        height = _treedepth(nb, memo, mask ^ bit) + 1
+        floor = max(floor, height - 1)
+        if height < best:
+            best, root = height, bit.bit_length() - 1
+        if best == floor:
+            break
+    memo[mask] = (best, root)
+    return best
+
+
+def _forest(memo: Dict, mask: int, above: Optional[int], parent: Dict[int, Optional[int]]):
+    """Enter the memo's forest on `mask` into `parent`, its roots below `above`."""
+    how = memo[mask][1]
+    if isinstance(how, int):
+        _forest(memo, mask ^ 1 << how, how, parent)
+        parent[how] = above
+    else:
+        for comp in how:
+            _forest(memo, comp, above, parent)
 
 
 # -- labelled treewidth (clique trick) ---------------------------------------------

@@ -2,13 +2,18 @@
 
 import itertools
 import json
+import sys
 
 import pytest
 
+from symcirc import cli
 from symcirc.circuit import CircuitBuilder
 from symcirc.cli import run
-from symcirc.errors import CAPS
+from symcirc.errors import CAPS, SizeCap
 from symcirc.pattern import make_path
+from symcirc.symmetry import analyze
+
+from test_golden import _analyze_inputs
 
 DEFAULT_CAPS = {"width_vertices": 14, "brute_force_maps": 10 ** 7, "minor_norm": 24}
 
@@ -507,3 +512,37 @@ def test_non_integer_counts_exit_2_with_a_plain_message(capsys, option):
     code, out, err = _run(capsys, "reduce", "clique-grid", *itertools.chain(*sizes.items()))
     assert code == 2 and out == ""
     assert f"argument {option}: not an integer: 'abc'" in err and "_positive_int" not in err
+
+
+def test_emitted_text_is_json_dumps_byte_for_byte(monkeypatch, capsys):
+    """`_json_text` against `json.dumps(data, indent=2, sort_keys=True)` on the
+    payloads of `symcirc suite all --seed 1` and of `symcirc analyze` on the
+    golden analysis inputs, and on edge cases: empty containers, equal tuples
+    at different depths (tuple texts are kept per indentation), tuples equal
+    as values but not as JSON, bool and None, escapes and non-ASCII text."""
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda data, out: payloads.append(data) or emit(data, out))
+    assert _run(capsys, "suite", "all", "--seed", "1")[0] == 0
+    assert len(payloads) == 1
+    payloads += [analyze(c, n, n).to_json() for c, n in _analyze_inputs()]
+    pair = ("L", 1)
+    payloads += [
+        {}, [], (), {"a": {}, "b": [], "c": ()}, [[[]], [{}], [()]],
+        [pair, [pair, [pair]], {"deep": (pair, [pair])}, (pair, (pair,))],
+        [(1, 2), (True, 2), (1.0, 2), (False, None), [1, True, 1.0]],
+        True, False, None, 0, -7, 2.5, -0.0, float("inf"),
+        {"quote\"back\\slash": "tab\tnew\nline\x00\x1f", "é": ["ünï", "☃", "\U0001f600"]},
+        {"z": 1, "a": 2, "m": 3}, {2: "int", 1.5: "float", 0: [pair]}, {True: 1}, {None: 1},
+    ]
+    for data in payloads:
+        assert cli._json_text(data) == json.dumps(data, indent=2, sort_keys=True), data
+
+
+def test_emitting_an_int_too_long_to_print_raises_size_cap(tmp_path):
+    """Wherever it sits; `test_values_too_long_to_print_exit_2` shows the
+    CLI turning this SizeCap into exit code 2."""
+    huge = 10 ** sys.get_int_max_str_digits()
+    for data in (huge, [huge], {"v": huge}, [("L", huge)], [("L", 1), ("L", huge)]):
+        with pytest.raises(SizeCap, match="digit limit"):
+            cli._emit(data, str(tmp_path / "out.json"))

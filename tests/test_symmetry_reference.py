@@ -11,18 +11,23 @@ size and then lexicographically, whose pointwise stabiliser fixes the gate.
 It uses none of the analysis' shortcuts (extension search, conjugation,
 transposition classes, translation along orbits), and `SymmetryAnalysis` is
 compared with it.
+
+A circuit that `rigidify` shrinks (such as one summed with a copy of itself
+sharing its inputs) has repeated signatures, so its extensions come from the
+backtracking matcher.  Before it is rigidified, every pair's extension is
+checked against the definition of an automorphism.
 """
 
 import itertools
 import random
 
 from symcirc import compilers
-from symcirc.circuit import parse_var_name, var_name
-from symcirc.pattern import enumerate_bipartite_multigraphs, make_cycle
-from symcirc.symmetry import SymmetryAnalysis, rigidify
+from symcirc.circuit import CircuitBuilder, parse_var_name, var_name
+from symcirc.pattern import enumerate_bipartite_multigraphs, make_cycle, make_path
+from symcirc.symmetry import PermutationPair, SymmetryAnalysis, extend_to_automorphism, rigidify
 
 from test_acceptance import _criterion_3_cases
-from test_golden import _analyze_inputs
+from test_golden import _analyze_inputs, _doubled
 
 CENSUS_STRIDE = 67  # every 67th graph of enumerate_bipartite_multigraphs(6, 8, 2)
 
@@ -97,9 +102,33 @@ def _image(support, pi, sigma):
     return frozenset((side, (pi if side == "L" else sigma)[k]) for side, k in support)
 
 
+def _check_extensions(c, n, m):
+    """Every pair of Sym_n x Sym_m extends to a gate map of `c` that is an
+    automorphism by definition: a bijection that renames the variables by
+    the pair, keeps every other label, and maps each gate's weighted
+    children onto those of its image."""
+    gates = range(c.num_gates())
+    for pi in itertools.permutations(range(n)):
+        for sigma in itertools.permutations(range(m)):
+            [phi] = extend_to_automorphism(c, PermutationPair(pi, sigma))
+            assert sorted(phi.values()) == list(gates)
+            for g in gates:
+                label = c.labels[g]
+                if label[0] == "var":
+                    i, j = parse_var_name(label[1])
+                    label = ("var", var_name(pi[i - 1] + 1, sigma[j - 1] + 1))
+                assert c.labels[phi[g]] == label, (pi, sigma, g)
+                kids = {phi[ch]: mult for ch, mult in c.children[g].items()}
+                assert c.children[phi[g]] == kids, (pi, sigma, g)
+
+
 def _check(c, n, m):
-    """Compare the analysis of rigidify(c) with the reference; the number of gates."""
-    c = rigidify(c)
+    """Compare the analysis of rigidify(c) with the reference; the number of gates.
+    A circuit that rigidify shrinks has its own extensions checked first."""
+    rigid = rigidify(c)
+    if rigid.num_gates() < c.num_gates():
+        _check_extensions(c, n, m)
+    c = rigid
     maps = _pair_maps(c, n, m)
     analysis = SymmetryAnalysis(c, n, m)
     gates = range(c.num_gates())
@@ -130,7 +159,21 @@ def _check(c, n, m):
     return len(gates)
 
 
+def _sums_and_products():
+    """Per row i, x_i1 + x_i2 and x_i1 * x_i2, whose sum and product are
+    added: a DAG with gates of equal children and different labels, built
+    times first in row 1 and plus first in row 2, so that the row swap maps
+    no gate to the first gate over its children's images."""
+    b = CircuitBuilder()
+    x = {(i, j): b.var(var_name(i, j)) for i in (1, 2) for j in (1, 2)}
+    row = {i: [(x[i, 1], 1), (x[i, 2], 1)] for i in (1, 2)}
+    gates = [(g, 1) for g in (b.times(row[1]), b.plus(row[1]), b.plus(row[2]), b.times(row[2]))]
+    return b.finish(b.plus([(b.plus(gates), 1), (b.times(gates), 1)]))
+
+
 def _inputs():
+    yield _sums_and_products(), 2, 2
+    yield _doubled(_sums_and_products()), 2, 2
     for c, n in _criterion_3_cases(random.Random(33)):
         yield c, n, n
     for c, n in _analyze_inputs():
@@ -140,6 +183,10 @@ def _inputs():
         for n, m in ((2, 2), (2, 3), (3, 3)):
             for shape in ("td", "pw", "tw"):
                 yield compilers.compile_single(f, n, m, shape).circuit, n, m
+    for f in (make_path(4), make_cycle(4)):
+        for n, m in ((2, 2), (2, 3), (3, 3)):
+            for shape in ("td", "pw", "tw"):
+                yield _doubled(compilers.compile_single(f, n, m, shape).circuit), n, m
 
 
 def test_analysis_matches_the_definitional_reference():

@@ -122,3 +122,15 @@ def test_code_is_generated_in_one_place():
         visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
     assert sorted(found) == [("circuit.py", "_build_kernel", "compile"),
                              ("circuit.py", "_build_kernel", "exec")]
+
+
+def test_json_is_never_asked_to_indent():
+    """No call in the package passes `indent=`: json's indented writer is its
+    slow pure-Python encoder, and cli.py's `_json_text` is the one writer of
+    indented JSON."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

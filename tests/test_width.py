@@ -292,3 +292,32 @@ def test_dp_steps_match_a_set_based_recount(monkeypatch):
                 for v in set(range(n)) - through:
                     assert tw_step(mask, v) == _reference_tw_step(clique, through, v)
                     assert pw_step(mask, v) == _reference_pw_step(adj, labels, through | {v}, n)
+
+
+def _reference_treedepth(adj, vs):
+    """td by its definition: 0 with no vertices, 1 + min over v of td(G - v)
+    for a connected G, and the maximum over the components otherwise."""
+    if not vs:
+        return 0
+    start = min(vs)
+    comp, stack = {start}, [start]
+    while stack:
+        for w in adj[stack.pop()] & vs - comp:
+            comp.add(w)
+            stack.append(w)
+    if comp != vs:
+        return max(_reference_treedepth(adj, frozenset(comp)),
+                   _reference_treedepth(adj, vs - comp))
+    return 1 + min(_reference_treedepth(adj, vs - {v}) for v in vs)
+
+
+def test_treedepth_matches_its_definitional_recursion():
+    graphs = [BipartiteMultigraph(0, 0), BipartiteMultigraph(3, 2, {(0, 0): 1}),
+              BipartiteMultigraph(2, 3, {(0, 0): 1, (1, 1): 1, (1, 2): 1})]
+    graphs += enumerate_bipartite_multigraphs(6, 9)
+    assert sum(any(not ws for ws in g.adjacency()) for g in graphs) > 100
+    for g in graphs:
+        adj = [set(ws) for ws in g.adjacency()]
+        td, forest = treedepth_exact(g)
+        assert td == _reference_treedepth(adj, frozenset(range(g.num_vertices()))), g.to_json()
+        assert validate_decomposition(g, forest) == (True, "") and forest.height() == td
