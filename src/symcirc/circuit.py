@@ -19,13 +19,13 @@ Shapes:
 Variable naming: x_<i>_<j> for the matrix variable x_{i,j} (1-based);
 colourful variables are x_<u>_<i>__<v>_<j>.
 
-Evaluation runs in two tiers.  A circuit keeps two gate plans, a plain one
-for int and ring-element inputs and a lifted one for rational inputs, and
-counts the evaluations of each apart.  The first KERNEL_AFTER - 1 run an
-interpreter loop over the plan; the KERNEL_AFTER-th builds one Python
-function from the same plan, one assignment per gate (`g12 = g3 * g5 ** 2`),
-and every later evaluation calls it.  The constants were measured on the
-`compile_extract` benchmark workload (Python 3.11, 2 shared vCPUs):
+Evaluation runs in two tiers over one gate plan per circuit, for int,
+rational and ring-element inputs alike.  The first KERNEL_AFTER - 1
+evaluations run an interpreter loop over the plan; the KERNEL_AFTER-th
+builds one Python function from the same plan, one assignment per gate
+(`g12 = g3 * g5 ** 2`), and every later evaluation calls it.  The constants
+were measured on the `compile_extract` benchmark workload (Python 3.11, 2
+shared vCPUs):
   KERNEL_AFTER = 32      a build takes about 11 us per gate (0.55 ms for 49
                          gates), the time of about 34 interpreted
                          evaluations; built on the second evaluation
@@ -97,7 +97,7 @@ class Circuit:
     """Immutable gate-labelled DAG; construct through CircuitBuilder."""
 
     __slots__ = ("labels", "children", "output", "_parents", "_topo", "_shapes",
-                 "_program", "_lifted", "_runs", "_kernels")
+                 "_program", "_runs", "_kernel")
 
     def __init__(self, labels: List, children: List[Dict[int, int]], output: int):
         self.labels = labels
@@ -107,9 +107,8 @@ class Circuit:
         self._topo: Optional[List[int]] = None
         self._shapes: Dict[str, Tuple[bool, str]] = {}
         self._program = None
-        self._lifted = None
-        self._runs = [0, 0]  # evaluations of the plain and the lifted plan
-        self._kernels: List = [None, None]  # and their kernels, once built
+        self._runs = 0  # evaluations of the plan
+        self._kernel = None  # and its kernel, once built
 
     # -- structure ------------------------------------------------------------
 
@@ -187,15 +186,23 @@ class Circuit:
     def _evaluation_program(self):
         """The evaluation plan, built once: the variable gates and their
         names, the constant gates, their values and the lcm of their
-        denominators, and the internal gates in topological order as (gate,
-        children, shifted children), the last None at a Times gate.
+        denominators, the internal gates in topological order as (gate,
+        children, shifted children), the last None at a Times gate, and the
+        output's degree.
 
         Integral constants are stored as plain ints so 0/1 and integer
-        evaluations stay in fast integer arithmetic.  No child is shifted
-        here; see `_lifted_program` for rational inputs.
+        evaluations stay in fast integer arithmetic.  A rational evaluation
+        keeps each gate's value as N / D**k with N an integer, D the lcm of
+        every input's denominator and k the gate's structural degree: 1 at
+        inputs, the largest child degree at a Plus gate and the sum of mult *
+        child degree at a Times gate.  A Plus gate lifts each child of lower
+        degree to its own by D ** shift; those children, rare in practice,
+        are listed apart as (child, mult, shift).  Int and ring-element
+        inputs run with D = 1, where a shift multiplies by 1.
         """
         if self._program is None:
             var_gates, names, const_gates, consts, gates = [], [], [], [], []
+            degree = [1] * self.num_gates()
             for g in self.topo_order():
                 lbl = self.labels[g]
                 if lbl[0] == "var":
@@ -204,59 +211,39 @@ class Circuit:
                 elif lbl[0] == "const":
                     const_gates.append(g)
                     consts.append(int(lbl[1]) if lbl[1].denominator == 1 else lbl[1])
+                elif lbl[0] == TIMES:
+                    children = sorted(self.children[g].items())
+                    degree[g] = sum([mult * degree[c] for c, mult in children])
+                    gates.append((g, children, None))
                 else:
-                    gates.append((g, sorted(self.children[g].items()),
-                                  None if lbl[0] == TIMES else ()))
+                    children = sorted(self.children[g].items())
+                    top = degree[g] = max([degree[c] for c, _ in children])
+                    shifted = [(c, mult, top - degree[c]) for c, mult in children
+                               if degree[c] < top]
+                    if shifted:
+                        children = [(c, mult) for c, mult in children if degree[c] == top]
+                    gates.append((g, children, shifted))
             self._program = (var_gates, names, const_gates, consts, common_denominator(consts),
-                             gates)
+                             gates, degree[self.output])
         return self._program
-
-    def _lifted_program(self):
-        """The internal gates for rational inputs, and the output's degree.
-
-        A rational evaluation keeps each gate's value as N / D**k with N an
-        integer, D the lcm of every input's denominator and k the gate's
-        structural degree: 1 at inputs, the largest child degree at a Plus
-        gate and the sum of mult * child degree at a Times gate.  A Plus gate
-        lifts each child of lower degree to its own by D ** shift; those
-        children, rare in practice, are listed apart with their shifts.
-        """
-        if self._lifted is None:
-            degree = [1] * self.num_gates()
-            lifted = []
-            for gate in self._evaluation_program()[5]:
-                g, children, shifted = gate
-                degrees = [degree[c] for c, _ in children]
-                if shifted is None:
-                    degree[g] = sum([mult * d for (_, mult), d in zip(children, degrees)])
-                else:
-                    top = degree[g] = max(degrees)
-                    if min(degrees) < top:
-                        gate = (g,
-                                [(c, mult) for (c, mult), d in zip(children, degrees) if d == top],
-                                [(c, mult, top - d)
-                                 for (c, mult), d in zip(children, degrees) if d < top])
-                lifted.append(gate)
-            self._lifted = (lifted, degree[self.output])
-        return self._lifted
 
     def evaluate(self, assignment: Mapping[str, Rational]) -> Rational:
         """Exact value at a total assignment of the circuit's variables.
 
         Int and Fraction inputs are computed over the integers (see
-        `_lifted_program`) and divided once at the output; the result is
+        `_evaluation_program`) and divided once at the output; the result is
         an int when every input is an int, as plain arithmetic would give.
         Any other input value (a ring element) is used as given.
 
-        The plain and the lifted plan are each interpreted on their first
-        KERNEL_AFTER - 1 evaluations and run by their kernel (see
-        `_build_kernel`) from then on, unless they have more than
+        The plan is interpreted on its first KERNEL_AFTER - 1 evaluations,
+        whatever their input types, and run by its kernel (see
+        `_build_kernel`) from then on, unless it has more than
         KERNEL_GATE_CAP internal gates; the module docstring gives the
         measurements behind both constants.  The two tiers give the same
         value of the same type.  The kernel takes the values in plan order,
         so no variable name or other text of the circuit reaches its source.
         """
-        var_gates, names, const_gates, consts, const_den, gates = self._evaluation_program()
+        var_gates, names, const_gates, consts, const_den, gates, top = self._evaluation_program()
         try:
             xs = [assignment[name] for name in names]
         except KeyError:
@@ -272,17 +259,13 @@ class Circuit:
             ints_in = den == 1 and (not others or all(isinstance(v, int) for v in others))
             if not ints_in:
                 xs = [v.numerator * (den // v.denominator) for v in xs]
-        lifted = den != 1
-        top = 0
-        if lifted:
-            gates, top = self._lifted_program()
+        if den != 1:
             consts = [v.numerator * (den // v.denominator) for v in consts]
-        kernel = self._kernels[lifted]
+        kernel = self._kernel
         if kernel is None:
-            runs = self._runs[lifted] = self._runs[lifted] + 1
-            if runs >= KERNEL_AFTER and len(gates) <= KERNEL_GATE_CAP:
-                kernel = self._kernels[lifted] = _build_kernel(var_gates, const_gates, gates,
-                                                               self.output)
+            self._runs += 1
+            if self._runs >= KERNEL_AFTER and len(gates) <= KERNEL_GATE_CAP:
+                kernel = self._kernel = _build_kernel(var_gates, const_gates, gates, self.output)
         if kernel is None:
             values: List = [None] * self.num_gates()
             for g, value in zip(var_gates, xs):
@@ -387,11 +370,9 @@ class Circuit:
                             return f"multiedge ({g},{child}) with multiplicity {mult}"
             return ""
         try:
-            topo = self.topo_order()
+            self.topo_order()
         except InvalidParameter as exc:
             return str(exc)
-        if len(topo) != self.num_gates():
-            return "topological order missed gates"
         seen_inputs = {}
         for g, lbl in enumerate(self.labels):
             if lbl[0] == "var":
@@ -537,7 +518,7 @@ def _build_kernel(var_gates: List[int], const_gates: List[int], gates: List,
     """A gate plan as one straight-line function `kernel(xs, cs, den)`.
 
     `xs` and `cs` are the values of `var_gates` and `const_gates` in that
-    order, `den` is the D of a lifted plan.  Each internal gate is one
+    order, `den` is the evaluation's D.  Each internal gate is one
     assignment, `g12 = g3 + 2 * g5 + g7 * den ** 1`, doing the interpreter's
     operations in its order but for its leading `0 +` or `1 *`, which
     changes no int, Fraction or ring-element value or type; a sum or product

@@ -391,12 +391,11 @@ def poly_equal_randomized(
 # not at these sizes.
 
 
-def exact_det(matrix: Sequence[Sequence[Rational]]) -> Rational:
-    """Determinant of a square rational matrix by fraction-free-ish elimination."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise InvalidParameter("determinant of a non-square matrix")
-    m = [[Fraction(x) for x in row] for row in matrix]
+def _eliminate(m: List[List[Fraction]], n: int) -> Fraction:
+    """Gauss-Jordan elimination in place on the n x n system `m` (its rows
+    may carry extra columns): each pivot row is scaled to 1 and its column
+    cleared in every other row.  Returns the determinant of the square part,
+    0 as soon as a column has no pivot."""
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
@@ -407,11 +406,20 @@ def exact_det(matrix: Sequence[Sequence[Rational]]) -> Rational:
             det = -det
         det *= m[col][col]
         inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
+        m[col] = [a * inv for a in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
     return det
+
+
+def exact_det(matrix: Sequence[Sequence[Rational]]) -> Rational:
+    """Determinant of a square rational matrix."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise InvalidParameter("determinant of a non-square matrix")
+    return _eliminate([[Fraction(x) for x in row] for row in matrix], n)
 
 
 def solve_linear(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) -> List[Rational]:
@@ -420,15 +428,6 @@ def solve_linear(matrix: Sequence[Sequence[Rational]], rhs: Sequence[Rational]) 
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise InvalidParameter("solve_linear needs a square system")
     m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise InvalidParameter("singular matrix in solve_linear")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    if _eliminate(m, n) == 0:
+        raise InvalidParameter("singular matrix in solve_linear")
     return [m[r][n] for r in range(n)]

@@ -16,7 +16,7 @@ from symcirc.circuit import (
     SKEW,
     var_name,
 )
-from symcirc.errors import MissingVariable, ParseError, SizeCap
+from symcirc.errors import InvalidParameter, MissingVariable, ParseError, SizeCap
 from symcirc.exactnum import SparsePolynomial, rat
 
 
@@ -50,6 +50,13 @@ def test_validate_examples():
     assert not c.validate(FORMULA)[0]
     assert not c.validate(FORMULA_MULTI)[0]
     assert c.validate(GENERAL)[0]
+
+
+def test_builder_rejects_unknown_gate_labels():
+    b = CircuitBuilder()
+    out = b.gate(("minus",), [(b.var("x"), 1)])
+    with pytest.raises(InvalidParameter, match="unknown gate label"):
+        b.finish(out)
 
 
 def test_shape_implications():
@@ -186,7 +193,7 @@ def _past_kernel_threshold(c, assignment):
     """The values of the first evaluation of a fresh circuit, which is
     interpreted, and of one run by the kernel built since."""
     values = [c.evaluate(assignment) for _ in range(circuit.KERNEL_AFTER + 1)]
-    assert c._kernels != [None, None]
+    assert c._kernel is not None
     return values[0], values[-1]
 
 
@@ -196,15 +203,44 @@ def test_kernel_takes_wide_gates():
     ints = {name: -1 if k % 100 else 3 for k, name in enumerate(names)}
     halves = {name: Fraction(v, 2) for name, v in ints.items()}
     for kind in ("plus", "times"):
-        b = CircuitBuilder()
-        c = b.finish(b.gate((kind,), [(b.var(name), 2) for name in names]))
         for point in (ints, halves):
+            b = CircuitBuilder()
+            c = b.finish(b.gate((kind,), [(b.var(name), 2) for name in names]))
             if kind == "plus":
                 want = 2 * sum(point.values())
             else:
                 want = math.prod(point.values()) ** 2
             assert _past_kernel_threshold(c, point) == (want, want)
-        assert None not in c._kernels
+
+
+def test_one_kernel_serves_int_and_fraction_points(monkeypatch):
+    """KERNEL_AFTER evaluations of a fresh circuit, alternating int and
+    fractional points, build one kernel; it then gives the interpreter's
+    value and type at every point."""
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return build_kernel(*args)
+
+    build_kernel = circuit._build_kernel
+    monkeypatch.setattr(circuit, "_build_kernel", counted)
+    b = CircuitBuilder()
+    x, y = b.var("x"), b.var("y")
+    # x**2 * y + 3x + 5: the Plus gate lifts 3x and 5 by D ** 2.
+    c = b.finish(b.plus([(b.times([(x, 2), (y, 1)]), 1), (x, 3), (b.const(5), 1)]))
+    points = [{"x": k - 7, "y": 3 - 2 * k} if k % 2 == 0 else
+              {"x": Fraction(k - 20, 2), "y": Fraction(k, 3)}
+              for k in range(circuit.KERNEL_AFTER)]
+    first = [c.evaluate(point) for point in points]
+    assert len(builds) == 1 and c._kernel is not None
+    assert {type(value) for value in first} == {int, Fraction}
+    # All but the last of `first` were interpreted.
+    for point, interpreted in zip(points[:-1], first):
+        got = c.evaluate(point)
+        assert got == interpreted == point["x"] ** 2 * point["y"] + 3 * point["x"] + 5
+        assert type(got) is type(interpreted)
+    assert len(builds) == 1
 
 
 def test_kernel_source_holds_no_variable_names():

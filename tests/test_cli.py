@@ -10,7 +10,7 @@ from symcirc import cli
 from symcirc.circuit import CircuitBuilder
 from symcirc.cli import run
 from symcirc.errors import CAPS, SizeCap
-from symcirc.pattern import make_path
+from symcirc.pattern import BipartiteMultigraph, make_path
 from symcirc.symmetry import analyze
 
 from test_golden import _analyze_inputs
@@ -169,6 +169,49 @@ def test_analyze_rejects_bad_gate_ids(capsys, tmp_path):
         circuit = _write(tmp_path, f"{name}.json", {"gates": gates, "wires": wires, "output": 0})
         code, _, err = _run(capsys, "analyze", "--circuit", circuit, "--n", "1", "--m", "1")
         assert code == 2 and err.startswith("error:"), name
+
+
+@pytest.mark.parametrize("gates, wires, output, reason", [
+    ([{"var": "x_1_1"}, {"var": "x_1_1"}, "plus"], [[2, 0, 1], [2, 1, 1]], 2,
+     "duplicate input gate"),
+    ([{"var": "x_1_1"}, {"var": "x_1_2"}, "plus"], [[2, 0, 1], [0, 1, 1]], 2,
+     "input gate 0 has children"),
+    ([{"var": "x_1_1"}, "plus", "plus"], [[2, 0, 1], [2, 1, 1]], 2,
+     "internal gate 1 has no children"),
+    ([{"var": "x_1_1"}, "plus", "plus"], [[1, 0, 1], [2, 1, 1]], 1,
+     "output gate has parents"),
+    ([{"var": "x_1_1"}, {"var": "x_1_2"}, "plus"], [[2, 0, 1]], 2,
+     "unreachable gates present"),
+])
+def test_analyze_rejects_malformed_circuits(capsys, tmp_path, gates, wires, output, reason):
+    data = {"gates": [{"id": g, "label": label} for g, label in enumerate(gates)],
+            "wires": wires, "output": output}
+    circuit = _write(tmp_path, "c.json", data)
+    code, out, err = _run(capsys, "analyze", "--circuit", circuit, "--n", "1", "--m", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"invalid circuit: {reason}" in err
+
+
+@pytest.mark.parametrize("argv", [["grid", "--rows", "2", "--cols", "3"],
+                                  ["btree", "--v", "2"], ["kbipartite", "--a", "2", "--b", "3"]])
+def test_pattern_gen_kinds_parse_back(capsys, argv):
+    code, out, _ = _run(capsys, "pattern", "gen", *argv)
+    assert code == 0
+    assert BipartiteMultigraph.from_json(json.loads(out)).num_vertices() > 1
+
+
+def test_compile_writes_dot(capsys, tmp_path):
+    graph = _write(tmp_path, "p3.json", make_path(3).to_json())
+    dot = tmp_path / "c.dot"
+    code, _, _ = _run(capsys, "compile", "--graph", graph, "--shape", "pw", "--n", "2",
+                      "--m", "2", "--dot", str(dot))
+    assert code == 0 and dot.read_text().startswith("digraph circuit {")
+
+
+@pytest.mark.parametrize("gadget, n", [("btree", "1"), ("path", "2")])
+def test_reduce_family_gadgets(capsys, gadget, n):
+    code, out, _ = _run(capsys, "--seed", "2", "reduce", gadget, "--n", n)
+    assert code == 0 and json.loads(out)["identity_holds"] is True
 
 
 def test_compile_rejects_broken_decompositions(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Exact arithmetic and polynomial identity testing."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -178,3 +179,40 @@ def test_exact_linear_algebra():
     with pytest.raises(InvalidParameter):
         solve_linear([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]],
                      [Fraction(0), Fraction(0)])
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def test_exact_det_and_solve_linear_against_definitions():
+    rng = random.Random(11)
+    singular = 0
+    for _ in range(200):
+        n = rng.randint(0, 4)
+        # Mostly zeros, so pivots are often missing and rows must be swapped.
+        m = [[Fraction(rng.choice([0, 0, 0, rng.randint(-3, 3)]), rng.randint(1, 4))
+              for _ in range(n)] for _ in range(n)]
+        rhs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+        det = exact_det(m)
+        assert det == _leibniz_det(m) and type(det) is Fraction
+        if det == 0:
+            singular += 1
+            with pytest.raises(InvalidParameter, match="singular matrix in solve_linear"):
+                solve_linear(m, rhs)
+        else:
+            sol = solve_linear(m, rhs)
+            assert [sum(a * b for a, b in zip(row, sol)) for row in m] == rhs
+    assert singular > 20
+    with pytest.raises(InvalidParameter, match="determinant of a non-square matrix"):
+        exact_det([[1, 2]])
+    with pytest.raises(InvalidParameter, match="solve_linear needs a square system"):
+        solve_linear([[1, 2]], [1])

@@ -8,6 +8,7 @@ import pytest
 from symcirc import oracle, reduce
 from symcirc.errors import (
     ColourMismatch,
+    InvalidBranchSets,
     InvalidParameter,
     NotConnected,
     NotSquare,
@@ -16,6 +17,7 @@ from symcirc.errors import (
 from symcirc.oracle import ColouredGraph, WeightedHost
 from symcirc.pattern import (
     BipartiteMultigraph,
+    BranchSets,
     find_minor,
     make_cycle,
     make_grid,
@@ -110,6 +112,21 @@ def test_minor_gadget_rejects_multigraph_host():
     with pytest.raises(InvalidParameter):
         reduce.minor_gadget(double, make_path(2), branch, 1,
                             ColouredGraph({1: 1, 2: 1}))
+
+
+@pytest.mark.parametrize("sets, b0, reason", [
+    (({0},), {1, 2, 3}, "one branch set per S-vertex"),
+    (((), {0, 2}), {1, 3}, "non-empty"),
+    (({0, 2}, {1, 2}), {3}, "disjoint"),
+    (({0, 2}, {1}), (), "partition V\\(F\\)"),
+    (({0, 1}, {2, 3}), (), "connected subgraph"),
+    (({0}, {3}), {1, 2}, "no F-edge between"),
+])
+def test_minor_gadget_rejects_bad_branch_sets(sets, b0, reason):
+    # P4 is the path 0 - 2 - 1 - 3 in global ids; P2 is the edge 0 - 1.
+    branch = BranchSets(tuple(frozenset(bs) for bs in sets), frozenset(b0))
+    with pytest.raises(InvalidBranchSets, match=reason):
+        reduce.minor_gadget(make_path(4), make_path(2), branch, 1, ColouredGraph({1: 1, 2: 1}))
 
 
 def test_uncolour_expand():
