@@ -4,10 +4,9 @@ checking, rigidification, gate orbits, minimal supports, and support depth.
 A permutation pair (pi, sigma) acts on matrix variables by
 x_{i,j} -> x_{pi(i), sigma(j)}.  A circuit is symmetric when every pair
 extends to a gate bijection preserving labels and weighted wires; since
-extensions compose, it suffices to check the adjacent-transposition
-generators of both factors.  A symmetric circuit is rigid when the only
-automorphism fixing all input gates is the identity; extensions are then
-unique and the group acts on the gates.
+extensions compose, it suffices to check generators of both factors.  A
+symmetric circuit is rigid when the only automorphism fixing all input gates
+is the identity; extensions are then unique and the group acts on the gates.
 
 Everything an extension needs that does not depend on the pair (the
 signatures of the unpermuted circuit, each variable's row and column, the
@@ -18,10 +17,16 @@ matchers stop at the gates outside it that are forced to map to themselves.
 Only the formula matcher reads permuted signatures.  The DAG matcher keys a
 gate by its label and its children's images, which imply its permuted
 signature, as the children are matched first.
-`SymmetryAnalysis` searches extensions for the adjacent transpositions only:
-the map of a non-adjacent transposition (a b) is the composite of the
-generator maps along the word (a a+1) ... (b-1 b) ... (a a+1).  That
-composite is an extension of (a b), and it is the one a search would return
+`SymmetryAnalysis` searches at most two extensions per side, and
+`is_symmetric` tests the same pairs, which generate the side's symmetric
+group.  A side of size 4 or more has those of (0 1) and of the cycle
+c = (0 1 ... size-1) searched, and the map of each adjacent transposition
+(a+1 a+2) = c (a a+1) c^-1 is the conjugate of the one before it by the
+cycle's map.  A smaller side has each of its at most two adjacent
+transpositions searched, as a transposition's up-set is smaller than the
+cycle's, the whole circuit.  The map of any other (a b) is the composite of
+the adjacent maps along the word (a a+1) ... (b-1 b) ... (a a+1).  Each is
+an extension of its transposition, and the one a search would return,
 because a rigid circuit has exactly one.
 
 Rigidification merges interchangeable gates by a copy into a sharing
@@ -33,10 +38,11 @@ circuit, and preserve the polynomial and skewness.
 
 Preconditions are checked where they are needed: rigidity by
 `SymmetryAnalysis` (from structure where `is_rigid` can), symmetry by its
-generator searches.  `analyze` rigidifies first and searches each generator
-once.  If `rigidify` kept the gate count, its output is the input renumbered
-(it never adds a gate, and maps the input's gates onto its own keeping labels
-and weighted wires), so a generator extends on one exactly when on the other.
+generator searches.  `analyze` rigidifies first and searches the generators
+of the rigidified circuit.  If `rigidify` kept the gate count, its output is
+the input renumbered (it never adds a gate, and maps the input's gates onto
+its own keeping labels and weighted wires), so a pair extends on one exactly
+when on the other.
 If it merged, `is_symmetric` checks the input first: a circuit that is not
 symmetric can have a symmetric rigidification.
 
@@ -56,7 +62,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .circuit import (
     Circuit,
@@ -228,9 +234,25 @@ class _Extender:
         a variable; if not, it fixes every variable and the identity extends it."""
         return (side, a) in self._used or (side, b) in self._used
 
-    def extend(self, pair: PermutationPair, count_limit: int = 1) -> List[List[int]]:
+    def span(self, side: str) -> int:
+        """How many rows ("L") or columns ("R") hold a variable."""
+        return sum(s == side for s, _ in self._used)
+
+    def side_pair(self, side: str, moved: Dict[int, int]) -> "_Images":
+        """A pair for `extend` that maps each index x of `side` to moved[x]
+        (x itself if absent) and fixes the other side.  It lists the images
+        of the rows and columns up to the last that holds a variable only,
+        so its size does not grow with the matrix's."""
+        rows = range(max((i for i, _ in self._cells), default=-1) + 1)
+        cols = range(max((j for _, j in self._cells), default=-1) + 1)
+        if side == "L":
+            return _Images([moved.get(i, i) for i in rows], cols)
+        return _Images(rows, [moved.get(j, j) for j in cols])
+
+    def extend(self, pair: PermutationPair | _Images, count_limit: int = 1) -> List[List[int]]:
         """See `extend_to_automorphism`; up to `count_limit` extensions, each
-        a list giving every gate's image."""
+        a list giving every gate's image.  Only `pair.pi` and `pair.sigma` at
+        the variables' rows and columns are read, so an `_Images` serves too."""
         c, cells = self.c, self._cells
         internal, *tables = self._tables
         phi = list(self.identity)
@@ -388,6 +410,43 @@ class _Extender:
         return solutions
 
 
+class _Images(NamedTuple):
+    """The row images `pi` and column images `sigma` of a pair, as far as
+    `_Extender.extend` reads them: see `_Extender.side_pair`."""
+
+    pi: Sequence[int]
+    sigma: Sequence[int]
+
+
+def _decisive_maps(extender: _Extender, side: str, size: int) -> Optional[List[List[int]]]:
+    """The maps of permutations of one side that generate Sym_size, one
+    extension search each, so every permutation of the side extends exactly
+    when they do; None when one does not.  They are (0 1) and the cycle
+    i -> i+1 (mod size) if size >= 4, else the adjacent transpositions.
+
+    No search is needed if no index of the side holds a variable (every
+    permutation fixes the variables: no maps), or if some index holds one
+    and some does not (their transposition has no variable gate to map the
+    first's variables to: None).
+    """
+    span = extender.span(side)
+    if not span:
+        return []
+    if span < size:
+        return None
+    if size >= 4:
+        perms = [{0: 1, 1: 0}, {i: (i + 1) % size for i in range(size)}]
+    else:
+        perms = [{a: a + 1, a + 1: a} for a in range(size - 1)]
+    maps = []
+    for perm in perms:
+        solutions = extender.extend(extender.side_pair(side, perm))
+        if not solutions:
+            return None
+        maps.append(solutions[0])
+    return maps
+
+
 def extend_to_automorphism(c: Circuit, pair: PermutationPair) -> List[Dict[int, int]]:
     """A gate bijection extending the variable permutation, as a one-element
     list; [] when the pair does not extend.
@@ -401,13 +460,12 @@ def extend_to_automorphism(c: Circuit, pair: PermutationPair) -> List[Dict[int, 
 
 
 def is_symmetric(c: Circuit, n: int, m: int) -> bool:
-    """Every adjacent-transposition generator extends; extensions compose.
-    A generator that moves no variable extends to the identity unsearched."""
+    """Whether every pair extends: on each side, the two generators of
+    `_decisive_maps` do."""
     _check_matrix(c, n, m)
     extender = _Extender(c)
-    return all(not extender.moves(*tag)
-               or extender.extend(PermutationPair.transposition(n, m, *tag))
-               for tag in _generators(n, m))
+    return all(_decisive_maps(extender, side, size) is not None
+               for side, size in (("L", n), ("R", m)))
 
 
 def is_rigid(c: Circuit) -> bool:
@@ -501,12 +559,13 @@ class SymmetryAnalysis:
     Construction raises `NotRigid` for a circuit that is not rigid; a
     generator that does not extend raises `NotSymmetric` when first needed,
     so the analysis decides symmetry by the same searches that give its maps.
-    The map of an adjacent transposition (a generator) comes from one
-    extension search and is cached; that of (a b) is composed along its word,
-    the search's answer because extensions are unique on a rigid circuit.
-    For the same reason a transposition that moves no row or column of a
-    variable maps every gate to itself, with no pair built and no search, so
-    a large matrix around few variables costs time linear in its size.
+    The maps of the adjacent transpositions (the generators) of a side come
+    from at most two extension searches (see the module docstring) and are
+    cached; that of (a b) is composed along its word.  Each is the search's
+    answer because extensions are unique on a rigid circuit.  For the same
+    reason a transposition that moves no row or column of a variable maps
+    every gate to itself, with no pair built and no search, so a large matrix
+    around few variables costs time linear in its size.
     Orbits come from the generators.  Supports come from the transposition
     classes of one representative per orbit (a support's complement lies in
     one class per side; see the module docstring), translated along the orbit
@@ -522,6 +581,7 @@ class SymmetryAnalysis:
         if not self._extender.is_rigid():
             raise NotRigid("orbit and support analysis requires a rigid circuit")
         self._maps: Dict[Tuple[str, int, int], List[int]] = {}
+        self._derived: Set[str] = set()  # the sides `_derive` ran on
         self._identity = self._extender.identity
         self._orbits: Optional[List[List[int]]] = None
         self._supports: Optional[List[FrozenSet]] = None
@@ -529,18 +589,42 @@ class SymmetryAnalysis:
     # transposition extension maps, cached ------------------------------------
 
     def _generator(self, side: str, a: int) -> List[int]:
-        """The map of (a a+1), from one extension search, cached."""
+        """The map of (a a+1), cached: from `_derive`, or else from its own
+        search, so `NotSymmetric` names the first generator that does not
+        extend."""
         tag = (side, a, a + 1)
+        if tag not in self._maps and self._extender.moves(*tag):
+            self._derive(side)
         if tag not in self._maps:
             if not self._extender.moves(*tag):
                 self._maps[tag] = self._identity
             else:
-                solutions = self._extender.extend(
-                    PermutationPair.transposition(self.n, self.m, *tag))
+                pair = self._extender.side_pair(side, {a: a + 1, a + 1: a})
+                solutions = self._extender.extend(pair)
                 if not solutions:
                     raise NotSymmetric(f"the circuit is not symmetric: {tag} does not extend")
                 self._maps[tag] = solutions[0]
         return self._maps[tag]
+
+    def _derive(self, side: str):
+        """Every generator map of `side` from the searches for (0 1) and the
+        cycle s: i -> i+1, if the side has size >= 4 and both extend; once
+        per side.  The map of (a+1 a+2) = s (a a+1) s^-1 is S t S^-1, for S
+        the cycle's map and t that of (a a+1)."""
+        size = self.n if side == "L" else self.m
+        if size < 4 or side in self._derived:
+            return
+        self._derived.add(side)
+        maps = _decisive_maps(self._extender, side, size)
+        if not maps:
+            return
+        t, s = maps
+        s_inv = [0] * len(s)
+        for g, h in enumerate(s):
+            s_inv[h] = g
+        self._maps[(side, 0, 1)] = t
+        for a in range(1, size - 1):
+            t = self._maps[(side, a, a + 1)] = [s[t[h]] for h in s_inv]
 
     def _word(self, side: str, a: int, b: int) -> List[List[int]]:
         """The generator maps along (a a+1) ... (b-1 b) ... (a a+1), a < b, whose
@@ -558,7 +642,10 @@ class SymmetryAnalysis:
         return gmap
 
     def generators(self) -> List[List[int]]:
-        return [self._generator(side, a) for side, a, _ in _generators(self.n, self.m)]
+        """The maps of the adjacent transpositions, rows first; built in
+        order, so one that does not extend raises before a long list is."""
+        return [self._generator(side, a)
+                for side, size in (("L", self.n), ("R", self.m)) for a in range(size - 1)]
 
     # orbits -----------------------------------------------------------------
 
@@ -640,8 +727,8 @@ class SymmetryAnalysis:
         """
         if self._supports is None:
             supports: List[Optional[FrozenSet]] = [None] * self.circuit.num_gates()
-            tags = _generators(self.n, self.m)
             gens = self.generators()
+            tags = _generators(self.n, self.m)
             for orbit in self.orbits():
                 rep = orbit[0]
                 sup, _ = self.minimal_support(rep)
@@ -713,8 +800,9 @@ class SupportReport:
 
 
 def analyze(c: Circuit, n: int, m: int) -> SupportReport:
-    """Full symmetry report of the rigidified circuit of a symmetric `c`; each
-    generator is searched once (see the module docstring)."""
+    """Full symmetry report of the rigidified circuit of a symmetric `c`, from
+    at most two extension searches per side of each circuit checked (see the
+    module docstring)."""
     circuit = rigidify(c)
     if circuit.num_gates() < c.num_gates() and not is_symmetric(c, n, m):
         raise NotSymmetric("the circuit is not symmetric")

@@ -1,6 +1,8 @@
 """Group action on circuits: extension, rigidification, orbits, supports."""
 
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -423,26 +425,100 @@ def test_non_adjacent_maps_are_conjugates_of_the_searched_extension():
                     assert analysis.transposition_map(side, a, b) == expected, (side, a, b)
 
 
-def test_analyze_searches_generators_once_and_one_support_per_orbit(monkeypatch):
+def _counted(monkeypatch, cls, name, calls):
+    """Count the calls of method `name` of `cls` in calls[name]."""
+    method = getattr(cls, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return method(*args, **kwargs)
+
+    calls[name] = 0
+    monkeypatch.setattr(cls, name, wrapper)
+
+
+def test_every_generator_map_is_the_searched_extension():
+    # The maps derived from (0 1) and the cycle by conjugation (on sides of
+    # size >= 4) are the ones a search for each adjacent transposition returns.
+    cases = list(_rigid_circuits_up_to_five())
+    for f in (make_path(4), make_cycle(4)):
+        for n in (5, 6, 8):
+            for shape in ("td", "pw", "tw"):
+                cases.append((compilers.compile_single(f, n, n, shape).circuit, n, n))
+    for c, n, m in cases:
+        tags = symmetry._generators(n, m)
+        for (side, a, b), gmap in zip(tags, SymmetryAnalysis(c, n, m).generators(), strict=True):
+            phi = extend_to_automorphism(c, PermutationPair.transposition(n, m, side, a, b))[0]
+            assert gmap == [phi[g] for g in range(c.num_gates())], (n, m, side, a)
+
+
+def test_analyze_searches_two_extensions_per_side_and_one_support_per_orbit(monkeypatch):
     n = m = 6
-    extend, minimal_support = symmetry._Extender.extend, SymmetryAnalysis.minimal_support
-    calls = {"extend": 0, "support": 0}
-
-    def counted(name, method):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return method(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(symmetry._Extender, "extend", counted("extend", extend))
-    monkeypatch.setattr(SymmetryAnalysis, "minimal_support", counted("support", minimal_support))
+    calls = {}
+    _counted(monkeypatch, symmetry._Extender, "extend", calls)
+    _counted(monkeypatch, SymmetryAnalysis, "minimal_support", calls)
     for shape in ("td", "pw", "tw"):
         c = compilers.compile_single(make_path(3), n, m, shape).circuit
         orbit_count = len(SymmetryAnalysis(rigidify(c), n, m).orbits())
-        calls.update(extend=0, support=0)
+        calls.update(extend=0, minimal_support=0)
         analyze(c, n, m)
-        assert calls["extend"] == (n - 1) + (m - 1), shape
-        assert calls["support"] == orbit_count, shape
+        assert calls["extend"] <= 2 + 2, shape
+        assert calls["minimal_support"] == orbit_count, shape
+
+
+def test_is_symmetric_matches_every_adjacent_transposition():
+    # Testing two generators per side decides what testing every adjacent
+    # transposition does, on symmetric circuits, on copies made asymmetric by
+    # one wire, and in a matrix with a row no variable holds.
+    rng = random.Random(21)
+    seen = set()
+    for k in range(200):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        c = random_symmetric_circuit(n, m, rng, 40, rng.choice(("general", "skew")))
+        if k % 2:
+            c = _with_one_wire_bumped(c)
+        for rows in (n, n + 1):
+            expected = all(extend_to_automorphism(c, PermutationPair.transposition(rows, m, *tag))
+                           for tag in symmetry._generators(rows, m))
+            assert is_symmetric(c, rows, m) == expected, (k, rows)
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+def _three_of_four_rows():
+    """x_1_1 x_2_1 x_3_1 + x_4_1: (0 1) and (1 2) extend, (2 3) does not."""
+    b = CircuitBuilder()
+    product = b.times([(b.var(f"x_{i}_1"), 1) for i in (1, 2, 3)])
+    return b.finish(b.plus([(product, 1), (b.var("x_4_1"), 1)]))
+
+
+def test_not_symmetric_names_the_first_generator_that_does_not_extend():
+    c = _three_of_four_rows()
+    assert not is_symmetric(c, 4, 1)
+    message = "the circuit is not symmetric: ('L', 2, 3) does not extend"
+    for run in (lambda: SymmetryAnalysis(c, 4, 1).generators(), lambda: analyze(c, 4, 1)):
+        with pytest.raises(NotSymmetric) as caught:
+            run()
+        assert str(caught.value) == message
+    analysis = SymmetryAnalysis(c, 4, 1)
+    for a in (0, 1):
+        phi = extend_to_automorphism(c, PermutationPair.transposition(4, 1, "L", a, a + 1))[0]
+        assert analysis.transposition_map("L", a, a + 1) == [phi[g] for g in range(c.num_gates())]
+
+
+def test_a_huge_matrix_around_a_small_circuit_stops_at_its_first_failing_generator():
+    # Rows 0-2 of 10^6 hold the variables, so (2 3) is the first generator
+    # that does not extend.  Listing all 10^6 generators before searching
+    # any took 368 MB, and at n = 10^7 ended in a MemoryError.
+    c = compilers.compile_single(make_path(3), 3, 3, "td").circuit
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotSymmetric, match=re.escape("('L', 2, 3) does not extend")):
+            analyze(c, 10 ** 6, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_orbits_and_supports_are_kept_and_handed_out_as_copies():
@@ -473,18 +549,22 @@ def test_generators_that_move_no_variable_map_gates_to_themselves(monkeypatch):
     assert SymmetryAnalysis(c, 5000, 5000).transposition_map("R", 3, 4000) == [0]
 
 
-def test_supports_of_a_wide_sum_build_no_distant_map():
+def test_supports_of_a_wide_sum_build_no_distant_map(monkeypatch):
     # Every row holds a variable, so each support test moves a row; testing
     # an index against a distant class member once built the map of every
     # pair between them, recursively, and ran out of stack near n = 1000.
     # The map of (1 n) itself once recursed through every map (k n), k > 1.
+    # The 1499 generator maps come from the searches for (0 1) and the cycle.
     n = 1500
+    calls = {}
+    _counted(monkeypatch, symmetry._Extender, "extend", calls)
     analysis = SymmetryAnalysis(_sum_of_all_vars(n, 1), n, 1)
     swapped = list(range(n + 1))
     swapped[0], swapped[n - 1] = n - 1, 0
     assert analysis.transposition_map("L", 0, n - 1) == swapped
     assert set(analysis.all_supports()) == {frozenset()} | {frozenset({("L", i)}) for i in range(n)}
     assert max(len(orbit) for orbit in analysis.orbits()) == n
+    assert calls["extend"] <= 2
 
 
 def test_unmoved_rows_and_columns_keep_the_searched_maps():
