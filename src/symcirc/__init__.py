@@ -2,7 +2,7 @@
 
 Submodules:
   exactnum   exact rationals, sparse polynomials, identity testing
-  pattern    bipartite multigraphs, labelled patterns, minors, quotients
+  pattern    bipartite multigraphs, the census, minors, quotients
   width      exact treewidth / pathwidth / treedepth with certificates
   circuit    the circuit IR: validation, evaluation, expansion, (de)serialization
   symmetry   group action on circuits: rigidification, orbits, supports

@@ -39,12 +39,8 @@ def check_cap(name: str, count: int, what: str) -> None:
         raise SizeCap(f"{what} {count} exceeds cap {cap} (set by --caps {name})")
 
 
-class ArityMismatch(SymcircError):
-    """Labelled patterns with incompatible label arities."""
-
-
 class IndexOutOfRange(SymcircError):
-    """A label or vertex index outside its valid range."""
+    """A vertex index outside its valid range."""
 
 
 class InvalidDecomposition(SymcircError):

@@ -8,8 +8,7 @@ against, so no dynamic programming or clever counting is allowed.
 The evaluators share one kernel, `_weighted_sum`, which walks an iterable of
 maps and adds up the product of the edge weights under each map.  Each
 evaluator only says which maps to walk: `hom_count` all maps (a product of
-ranges), `emb_eval` the per-side injective ones (permutations),
-`labelled_hom_eval` those fixing the labels (singleton domains), and
+ranges), `emb_eval` the per-side injective ones (permutations), and
 `coloured_hom_eval` those respecting the colouring ((colour, index) keys).
 The kernel still visits every map, so the oracles stay definitional.
 
@@ -50,7 +49,7 @@ from .errors import (
 from .exactnum import (Rational, SparsePolynomial, common_denominator, exact_det,
                        int_from_json, rational_from_json, rational_to_json)
 from .circuit import colour_var_name, var_name
-from .pattern import BipartiteMultigraph, LabelledPattern, are_isomorphic, contract
+from .pattern import BipartiteMultigraph, are_isomorphic, contract
 
 PARTITION_SIDE_CAP = 6  # largest side `hom_to_emb_terms` partitions
 BASIS_ATTEMPTS = 200  # random point sets `find_hom_basis` tries before giving up
@@ -398,28 +397,6 @@ def colhom_poly(f: BipartiteMultigraph, n: int) -> SparsePolynomial:
     return SparsePolynomial(varset, terms)
 
 
-def labelled_hom_eval(p: LabelledPattern, v: Sequence[int], w: Sequence[int],
-                      host: WeightedHost):
-    """Labelled homomorphism polynomial map evaluated at host (0-based images)."""
-    f = p.graph
-    if len(v) != len(p.a_labels) or len(w) != len(p.b_labels):
-        raise InvalidParameter("label images must match the pattern's arity")
-    fixed_a: Dict[int, int] = {}
-    for label, img in zip(p.a_labels, v):
-        if fixed_a.setdefault(label, img) != img:
-            return Fraction(0)
-    fixed_b: Dict[int, int] = {}
-    for label, img in zip(p.b_labels, w):
-        if fixed_b.setdefault(label, img) != img:
-            return Fraction(0)
-    free_a = [i for i in range(f.a_count) if i not in fixed_a]
-    free_b = [j for j in range(f.b_count) if j not in fixed_b]
-    _check_cap(host.n ** len(free_a) * host.m ** len(free_b))
-    domains = ([(fixed_a[i],) if i in fixed_a else range(host.n) for i in range(f.a_count)]
-               + [(fixed_b[j],) if j in fixed_b else range(host.m) for j in range(f.b_count)])
-    return _weighted_sum(_global_edges(f), host.get, domains)
-
-
 def emb_eval(f: BipartiteMultigraph, host: WeightedHost):
     """Embedding value: the hom sum restricted to per-side injective maps."""
     if f.a_count > host.n or f.b_count > host.m:
@@ -466,7 +443,7 @@ def hom_to_emb_terms(f: BipartiteMultigraph) -> List[BipartiteMultigraph]:
     for pa in _set_partitions(list(range(f.a_count))):
         for pb in _set_partitions(list(range(f.a_count, f.num_vertices()))):
             pairs = [(block[0], v) for block in pa + pb for v in block[1:]]
-            out.append(contract(f, pairs)[0])
+            out.append(contract(f, pairs))
     return out
 
 

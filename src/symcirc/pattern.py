@@ -1,4 +1,4 @@
-"""Bipartite multigraphs, labelled patterns, and the labelled-pattern algebra.
+"""Bipartite multigraphs: generators, isomorphism, the census, quotients, minors.
 
 A pattern is a bipartite multigraph with a fixed bipartition: left vertices
 A = {0..a_count-1} and right vertices B = {0..b_count-1}, with edges stored as
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import (
-    ArityMismatch,
     IndexOutOfRange,
     InvalidBranchSets,
     InvalidParameter,
@@ -354,14 +353,14 @@ def are_isomorphic(f: BipartiteMultigraph, g: BipartiteMultigraph) -> bool:
 
 
 def contract(f: BipartiteMultigraph, pairs: Sequence[Tuple[int, int]],
-             sides: Optional[Sequence[str]] = None) -> Tuple[BipartiteMultigraph, List[int]]:
-    """Merge the vertex pairs (global ids) of F; returns (graph, index).
+             sides: Optional[Sequence[str]] = None) -> BipartiteMultigraph:
+    """Merge the vertex pairs (global ids) of F.
 
     `sides[v]` is the side v lands on (default: its own), and merged vertices
     share a side.  The classes of each side are numbered by their least
-    global id, and `index[v]` is the local id of v's class.  Edges whose two
-    ends land on the same side are dropped; the others keep their order in
-    `f.edges` and parallel ones add up their multiplicities.
+    global id.  Edges whose two ends land on the same side are dropped; the
+    others keep their order in `f.edges` and parallel ones add up their
+    multiplicities.
     """
     n = f.num_vertices()
     sides = sides or [f.side(v) for v in range(n)]
@@ -393,7 +392,7 @@ def contract(f: BipartiteMultigraph, pairs: Sequence[Tuple[int, int]],
         if sides[u] != sides[v]:
             key = (index[u], index[v]) if sides[u] == SIDE_A else (index[v], index[u])
             edges[key] = edges.get(key, 0) + m
-    return BipartiteMultigraph(counts[SIDE_A], counts[SIDE_B], edges), index
+    return BipartiteMultigraph(counts[SIDE_A], counts[SIDE_B], edges)
 
 
 def quotient(f: BipartiteMultigraph, s: Dict[int, str]) -> BipartiteMultigraph:
@@ -407,95 +406,7 @@ def quotient(f: BipartiteMultigraph, s: Dict[int, str]) -> BipartiteMultigraph:
         if s.get(v) not in (SIDE_A, SIDE_B):
             raise InvalidParameter(f"colouring must assign A or B to vertex {v}")
     pairs = [(i, f.a_count + j) for (i, j) in f.edges if s[i] == s[f.a_count + j]]
-    return contract(f, pairs, [s[v] for v in f.vertices()])[0]
-
-
-# -- labelled patterns -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LabelledPattern:
-    """An (l, r)-labelled bipartite graph: label tuples over A- and B-vertices.
-
-    Labels are local indices (A-index for a_labels, B-index for b_labels);
-    repeats are allowed.
-    """
-
-    graph: BipartiteMultigraph
-    a_labels: Tuple[int, ...] = ()
-    b_labels: Tuple[int, ...] = ()
-
-    def __post_init__(self):
-        for i in self.a_labels:
-            if not 0 <= i < self.graph.a_count:
-                raise IndexOutOfRange(f"left label {i} out of range")
-        for j in self.b_labels:
-            if not 0 <= j < self.graph.b_count:
-                raise IndexOutOfRange(f"right label {j} out of range")
-
-    def arity(self) -> Tuple[int, int]:
-        return (len(self.a_labels), len(self.b_labels))
-
-    def labelled_vertices_global(self) -> FrozenSet[int]:
-        g = self.graph
-        return frozenset(list(self.a_labels) + [g.a_count + j for j in self.b_labels])
-
-    def to_json(self) -> dict:
-        data = self.graph.to_json()
-        data["a_labels"] = [i + 1 for i in self.a_labels]
-        data["b_labels"] = [j + 1 for j in self.b_labels]
-        return data
-
-    @staticmethod
-    def from_json(data: dict) -> "LabelledPattern":
-        g = BipartiteMultigraph.from_json(data)
-        try:
-            a_labels = tuple(int_from_json(i) - 1 for i in data.get("a_labels", []))
-            b_labels = tuple(int_from_json(j) - 1 for j in data.get("b_labels", []))
-        except TypeError as exc:
-            raise ParseError(f"malformed labels: {exc}") from exc
-        return LabelledPattern(g, a_labels, b_labels)
-
-
-def tensor_union(f: LabelledPattern, g: LabelledPattern) -> LabelledPattern:
-    """Disjoint union with concatenated label tuples."""
-    graph = f.graph.disjoint_union(g.graph)
-    a_labels = f.a_labels + tuple(f.graph.a_count + i for i in g.a_labels)
-    b_labels = f.b_labels + tuple(f.graph.b_count + j for j in g.b_labels)
-    return LabelledPattern(graph, a_labels, b_labels)
-
-
-def glue(f: LabelledPattern, g: LabelledPattern) -> LabelledPattern:
-    """Gluing product: identify equally-positioned labelled vertices.
-
-    Edge multiplicities add where identified edges become parallel.
-    """
-    if f.arity() != g.arity():
-        raise ArityMismatch(f"gluing needs equal arities, got {f.arity()} vs {g.arity()}")
-    # Global ids in the union: A = f's A ++ g's A, then B = f's B ++ g's B.
-    union = f.graph.disjoint_union(g.graph)
-    g_a, f_b = f.graph.a_count, union.a_count
-    g_b = f_b + f.graph.b_count
-    pairs = [(i, g_a + k) for i, k in zip(f.a_labels, g.a_labels)]
-    pairs += [(f_b + j, g_b + k) for j, k in zip(f.b_labels, g.b_labels)]
-    glued, index = contract(union, pairs)
-    return LabelledPattern(glued, tuple(index[i] for i in f.a_labels),
-                           tuple(index[f_b + j] for j in f.b_labels))
-
-
-def drop_label(p: LabelledPattern, side: str, position: int) -> LabelledPattern:
-    """Remove the label at `position` (0-based) on the given side."""
-    if side == SIDE_A:
-        if not 0 <= position < len(p.a_labels):
-            raise IndexOutOfRange(f"no left label at position {position}")
-        labels = p.a_labels[:position] + p.a_labels[position + 1:]
-        return LabelledPattern(p.graph, labels, p.b_labels)
-    if side == SIDE_B:
-        if not 0 <= position < len(p.b_labels):
-            raise IndexOutOfRange(f"no right label at position {position}")
-        labels = p.b_labels[:position] + p.b_labels[position + 1:]
-        return LabelledPattern(p.graph, p.a_labels, labels)
-    raise InvalidParameter("side must be 'A' or 'B'")
+    return contract(f, pairs, [s[v] for v in f.vertices()])
 
 
 # -- minors -----------------------------------------------------------------------

@@ -418,32 +418,33 @@ class _Images(NamedTuple):
     sigma: Sequence[int]
 
 
-def _decisive_maps(extender: _Extender, side: str, size: int) -> Optional[List[List[int]]]:
+def _decisive_maps(extender: _Extender, side: str, size: int) -> List[Optional[List[int]]]:
     """The maps of permutations of one side that generate Sym_size, one
     extension search each, so every permutation of the side extends exactly
-    when they do; None when one does not.  They are (0 1) and the cycle
-    i -> i+1 (mod size) if size >= 4, else the adjacent transpositions.
+    when they do.  They are (0 1) and the cycle i -> i+1 (mod size) if
+    size >= 4, else the adjacent transpositions.  The list stops at the first
+    that does not extend, which stands as None.
 
     No search is needed if no index of the side holds a variable (every
     permutation fixes the variables: no maps), or if some index holds one
     and some does not (their transposition has no variable gate to map the
-    first's variables to: None).
+    first's variables to: [None]).
     """
     span = extender.span(side)
     if not span:
         return []
     if span < size:
-        return None
+        return [None]
     if size >= 4:
         perms = [{0: 1, 1: 0}, {i: (i + 1) % size for i in range(size)}]
     else:
         perms = [{a: a + 1, a + 1: a} for a in range(size - 1)]
-    maps = []
+    maps: List[Optional[List[int]]] = []
     for perm in perms:
         solutions = extender.extend(extender.side_pair(side, perm))
+        maps.append(solutions[0] if solutions else None)
         if not solutions:
-            return None
-        maps.append(solutions[0])
+            break
     return maps
 
 
@@ -464,7 +465,7 @@ def is_symmetric(c: Circuit, n: int, m: int) -> bool:
     `_decisive_maps` do."""
     _check_matrix(c, n, m)
     extender = _Extender(c)
-    return all(_decisive_maps(extender, side, size) is not None
+    return all(None not in _decisive_maps(extender, side, size)
                for side, size in (("L", n), ("R", m)))
 
 
@@ -610,19 +611,21 @@ class SymmetryAnalysis:
         """Every generator map of `side` from the searches for (0 1) and the
         cycle s: i -> i+1, if the side has size >= 4 and both extend; once
         per side.  The map of (a+1 a+2) = s (a a+1) s^-1 is S t S^-1, for S
-        the cycle's map and t that of (a a+1)."""
+        the cycle's map and t that of (a a+1).  When only (0 1) extends, its
+        map is kept for `_generator`."""
         size = self.n if side == "L" else self.m
         if size < 4 or side in self._derived:
             return
         self._derived.add(side)
         maps = _decisive_maps(self._extender, side, size)
-        if not maps:
+        if maps[0] is not None:  # the side moves a variable, so maps is not empty
+            self._maps[(side, 0, 1)] = maps[0]
+        if None in maps:
             return
         t, s = maps
         s_inv = [0] * len(s)
         for g, h in enumerate(s):
             s_inv[h] = g
-        self._maps[(side, 0, 1)] = t
         for a in range(1, size - 1):
             t = self._maps[(side, a, a + 1)] = [s[t[h]] for h in s_inv]
 

@@ -14,12 +14,10 @@ certificate builders read it:
     reachable from v through S (its elimination degree), found by growing
     the mask comp = {v} by nb[comp] & S until it stops, with the
     decomposition rebuilt from the optimal elimination order;
-  * labelled treewidth: the same count on the graph with a clique on the
-    labels; plain treewidth is the case with no labels;
   * pathwidth  -> PathDecomposition: the boundary of the prefix T = S+v,
-    T & (pins | nb[V - T]), i.e. its vertices with a neighbour outside it
-    plus the pinned labels in the labelled variant (vertex separation
-    number equals pathwidth), with the bags rebuilt from the layout;
+    T & nb[V - T], i.e. its vertices with a neighbour outside it (vertex
+    separation number equals pathwidth), with the bags rebuilt from the
+    layout;
   * treedepth  -> EliminationForest, via recursive root choice memoized on
     vertex masks, components grown by the tw step's closure.
 
@@ -29,22 +27,19 @@ strictly cheaper one; that tie-break fixes the order, and hence the
 certificate, each solver returns.
 
 Treedepth counts vertices (a single vertex has treedepth 1) and disconnected
-graphs use a forest, so td(F) is the maximum over components.  Labelled
-variants constrain all labelled vertices into one bag (treewidth: clique
-trick) or an end bag (pathwidth: labels never leave the boundary).
-Certificate validation is linear in the decomposition apart from the edge
-checks: parent chains are checked by one walk and ancestry by DFS times.
+graphs use a forest, so td(F) is the maximum over components.  Certificate
+validation is linear in the decomposition apart from the edge checks:
+parent chains are checked by one walk and ancestry by DFS times.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidDecomposition, InvalidParameter, ParseError, check_cap
 from .exactnum import int_from_json
-from .pattern import BipartiteMultigraph, LabelledPattern
+from .pattern import BipartiteMultigraph
 
 
 @dataclass
@@ -259,19 +254,6 @@ def _validate_elimination(f: BipartiteMultigraph, d: EliminationForest) -> Tuple
     return True, ""
 
 
-def rooted_depth(d: TreeDecomposition) -> int:
-    """max over nodes of |union of bags on the root path| (includes the node)."""
-    children = d.children()
-    best = 0
-    stack: List[Tuple[int, FrozenSet[int]]] = [(d.root, d.bags[d.root])]
-    while stack:
-        node, acc = stack.pop()
-        best = max(best, len(acc))
-        for ch in children[node]:
-            stack.append((ch, acc | d.bags[ch]))
-    return best
-
-
 # -- the subset DP ----------------------------------------------------------------
 
 
@@ -343,8 +325,15 @@ def _eliminated_neighbours(nb: List[int], through: int, v: int) -> int:
 
 
 def treewidth_exact(f: BipartiteMultigraph) -> Tuple[int, TreeDecomposition]:
-    """Exact treewidth with a certificate: `labelled_treewidth` with no labels."""
-    return labelled_treewidth(LabelledPattern(f))
+    """Exact treewidth with a certificate, via the DP over elimination orders."""
+    n = f.num_vertices()
+    check_cap("width_vertices", n, "treewidth solver vertex count")
+    if n == 0:
+        return -1, TreeDecomposition([frozenset()], [None])
+    nb = _neighbourhood_unions(f.adjacency())
+    width, order = _subset_dp(
+        n, -1, lambda mask, v: _eliminated_neighbours(nb, mask, v).bit_count())
+    return width, _decomposition_from_order(nb, order)
 
 
 def _decomposition_from_order(nb: List[int], order: List[int]) -> TreeDecomposition:
@@ -375,47 +364,32 @@ def _decomposition_from_order(nb: List[int], order: List[int]) -> TreeDecomposit
 
 
 def pathwidth_exact(f: BipartiteMultigraph) -> Tuple[int, PathDecomposition]:
-    """Exact pathwidth with a certificate, via the vertex-separation DP."""
-    return _vertex_separation(f, frozenset())
-
-
-def labelled_pathwidth(p: LabelledPattern) -> Tuple[int, PathDecomposition]:
-    """Exact pathwidth among decompositions whose *first* bag holds all labels."""
-    width, bags = _vertex_separation(p.graph, p.labelled_vertices_global())
-    bags.bags.reverse()  # the label bag is built last; present it first
-    return width, bags
-
-
-def _vertex_separation(f: BipartiteMultigraph,
-                       pinned: FrozenSet[int]) -> Tuple[int, PathDecomposition]:
-    """DP over layout prefixes; `pinned` vertices count as boundary forever.
+    """Exact pathwidth with a certificate, via the DP over layout prefixes.
 
     The cost of a layout is the maximum boundary over proper non-empty
     prefixes (the full prefix corresponds to no bag of its own), which equals
-    the pathwidth of the corresponding bag sequence; with `pinned` non-empty
-    it is the minimum width subject to the final bag containing all pins.
+    the pathwidth of the corresponding bag sequence.
     """
     n = f.num_vertices()
     check_cap("width_vertices", n, "pathwidth solver vertex count")
     if n == 0:
         return -1, PathDecomposition([frozenset()])
     nb = _neighbourhood_unions(f.adjacency())
-    pins = sum(1 << v for v in pinned)
     full = (1 << n) - 1
 
     def boundary(mask: int, v: int) -> int:
-        # Prefix mask+v: vertices pinned or with a neighbour outside it.  The
-        # full prefix has no bag of its own and costs nothing.
+        # Prefix mask+v: its vertices with a neighbour outside it.  The full
+        # prefix has no bag of its own and costs nothing.
         new = mask | 1 << v
-        return (new & (pins | nb[full ^ new])).bit_count() if new != full else 0
+        return (new & nb[full ^ new]).bit_count() if new != full else 0
 
     width, order = _subset_dp(n, 0, boundary)
-    # Bag i holds order[i] and the placed vertices pinned or with a
-    # neighbour among order[i:].
+    # Bag i holds order[i] and the placed vertices with a neighbour among
+    # order[i:].
     bags: List[FrozenSet[int]] = []
     placed = 0
     for v in order:
-        bags.append(frozenset([v] + _members(placed & (pins | nb[full ^ placed]))))
+        bags.append(frozenset([v] + _members(placed & nb[full ^ placed])))
         placed |= 1 << v
     return width, PathDecomposition(bags)
 
@@ -477,72 +451,3 @@ def _forest(memo: Dict, mask: int, above: Optional[int], parent: Dict[int, Optio
     else:
         for comp in how:
             _forest(memo, comp, above, parent)
-
-
-# -- labelled treewidth (clique trick) ---------------------------------------------
-
-
-def labelled_treewidth(p: LabelledPattern) -> Tuple[int, TreeDecomposition]:
-    """Exact treewidth among decompositions with all labels in one bag.
-
-    Equivalent to the treewidth of the graph augmented with a clique on the
-    labelled vertices; the DP runs on that auxiliary (general) graph and the
-    certificate is returned for the original pattern.
-    """
-    g = p.graph
-    n = g.num_vertices()
-    check_cap("width_vertices", n, "treewidth solver vertex count")
-    labels = sorted(p.labelled_vertices_global())
-    adj = [set(s) for s in g.adjacency()]
-    for u, v in itertools.combinations(labels, 2):
-        adj[u].add(v)
-        adj[v].add(u)
-    if n == 0:
-        return -1, TreeDecomposition([frozenset()], [None])
-    nb = _neighbourhood_unions(adj)
-    width, order = _subset_dp(
-        n, -1, lambda mask, v: _eliminated_neighbours(nb, mask, v).bit_count())
-    # Bags are built against the augmented adjacency so the clique (= the
-    # labels) ends up sharing a bag; the result is a decomposition of the
-    # original graph as well.
-    return width, _decomposition_from_order(nb, order)
-
-
-def rooted_certificate(p: LabelledPattern) -> Tuple[int, int, TreeDecomposition]:
-    """(width, depth, certificate) with all labels in the root bag.
-
-    Width is exact (labelled treewidth); the depth is that of the returned
-    certificate after re-rooting at a bag containing the labels, topped with a
-    labels-only root bag.  Used to witness membership in the rooted
-    width/depth classes; the depth is not separately minimized.
-    """
-    labels = p.labelled_vertices_global()
-    width, deco = labelled_treewidth(p)
-    host = next(i for i, b in enumerate(deco.bags) if labels <= b)
-    reroot = _reroot(deco, host)
-    bags = [frozenset(labels)] + reroot.bags
-    parent: List[Optional[int]] = [None] + [
-        (0 if q is None else q + 1) for q in reroot.parent
-    ]
-    full = TreeDecomposition(bags, parent)
-    return width, rooted_depth(full), full
-
-
-def _reroot(d: TreeDecomposition, new_root: int) -> TreeDecomposition:
-    n = len(d.bags)
-    neighbours: List[Set[int]] = [set() for _ in range(n)]
-    for i, p in enumerate(d.parent):
-        if p is not None:
-            neighbours[i].add(p)
-            neighbours[p].add(i)
-    parent: List[Optional[int]] = [None] * n
-    seen = {new_root}
-    stack = [new_root]
-    while stack:
-        x = stack.pop()
-        for y in neighbours[x]:
-            if y not in seen:
-                seen.add(y)
-                parent[y] = x
-                stack.append(y)
-    return TreeDecomposition(list(d.bags), parent)

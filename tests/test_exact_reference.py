@@ -21,9 +21,8 @@ from symcirc.oracle import (
     colhom_eval,
     emb_eval,
     hom_count,
-    labelled_hom_eval,
 )
-from symcirc.pattern import BipartiteMultigraph, LabelledPattern, make_cycle, make_path
+from symcirc.pattern import BipartiteMultigraph, make_cycle, make_path
 
 DENOMINATORS = (1, 1, 2, 3, 5, 7)
 
@@ -77,19 +76,6 @@ def test_hom_and_emb_match_fraction_loops():
             assert hom_count(f, host) == want
             injective = [image for image in _all_maps(f, n, m) if _injective(f, image)]
             assert emb_eval(f, host) == _reference_sum(f, host.get, injective)
-
-
-def test_labelled_hom_matches_fraction_loop():
-    rng = random.Random(12)
-    f = BipartiteMultigraph(2, 2, {(0, 0): 2, (0, 1): 1, (1, 1): 1, (1, 0): 3})
-    labelled = LabelledPattern(f, (1, 0, 1), (0,))
-    host = _host(3, 2, rng)
-    for v in itertools.product(range(3), repeat=3):
-        for w in range(2):
-            maps = [image for image in _all_maps(f, 3, 2)
-                    if (image[1], image[0], image[1]) == v and image[f.a_count] == w]
-            assert labelled_hom_eval(labelled, v, (w,), host) == \
-                _reference_sum(f, host.get, maps)
 
 
 def test_colhom_matches_fraction_loop():

@@ -19,11 +19,9 @@ from symcirc.oracle import (
     hom_poly,
     hom_to_emb_terms,
     identity_colouring,
-    labelled_hom_eval,
 )
 from symcirc.pattern import (
     BipartiteMultigraph,
-    LabelledPattern,
     make_complete_bipartite,
     make_cycle,
     make_path,
@@ -121,36 +119,6 @@ def test_colhom_poly_variables():
     p2 = make_path(2)
     poly = colhom_poly(p2, 1)
     assert list(poly.variables) == ["x_1_1__2_1"]
-
-
-def test_labelled_hom_examples():
-    # The all-labelled edgeless pattern evaluates to one.
-    j = LabelledPattern(BipartiteMultigraph(1, 1), (0,), (0,))
-    host = WeightedHost.random(3, 3, random.Random(2))
-    for v in range(3):
-        for w in range(3):
-            assert labelled_hom_eval(j, (v,), (w,), host) == 1
-    # The fully labelled single edge evaluates to its variable.
-    edge = LabelledPattern(make_path(2), (0,), (0,))
-    for v in range(3):
-        for w in range(3):
-            assert labelled_hom_eval(edge, (v,), (w,), host) == host.get(v, w)
-    # Gluing multiplies pointwise.
-    from symcirc.pattern import glue
-    p3 = LabelledPattern(make_path(3), (0, 1), ())
-    glued = glue(p3, p3)
-    for v in range(2):
-        for w in range(2):
-            lhs = labelled_hom_eval(glued, (v, w), (), host)
-            rhs = labelled_hom_eval(p3, (v, w), (), host) ** 2
-            assert lhs == rhs
-
-
-def test_labelled_repeated_labels():
-    edge = LabelledPattern(make_path(2), (0, 0), (0,))
-    host = WeightedHost.all_ones(2, 2)
-    assert labelled_hom_eval(edge, (0, 1), (0,), host) == 0
-    assert labelled_hom_eval(edge, (1, 1), (0,), host) == 1
 
 
 def test_emb_examples():

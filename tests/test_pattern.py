@@ -1,28 +1,23 @@
-"""Patterns, generators, isomorphism, quotients, labelled algebra, minors."""
+"""Patterns, generators, isomorphism, quotients, minors."""
 
 import itertools
 import random
 
 import pytest
 
-from symcirc import width
-from symcirc.errors import ArityMismatch, IndexOutOfRange, InvalidParameter, ParseError, SizeCap
+from symcirc.errors import InvalidParameter, SizeCap
 from symcirc.pattern import (
     BipartiteMultigraph,
-    LabelledPattern,
     are_isomorphic,
     contract,
-    drop_label,
     enumerate_bipartite_multigraphs,
     find_minor,
-    glue,
     make_complete_binary_tree,
     make_complete_bipartite,
     make_cycle,
     make_grid,
     make_path,
     quotient,
-    tensor_union,
 )
 
 
@@ -169,138 +164,14 @@ def test_contract_numbers_classes_by_least_id():
     # K_{2,2}: A = {0, 1}, B = {2, 3}.  Merging 1 with 0 and 3 with 2 stacks
     # all four edges on one pair.
     k22 = make_complete_bipartite(2, 2)
-    merged, index = contract(k22, [(1, 0), (3, 2)])
+    merged = contract(k22, [(1, 0), (3, 2)])
     assert (merged.a_count, merged.b_count, merged.edges) == (1, 1, {(0, 0): 4})
-    assert index == [0, 0, 0, 0]
     # Moving vertex 0 to side B drops its edges; the classes of each side
     # are numbered in order of their least global id.
-    moved, index = contract(k22, [], ["B", "A", "B", "B"])
+    moved = contract(k22, [], ["B", "A", "B", "B"])
     assert (moved.a_count, moved.b_count, moved.edges) == (1, 3, {(0, 1): 1, (0, 2): 1})
-    assert index == [0, 0, 1, 2]
     with pytest.raises(InvalidParameter):
         contract(k22, [(0, 2)])
-
-
-def test_tensor_union_examples():
-    j = LabelledPattern(BipartiteMultigraph(1, 0), (0,), ())
-    edge = LabelledPattern(make_path(2), (0,), (0,))
-    t = tensor_union(j, edge)
-    assert t.graph.num_vertices() == 3
-    assert t.arity() == (2, 1)
-    empty = LabelledPattern(BipartiteMultigraph(0, 0))
-    t2 = tensor_union(edge, empty)
-    assert t2.graph == edge.graph and t2.arity() == edge.arity()
-    two = tensor_union(edge, edge)
-    assert two.graph.num_vertices() == 4 and two.graph.num_edge_slots() == 2
-    assert two.arity() == (2, 2)
-
-
-def test_glue_examples():
-    edge = LabelledPattern(make_path(2), (0,), (0,))
-    doubled = glue(edge, edge)
-    assert doubled.graph.num_vertices() == 2
-    assert doubled.graph.edges == {(0, 0): 2}
-    # Gluing with the all-labelled edgeless pattern is the identity.
-    j = LabelledPattern(BipartiteMultigraph(1, 1), (0,), (0,))
-    same = glue(edge, j)
-    assert are_isomorphic(same.graph, edge.graph)
-    # P_3 labelled at both endpoints glued with itself gives a 4-cycle.
-    p3 = LabelledPattern(make_path(3), (0, 1), ())
-    cycle = glue(p3, p3)
-    assert are_isomorphic(cycle.graph, make_cycle(4))
-
-
-def test_glue_arity_mismatch():
-    edge = LabelledPattern(make_path(2), (0,), (0,))
-    j = LabelledPattern(BipartiteMultigraph(1, 1), (0,), ())
-    with pytest.raises(ArityMismatch):
-        glue(edge, j)
-
-
-def test_drop_label():
-    edge = LabelledPattern(make_path(2), (0,), ())
-    dropped = drop_label(edge, "A", 0)
-    assert dropped.arity() == (0, 0)
-    readded = LabelledPattern(dropped.graph, (0,), ())
-    assert readded == edge
-    j2 = LabelledPattern(BipartiteMultigraph(2, 0), (0, 1), ())
-    assert drop_label(j2, "A", 1).arity() == (1, 0)
-    with pytest.raises(IndexOutOfRange):
-        drop_label(edge, "A", 1)
-
-
-def _labelled_tw(p):
-    return width.labelled_treewidth(p)[0]
-
-
-def _labelled_pw(p):
-    return width.labelled_pathwidth(p)[0]
-
-
-def test_tensor_union_width_bounds():
-    # Recompute exact labelled widths and compare against the closure bounds.
-    rng = random.Random(3)
-    cases = [
-        (LabelledPattern(make_path(3), (0,), ()), LabelledPattern(make_path(2), (0,), (0,))),
-        (LabelledPattern(make_cycle(4), (0,), (0,)), LabelledPattern(make_path(4), (0, 1), ())),
-        (LabelledPattern(make_complete_bipartite(2, 2), (0,), (0,)),
-         LabelledPattern(make_path(2), (), (0,))),
-    ]
-    for f, g in cases:
-        lf, rf = f.arity()
-        lg, rg = g.arity()
-        t = tensor_union(f, g)
-        k = _labelled_tw(f) + 1
-        k2 = _labelled_tw(g) + 1
-        bound_tw = max(k, k2, lf + lg + rf + rg)
-        assert _labelled_tw(t) + 1 <= bound_tw
-        kp = _labelled_pw(f) + 1
-        kp2 = _labelled_pw(g) + 1
-        bound_pw = min(max(kp, kp2 + lf + rf), max(kp2, kp + lf + rf))
-        assert _labelled_pw(t) + 1 <= bound_pw
-
-
-def test_tensor_union_rooted_depth_bound():
-    f = LabelledPattern(make_path(3), (0,), ())
-    g = LabelledPattern(make_path(2), (0,), (0,))
-    kf, qf, cf = width.rooted_certificate(f)
-    kg, qg, cg = width.rooted_certificate(g)
-    t = tensor_union(f, g)
-    lf, rf = f.arity()
-    lg, rg = g.arity()
-    q_bound = max(qf + lg + rg, qg + lf + rf)
-    k_bound = max(kf + 1, kg + 1, lf + lg + rf + rg)
-    kt, qt, ct = width.rooted_certificate(t)
-    ok, why = width.validate_decomposition(t.graph, ct)
-    assert ok, why
-    assert t.labelled_vertices_global() <= ct.bags[ct.root]
-    assert kt + 1 <= k_bound and qt <= q_bound
-
-
-def test_glue_width_bounds():
-    cases = [
-        (LabelledPattern(make_path(3), (0, 1), ()), LabelledPattern(make_path(3), (0, 1), ())),
-        (LabelledPattern(make_path(2), (0,), (0,)), LabelledPattern(make_path(4), (0,), (0,))),
-    ]
-    for f, g in cases:
-        l, r = f.arity()
-        glued = glue(f, g)
-        k = max(_labelled_tw(f), _labelled_tw(g)) + 1
-        assert _labelled_tw(glued) + 1 <= k
-        kp = _labelled_pw(f) + 1
-        kp2 = _labelled_pw(g) + 1
-        bound_pw = min(max(kp, kp2 + l + r), max(kp2, kp + l + r))
-        assert _labelled_pw(glued) + 1 <= bound_pw
-
-
-def test_repeat_gluing_bound():
-    # F_1 ... F_s in P^k glued repeatedly stays within P^{k + labels}.
-    f = LabelledPattern(make_path(2), (0,), (0,))
-    k = _labelled_pw(f) + 1
-    acc = f
-    for _ in range(3):
-        acc = glue(acc, f)
-    assert _labelled_pw(acc) + 1 <= k + 2
 
 
 def test_find_minor_examples():
@@ -333,13 +204,4 @@ def test_minor_witness_validates_exhaustively():
 def test_graph_json_round_trip():
     for g in enumerate_bipartite_multigraphs(4, 5, max_mult=2)[:30]:
         assert BipartiteMultigraph.from_json(g.to_json()) == g
-    p = LabelledPattern(make_path(3), (0, 1), ())
-    assert LabelledPattern.from_json(p.to_json()) == p
 
-
-def test_labelled_pattern_json_rejects_non_integer_labels():
-    data = LabelledPattern(make_path(3), (0, 1), ()).to_json()
-    assert LabelledPattern.from_json(dict(data, a_labels=["1", 2])).a_labels == (0, 1)
-    for labels in ([1.0, 2], [1, 2.5], [True, 2], [None]):
-        with pytest.raises(ParseError):
-            LabelledPattern.from_json(dict(data, a_labels=labels))

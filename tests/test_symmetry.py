@@ -466,6 +466,21 @@ def test_analyze_searches_two_extensions_per_side_and_one_support_per_orbit(monk
         assert calls["minimal_support"] == orbit_count, shape
 
 
+def test_a_failed_cycle_search_keeps_the_map_of_0_1(monkeypatch):
+    # x11 x21 x31 + x41 at 4 x 1: (0 1) extends and the cycle does not, so
+    # the other generators are searched one by one.  Four searches: (0 1),
+    # the cycle, (1 2), and (2 3), the first that does not extend.
+    b = CircuitBuilder()
+    product = b.times([(b.var(f"x_{i}_1"), 1) for i in (1, 2, 3)])
+    c = b.finish(b.plus([(product, 1), (b.var("x_4_1"), 1)]))
+    calls = {}
+    _counted(monkeypatch, symmetry._Extender, "extend", calls)
+    message = "the circuit is not symmetric: ('L', 2, 3) does not extend"
+    with pytest.raises(NotSymmetric, match=f"^{re.escape(message)}$"):
+        SymmetryAnalysis(c, 4, 1).generators()
+    assert calls["extend"] == 4
+
+
 def test_is_symmetric_matches_every_adjacent_transposition():
     # Testing two generators per side decides what testing every adjacent
     # transposition does, on symmetric circuits, on copies made asymmetric by

@@ -50,8 +50,9 @@ def _referenced_words(tree: ast.AST) -> set:
 
 
 def test_every_public_name_is_referenced():
-    """Each public function and method is used somewhere besides its `def`:
-    named in code, or in a string that is not a docstring."""
+    """Each public module-level class, function and method is used somewhere
+    besides its definition: named in code, or in a string that is not a
+    docstring."""
     root = SRC.parents[1]
     referenced = set()
     for folder in ("src", "tests", "perfbench"):
@@ -65,6 +66,9 @@ def test_every_public_name_is_referenced():
             for node in body:
                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                     defined.setdefault(node.name, set()).add(path.name)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defined.setdefault(node.name, set()).add(path.name)
     unused = {name: files for name, files in defined.items() if name not in referenced}
     assert unused == {}
 

@@ -8,7 +8,6 @@ from symcirc import width
 from symcirc.errors import SizeCap
 from symcirc.pattern import (
     BipartiteMultigraph,
-    LabelledPattern,
     enumerate_bipartite_multigraphs,
     make_complete_binary_tree,
     make_complete_bipartite,
@@ -20,10 +19,7 @@ from symcirc.width import (
     EliminationForest,
     PathDecomposition,
     TreeDecomposition,
-    labelled_pathwidth,
-    labelled_treewidth,
     pathwidth_exact,
-    rooted_depth,
     treedepth_exact,
     treewidth_exact,
     validate_decomposition,
@@ -100,18 +96,6 @@ def test_validate_rejects_bad_decompositions():
     assert not ok and "incomparable" in why
 
 
-def test_rooted_depth_examples():
-    single = TreeDecomposition([frozenset({0, 1, 2})], [None])
-    assert rooted_depth(single) == 3
-    chain = TreeDecomposition(
-        [frozenset({0}), frozenset({0, 1}), frozenset({1, 2})], [None, 0, 1])
-    assert rooted_depth(chain) == 3
-    # rooted depth is at least width + 1 for any decomposition.
-    g = make_grid(2, 3)
-    tw, cert = treewidth_exact(g)
-    assert rooted_depth(cert) >= tw + 1
-
-
 def test_width_invariants_small_graphs():
     from symcirc.pattern import enumerate_bipartite_multigraphs
 
@@ -137,35 +121,6 @@ def test_size_cap():
     big = BipartiteMultigraph(8, 8)
     with pytest.raises(SizeCap):
         treewidth_exact(big)
-
-
-def test_labelled_widths():
-    # A fully labelled edge has labelled pathwidth 1 (Example: variables).
-    edge = LabelledPattern(make_path(2), (0,), (0,))
-    value, cert = labelled_pathwidth(edge)
-    assert value == 1
-    assert edge.labelled_vertices_global() <= cert.bags[0]
-    assert validate_decomposition(edge.graph, cert)[0]
-    # Labels force bigger bags: both endpoints of P_4 in one bag.
-    p4 = LabelledPattern(make_path(4), (0, 1), ())
-    plain = treewidth_exact(make_path(4))[0]
-    constrained, cert = labelled_treewidth(p4)
-    assert constrained >= plain
-    assert any(p4.labelled_vertices_global() <= b for b in cert.bags)
-    assert validate_decomposition(p4.graph, cert)[0]
-
-
-def test_labels_in_one_bag_flag():
-    # The labelled solvers with global vertices 0 and 1 (both on side A) as labels.
-    p4 = make_path(4)
-    labelled = LabelledPattern(p4, (0, 1), ())
-    plain, _ = treewidth_exact(p4)
-    constrained, cert = labelled_treewidth(labelled)
-    assert constrained >= plain
-    assert any({0, 1} <= b for b in cert.bags)
-    pw_val, pcert = labelled_pathwidth(labelled)
-    assert {0, 1} <= pcert.bags[0]
-    assert validate_decomposition(p4, pcert)[0]
 
 
 def test_certificates_validate_on_disconnected_graphs():
@@ -265,11 +220,11 @@ def _reference_tw_step(adj, through, v):
     return len(out)
 
 
-def _reference_pw_step(adj, pins, prefix, n):
-    """Vertices of the prefix pinned or with a neighbour outside it; 0 for all n."""
+def _reference_pw_step(adj, prefix, n):
+    """Vertices of the prefix with a neighbour outside it; 0 for all n."""
     if len(prefix) == n:
         return 0
-    return sum(1 for u in prefix if u in pins or adj[u] - prefix)
+    return sum(1 for u in prefix if adj[u] - prefix)
 
 
 def test_dp_steps_match_a_set_based_recount(monkeypatch):
@@ -278,20 +233,17 @@ def test_dp_steps_match_a_set_based_recount(monkeypatch):
     monkeypatch.setattr(width, "_subset_dp",
                         lambda n, start, step: steps.append(step) or real(n, start, step))
     for g in enumerate_bipartite_multigraphs(6, 9):
-        for p in (LabelledPattern(g),
-                  LabelledPattern(g, tuple(range(min(2, g.a_count))), (0,) if g.b_count else ())):
-            n, labels = g.num_vertices(), p.labelled_vertices_global()
-            adj = [set(ws) for ws in g.adjacency()]
-            clique = [ws | (labels - {v} if v in labels else set()) for v, ws in enumerate(adj)]
-            labelled_treewidth(p)
-            tw_step = steps[-1]
-            labelled_pathwidth(p)
-            pw_step = steps[-1]
-            for mask in range(1 << n):
-                through = {u for u in range(n) if mask >> u & 1}
-                for v in set(range(n)) - through:
-                    assert tw_step(mask, v) == _reference_tw_step(clique, through, v)
-                    assert pw_step(mask, v) == _reference_pw_step(adj, labels, through | {v}, n)
+        n = g.num_vertices()
+        adj = [set(ws) for ws in g.adjacency()]
+        treewidth_exact(g)
+        tw_step = steps[-1]
+        pathwidth_exact(g)
+        pw_step = steps[-1]
+        for mask in range(1 << n):
+            through = {u for u in range(n) if mask >> u & 1}
+            for v in set(range(n)) - through:
+                assert tw_step(mask, v) == _reference_tw_step(adj, through, v)
+                assert pw_step(mask, v) == _reference_pw_step(adj, through | {v}, n)
 
 
 def _reference_treedepth(adj, vs):
