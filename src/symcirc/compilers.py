@@ -40,10 +40,12 @@ The formula is rigid as built: its products' children are distinct
 variables and subformulas tagged by distinct powers of 1, and the summands
 of a sum fix different images h of a vertex with an edge, so they differ in
 their least degree in row (or column) h.  `compile_lincomb` tags its terms
-alike, so it is rigid too; both raise if `is_rigid` disagrees.  The bag
-tables repeat equal forget gates across labellings, so they are built
-unshared and rigidified: a formula has its siblings merged, any other
-circuit is copied into a sharing `CircuitBuilder`.
+alike, so it is rigid too.  The bag tables are built into a sharing
+`CircuitBuilder`, children first, so each gate is keyed by its label and
+merged children, and a forget gate that many labellings need is built once.
+No two gates then share a signature, so the tables are rigid as built and no
+table is rigidified.  `compile_certificate` and `compile_lincomb` raise if
+`is_rigid` disagrees.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ from .errors import (
 )
 from .exactnum import Rational
 from .pattern import BipartiteMultigraph, SIDE_A
-from .symmetry import is_rigid, rigidify
+from .symmetry import is_rigid
+# Not called here: perfbench/test_perfbench.py wraps `compilers.rigidify`.
+from .symmetry import rigidify  # noqa: F401
 from .width import (
     EliminationForest,
     PathDecomposition,
@@ -137,16 +141,15 @@ def compile_certificate(f: BipartiteMultigraph, cert, n: int, m: int) -> Compile
         raise InvalidDecomposition(reason)
     circuit, shape = _construct(f, cert, _matrix_ranges(f, n, m), _matrix_varmap)
     bounds: Dict[str, Optional[int]] = dict.fromkeys(("size_bound", "orbit_bound", "support_bound"))
+    if not is_rigid(circuit):
+        raise InvalidParameter(f"certificate compiler produced a non-rigid {shape} circuit; "
+                               "this is a bug")
     if shape == FORMULA_MULTI:
-        if not is_rigid(circuit):
-            raise InvalidParameter("forest compiler produced a non-rigid formula; this is a bug")
         height, slots = cert.height(), f.num_edge_slots()
         bounds.update(size_bound=(f.num_vertices() * slots * (n + m)) ** height if slots else None,
                       orbit_bound=(n + m) ** height, support_bound=height)
-    else:
-        circuit = rigidify(circuit)
-        if shape == SKEW:
-            bounds["orbit_bound"] = (n + m) ** (cert.width() + 1)
+    elif shape == SKEW:
+        bounds["orbit_bound"] = (n + m) ** (cert.width() + 1)
     ok, reason = circuit.validate(shape)
     if not ok:
         raise InvalidParameter(f"certificate compiler produced a non-{shape} circuit: {reason}")
@@ -154,8 +157,7 @@ def compile_certificate(f: BipartiteMultigraph, cert, n: int, m: int) -> Compile
 
 
 def _construct(f: BipartiteMultigraph, cert, ranges, varmap) -> Tuple[Circuit, str]:
-    """The circuit the certificate's construction builds, not rigidified, and
-    the shape it has."""
+    """The circuit the certificate's construction builds and the shape it has."""
     if isinstance(cert, EliminationForest):
         return _formula_from_forest(f, cert, ranges, varmap), FORMULA_MULTI
     if isinstance(cert, PathDecomposition):
@@ -193,10 +195,7 @@ def _edge_factors(f: BipartiteMultigraph, builder: CircuitBuilder, varmap, image
 def _labellings(vertices: Sequence[int], ranges) -> List[Tuple[Tuple[int, int], ...]]:
     """All image assignments of `vertices`, 1-based, in lexicographic order."""
     vs = sorted(vertices)
-    out = []
-    for images in itertools.product(*[range(1, ranges(v) + 1) for v in vs]):
-        out.append(tuple(zip(vs, images)))
-    return out
+    return [tuple(zip(vs, images)) for images in itertools.product(*[range(1, ranges(v) + 1) for v in vs])]
 
 
 def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
@@ -224,11 +223,7 @@ def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
     for (i, j), mult in sorted(f.edges.items()):
         a_g, b_g = i, f.a_count + j
         # Charge the edge to its deeper endpoint; the other lies on the path.
-        anc_b = set(core.path_to_root(a_g))
-        if b_g in anc_b:
-            adj_edges[a_g].append((a_g, b_g, mult))
-        else:
-            adj_edges[b_g].append((a_g, b_g, mult))
+        adj_edges[a_g if b_g in core.path_to_root(a_g) else b_g].append((a_g, b_g, mult))
 
     def gate_for(u: int, gamma: Dict[int, int]):
         summands: List[Tuple[int, int]] = []
@@ -260,7 +255,7 @@ def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
 
 
 def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, varmap) -> Circuit:
-    builder = CircuitBuilder()
+    builder = CircuitBuilder(share=True)
     const1 = builder.const(1)
     children = deco.children()
     # Charge each edge to its smallest-index covering node.
@@ -289,13 +284,12 @@ def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, 
                 key = tuple((v, img) for v, img in phi if v in child_bag)
                 forget = builder.plus([(g, 1) for g in groups[key]])
                 parts.append((forget, 1))
-            if parts:
-                if len(parts) == 1 and parts[0][1] == 1:
-                    table[phi] = parts[0][0]
-                else:
-                    table[phi] = builder.times(parts)
-            else:
+            if not parts:
                 table[phi] = const1
+            elif len(parts) == 1 and parts[0][1] == 1:
+                table[phi] = parts[0][0]
+            else:
+                table[phi] = builder.times(parts)
         return table
 
     root_table = _run_nested(table_for(deco.root))
@@ -337,21 +331,17 @@ def compile_lincomb(terms: Sequence[Tuple[Rational, BipartiteMultigraph]],
         raise InvalidParameter(f"lincomb compiler broke shape {result_shape}: {reason}")
     orbit_bounds = [r.claimed_bounds.get("orbit_bound") for r in reports]
     orbit = max((b for b in orbit_bounds if b is not None), default=None)
-    return CompileReport(circuit, result_shape, {
-        "size_bound": None,
-        "orbit_bound": orbit,
-        "support_bound": None,
-    })
+    return CompileReport(circuit, result_shape, dict(size_bound=None, orbit_bound=orbit, support_bound=None))
 
 
 def compile_colourful(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
                       n: int, shape: str) -> CompileReport:
     """Circuit for the coloured homomorphism polynomial colhom_{F,c,n}.
 
-    The same constructions over colour-indexed variables, neither checked
-    for rigidity nor rigidified; every vertex ranges over [n].  With
-    `colouring` the identity this computes the colourful homomorphism
-    polynomial.
+    The same constructions over colour-indexed variables, not checked for
+    rigidity: the formula and the shared bag tables are built exactly as in
+    `compile_certificate`; every vertex ranges over [n].  With `colouring`
+    the identity this computes the colourful homomorphism polynomial.
     """
     if n < 1:
         raise InvalidParameter("host sizes must be >= 1")
@@ -363,8 +353,4 @@ def compile_colourful(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
     ok, reason = circuit.validate(result_shape)
     if not ok:
         raise InvalidParameter(f"colourful compiler broke shape {result_shape}: {reason}")
-    return CompileReport(circuit, result_shape, {
-        "size_bound": None,
-        "orbit_bound": None,
-        "support_bound": None,
-    })
+    return CompileReport(circuit, result_shape, dict.fromkeys(("size_bound", "orbit_bound", "support_bound")))

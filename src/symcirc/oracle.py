@@ -327,23 +327,34 @@ def hom_count(f: BipartiteMultigraph, host: WeightedHost):
     return _weighted_sum(_global_edges(f), host.get, domains)
 
 
-def hom_poly(f: BipartiteMultigraph, n: int, m: int) -> SparsePolynomial:
-    """hom_{F,n,m} expanded as a polynomial in the x_<i>_<j> variables."""
-    _check_cap(n ** f.a_count * m ** f.b_count)
-    names = [[var_name(i + 1, j + 1) for j in range(m)] for i in range(n)]
-    variables = tuple(sorted(name for row in names for name in row))
-    pos = {v: k for k, v in enumerate(variables)}
-    terms: Dict[Tuple[int, ...], int] = {}
-    edges = sorted(f.edges.items())
+def _map_polynomial(edges: Sequence[Tuple[int, int, int]], sizes: Sequence[int],
+                    variables: Sequence[str], names: Sequence[List[List[str]]]) -> SparsePolynomial:
+    """Sum over all maps, in row-major order, of the monomial raising each
+    edge's variable to the edge's multiplicity: the loop of `hom_poly` and
+    `colhom_poly`.  Vertex v maps into range(sizes[v]), and names[k][a][b]
+    is the variable of edges[k] = (u, v, mult) under u -> a, v -> b; its
+    position in `variables` is looked up once, before the loop."""
+    pos = {name: k for k, name in enumerate(variables)}
+    plan = [(u, v, mult, [[pos[name] for name in row] for row in table])
+            for (u, v, mult), table in zip(edges, names)]
     zero_exp = [0] * len(variables)
-    for a_img in itertools.product(range(n), repeat=f.a_count):
-        for b_img in itertools.product(range(m), repeat=f.b_count):
-            exp = list(zero_exp)
-            for (i, j), mult in edges:
-                exp[pos[names[a_img[i]][b_img[j]]]] += mult
-            key = tuple(exp)
-            terms[key] = terms.get(key, 0) + 1
+    terms: Dict[Tuple[int, ...], int] = {}
+    for image in itertools.product(*map(range, sizes)):
+        exp = list(zero_exp)
+        for u, v, mult, table in plan:
+            exp[table[image[u]][image[v]]] += mult
+        key = tuple(exp)
+        terms[key] = terms.get(key, 0) + 1
     return SparsePolynomial(variables, terms)
+
+
+def hom_poly(f: BipartiteMultigraph, n: int, m: int) -> SparsePolynomial:
+    """hom_{F,n,m} expanded over all n*m x_<i>_<j> variables, even when F has no edge."""
+    _check_cap(n ** f.a_count * m ** f.b_count)
+    grid = [[var_name(i, j) for j in range(1, m + 1)] for i in range(1, n + 1)]
+    edges = _global_edges(f)
+    return _map_polynomial(edges, [n] * f.a_count + [m] * f.b_count,
+                           sorted(name for row in grid for name in row), [grid] * len(edges))
 
 
 def coloured_hom_eval(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
@@ -382,19 +393,10 @@ def colhom_poly(f: BipartiteMultigraph, n: int) -> SparsePolynomial:
     1-based in names, A-side endpoint first)."""
     _check_cap(n ** f.num_vertices())
     edges = _global_edges(f)
-    varset = sorted({
-        colour_var_name(u + 1, i + 1, v + 1, j + 1)
-        for (u, v, _) in edges for i in range(n) for j in range(n)
-    })
-    pos = {name: k for k, name in enumerate(varset)}
-    terms: Dict[Tuple[int, ...], int] = {}
-    for image in itertools.product(range(n), repeat=f.num_vertices()):
-        exp = [0] * len(varset)
-        for (u, v, mult) in edges:
-            exp[pos[colour_var_name(u + 1, image[u] + 1, v + 1, image[v] + 1)]] += mult
-        key = tuple(exp)
-        terms[key] = terms.get(key, 0) + 1
-    return SparsePolynomial(varset, terms)
+    names = [[[colour_var_name(u + 1, a + 1, v + 1, b + 1) for b in range(n)] for a in range(n)]
+             for (u, v, _) in edges]
+    variables = sorted({name for table in names for row in table for name in row})
+    return _map_polynomial(edges, [n] * f.num_vertices(), variables, names)
 
 
 def emb_eval(f: BipartiteMultigraph, host: WeightedHost):

@@ -565,12 +565,13 @@ class SymmetryAnalysis:
     cached; that of (a b) is composed along its word.  Each is the search's
     answer because extensions are unique on a rigid circuit.  For the same
     reason a transposition that moves no row or column of a variable maps
-    every gate to itself, with no pair built and no search, so a large matrix
-    around few variables costs time linear in its size.
-    Orbits come from the generators.  Supports come from the transposition
-    classes of one representative per orbit (a support's complement lies in
-    one class per side; see the module docstring), translated along the orbit
-    by the generator maps; each is computed once per analysis.
+    every gate to itself, with no pair built and no search.
+    Orbits come from the generators that move a variable.  Supports come from
+    the transposition classes of one representative per orbit (a support's
+    complement lies in one class per side; see the module docstring),
+    translated along the orbit by the same generator maps; each is computed
+    once per analysis.  A side with no variable adds no support element, so
+    neither the orbits nor the supports cost time in the size of such a side.
     """
 
     def __init__(self, c: Circuit, n: int, m: int):
@@ -650,6 +651,15 @@ class SymmetryAnalysis:
         return [self._generator(side, a)
                 for side, size in (("L", self.n), ("R", self.m)) for a in range(size - 1)]
 
+    def _moving_generators(self) -> List[Tuple[Tuple[str, int, int], List[int]]]:
+        """(tag, map) of each generator that moves a row or column of a
+        variable, in the order of `generators`; found from those rows and
+        columns, as every other generator maps each gate to itself."""
+        last = {"L": self.n - 2, "R": self.m - 2}
+        tags = sorted({(side, a, a + 1) for side, x in self._extender._used
+                       for a in (x - 1, x) if 0 <= a <= last[side]})
+        return [(tag, self._generator(tag[0], tag[1])) for tag in tags]
+
     # orbits -----------------------------------------------------------------
 
     def orbits(self) -> List[List[int]]:
@@ -665,7 +675,7 @@ class SymmetryAnalysis:
                     x = parent[x]
                 return x
 
-            for gmap in self.generators():
+            for _, gmap in self._moving_generators():
                 for g, image in enumerate(gmap):
                     if image != g:
                         rg, ri = find(g), find(image)
@@ -701,6 +711,8 @@ class SymmetryAnalysis:
         support: List[Tuple[str, int]] = []
         unique = True
         for side, size in (("L", self.n), ("R", self.m)):
+            if not self._extender.span(side):
+                continue  # every transposition of the side fixes g: no support element
             last: List[int] = []  # the greatest member of each class so far
             recent: List[int] = []  # extended last first: x mostly joins x-1's class
             label: List[int] = []
@@ -730,8 +742,7 @@ class SymmetryAnalysis:
         """
         if self._supports is None:
             supports: List[Optional[FrozenSet]] = [None] * self.circuit.num_gates()
-            gens = self.generators()
-            tags = _generators(self.n, self.m)
+            gens = self._moving_generators()
             for orbit in self.orbits():
                 rep = orbit[0]
                 sup, _ = self.minimal_support(rep)
@@ -739,7 +750,7 @@ class SymmetryAnalysis:
                 queue = [rep]
                 while queue:
                     g = queue.pop()
-                    for gmap, (side, a, b) in zip(gens, tags):
+                    for (side, a, b), gmap in gens:
                         h = gmap[g]
                         if supports[h] is None:
                             supports[h] = frozenset(_apply_transposition(e, side, a, b)

@@ -263,26 +263,25 @@ def test_compile_certificate_of_a_deep_chain_forest():
     assert rep.circuit.evaluate({"x_1_1": Fraction(1)}) == 1
 
 
-def _check_bag_table_is_rigid(f, deco, n, m, branches):
-    """The bag-table compile is rigid, and stays a formula when its unshared
-    tables are one; tallies which rigidification branch it took."""
-    raw, _ = compilers._construct(f, deco, compilers._matrix_ranges(f, n, m),
-                                  compilers._matrix_varmap)
-    built = compilers.compile_certificate(f, deco, n, m).circuit
-    formula = raw.validate(FORMULA_MULTI)[0]
-    assert symmetry.is_rigid(built), (f.to_json(), n, m)
-    if formula:
-        assert built.validate(FORMULA_MULTI)[0], (f.to_json(), n, m)
-    branches[formula] += 1
+def _check_bag_table_is_shared(f, deco, n, m):
+    """The bag-table compile is rigid, has its shape, repeats no internal gate
+    (label and children), and is a fixpoint of `rigidify`."""
+    report = compilers.compile_certificate(f, deco, n, m)
+    c, where = report.circuit, (f.to_json(), n, m)
+    assert symmetry.is_rigid(c), where
+    assert c.validate(report.shape)[0], where
+    keys = [(c.labels[g], tuple(sorted(c.children[g].items())))
+            for g in range(c.num_gates()) if not c.is_input(g)]
+    assert len(set(keys)) == len(keys), where
+    assert symmetry.rigidify(c).num_gates() == c.num_gates(), where
 
 
-def test_bag_tables_rigidify_at_every_host_size_and_certificate():
-    branches = {True: 0, False: 0}
+def test_bag_tables_are_built_shared_at_every_host_size_and_certificate():
     for f in enumerate_bipartite_multigraphs(6, 8, max_mult=2)[::7]:
         decos = [width.pathwidth_exact(f)[1], width.treewidth_exact(f)[1]]
         for n, m in itertools.product((1, 2, 3), repeat=2):
             for deco in decos:
-                _check_bag_table_is_rigid(f, deco, n, m, branches)
+                _check_bag_table_is_shared(f, deco, n, m)
     # Certificates that are not optimal: one bag holding every vertex, and
     # trees from seeded random elimination orders.
     rng = random.Random(12)
@@ -298,9 +297,7 @@ def test_bag_tables_rigidify_at_every_host_size_and_certificate():
         for n, m in ((2, 2), (2, 3), (3, 2)):
             for deco in decos:
                 assert width.validate_decomposition(f, deco)[0]
-                _check_bag_table_is_rigid(f, deco, n, m, branches)
-    # Both the sibling merge of a formula and the DAG merge are exercised.
-    assert branches[True] and branches[False], branches
+                _check_bag_table_is_shared(f, deco, n, m)
 
 
 def test_lincomb_orbit_bound():
