@@ -29,10 +29,12 @@ shared vCPUs):
   KERNEL_AFTER = 32      a build takes about 11 us per gate (0.55 ms for 49
                          gates), the time of about 34 interpreted
                          evaluations; built on the second evaluation
-                         instead, rigidify's 4-point spot check and the 5
-                         rational hosts of each compiled circuit pay for
-                         kernels that barely run, and a round took 2.07 s
-                         against 1.80 s (2.00 s with no kernel at all);
+                         instead, circuits evaluated only a few times,
+                         such as each compiled circuit on its 5 rational
+                         hosts, pay for kernels that barely run, and a round
+                         took 2.07 s against 1.80 s (2.00 s with no kernel
+                         at all; measured when `rigidify` still evaluated
+                         every circuit it copied at 4 points);
   KERNEL_GATE_CAP = 2048 larger plans stay interpreted: the workload's
                          15,577-gate extraction circuit takes 0.20 s to
                          compile, and compiling it raised the peak RSS from
@@ -599,13 +601,14 @@ class CircuitBuilder:
         key = (label[0], tuple(sorted(acc.items())))
         return self._add((label[0],), dict(key[1]), key)
 
-    def copy(self, circuit: Circuit) -> int:
-        """Copy `circuit` in topological order; returns the id of its output."""
+    def copy(self, circuit: Circuit) -> List[int]:
+        """Copy `circuit` in topological order; returns the builder gate of
+        each of its gates."""
         new = [0] * circuit.num_gates()
         for g in circuit.topo_order():
             new[g] = self.gate(circuit.labels[g],
                                sorted((new[c], mu) for c, mu in circuit.children[g].items()))
-        return new[circuit.output]
+        return new
 
     def plus(self, children: Sequence[Tuple[int, int]]) -> int:
         return self.gate((PLUS,), children)

@@ -317,7 +317,7 @@ def compile_lincomb(terms: Sequence[Tuple[Rational, BipartiteMultigraph]],
     const1 = builder.const(1)
     tagged: List[Tuple[int, int]] = []
     for idx, ((alpha, _), report) in enumerate(zip(terms, reports)):
-        root = builder.copy(report.circuit)
+        root = builder.copy(report.circuit)[report.circuit.output]
         parts = [(root, 1), (const1, idx + 1)]
         if Fraction(alpha) != 1:
             parts.append((builder.const(alpha), 1))

@@ -34,15 +34,24 @@ Rigidification merges interchangeable gates by a copy into a sharing
 and skew circuits the copy is the result; a formula is rebuilt from it with
 equal siblings merged (summing wire multiplicities), which keeps the internal
 gates a tree.  Both reach a rigid fixpoint in one pass, never grow the
-circuit, and preserve the polynomial and skewness.
+circuit, and preserve skewness.  A circuit that is not a formula and that the
+copy would give back byte for byte (its ids are its topological order and no
+two gates share a label and children) is returned as it is.  Any other input
+is not: where supports are not unique the canonical one depends on the gate
+numbering, so only the copy's own numbering is kept.  The copy keeps the
+image phi(g) of each gate g of its input, and one walk over the input's
+wires proves it: g and phi(g) have one label, g's wires summed over children
+of equal image are exactly phi(g)'s, and the output maps to the output.  By
+induction in topological order every gate computes its image's polynomial,
+so the polynomial is preserved exactly, with no evaluation.
 
 Preconditions are checked where they are needed: rigidity by
 `SymmetryAnalysis` (from structure where `is_rigid` can), symmetry by its
 generator searches.  `analyze` rigidifies first and searches the generators
 of the rigidified circuit.  If `rigidify` kept the gate count, its output is
-the input renumbered (it never adds a gate, and maps the input's gates onto
-its own keeping labels and weighted wires), so a pair extends on one exactly
-when on the other.
+the input renumbered (it never adds a gate, and its check proves that it maps
+the input's gates onto its own keeping labels and weighted wires), so a pair
+extends on one exactly when on the other.
 If it merged, `is_symmetric` checks the input first: a circuit that is not
 symmetric can have a symmetric rigidification.
 
@@ -68,6 +77,7 @@ from .circuit import (
     Circuit,
     CircuitBuilder,
     FORMULA_MULTI,
+    GENERAL,
     PLUS,
     TIMES,
     _run_nested,
@@ -486,28 +496,58 @@ def is_rigid(c: Circuit) -> bool:
 # -- rigidification --------------------------------------------------------------
 
 
-def _rigidify_dag(c: Circuit) -> Circuit:
-    """Merge all gates with equal structure, summing wire multiplicities."""
+def _copy_is_identity(c: Circuit) -> bool:
+    """Whether the sharing copy of `_rigidify_dag` gives `c` back byte for
+    byte: its ids are its topological order, which the copy numbers by, and
+    no two gates share a label and children, so nothing merges."""
+    if c.topo_order() != list(range(c.num_gates())):
+        return False
+    keys = {(lbl, tuple(sorted(ch.items()))) for lbl, ch in zip(c.labels, c.children)}
+    return len(keys) == c.num_gates()
+
+
+def _rigidify_dag(c: Circuit) -> Tuple[Circuit, List[int]]:
+    """Merge all gates with equal structure, summing wire multiplicities;
+    returns the circuit and the image of each gate of c.
+
+    Every gate the copy builds is the image of a gate of c, so it is
+    reachable from the output and `finish` keeps its id."""
     builder = CircuitBuilder(share=True)
-    return builder.finish(builder.copy(c))
+    new = builder.copy(c)
+    return builder.finish(new[c.output]), new
 
 
-def _rigidify_formula(c: Circuit) -> Circuit:
+def _rigidify_formula(c: Circuit) -> Tuple[Circuit, List[int]]:
     """Merge equal sibling subtrees recursively; the tree shape is kept.
+    Returns the circuit and the image of each gate of c.
 
     Merging is restricted to siblings because only those are interchangeable
     by an automorphism of a formula; a global merge would introduce shared
     subtrees and destroy tree-ness.  Siblings are rebuilt from a sharing copy
-    by `_rebuild`.
+    by `_rebuild`, and the image follows the tree down from the output: a
+    child ch of g maps to the child of g's image built from the shared gate
+    of ch.
     """
     shared = CircuitBuilder(share=True)
-    top = shared.copy(c)
+    new = shared.copy(c)
+    origin: List[int] = []
     builder = CircuitBuilder()
-    return builder.finish(_run_nested(_rebuild(shared, builder, {}, top)))
+    result = builder.finish(_run_nested(_rebuild(shared, builder, {}, origin, new[c.output])))
+    image = [0] * c.num_gates()
+    image[c.output] = result.output
+    for g in reversed(c.topo_order()):
+        if c.children[g]:
+            built_from = {origin[h]: h for h in result.children[image[g]]}
+            for ch in c.children[g]:
+                image[ch] = built_from[new[ch]]
+    return result, image
 
 
-def _rebuild(shared: CircuitBuilder, builder: CircuitBuilder, inputs: Dict[int, int], g: int):
-    """Gate g of `shared` built in `builder`, as a `_run_nested` builder.
+def _rebuild(shared: CircuitBuilder, builder: CircuitBuilder, inputs: Dict[int, int],
+             origin: List[int], g: int):
+    """Gate g of `shared` built in `builder`, as a `_run_nested` builder;
+    `origin` gets, for each gate `builder` adds, the gate of `shared` it is
+    built from.
 
     Siblings come in the string order of their ids in `shared` (the
     serialized output keeps it).  Only internal children nest a builder; an
@@ -519,13 +559,32 @@ def _rebuild(shared: CircuitBuilder, builder: CircuitBuilder, inputs: Dict[int, 
     parts = []
     for ch, mult in sorted(shared.children[g].items(), key=lambda item: str(item[0])):
         if shared.children[ch]:
-            ch = yield _rebuild(shared, builder, inputs, ch)
+            built = yield _rebuild(shared, builder, inputs, origin, ch)
         else:
             if ch not in inputs:
                 inputs[ch] = builder.gate(shared.labels[ch], ())
-            ch = inputs[ch]
-        parts.append((ch, mult))
+                origin.append(ch)
+            built = inputs[ch]
+        parts.append((built, mult))
+    origin.append(g)
     return builder.gate(shared.labels[g], parts)
+
+
+def _check_gate_map(c: Circuit, result: Circuit, image: Sequence[int]) -> None:
+    """InvalidParameter unless `image` maps c onto `result` keeping labels
+    and weighted wires: each gate g has its image's label, the wires of g
+    summed over children of equal image are exactly the wires of g's image,
+    and the output maps to the output.  By induction in topological order
+    every gate then computes its image's polynomial, so the two circuits
+    compute the same one."""
+    if image[c.output] != result.output:
+        raise InvalidParameter("rigidification moved the output; this is a bug")
+    for g, children in enumerate(c.children):
+        wires: Dict[int, int] = {}
+        for ch, mult in children.items():
+            wires[image[ch]] = wires.get(image[ch], 0) + mult
+        if c.labels[g] != result.labels[image[g]] or wires != result.children[image[g]]:
+            raise InvalidParameter(f"rigidification changed gate {g}; this is a bug")
 
 
 def rigidify(c: Circuit) -> Circuit:
@@ -534,20 +593,25 @@ def rigidify(c: Circuit) -> Circuit:
     Rigid whatever the input: after the DAG merge no two gates share a
     signature, after the formula merge no two siblings do.  Formulas stay
     trees on their internal gates, at worst acquiring multiedges; skew
-    circuits stay skew.  The polynomial is spot-checked on seeded random points.
+    circuits stay skew.  A circuit that is not formula-shaped and that the
+    DAG merge would copy byte for byte (`_copy_is_identity`) is returned
+    as it is.  Any other result is proved against `c` through the image of
+    each gate by one walk over the wires (`_check_gate_map`).
+    InvalidParameter, naming the violation, for a circuit that fails
+    `validate(GENERAL)`.
     """
+    ok, reason = c.validate(GENERAL)
+    if not ok:
+        raise InvalidParameter(f"cannot rigidify an invalid circuit: {reason}")
     if c.validate(FORMULA_MULTI)[0]:
-        result = _rigidify_formula(c)
+        result, image = _rigidify_formula(c)
+    elif _copy_is_identity(c):
+        return c
     else:
-        result = _rigidify_dag(c)
+        result, image = _rigidify_dag(c)
     if result.size() > c.size():
         raise InvalidParameter("rigidification grew the circuit; this is a bug")
-    rng = random.Random(0)
-    names = c.variables()
-    for _ in range(4):
-        point = {v: rng.randrange(0, 2 ** 16) for v in names}
-        if c.evaluate(point) != result.evaluate(point):
-            raise InvalidParameter("rigidification changed the polynomial; this is a bug")
+    _check_gate_map(c, result, image)
     return result
 
 
@@ -814,9 +878,14 @@ class SupportReport:
 
 
 def analyze(c: Circuit, n: int, m: int) -> SupportReport:
-    """Full symmetry report of the rigidified circuit of a symmetric `c`, from
-    at most two extension searches per side of each circuit checked (see the
-    module docstring)."""
+    """Full symmetry report of `rigidify(c)` for a symmetric `c`.
+
+    `rigidify` returns `c` itself when it is already the normal form of the
+    sharing copy, and otherwise a copy proved through its gate map.  If that
+    merged gates, `is_symmetric` checks `c` first; otherwise the generator
+    searches of `SymmetryAnalysis` decide symmetry.  Each circuit checked
+    costs at most two extension searches per side (see the module
+    docstring)."""
     circuit = rigidify(c)
     if circuit.num_gates() < c.num_gates() and not is_symmetric(c, n, m):
         raise NotSymmetric("the circuit is not symmetric")

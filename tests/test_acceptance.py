@@ -164,8 +164,8 @@ def _duplicated_formula(rng: random.Random):
     n = 2
     inner = compilers.compile_single(f, n, n, "td").circuit
     builder = CircuitBuilder()
-    first = builder.copy(inner)
-    second = builder.copy(inner)
+    first = builder.copy(inner)[inner.output]
+    second = builder.copy(inner)[inner.output]
     return builder.finish(builder.plus([(first, 1), (second, 1)])), n
 
 

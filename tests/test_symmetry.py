@@ -9,7 +9,7 @@ import pytest
 
 from symcirc import compilers, symmetry
 from symcirc.circuit import Circuit, CircuitBuilder, FORMULA, FORMULA_MULTI, SKEW
-from symcirc.errors import NotRigid, NotSymmetric
+from symcirc.errors import InvalidParameter, NotRigid, NotSymmetric
 from symcirc.pattern import make_complete_bipartite, make_cycle, make_path
 from symcirc.symmetry import (
     PermutationPair,
@@ -100,6 +100,100 @@ def test_rigidify_merges_siblings_under_times():
     for _ in range(10):
         point = {f"x_{i}_{j}": Fraction(rng.randint(-5, 5)) for i in (1, 2) for j in (1, 2)}
         assert c.evaluate(point) == r.evaluate(point)
+
+
+def _renumbered(c, rng):
+    """`c` with its gate ids shuffled."""
+    perm = list(range(c.num_gates()))
+    rng.shuffle(perm)
+    labels, children = [None] * len(perm), [None] * len(perm)
+    for g, p in enumerate(perm):
+        labels[p] = c.labels[g]
+        children[p] = {perm[ch]: mult for ch, mult in c.children[g].items()}
+    return Circuit(labels, children, perm[c.output])
+
+
+def _duplicated(c):
+    """The sum of two copies of `c` sharing their input gates."""
+    b = CircuitBuilder()
+    first, second = b.copy(c)[c.output], b.copy(c)[c.output]
+    return b.finish(b.plus([(first, 1), (second, 1)]))
+
+
+def test_rigidify_returns_its_normal_form_and_copies_the_rest(monkeypatch):
+    # A compile that is not formula-shaped is returned as it is, building no
+    # gate; renumbered or summed with a copy of itself, it is the sharing
+    # copy, byte for byte.
+    built = []
+    gate = CircuitBuilder.gate
+
+    def counted_gate(self, *args):
+        built.append(args)
+        return gate(self, *args)
+
+    monkeypatch.setattr(CircuitBuilder, "gate", counted_gate)
+    rng = random.Random(4)
+    for f in (make_path(4), make_cycle(4), make_complete_bipartite(2, 2)):
+        for shape in ("pw", "tw"):
+            c = compilers.compile_single(f, 2, 3, shape).circuit
+            assert not c.validate(FORMULA_MULTI)[0]
+            del built[:]
+            assert rigidify(c) is c and not built
+            for other in (_renumbered(c, rng), _duplicated(c)):
+                shared = CircuitBuilder(share=True)
+                expected = shared.finish(shared.copy(other)[other.output])
+                assert rigidify(other).serialize() == expected.serialize()
+
+
+def _merging_dag():
+    """A circuit that is not a formula, with two equal sums and then two
+    equal products to merge."""
+    b = CircuitBuilder()
+    xs = [(b.var(f"x_{i}_{j}"), 1) for i in (1, 2) for j in (1, 2)]
+    s1, s2 = b.plus(xs), b.plus(xs)
+    return b.finish(b.plus([(b.times([(s1, 1), (s2, 1)]), 1), (b.times([(s1, 2)]), 1)]))
+
+
+def _drop_one_multiplicity(result, image):
+    children = [dict(ch) for ch in result.children]
+    g, ch = next((g, ch) for g, kids in enumerate(children)
+                 for ch, mult in kids.items() if mult > 1)
+    children[g][ch] -= 1
+    return Circuit(list(result.labels), children, result.output), image
+
+
+def _send_one_gate_astray(result, image):
+    image = list(image)
+    g = next(g for g in range(len(image)) if image[g] != result.output
+             and result.labels[image[g]] == result.labels[result.output])
+    image[g] = result.output
+    return result, image
+
+
+@pytest.mark.parametrize("corrupt", [_drop_one_multiplicity, _send_one_gate_astray])
+@pytest.mark.parametrize("branch", ["_rigidify_dag", "_rigidify_formula"])
+def test_rigidify_proves_its_merge(monkeypatch, branch, corrupt):
+    c = _merging_dag() if branch == "_rigidify_dag" else _duplicated(
+        compilers.compile_single(make_path(3), 2, 2, "td").circuit)
+    assert c.validate(FORMULA_MULTI)[0] == (branch == "_rigidify_formula")
+    merge = getattr(symmetry, branch)
+    assert rigidify(c).num_gates() < c.num_gates()
+    monkeypatch.setattr(symmetry, branch, lambda c: corrupt(*merge(c)))
+    with pytest.raises(InvalidParameter, match="rigidification changed gate"):
+        rigidify(c)
+
+
+@pytest.mark.parametrize("labels, children, output, violation", [
+    ([("var", "x_1_1"), ("var", "x_1_2"), ("plus",)], [{}, {}, {0: 1}], 2,
+     "unreachable gates present"),
+    ([("var", "x_1_1"), ("var", "x_1_1"), ("plus",)], [{}, {}, {0: 1, 1: 1}], 2,
+     "duplicate input gate"),
+    ([("var", "x_1_1"), ("plus",), ("times",)], [{}, {0: 1}, {1: 2}], 1,
+     "output gate has parents"),
+])
+def test_rigidify_rejects_a_malformed_circuit(labels, children, output, violation):
+    with pytest.raises(InvalidParameter, match=violation):
+        rigidify(Circuit(labels, children, output))
 
 
 def test_analyze_requires_symmetry():
