@@ -29,7 +29,6 @@ test over integer points drawn from [0, 2**32).
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 from fractions import Fraction
@@ -314,9 +313,6 @@ class SparsePolynomial:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed polynomial JSON: {exc}") from exc
         return SparsePolynomial(vs, terms)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def _as_poly(value) -> SparsePolynomial:

@@ -116,16 +116,6 @@ class WeightedHost:
             (i, j): self.get(i, j) + c for i in range(self.n) for j in range(self.m)
         })
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "weights": [
-                [i + 1, j + 1, rational_to_json(w)]
-                for (i, j), w in sorted(self.weights.items())
-            ],
-        }
-
     @staticmethod
     def from_json(data: dict) -> "WeightedHost":
         try:
@@ -182,11 +172,6 @@ class ColouredGraph:
 
     def get(self, u, v):
         return self.weights.get((u, v), Fraction(0))
-
-    def copy(self) -> "ColouredGraph":
-        g = ColouredGraph(self.sizes)
-        g.weights = dict(self.weights)
-        return g
 
     def scale(self, t) -> "ColouredGraph":
         g = ColouredGraph(self.sizes)
@@ -460,13 +445,6 @@ class HomBasisCertificate:
         self.patterns = list(patterns)
         self.points = list(points)
         self.matrix = [list(row) for row in matrix]
-
-    def to_json(self) -> dict:
-        return {
-            "patterns": [p.to_json() for p in self.patterns],
-            "points": [x.to_json() for x in self.points],
-            "matrix": [[str(c) for c in row] for row in self.matrix],
-        }
 
 
 def find_hom_basis(patterns: Sequence[BipartiteMultigraph], big_n: int,

@@ -182,37 +182,28 @@ def make_path(v: int) -> BipartiteMultigraph:
     """Path on v vertices, alternately assigned to A and B starting in A."""
     if v < 1:
         raise InvalidParameter("paths need at least one vertex")
-    a_count = (v + 1) // 2
-    b_count = v // 2
-    edges: Dict[Tuple[int, int], int] = {}
-    for k in range(v - 1):
-        # Vertex k sits at A-index k//2 when k is even, B-index k//2 otherwise.
-        if k % 2 == 0:
-            edges[(k // 2, k // 2)] = 1
-        else:
-            edges[((k + 1) // 2, k // 2)] = 1
-    return BipartiteMultigraph(a_count, b_count, edges)
+    ids = path_vertex_ids(v)
+    return _from_global_edges((v + 1) // 2, v, zip(ids, ids[1:]))
 
 
 def make_grid(rows: int, cols: int) -> BipartiteMultigraph:
     """rows-by-cols grid; vertex (i,j) is in A iff i+j is even (0-based)."""
     if rows < 1 or cols < 1:
         raise InvalidParameter("grids need positive dimensions")
-    a_cells = [(i, j) for i in range(rows) for j in range(cols) if (i + j) % 2 == 0]
-    b_cells = [(i, j) for i in range(rows) for j in range(cols) if (i + j) % 2 == 1]
-    a_index = {c: k for k, c in enumerate(a_cells)}
-    b_index = {c: k for k, c in enumerate(b_cells)}
+    ids = grid_vertex_ids(rows, cols)
+    pairs = [(ids[(i, j)], ids[(i + di, j + dj)]) for i in range(rows) for j in range(cols)
+             for di, dj in ((0, 1), (1, 0)) if i + di < rows and j + dj < cols]
+    return _from_global_edges((rows * cols + 1) // 2, rows * cols, pairs)
+
+
+def _from_global_edges(a_count: int, total: int, pairs) -> BipartiteMultigraph:
+    """The simple graph on global ids 0..total-1 with A = {0..a_count-1}
+    and an edge for each pair, which joins an A vertex to a B vertex."""
     edges: Dict[Tuple[int, int], int] = {}
-    for i in range(rows):
-        for j in range(cols):
-            for di, dj in ((0, 1), (1, 0)):
-                ni, nj = i + di, j + dj
-                if ni < rows and nj < cols:
-                    if (i + j) % 2 == 0:
-                        edges[(a_index[(i, j)], b_index[(ni, nj)])] = 1
-                    else:
-                        edges[(a_index[(ni, nj)], b_index[(i, j)])] = 1
-    return BipartiteMultigraph(len(a_cells), len(b_cells), edges)
+    for u, w in pairs:
+        u, w = min(u, w), max(u, w)
+        edges[(u, w - a_count)] = 1
+    return BipartiteMultigraph(a_count, total - a_count, edges)
 
 
 def make_complete_binary_tree(n: int) -> BipartiteMultigraph:

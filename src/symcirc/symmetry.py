@@ -8,15 +8,17 @@ extensions compose, it suffices to check generators of both factors.  A
 symmetric circuit is rigid when the only automorphism fixing all input gates
 is the identity; extensions are then unique and the group acts on the gates.
 
-Everything an extension needs that does not depend on the pair (the
-signatures of the unpermuted circuit, each variable's row and column, the
-matchers' lookup tables) is built once per circuit, so one symmetry check or
-analysis pays for it once.  A pair then costs work on its up-set, the gates
-above a variable it moves: no other gate's signature changes, and the
-matchers stop at the gates outside it that are forced to map to themselves.
-Only the formula matcher reads permuted signatures.  The DAG matcher keys a
-gate by its label and its children's images, which imply its permuted
-signature, as the children are matched first.
+Everything an extension needs that does not depend on the pair (each
+variable's row and column, the matchers' lookup tables and, for a formula,
+the signatures of the unpermuted circuit) is built once per circuit, so one
+symmetry check or analysis pays for it once.  A pair then costs work on its
+up-set, the gates above a variable it moves: no other gate's signature
+changes, and the matchers stop at the gates outside it that are forced to
+map to themselves.  Signatures are computed for formulas only, whose
+matcher and rigidity test read them.  Other circuits compare gates by their
+label and weighted children, which determine the signature once the
+children's do: the DAG matcher keys a gate by its label and its children's
+images, as the children are matched first.
 `SymmetryAnalysis` searches at most two extensions per side, and
 `is_symmetric` tests the same pairs, which generate the side's symmetric
 group.  A side of size 4 or more has those of (0 1) and of the cycle
@@ -71,7 +73,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .circuit import (
     Circuit,
@@ -118,21 +120,11 @@ class PermutationPair:
         return var_name(self.pi[i - 1] + 1, self.sigma[j - 1] + 1)
 
 
-def circuit_variable_bounds(c: Circuit) -> Tuple[int, int]:
-    """Largest row and column index used by the circuit's variables."""
-    n = m = 0
-    for name in c.variables():
-        i, j = parse_var_name(name)
-        n = max(n, i)
-        m = max(m, j)
-    return n, m
-
-
-def _check_matrix(c: Circuit, n: int, m: int):
-    """InvalidParameter unless both sizes are >= 1 and the matrix holds c's variables."""
+def _check_matrix(extender: "_Extender", n: int, m: int):
+    """InvalidParameter unless both sizes are >= 1 and the matrix holds the variables."""
     if n < 1 or m < 1:
         raise InvalidParameter("matrix sizes must be >= 1")
-    vn, vm = circuit_variable_bounds(c)
+    vn, vm = extender.bounds
     if vn > n or vm > m:
         raise InvalidParameter(f"circuit variables exceed the ({n},{m}) matrix")
 
@@ -147,7 +139,8 @@ def _generators(n: int, m: int) -> List[Tuple[str, int, int]]:
 
 def _gate_signatures(c: Circuit, interner: Dict, sig: Optional[List[int]] = None,
                      gates: Optional[List[int]] = None) -> List[int]:
-    """Interned recursive signature per gate.
+    """Interned recursive signature per gate, computed for formulas only:
+    other circuits compare gates by `_structure_key`.
 
     `interner` hash-conses each gate's structure key into an integer id, so
     signature comparison is O(1) even on deep formulas; passes that share it
@@ -169,31 +162,58 @@ def _gate_signatures(c: Circuit, interner: Dict, sig: Optional[List[int]] = None
     return sig
 
 
+def _structure_key(label: Tuple, wires) -> Tuple:
+    """A gate's label and its (child, wire multiplicity) pairs, sorted.
+
+    Equal keys give equal signatures.  If a circuit's keys are pairwise
+    distinct, so are its signatures: by induction on height, two gates of
+    equal signature have children of equal signatures, so the same children
+    and equal keys.  `_Extender.distinct` therefore tests keys."""
+    return label, tuple(sorted(wires))
+
+
 # -- automorphism extension ----------------------------------------------------
 
 
 class _Extender:
     """Everything about one circuit that extending a pair does not depend on.
 
-    Built once per circuit: the formula flag, the signatures of the
-    unpermuted circuit (in one interner that the permuted signatures of every
-    later pair share, so equal structure gets equal ids across pairs), each
-    variable gate's cell and `_tables`.  A pair then costs work on its up-set
-    U only: the internal gates above a variable gate whose cell it moves.
-    Outside U no signature changes.  For a formula, `extend` copies `sig`
-    into the permuted signatures `need` and recomputes U's; the DAG matcher
-    needs no permuted signature (see `_extend_dag`).  The matchers leave
-    gates outside U in place where that is forced.
+    Built once per circuit: the formula flag, for a formula the signatures
+    of the unpermuted circuit (in one interner that the permuted signatures
+    of every later pair share, so equal structure gets equal ids across
+    pairs), each variable gate's cell and `_tables`.  A pair then costs work
+    on its up-set U only: the internal gates above a variable gate whose cell
+    it moves.  Outside U no signature changes.  For a formula, `extend`
+    copies `sig` into the permuted signatures `need` and recomputes U's.
+    Other circuits get no signature at all: `distinct` compares structure
+    keys, and the DAG matcher keys gates by their children's images (see
+    `_extend_dag`).  The matchers leave gates outside U in place where that
+    is forced.
     """
 
     def __init__(self, c: Circuit):
         self.c = c
         self.formula = c.validate(FORMULA_MULTI)[0]
         self.interner: Dict = {}
-        self.sig = _gate_signatures(c, self.interner)
-        self.distinct = len(set(self.sig)) == len(self.sig)
-        # Every gate map starts as a copy, so the maps share these int objects.
-        self.identity = list(range(c.num_gates()))
+
+    @cached_property
+    def identity(self) -> List[int]:
+        """Every gate's id.  Every gate map starts as a copy, so the maps
+        share these int objects."""
+        return list(range(self.c.num_gates()))
+
+    @cached_property
+    def sig(self) -> List[int]:
+        """The signatures of the unpermuted circuit; read for formulas only."""
+        return _gate_signatures(self.c, self.interner)
+
+    @cached_property
+    def distinct(self) -> bool:
+        """Whether no two gates share a structure key, which holds exactly
+        when no two share a signature (see `_structure_key`)."""
+        c = self.c
+        keys = {_structure_key(lbl, ch.items()) for lbl, ch in zip(c.labels, c.children)}
+        return len(keys) == c.num_gates()
 
     @cached_property
     def _cells(self) -> Dict[Tuple[int, int], int]:
@@ -207,6 +227,12 @@ class _Extender:
         return cells
 
     @cached_property
+    def bounds(self) -> Tuple[int, int]:
+        """The largest 1-based row and column of a variable, 0 for none."""
+        return (max((i + 1 for i, _ in self._cells), default=0),
+                max((j + 1 for _, j in self._cells), default=0))
+
+    @cached_property
     def _tables(self) -> Tuple:
         """The internal gates in topological order and the matcher's lookup
         tables, built on the first `extend` (a structural rigidity check
@@ -214,12 +240,13 @@ class _Extender:
 
         For formulas: each internal gate's internal children in id order, and
         the same children grouped by (signature, wire multiplicity).  For
-        other circuits: the internal gates keyed by (label, weighted
-        children), with no signature: see `_extend_dag`.
+        other circuits: the internal gates by `_structure_key`, with no
+        signature: see `_extend_dag`.
         """
-        c, sig = self.c, self.sig
+        c = self.c
         internal = [g for g in c.topo_order() if not c.is_input(g)]
         if self.formula:
+            sig = self.sig
             kids: Dict[int, List[Tuple[int, int]]] = {}
             groups: Dict[int, Dict[Tuple[int, int], List[int]]] = {}
             for g in internal:
@@ -231,7 +258,7 @@ class _Extender:
             return internal, kids, groups
         index: Dict = {}
         for g in sorted(internal):
-            index.setdefault((c.labels[g], frozenset(c.children[g].items())), []).append(g)
+            index.setdefault(_structure_key(c.labels[g], c.children[g].items()), []).append(g)
         return internal, index
 
     @cached_property
@@ -248,21 +275,21 @@ class _Extender:
         """How many rows ("L") or columns ("R") hold a variable."""
         return sum(s == side for s, _ in self._used)
 
-    def side_pair(self, side: str, moved: Dict[int, int]) -> "_Images":
-        """A pair for `extend` that maps each index x of `side` to moved[x]
-        (x itself if absent) and fixes the other side.  It lists the images
-        of the rows and columns up to the last that holds a variable only,
-        so its size does not grow with the matrix's."""
-        rows = range(max((i for i, _ in self._cells), default=-1) + 1)
-        cols = range(max((j for _, j in self._cells), default=-1) + 1)
-        if side == "L":
-            return _Images([moved.get(i, i) for i in rows], cols)
-        return _Images(rows, [moved.get(j, j) for j in cols])
+    def side_pair(self, side: str, moved: Dict[int, int]) -> PermutationPair:
+        """The pair that maps each index x of `side` to moved[x] (x itself
+        if absent) and fixes the other side.  It spans the rows and columns
+        up to the last that holds a variable or that it moves only, so its
+        size does not grow with the matrix's."""
+        sizes = dict(zip("LR", self.bounds))
+        sizes[side] = max(sizes[side], max(moved, default=-1) + 1)
+        pi, sigma = (tuple(moved.get(x, x) if s == side else x for x in range(sizes[s]))
+                     for s in "LR")
+        return PermutationPair(pi, sigma)
 
-    def extend(self, pair: PermutationPair | _Images, count_limit: int = 1) -> List[List[int]]:
+    def extend(self, pair: PermutationPair, count_limit: int = 1) -> List[List[int]]:
         """See `extend_to_automorphism`; up to `count_limit` extensions, each
         a list giving every gate's image.  Only `pair.pi` and `pair.sigma` at
-        the variables' rows and columns are read, so an `_Images` serves too."""
+        the variables' rows and columns are read."""
         c, cells = self.c, self._cells
         internal, *tables = self._tables
         phi = list(self.identity)
@@ -292,14 +319,11 @@ class _Extender:
 
     def is_rigid(self) -> bool:
         """See `is_rigid`."""
-        sig = self.sig
         if self.formula:
+            sig = self.sig
             return all(len({(sig[ch], mult) for ch, mult in kids.items()}) == len(kids)
                        for kids in self.c.children)
-        if self.distinct:
-            return True
-        vn, vm = circuit_variable_bounds(self.c)
-        return len(self.extend(PermutationPair.identity(vn, vm), count_limit=2)) <= 1
+        return self.distinct or len(self.extend(self.side_pair("L", {}), count_limit=2)) <= 1
 
     def _extend_formula(self, need: List[int], phi: List[int], count_limit: int,
                         up: Set[int], kids: Dict, groups: Dict) -> List[List[int]]:
@@ -360,17 +384,19 @@ class _Extender:
         key; at most NODE_BUDGET candidates are tried.  `phi` holds the
         images of the other gates.
 
-        No permuted signature is needed.  Write need[x] for the signature of
-        x with the variables permuted.  Every child ch already has an image
-        of signature need[ch] (a variable by its cell, an internal gate by
-        this match), and phi is injective, so a candidate h whose label and
-        weighted children equal g's label and child images has
+        No signature is computed.  Write sig[x] for the signature of x (as
+        `_gate_signatures` would give it) and need[x] for that of x with the
+        variables permuted.  Every child ch already has an image of
+        signature need[ch] (a variable by its cell, an internal gate by this
+        match), and phi is injective, so a candidate h whose structure key
+        is g's with each child replaced by its image has
         sig[h] = intern(label, sorted (need[ch], mult)) = need[g].
 
-        `extend` passes U alone when signatures are pairwise distinct (as
-        after `rigidify`): then sig[phi(g)] = need[g] = sig[g] forces
-        phi(g) = g outside U.  Where signatures repeat it passes every
-        internal gate, as gates outside U may have to swap.
+        `extend` passes U alone when structure keys, and so signatures, are
+        pairwise distinct (`distinct`, as after `rigidify`): then
+        sig[phi(g)] = need[g] = sig[g] forces phi(g) = g outside U.  Where
+        they repeat it passes every internal gate, as gates outside U may
+        have to swap.
         """
         c = self.c
         used: Set[int] = set()
@@ -381,7 +407,7 @@ class _Extender:
         # holds one candidate iterator per assigned position.
         def candidates_for(pos: int):
             g = order[pos]
-            key = (c.labels[g], frozenset((phi[ch], m) for ch, m in c.children[g].items()))
+            key = _structure_key(c.labels[g], ((phi[ch], m) for ch, m in c.children[g].items()))
             return iter(index.get(key, ()))
 
         if not order:
@@ -420,14 +446,6 @@ class _Extender:
         return solutions
 
 
-class _Images(NamedTuple):
-    """The row images `pi` and column images `sigma` of a pair, as far as
-    `_Extender.extend` reads them: see `_Extender.side_pair`."""
-
-    pi: Sequence[int]
-    sigma: Sequence[int]
-
-
 def _decisive_maps(extender: _Extender, side: str, size: int) -> List[Optional[List[int]]]:
     """The maps of permutations of one side that generate Sym_size, one
     extension search each, so every permutation of the side extends exactly
@@ -464,8 +482,8 @@ def extend_to_automorphism(c: Circuit, pair: PermutationPair) -> List[Dict[int, 
 
     Input-gate images are forced by the labels.  Formula-shaped circuits use
     the top-down tree matcher; other circuits match internal gates in
-    topological order by (signature, image multiset of weighted children),
-    with backtracking when several gates share that key.
+    topological order by (label, weighted child images), with backtracking
+    when several gates share that key.
     """
     return [dict(enumerate(phi)) for phi in _Extender(c).extend(pair)]
 
@@ -473,8 +491,8 @@ def extend_to_automorphism(c: Circuit, pair: PermutationPair) -> List[Dict[int, 
 def is_symmetric(c: Circuit, n: int, m: int) -> bool:
     """Whether every pair extends: on each side, the two generators of
     `_decisive_maps` do."""
-    _check_matrix(c, n, m)
     extender = _Extender(c)
+    _check_matrix(extender, n, m)
     return all(None not in _decisive_maps(extender, side, size)
                for side, size in (("L", n), ("R", m)))
 
@@ -485,25 +503,16 @@ def is_rigid(c: Circuit) -> bool:
     For formula-shaped circuits this is a structural criterion: some internal
     gate has two distinct children with equal subtree signature and wire
     multiplicity iff the two subtrees can be swapped (input children are
-    unique per label and never collide).  Other circuits are rigid if their
-    gate signatures are pairwise distinct, as an input-fixing automorphism
-    preserves signatures; otherwise a budgeted search looks for a second
-    identity extension.
+    unique per label and never collide).  Other circuits are rigid if no
+    two gates share a label and weighted children (`_Extender.distinct`):
+    then no two share a signature, which an input-fixing automorphism
+    preserves.  Otherwise a budgeted search looks for a second identity
+    extension.
     """
     return _Extender(c).is_rigid()
 
 
 # -- rigidification --------------------------------------------------------------
-
-
-def _copy_is_identity(c: Circuit) -> bool:
-    """Whether the sharing copy of `_rigidify_dag` gives `c` back byte for
-    byte: its ids are its topological order, which the copy numbers by, and
-    no two gates share a label and children, so nothing merges."""
-    if c.topo_order() != list(range(c.num_gates())):
-        return False
-    keys = {(lbl, tuple(sorted(ch.items()))) for lbl, ch in zip(c.labels, c.children)}
-    return len(keys) == c.num_gates()
 
 
 def _rigidify_dag(c: Circuit) -> Tuple[Circuit, List[int]]:
@@ -594,18 +603,20 @@ def rigidify(c: Circuit) -> Circuit:
     signature, after the formula merge no two siblings do.  Formulas stay
     trees on their internal gates, at worst acquiring multiedges; skew
     circuits stay skew.  A circuit that is not formula-shaped and that the
-    DAG merge would copy byte for byte (`_copy_is_identity`) is returned
-    as it is.  Any other result is proved against `c` through the image of
-    each gate by one walk over the wires (`_check_gate_map`).
-    InvalidParameter, naming the violation, for a circuit that fails
-    `validate(GENERAL)`.
+    DAG merge would copy byte for byte is returned as it is: its ids are its
+    topological order, which the copy numbers by, and no two gates share a
+    label and children (`_Extender.distinct`), so nothing merges.  Any other
+    result is proved against `c` through the image of each gate by one walk
+    over the wires (`_check_gate_map`).  InvalidParameter, naming the
+    violation, for a circuit that fails `validate(GENERAL)`.
     """
     ok, reason = c.validate(GENERAL)
     if not ok:
         raise InvalidParameter(f"cannot rigidify an invalid circuit: {reason}")
-    if c.validate(FORMULA_MULTI)[0]:
+    extender = _Extender(c)
+    if extender.formula:
         result, image = _rigidify_formula(c)
-    elif _copy_is_identity(c):
+    elif extender.distinct and c.topo_order() == extender.identity:
         return c
     else:
         result, image = _rigidify_dag(c)
@@ -639,11 +650,11 @@ class SymmetryAnalysis:
     """
 
     def __init__(self, c: Circuit, n: int, m: int):
-        _check_matrix(c, n, m)
+        self._extender = _Extender(c)
+        _check_matrix(self._extender, n, m)
         self.circuit = c
         self.n = n
         self.m = m
-        self._extender = _Extender(c)
         if not self._extender.is_rigid():
             raise NotRigid("orbit and support analysis requires a rigid circuit")
         self._maps: Dict[Tuple[str, int, int], List[int]] = {}

@@ -102,6 +102,11 @@ def test_reduce_pipeline_subcommands(capsys, tmp_path):
     code, out, _ = _run(capsys, "--seed", "3", "reduce", "minor", "--n", "2",
                         "--minor-pattern", str(p2), "--host-pattern", str(p3))
     assert code == 0 and json.loads(out)["identity_holds"]
+    c4 = tmp_path / "c4.json"
+    _run(capsys, "pattern", "gen", "cycle", "--v", "4", "--out", str(c4))
+    code, out, err = _run(capsys, "--seed", "3", "reduce", "minor", "--n", "2",
+                          "--minor-pattern", str(c4), "--host-pattern", str(p3))
+    assert (code, out) == (1, "") and "no minor witness found" in err
     code, out, _ = _run(capsys, "--seed", "3", "reduce", "extract-subgraph", "--n", "1",
                         "--minor-pattern", str(p2), "--host-pattern", str(p3))
     assert code == 0 and json.loads(out)["identity_holds"]

@@ -229,8 +229,10 @@ def _fattened_path_decomposition(f, rng):
 
 def test_compilers_accept_arbitrary_valid_certificates():
     rng = random.Random(23)
+    # The last pattern has an isolated vertex, A-vertex 1.
     patterns = [make_path(4), make_cycle(4), make_complete_bipartite(1, 3),
-                BipartiteMultigraph(2, 1, {(0, 0): 2, (1, 0): 1})]
+                BipartiteMultigraph(2, 1, {(0, 0): 2, (1, 0): 1}),
+                BipartiteMultigraph(2, 2, {(0, 0): 1, (0, 1): 2})]
     for f in patterns:
         hp = oracle.hom_poly(f, 2, 2)
         for _ in range(3):
@@ -240,9 +242,11 @@ def test_compilers_accept_arbitrary_valid_certificates():
             assert rep.circuit.expand_symbolic() == hp
             rep_tw = compilers.compile_certificate(f, deco.as_tree(), 2, 2)
             assert rep_tw.circuit.expand_symbolic() == hp
-        # A chain elimination forest (any linear order is valid).
+        # A chain elimination forest (any linear order is valid), with the
+        # isolated vertices above the others.
         order = list(f.vertices())
         rng.shuffle(order)
+        order.sort(key=lambda v: v not in f.isolated_vertices())
         parent = {order[0]: None}
         for prev, v in zip(order, order[1:]):
             parent[v] = prev

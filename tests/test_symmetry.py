@@ -145,6 +145,28 @@ def test_rigidify_returns_its_normal_form_and_copies_the_rest(monkeypatch):
                 assert rigidify(other).serialize() == expected.serialize()
 
 
+def test_only_formulas_get_signatures(monkeypatch):
+    # The pw and tw compiles of C4 are not formula-shaped, and neither is a
+    # pw compile summed with a copy of itself, which is not rigid: every check
+    # on them compares structure keys and computes no signature.
+    def no_signatures(*args):
+        raise AssertionError("signatures computed for a circuit that is not a formula")
+
+    monkeypatch.setattr(symmetry, "_gate_signatures", no_signatures)
+    pw, tw = (compilers.compile_single(make_cycle(4), 3, 3, shape).circuit
+              for shape in ("pw", "tw"))
+    doubled = _duplicated(pw)
+    summaries = []
+    for c in (pw, tw, doubled):
+        assert not c.validate(FORMULA_MULTI)[0]
+        assert is_rigid(c) == (c is not doubled) and is_symmetric(c, 3, 3)
+        assert (rigidify(c) is c) == (c is not doubled)
+        report = analyze(c, 3, 3)
+        summaries.append((report.max_orbit, report.max_support, report.support_depth))
+    assert rigidify(doubled).num_gates() == pw.num_gates() + 1
+    assert summaries[2] == summaries[0]
+
+
 def _merging_dag():
     """A circuit that is not a formula, with two equal sums and then two
     equal products to merge."""
@@ -320,9 +342,8 @@ def test_analyze_checks_symmetry_before_rigidifying():
     # search.  It is not symmetric, since swapping the rows would need S1 to
     # map to both S2 and S3, but its rigidification merges them and is.
     c = _ten_gate_dag()
-    sig = symmetry._Extender(c).sig
     assert c.num_gates() == 10 and not c.validate(FORMULA_MULTI)[0]
-    assert len(set(sig)) < len(sig)
+    assert not symmetry._Extender(c).distinct
     assert is_rigid(c)
     assert not is_symmetric(c, 2, 1) and is_symmetric(rigidify(c), 2, 1)
     with pytest.raises(NotSymmetric):
@@ -378,9 +399,9 @@ def test_analyze_matches_the_check_on_its_input():
 
 def _identity_search_is_rigid(c):
     """The reference answer: the identity has at most one extension."""
-    vn, vm = symmetry.circuit_variable_bounds(c)
-    return len(symmetry._Extender(c).extend(PermutationPair.identity(vn, vm),
-                                            count_limit=2)) <= 1
+    extender = symmetry._Extender(c)
+    vn, vm = extender.bounds
+    return len(extender.extend(PermutationPair.identity(vn, vm), count_limit=2)) <= 1
 
 
 def test_is_rigid_matches_the_identity_search():
@@ -419,7 +440,7 @@ def test_gates_above_no_moved_variable_can_have_to_swap():
     products = [b.times([(b.var(f"x_{i}_{j}"), 1), (shared, 1)])
                 for j in (1, 2) for i, shared in ((1, a), (2, a2))]
     c = b.finish(b.plus([(p, 1) for p in products]))
-    assert not c.validate(FORMULA_MULTI)[0] and len(set(symmetry._Extender(c).sig)) < c.num_gates()
+    assert not c.validate(FORMULA_MULTI)[0] and not symmetry._Extender(c).distinct
     assert is_symmetric(c, 2, 2)
     phi = extend_to_automorphism(c, PermutationPair.transposition(2, 2, "L", 0, 1))
     assert phi and (phi[0][a], phi[0][a2]) == (a2, a)

@@ -1,4 +1,4 @@
-"""Package hygiene: no runtime dependencies and no unused public names."""
+"""Package hygiene: no runtime dependencies, no unused public names or imports."""
 
 import ast
 import pathlib
@@ -137,4 +137,25 @@ def test_json_is_never_asked_to_indent():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_every_import_is_used():
+    """Each name a module of the package imports is read in that module.
+    The one exception is `compilers.rigidify`, which perfbench wraps there."""
+    kept = {("compilers.py", "rigidify")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                  if name not in used and (path.name, name) not in kept]
     assert found == []
