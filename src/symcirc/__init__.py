@@ -1,7 +1,7 @@
 """Symmetric algebraic circuits for homomorphism polynomials.
 
 Submodules:
-  exactnum   exact rationals, sparse polynomials, identity testing
+  exactnum   exact rationals, sparse polynomials, exact linear algebra
   pattern    bipartite multigraphs, the census, minors, quotients
   width      exact treewidth / pathwidth / treedepth with certificates
   circuit    the circuit IR: validation, evaluation, expansion, (de)serialization

@@ -19,8 +19,8 @@ Shapes:
 Variable naming: x_<i>_<j> for the matrix variable x_{i,j} (1-based);
 colourful variables are x_<u>_<i>__<v>_<j>.
 
-Evaluation runs in two tiers over one gate plan per circuit, for int,
-rational and ring-element inputs alike.  The first KERNEL_AFTER - 1
+Evaluation takes ints and Fractions only, and runs in two tiers over one
+gate plan per circuit, for both alike.  The first KERNEL_AFTER - 1
 evaluations run an interpreter loop over the plan; the KERNEL_AFTER-th
 builds one Python function from the same plan, one assignment per gate
 (`g12 = g3 * g5 ** 2`), and every later evaluation calls it.  The constants
@@ -57,7 +57,8 @@ from typing import Dict, Generator, Iterable, List, Mapping, Optional, Sequence,
 
 from .errors import InvalidParameter, MissingVariable, ParseError, SizeCap
 from .exactnum import (Rational, SparsePolynomial, add_terms, common_denominator, mul_terms,
-                       int_from_json, pow_terms, rational_from_json, rational_to_json)
+                       int_from_json, list_from_json, pow_terms, rational_from_json,
+                       rational_to_json, rows_from_json)
 
 GENERAL = "general"
 SKEW = "skew"
@@ -199,8 +200,8 @@ class Circuit:
         inputs, the largest child degree at a Plus gate and the sum of mult *
         child degree at a Times gate.  A Plus gate lifts each child of lower
         degree to its own by D ** shift; those children, rare in practice,
-        are listed apart as (child, mult, shift).  Int and ring-element
-        inputs run with D = 1, where a shift multiplies by 1.
+        are listed apart as (child, mult, shift).  Int inputs run with
+        D = 1, where a shift multiplies by 1.
         """
         if self._program is None:
             var_gates, names, const_gates, consts, gates = [], [], [], [], []
@@ -235,7 +236,7 @@ class Circuit:
         Int and Fraction inputs are computed over the integers (see
         `_evaluation_program`) and divided once at the output; the result is
         an int when every input is an int, as plain arithmetic would give.
-        Any other input value (a ring element) is used as given.
+        Any other input type raises InvalidParameter.
 
         The plan is interpreted on its first KERNEL_AFTER - 1 evaluations,
         whatever their input types, and run by its kernel (see
@@ -252,15 +253,10 @@ class Circuit:
             missing = next(name for name in names if name not in assignment)
             raise MissingVariable(f"assignment lacks {missing!r}") from None
         others = [v for v in xs if type(v) is not int]
-        var_den = common_denominator(others)
-        ints_in = False
-        if var_den is None:
-            den = 1
-        else:
-            den = lcm(var_den, const_den)
-            ints_in = den == 1 and (not others or all(isinstance(v, int) for v in others))
-            if not ints_in:
-                xs = [v.numerator * (den // v.denominator) for v in xs]
+        den = lcm(common_denominator(others), const_den)
+        ints_in = den == 1 and (not others or all(isinstance(v, int) for v in others))
+        if not ints_in:
+            xs = [v.numerator * (den // v.denominator) for v in xs]
         if den != 1:
             consts = [v.numerator * (den // v.denominator) for v in consts]
         kernel = self._kernel
@@ -290,7 +286,7 @@ class Circuit:
             out = values[self.output]
         else:
             out = kernel(xs, consts, den)
-        if var_den is None or ints_in:
+        if ints_in:
             return out
         return Fraction(out, den ** top)
 
@@ -423,9 +419,10 @@ class Circuit:
     @staticmethod
     def from_json(data: dict) -> "Circuit":
         try:
-            n = len(data["gates"])
+            entries = list_from_json(data["gates"], "gate list")
+            n = len(entries)
             labels: List = [None] * n
-            for entry in data["gates"]:
+            for entry in entries:
                 g = int_from_json(entry["id"])
                 if not 0 <= g < n or labels[g] is not None:
                     raise ParseError(f"gate id {g} is out of range [0, {n}) or repeated")
@@ -435,13 +432,15 @@ class Circuit:
                         raise ParseError(f"unknown gate label {lbl!r}")
                     labels[g] = (lbl,)
                 elif "var" in lbl:
-                    labels[g] = ("var", str(lbl["var"]))
+                    if type(lbl["var"]) is not str:
+                        raise ParseError(f"variable name {lbl['var']!r} is not a string")
+                    labels[g] = ("var", lbl["var"])
                 elif "const" in lbl:
                     labels[g] = ("const", rational_from_json(lbl["const"]))
                 else:
                     raise ParseError(f"unknown gate label {lbl!r}")
             children: List[Dict[int, int]] = [dict() for _ in range(n)]
-            for wire in data["wires"]:
+            for wire in rows_from_json(data["wires"], "wire"):
                 p, c, m = (int_from_json(x) for x in wire)
                 if not (0 <= p < n and 0 <= c < n) or m < 1:
                     raise ParseError(f"bad wire [{p},{c},{m}]")
@@ -523,8 +522,8 @@ def _build_kernel(var_gates: List[int], const_gates: List[int], gates: List,
     order, `den` is the evaluation's D.  Each internal gate is one
     assignment, `g12 = g3 + 2 * g5 + g7 * den ** 1`, doing the interpreter's
     operations in its order but for its leading `0 +` or `1 *`, which
-    changes no int, Fraction or ring-element value or type; a sum or product
-    of more than KERNEL_LINE_OPERANDS operands continues on further lines.
+    changes no int or Fraction value or type; a sum or product of more than
+    KERNEL_LINE_OPERANDS operands continues on further lines.
     The source holds gate ids, multiplicities and shifts only, and runs
     without builtins.
     """

@@ -20,7 +20,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from . import compilers, oracle, pattern, reduce, symmetry, width
 from .circuit import Circuit, SKEW
 from .errors import CAPS, IdentityFailed, ParseError, SizeCap, SymcircError
-from .exactnum import int_from_json, rational_from_json, rational_to_json
+from .exactnum import int_from_json, list_from_json, rational_from_json, rational_to_json
 from .oracle import ColouredGraph, WeightedHost
 
 
@@ -254,8 +254,9 @@ def _cmd_reduce(args) -> int:
     else:  # extract-lincomb
         spec = _load_option(args, "terms")
         try:
-            patterns = [pattern.BipartiteMultigraph.from_json(t["graph"]) for t in spec["terms"]]
-            alphas = [rational_from_json(t["alpha"]) for t in spec["terms"]]
+            terms = list_from_json(spec["terms"], "terms")
+            patterns = [pattern.BipartiteMultigraph.from_json(t["graph"]) for t in terms]
+            alphas = [rational_from_json(t["alpha"]) for t in terms]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed terms file {args.terms}: {exc!r}") from exc
 

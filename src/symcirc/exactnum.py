@@ -1,5 +1,5 @@
-"""Exact rational arithmetic, sparse multivariate polynomials, and
-polynomial identity testing.
+"""Exact rational arithmetic, sparse multivariate polynomials and exact
+linear algebra.
 
 All arithmetic in this package is exact.  Rationals are `fractions.Fraction`
 (arbitrary-precision, always reduced, positive denominator), re-exported here
@@ -11,40 +11,35 @@ as `Rational`.  A polynomial is stored as
 
 Exponent tuples are dense over the declared variable list, so two polynomials
 over different variable sets are aligned (union of the variable lists) before
-any comparison or arithmetic.  The zero polynomial has an empty term dict.
+they are compared.  The zero polynomial has an empty term dict.
 
 Term dicts over one fixed variable list are added and multiplied by
-`add_terms`, `mul_terms` and `pow_terms`, the single implementation behind
-`SparsePolynomial` arithmetic and `Circuit.expand_symbolic`.  They accept
-`int` as well as `Fraction` coefficients: integer arithmetic is exact and
-much cheaper than `Fraction`'s, so callers keep coefficients `int` while they
-are integral.  `common_denominator` is the matching trick for evaluation:
-scale rational inputs by the lcm D of their denominators, compute over the
-integers, and divide by the right power of D once at the end.
+`add_terms`, `mul_terms` and `pow_terms`, the arithmetic behind
+`Circuit.expand_symbolic`.  They accept `int` as well as `Fraction`
+coefficients: integer arithmetic is exact and much cheaper than
+`Fraction`'s, so callers keep coefficients `int` while they are integral.
+`common_denominator` is the matching trick for evaluation: scale rational
+inputs by the lcm D of their denominators, compute over the integers, and
+divide by the right power of D once at the end.  It is also the one check on
+the type of an evaluation input: every evaluator reads its inputs through
+it, and a value that is not an int or a Fraction (a float or a string, say)
+raises InvalidParameter.
 
-Identity testing comes in two flavours: `poly_equal_symbolic` compares
-normalized term maps, and `poly_equal_randomized` is a seeded Schwartz-Zippel
-test over integer points drawn from [0, 2**32).
+Two polynomials are equal (`poly_equal_symbolic`) when their normalized term
+maps are.
 """
 
 from __future__ import annotations
 
-import random
 import sys
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .errors import InvalidParameter, MissingVariable, ParseError, SizeCap
 
 Rational = Fraction
-
-# An assignment maps variable names to Rationals (plain ints also work since
-# Fraction arithmetic absorbs them).
-Assignment = Dict[str, Rational]
-
-SAMPLE_RANGE = 2 ** 32
 
 
 def rat(num, den=1) -> Rational:
@@ -76,6 +71,20 @@ def int_from_json(value) -> int:
     raise ParseError(f"not an integer: {value!r}")
 
 
+def list_from_json(value, what: str) -> list:
+    """A JSON array as read; ParseError naming `what` for anything else, so
+    that a string or an object is never iterated in its place."""
+    if type(value) is not list:
+        raise ParseError(f"{what} is not an array: {value!r}")
+    return value
+
+
+def rows_from_json(value, what: str) -> Iterator[list]:
+    """The rows of a JSON array of arrays, each checked as it is read:
+    ParseError naming `what` unless the value and every row are arrays."""
+    return (list_from_json(row, what) for row in list_from_json(value, f"{what} list"))
+
+
 def rational_from_json(data) -> Rational:
     """Parse the form written by `rational_to_json`; ParseError when a key is
     missing, a value is not an integer or the denominator is 0."""
@@ -85,15 +94,14 @@ def rational_from_json(data) -> Rational:
         raise ParseError(f"malformed rational {data!r}: {exc}") from exc
 
 
-def common_denominator(values: Iterable) -> Optional[int]:
-    """The lcm of the denominators of `values` (ints and Fractions), or None
-    if any value is something else, such as a polynomial used as a ring
-    element, which callers then use exactly as given."""
+def common_denominator(values: Iterable) -> int:
+    """The lcm of the denominators of `values`, which must be ints or
+    Fractions; InvalidParameter names the first value that is neither."""
     den = 1
     for v in values:
         if type(v) is not int:
             if not isinstance(v, (int, Fraction)):
-                return None
+                raise InvalidParameter(f"not an int or a Fraction: {v!r}")
             if den % v.denominator:
                 den = lcm(den, v.denominator)
     return den
@@ -170,20 +178,6 @@ class SparsePolynomial:
                 clean[tuple(exp)] = coeff
         self.terms = clean
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "SparsePolynomial":
-        return SparsePolynomial((), {})
-
-    @staticmethod
-    def constant(value) -> "SparsePolynomial":
-        return SparsePolynomial((), {(): Fraction(value)})
-
-    @staticmethod
-    def variable(name: str) -> "SparsePolynomial":
-        return SparsePolynomial((name,), {(1,): Fraction(1)})
-
     # -- variable alignment ------------------------------------------------
 
     def aligned_to(self, variables: Sequence[str]) -> "SparsePolynomial":
@@ -209,44 +203,7 @@ class SparsePolynomial:
         vs = tuple(sorted(set(p.variables) | set(q.variables)))
         return p.aligned_to(vs), q.aligned_to(vs)
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other) -> "SparsePolynomial":
-        p, q = self._common(self, _as_poly(other))
-        return SparsePolynomial(p.variables, add_terms(dict(p.terms), q.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "SparsePolynomial":
-        return self + (-_as_poly(other))
-
-    def __rsub__(self, other) -> "SparsePolynomial":
-        return _as_poly(other) + (-self)
-
-    def __mul__(self, other) -> "SparsePolynomial":
-        p, q = self._common(self, _as_poly(other))
-        return SparsePolynomial(p.variables, mul_terms(p.terms, q.terms))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "SparsePolynomial":
-        if not isinstance(k, int) or k < 0:
-            raise InvalidParameter("polynomial powers must be non-negative integers")
-        return SparsePolynomial(self.variables, pow_terms(self.terms, k, len(self.variables)))
-
-    def scale(self, c) -> "SparsePolynomial":
-        c = Fraction(c)
-        if c == 0:
-            return SparsePolynomial(self.variables, {})
-        return SparsePolynomial(self.variables, {e: c * v for e, v in self.terms.items()})
-
     # -- queries -------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
@@ -264,10 +221,6 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         return poly_equal_symbolic(self, other)
-
-    def __hash__(self):
-        p = self.drop_unused()
-        return hash((p.variables, frozenset(p.terms.items())))
 
     def drop_unused(self) -> "SparsePolynomial":
         """Remove variables that appear in no term (normal form for equality)."""
@@ -291,42 +244,14 @@ class SparsePolynomial:
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
         return "SparsePolynomial(" + " + ".join(bits) + ")"
 
-    # -- serialization --------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "vars": list(self.variables),
-            "terms": [
-                {"exp": list(exp), **rational_to_json(c)}
-                for exp, c in sorted(self.terms.items())
-            ],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "SparsePolynomial":
-        try:
-            vs = list(data["vars"])
-            terms = {
-                tuple(t["exp"]): rational_from_json(t)
-                for t in data["terms"]
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed polynomial JSON: {exc}") from exc
-        return SparsePolynomial(vs, terms)
-
-
-def _as_poly(value) -> SparsePolynomial:
-    if isinstance(value, SparsePolynomial):
-        return value
-    return SparsePolynomial.constant(value)
-
 
 def poly_eval(p: SparsePolynomial, assignment: Mapping[str, Rational]) -> Rational:
-    """Exact value of p at a total assignment of its variables."""
+    """Exact value of p, as a Fraction, at a total assignment of its
+    variables to ints and Fractions."""
     for v in p.variables:
         if v not in assignment:
             raise MissingVariable(f"assignment lacks variable {v!r}")
-    values = [Fraction(assignment[v]) for v in p.variables]
+    values = [assignment[v] for v in p.variables]
     # Over the integers: with D the lcm of the values' denominators and C that
     # of the coefficients', p(v) = sum_t (C c_t) prod (D v)^e * D^(top - deg t)
     # / (C D^top), where top is p's total degree.
@@ -351,33 +276,6 @@ def poly_equal_symbolic(p: SparsePolynomial, q: SparsePolynomial) -> bool:
     """True iff p and q have identical term maps after variable alignment."""
     a, b = SparsePolynomial._common(p.drop_unused(), q.drop_unused())
     return a.terms == b.terms
-
-
-def poly_equal_randomized(
-    f: Callable[[Assignment], Rational],
-    g: Callable[[Assignment], Rational],
-    variables: Sequence[str],
-    degree_bound: int,
-    trials: int,
-    seed: int,
-) -> bool:
-    """Schwartz-Zippel identity test of two evaluation oracles.
-
-    Samples `trials` points with coordinates uniform in [0, 2**32) from a
-    seeded RNG; per-trial false-acceptance probability is at most
-    degree_bound / 2**32.  Deterministic given the seed.
-    """
-    if trials < 1:
-        raise InvalidParameter("trials must be >= 1")
-    if degree_bound < 0:
-        raise InvalidParameter("degree_bound must be >= 0")
-    rng = random.Random(seed)
-    names = list(variables)
-    for _ in range(trials):
-        point = {v: Fraction(rng.randrange(SAMPLE_RANGE)) for v in names}
-        if f(point) != g(point):
-            return False
-    return True
 
 
 # -- exact linear algebra helpers -------------------------------------------

@@ -28,8 +28,8 @@ Hosts come in two forms:
     the evaluation point for colourful and coloured homomorphism polynomials.
     Class sizes may differ per colour; missing entries mean weight zero.
 
-Weight values are usually Rational but any commutative ring element with
-+, *, ** works (polynomials included).
+Weights are ints and Fractions; an evaluator that reads any other weight
+raises InvalidParameter.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import (
     check_cap,
 )
 from .exactnum import (Rational, SparsePolynomial, common_denominator, exact_det,
-                       int_from_json, rational_from_json, rational_to_json)
+                       int_from_json, rational_from_json, rational_to_json, rows_from_json)
 from .circuit import colour_var_name, var_name
 from .pattern import BipartiteMultigraph, are_isomorphic, contract
 
@@ -121,7 +121,7 @@ class WeightedHost:
         try:
             weights = {
                 (int_from_json(i) - 1, int_from_json(j) - 1): rational_from_json(w)
-                for i, j, w in data.get("weights", [])
+                for i, j, w in rows_from_json(data.get("weights", []), "weight row")
             }
             return WeightedHost(int_from_json(data["n"]), int_from_json(data["m"]), weights)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -247,7 +247,7 @@ class ColouredGraph:
         try:
             sizes = {_colour_key(c): int_from_json(s) for c, s in data["sizes"].items()}
             g = ColouredGraph(sizes)
-            for c, i, c2, j, w in data.get("weights", []):
+            for c, i, c2, j, w in rows_from_json(data.get("weights", []), "weight row"):
                 g.set_weight((_colour_key(c), int_from_json(i) - 1),
                              (_colour_key(c2), int_from_json(j) - 1),
                              rational_from_json(w))
@@ -271,18 +271,13 @@ def _weighted_sum(edges: Sequence[Tuple[int, int, int]], weight, domains: Sequen
     `domains[v]` lists the keys vertex v may map to, and a map is a tuple of
     indices into the domains; `maps` defaults to all of them, in row-major
     order.  Each edge reads a dense table of its weights, already raised to
-    the edge's multiplicity.  When every weight is an int or a Fraction, the
-    tables hold the integers (D w) ** mult, with D the lcm of the weights'
-    denominators, the sum is taken over the integers and divided by
-    D ** (sum of multiplicities) once; other weights (ring elements) are used
-    as given.
+    the edge's multiplicity: the integers (D w) ** mult, with D the lcm of
+    the weights' denominators.  The sum is taken over the integers and
+    divided by D ** (sum of multiplicities) once, into one Fraction.
     """
     tables = [[[weight(a, b) for b in domains[v]] for a in domains[u]] for (u, v, _) in edges]
     den = common_denominator(w for table in tables for row in table for w in row)
-    if den is not None:
-        tables = [[[w.numerator * (den // w.denominator) for w in row] for row in table]
-                  for table in tables]
-    plan = [(u, v, [[w if mult == 1 else w ** mult for w in row] for row in table])
+    plan = [(u, v, [[(w.numerator * (den // w.denominator)) ** mult for w in row] for row in table])
             for (u, v, mult), table in zip(edges, tables)]
     if maps is None:
         maps = itertools.product(*(range(len(d)) for d in domains))
@@ -293,12 +288,10 @@ def _weighted_sum(edges: Sequence[Tuple[int, int, int]], weight, domains: Sequen
             w = table[image[u]][image[v]]
             if w == 0:
                 break
-            term = term * w
+            term *= w
         else:
-            total = total + term
-    if isinstance(total, int):
-        return Fraction(total, (den or 1) ** sum(mult for _, _, mult in edges))
-    return total
+            total += term
+    return Fraction(total, den ** sum(mult for _, _, mult in edges))
 
 
 def _global_edges(f: BipartiteMultigraph) -> List[Tuple[int, int, int]]:

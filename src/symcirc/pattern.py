@@ -24,7 +24,7 @@ from .errors import (
     SizeCap,
     check_cap,
 )
-from .exactnum import int_from_json
+from .exactnum import int_from_json, rows_from_json
 
 SIDE_A = "A"
 SIDE_B = "B"
@@ -169,7 +169,7 @@ class BipartiteMultigraph:
     def from_json(data: dict) -> "BipartiteMultigraph":
         try:
             edges = {(int_from_json(i) - 1, int_from_json(j) - 1): int_from_json(m)
-                     for i, j, m in data.get("edges", [])}
+                     for i, j, m in rows_from_json(data.get("edges", []), "edge")}
             return BipartiteMultigraph(int_from_json(data["a"]), int_from_json(data["b"]), edges)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph JSON: {exc}") from exc

@@ -7,9 +7,9 @@ extract a colourful homomorphism polynomial from an uncoloured oracle and a
 single homomorphism polynomial from a linear combination.
 
 Conventions: pattern colours are 1-based global vertex ids (matching
-`oracle.identity_colouring`); gadgets are ColouredGraphs with rational (or
-ring-element) weights; oracle handles are plain callables taking a
-WeightedHost and returning an exact value.
+`oracle.identity_colouring`); gadgets are ColouredGraphs with rational
+weights; oracle handles are plain callables taking a WeightedHost and
+returning an exact value.
 """
 
 from __future__ import annotations
@@ -383,6 +383,8 @@ def degree_slice(p: Callable, k: int, max_edges: int, g) -> Rational:
     """
     if max_edges < 0:
         raise InvalidParameter("max_edges must be non-negative")
+    if k < 0:
+        raise InvalidParameter(f"degree {k} of a slice must be non-negative")
     if k > max_edges:
         return Fraction(0)
     ts = list(range(max_edges + 1))

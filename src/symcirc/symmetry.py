@@ -688,14 +688,18 @@ class SymmetryAnalysis:
         cycle s: i -> i+1, if the side has size >= 4 and both extend; once
         per side.  The map of (a+1 a+2) = s (a a+1) s^-1 is S t S^-1, for S
         the cycle's map and t that of (a a+1).  When only (0 1) extends, its
-        map is kept for `_generator`."""
+        map is kept for `_generator`; when (0 1) was searched and does not
+        extend, NotSymmetric names it, so it is never searched twice."""
         size = self.n if side == "L" else self.m
         if size < 4 or side in self._derived:
             return
         self._derived.add(side)
         maps = _decisive_maps(self._extender, side, size)
-        if maps[0] is not None:  # the side moves a variable, so maps is not empty
-            self._maps[(side, 0, 1)] = maps[0]
+        if maps[0] is None:  # the side moves a variable, so maps is not empty
+            if self._extender.span(side) == size:  # a search, not a side half used
+                raise NotSymmetric(f"the circuit is not symmetric: {(side, 0, 1)} does not extend")
+            return
+        self._maps[(side, 0, 1)] = maps[0]
         if None in maps:
             return
         t, s = maps

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidDecomposition, InvalidParameter, ParseError, check_cap
-from .exactnum import int_from_json
+from .exactnum import int_from_json, list_from_json, rows_from_json
 from .pattern import BipartiteMultigraph
 
 
@@ -75,8 +75,10 @@ class TreeDecomposition:
     @staticmethod
     def from_json(data: dict) -> "TreeDecomposition":
         try:
-            bags = [frozenset(int_from_json(v) - 1 for v in bag) for bag in data["bags"]]
-            parent = [None if p == 0 else p - 1 for p in map(int_from_json, data["parent"])]
+            bags = [frozenset(int_from_json(v) - 1 for v in bag)
+                    for bag in rows_from_json(data["bags"], "bag")]
+            parent = [None if p == 0 else p - 1
+                      for p in map(int_from_json, list_from_json(data["parent"], "parent"))]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed tree decomposition: {exc}") from exc
         return TreeDecomposition(bags, parent)
@@ -102,7 +104,7 @@ class PathDecomposition:
     def from_json(data: dict) -> "PathDecomposition":
         try:
             return PathDecomposition([frozenset(int_from_json(v) - 1 for v in bag)
-                                      for bag in data["bags"]])
+                                      for bag in rows_from_json(data["bags"], "bag")])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed path decomposition: {exc}") from exc
 

@@ -9,6 +9,7 @@ import pytest
 from symcirc import compilers, oracle, symmetry, width
 from symcirc.circuit import FORMULA_MULTI, GENERAL, SKEW
 from symcirc.errors import InvalidDecomposition, InvalidEliminationTree, InvalidParameter
+from symcirc.exactnum import SparsePolynomial, add_terms
 from symcirc.oracle import ColouredGraph, WeightedHost
 from symcirc.pattern import (
     BipartiteMultigraph,
@@ -154,8 +155,9 @@ def test_lincomb_shapes():
             [(Fraction(1, 2), p2), (Fraction(-3), c4)], 2, 2, shape)
         assert rep.shape == want
         assert rep.circuit.validate(want)[0]
-        hp = oracle.hom_poly(p2, 2, 2).scale(Fraction(1, 2)) + \
-            oracle.hom_poly(c4, 2, 2).scale(-3)
+        p2_poly, c4_poly = oracle.hom_poly(p2, 2, 2), oracle.hom_poly(c4, 2, 2)
+        terms = add_terms(add_terms({}, p2_poly.terms, Fraction(1, 2)), c4_poly.terms, -3)
+        hp = SparsePolynomial(p2_poly.variables, terms)  # both over all four variables
         assert rep.circuit.expand_symbolic() == hp
 
 
@@ -163,8 +165,7 @@ def test_colourful_examples():
     p2 = make_path(2)
     idc = oracle.identity_colouring(p2)
     rep = compilers.compile_colourful(p2, idc, 1, "td")
-    from symcirc.exactnum import SparsePolynomial
-    assert rep.circuit.expand_symbolic() == SparsePolynomial.variable("x_1_1__2_1")
+    assert rep.circuit.expand_symbolic() == SparsePolynomial(["x_1_1__2_1"], {(1,): 1})
     # All-ones at n=2 gives the number of maps.
     rep2 = compilers.compile_colourful(p2, idc, 2, "pw")
     ones = {name: Fraction(1) for name in rep2.circuit.variables()}

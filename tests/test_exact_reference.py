@@ -12,8 +12,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from symcirc import compilers
 from symcirc.circuit import KERNEL_AFTER, CircuitBuilder
+from symcirc.errors import InvalidParameter
 from symcirc.exactnum import SparsePolynomial
 from symcirc.oracle import (
     ColouredGraph,
@@ -96,22 +99,6 @@ def test_colhom_matches_fraction_loop():
                     term *= Fraction(g.get((u + 1, image[u]), (v + 1, image[v]))) ** mult
                 total += term
             assert colhom_eval(f, g) == total
-
-
-def test_polynomial_weights_take_the_ring_path():
-    a, b = SparsePolynomial.variable("a"), SparsePolynomial.variable("b")
-    weights = {(0, 0): a + b, (0, 1): a.scale(Fraction(-1, 2)), (1, 0): b * b,
-               (1, 1): SparsePolynomial.constant(Fraction(2, 3))}
-    f = PATTERNS[3]
-    value = hom_count(f, WeightedHost(2, 2, weights))
-    assert isinstance(value, SparsePolynomial)
-    rng = random.Random(14)
-    for _ in range(4):
-        point = {"a": _weight(rng), "b": _weight(rng)}
-        numeric = {k: w.evaluate(point) for k, w in weights.items()}
-        want = _reference_sum(f, lambda i, j: numeric.get((i, j), 0), _all_maps(f, 2, 2))
-        assert value.evaluate(point) == want
-    assert hom_count(f, WeightedHost(2, 2, {})) == 0
 
 
 def _random_circuit(rng, names, gates):
@@ -204,14 +191,12 @@ def test_circuits_match_fraction_loops():
 
 
 def test_kernels_match_fraction_loops():
-    """Past KERNEL_AFTER evaluations of each circuit, on int, Fraction,
-    integral Fraction and polynomial inputs, values and types match the
-    reference."""
+    """Past KERNEL_AFTER evaluations of each circuit, on int, Fraction and
+    integral Fraction inputs, values and types match the reference."""
     rng = random.Random(16)
     circuits = [_random_circuit(rng, ["x", "y", "z"], rng.randint(4, 12)) for _ in range(12)]
     circuits += [compilers.compile_single(f, 2, 2, shape).circuit
                  for f in PATTERNS[1:3] for shape in ("td", "pw", "tw")]
-    t = SparsePolynomial.variable("t")
     shifted = 0
     for c in circuits:
         names = c.variables()
@@ -230,13 +215,37 @@ def test_kernels_match_fraction_loops():
             assert got == _reference_evaluate(c, point) and type(got) is Fraction
             got = c.evaluate({x: Fraction(v) for x, v in ints.items()})
             assert got == _reference_evaluate(c, ints) and type(got) is Fraction
-            # Each variable is t + q; the value at t = 0 and t = 1 is the
-            # reference at q and at q + 1.
-            lifts = {x: rng.randint(-3, 3) for x in names}
-            got = c.evaluate({x: t + q for x, q in lifts.items()})
-            assert type(got) is SparsePolynomial
-            for t0 in (0, 1):
-                assert got.evaluate({"t": t0}) == \
-                    _reference_evaluate(c, {x: q + t0 for x, q in lifts.items()})
         assert c._kernel is not None
     assert shifted >= 3
+
+
+def test_inputs_that_are_not_int_or_fraction_raise():
+    # A float or a string is neither coerced nor used as given: every exact
+    # evaluator raises InvalidParameter naming it, the circuit on its first
+    # evaluation and through its kernel alike.
+    f = PATTERNS[0]
+    c = compilers.compile_single(f, 2, 2, "tw").circuit
+    poly = SparsePolynomial(["x"], {(2,): 1})
+    for bad in (0.1, "1/3"):
+        point = {x: bad for x in c.variables()}
+        with pytest.raises(InvalidParameter, match=repr(bad)):
+            c.evaluate(point)
+        assert c._kernel is None
+        host = WeightedHost(2, 2, {(i, j): bad for i in range(2) for j in range(2)})
+        g = ColouredGraph({v + 1: 2 for v in f.vertices()})
+        for (u, v, _) in f.edge_list_global():
+            g.set_weight((u + 1, 0), (v + 1, 1), bad)
+        evaluations = [lambda: hom_count(f, host), lambda: emb_eval(f, host),
+                       lambda: colhom_eval(f, g), lambda: poly.evaluate({"x": bad})]
+        for evaluation in evaluations:
+            with pytest.raises(InvalidParameter, match=repr(bad)):
+                evaluation()
+    fresh = compilers.compile_single(f, 2, 2, "tw").circuit
+    ones = {x: 1 for x in fresh.variables()}
+    for _ in range(KERNEL_AFTER):
+        fresh.evaluate(ones)
+    assert fresh._kernel is not None
+    for bad in (0.1, "1/3"):
+        with pytest.raises(InvalidParameter, match=repr(bad)):
+            fresh.evaluate(dict(ones, **{fresh.variables()[0]: bad}))
+    assert fresh.evaluate(ones) == hom_count(f, WeightedHost.all_ones(2, 2))

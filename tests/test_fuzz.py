@@ -126,3 +126,40 @@ def test_mutated_inputs_exit_0_1_or_2(capsys, tmp_path):
         if code not in (0, 1, 2):
             escaped.append((case, command[:2], target, files[target], code))
     assert escaped == []
+
+
+def _item_text(item):
+    return item if isinstance(item, str) else json.dumps(item)
+
+
+def test_arrays_that_are_not_arrays_exit_2(capsys, tmp_path):
+    # Every array of every valid file, replaced by the string of its items or
+    # by an object keyed by them, is malformed.  A loader that iterates the
+    # stand-in in place of the array reads the edge "121" as [1, 2, 1], the
+    # bag {"1": 0, "2": 0} as {1, 2} and the parent list "01" as [0, 1].
+    wrong = []
+    for command in COMMANDS:
+        for name in [arg[1:-1] for arg in command if arg.startswith("{")]:
+            for path, key in _places(FILES[name]):
+                data = copy.deepcopy(FILES[name])
+                container = data
+                for step in path:
+                    container = container[step]
+                if not isinstance(container[key], list):
+                    continue
+                items = [_item_text(item) for item in container[key]]
+                for stand_in in ("".join(items), dict.fromkeys(items, 0)):
+                    container[key] = stand_in
+                    code = run(_argv(tmp_path, command, dict(FILES, **{name: data})))
+                    err = capsys.readouterr().err
+                    if code != 2 or not err.startswith("error:"):
+                        wrong.append((command[:2], name, path + (key,), stand_in, code))
+    assert wrong == []
+
+
+def test_a_variable_name_must_be_a_string(capsys, tmp_path):
+    circuit = copy.deepcopy(FILES["circuit"])
+    circuit["gates"][0]["label"] = {"var": 5}
+    code = run(_argv(tmp_path, COMMANDS[7], dict(FILES, circuit=circuit)))
+    assert code == 2
+    assert capsys.readouterr().err == "error: variable name 5 is not a string\n"

@@ -208,6 +208,18 @@ def test_degree_slice_host_variant():
     assert reduce.degree_slice(combined, 2, 2, g) == oracle.hom_count(p3, g)
 
 
+def test_degree_slice_rejects_a_negative_degree():
+    # hom_P2 + 5 at the 1 x 1 host of weight 3 has slices 5 and 3; k = -1
+    # once read the last coefficient, as a list index.
+    p2 = make_path(2)
+    combined = lambda host: oracle.hom_count(p2, host) + 5
+    g = WeightedHost(1, 1, {(0, 0): Fraction(3)})
+    assert [reduce.degree_slice(combined, k, 1, g) for k in (0, 1)] == [5, 3]
+    for k in (-1, -2):
+        with pytest.raises(InvalidParameter, match=f"degree {k} of a slice"):
+            reduce.degree_slice(combined, k, 1, g)
+
+
 def test_clique_gadget_exhaustive_01():
     from itertools import product
 

@@ -596,6 +596,22 @@ def test_a_failed_cycle_search_keeps_the_map_of_0_1(monkeypatch):
     assert calls["extend"] == 4
 
 
+def test_a_failed_search_of_0_1_is_not_repeated(monkeypatch):
+    # x11 x31 + x21 x41 at 4 x 1: (0 1) does not extend, so one search
+    # decides the side and names it.
+    b = CircuitBuilder()
+    products = [b.times([(b.var(f"x_{i}_1"), 1), (b.var(f"x_{i + 2}_1"), 1)]) for i in (1, 2)]
+    c = b.finish(b.plus([(p, 1) for p in products]))
+    calls = {}
+    _counted(monkeypatch, symmetry._Extender, "extend", calls)
+    message = "the circuit is not symmetric: ('L', 0, 1) does not extend"
+    for run in (lambda: SymmetryAnalysis(c, 4, 1).generators(), lambda: analyze(c, 4, 1)):
+        calls["extend"] = 0
+        with pytest.raises(NotSymmetric, match=f"^{re.escape(message)}$"):
+            run()
+        assert calls["extend"] == 1
+
+
 def test_is_symmetric_matches_every_adjacent_transposition():
     # Testing two generators per side decides what testing every adjacent
     # transposition does, on symmetric circuits, on copies made asymmetric by
