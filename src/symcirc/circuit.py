@@ -174,16 +174,6 @@ class Circuit:
     def variables(self) -> List[str]:
         return sorted(lbl[1] for lbl in self.labels if lbl[0] == "var")
 
-    def depth(self) -> int:
-        """Internal gates on the longest output-to-leaf path."""
-        depth = [0] * self.num_gates()
-        for g in self.topo_order():
-            if self.is_input(g):
-                depth[g] = 0
-            else:
-                depth[g] = 1 + max((depth[c] for c in self.children[g]), default=0)
-        return depth[self.output]
-
     # -- semantics --------------------------------------------------------------
 
     def _evaluation_program(self):

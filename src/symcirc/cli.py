@@ -191,36 +191,40 @@ def _random_coloured_host(s, n: int, rng: random.Random) -> ColouredGraph:
     return ColouredGraph.random({v + 1: n for v in s.vertices()}, pairs, rng)
 
 
-def _cmd_reduce(args) -> int:
-    rng = random.Random(args.seed)
-    trials = args.trials
-    if args.gadget == "clique-grid":
-        n = args.n
+def _hardness_identity(family: str, n: int, rng: random.Random) -> Tuple[ColouredGraph, bool]:
+    """The `family` gadget of size n on seeded random weights, and whether its
+    colourful hom value equals the family's polynomial at those weights."""
+    if family == "clique-grid":
         y = {(i, j): Fraction(rng.randint(-3, 3)) for i in range(1, 2 * n + 1)
              for j in range(i + 1, 2 * n + 1)}
         gadget = reduce.clique_grid_gadget(n, y)
-        check = oracle.colhom_eval(pattern.make_grid(n, n), gadget) == reduce.clique_poly(n, y)
-        payload = {"gadget": gadget.to_json(), "identity_holds": bool(check)}
-    elif args.gadget == "btree":
-        m = args.n
-        size = m ** 6
-        x = {i: Fraction(rng.randint(-2, 2)) for i in range(1, size + 1)}
-        y = {(i, j): Fraction(rng.randint(-2, 2)) for i in range(1, size + 1)
-             for j in range(i, size + 1)}
-        gadget = reduce.btree_vp_gadget(m, x, y)
-        check = oracle.colhom_eval(pattern.make_complete_binary_tree(m), gadget) == \
-            reduce.btree_vp_poly(m, x, y)
-        payload = {"gadget": gadget.to_json(), "identity_holds": bool(check)}
-    elif args.gadget == "path":
-        m = args.n
-        size = m ** 2
-        x = {i: Fraction(rng.randint(-2, 2)) for i in range(1, size + 1)}
-        y = {(i, j): Fraction(rng.randint(-2, 2)) for i in range(1, size + 1)
-             for j in range(i, size + 1)}
-        gadget = reduce.path_vbp_gadget(m, x, y)
-        check = oracle.colhom_eval(pattern.make_path(m + 2), gadget) == \
-            reduce.path_vbp_poly(m, x, y)
-        payload = {"gadget": gadget.to_json(), "identity_holds": bool(check)}
+        return gadget, oracle.colhom_eval(pattern.make_grid(n, n), gadget) == reduce.clique_poly(n, y)
+    if family == "btree":
+        size, f, build, poly = (n ** 6, pattern.make_complete_binary_tree(n),
+                                reduce.btree_vp_gadget, reduce.btree_vp_poly)
+    else:  # path
+        size, f, build, poly = n ** 2, pattern.make_path(n + 2), reduce.path_vbp_gadget, reduce.path_vbp_poly
+    x = {i: Fraction(rng.randint(-2, 2)) for i in range(1, size + 1)}
+    y = {(i, j): Fraction(rng.randint(-2, 2)) for i in range(1, size + 1) for j in range(i, size + 1)}
+    gadget = build(n, x, y)
+    return gadget, oracle.colhom_eval(f, gadget) == poly(n, x, y)
+
+
+def _minor_identity(s, fprime, branch, n: int, rng: random.Random) -> bool:
+    """Whether the minor gadget of one seeded random S-coloured host y keeps
+    colhom_{F'}(gadget) = colhom_S(y).  Callers run their trials through
+    `all([...])`, a list, so every trial draws its weights even after one fails."""
+    y = _random_coloured_host(s, n, rng)
+    return oracle.colhom_eval(fprime, reduce.minor_gadget(fprime, s, branch, n, y)) == \
+        oracle.colhom_eval(s, y)
+
+
+def _cmd_reduce(args) -> int:
+    rng = random.Random(args.seed)
+    trials = args.trials
+    if args.gadget in ("clique-grid", "btree", "path"):
+        gadget, holds = _hardness_identity(args.gadget, args.n, rng)
+        payload = {"gadget": gadget.to_json(), "identity_holds": holds}
     elif args.gadget == "minor":
         s = pattern.BipartiteMultigraph.from_json(_load_option(args, "minor-pattern"))
         fprime = pattern.BipartiteMultigraph.from_json(_load_option(args, "host-pattern"))
@@ -228,15 +232,11 @@ def _cmd_reduce(args) -> int:
         if branch is None:
             print("no minor witness found", file=sys.stderr)
             return 1
-        check = True
-        for _ in range(trials):
-            y = _random_coloured_host(s, args.n, rng)
-            gadget = reduce.minor_gadget(fprime, s, branch, args.n, y)
-            check = check and oracle.colhom_eval(fprime, gadget) == oracle.colhom_eval(s, y)
         payload = {
             "branch_sets": [sorted(v + 1 for v in bs) for bs in branch.sets],
             "remainder": sorted(v + 1 for v in branch.b0),
-            "identity_holds": bool(check),
+            "identity_holds": all([_minor_identity(s, fprime, branch, args.n, rng)
+                                   for _ in range(trials)]),
         }
     elif args.gadget in ("extract-subgraph", "extract-minor"):
         s = pattern.BipartiteMultigraph.from_json(_load_option(args, "minor-pattern"))
@@ -295,12 +295,10 @@ def _verify_uncolour(trials: int, rng: random.Random) -> List[Tuple[str, bool]]:
 
 def _verify_product(trials: int, rng: random.Random) -> List[Tuple[str, bool]]:
     f = pattern.make_path(3)
-    colours = [v + 1 for v in f.vertices()]
-    pairs = [(u + 1, v + 1) for (u, v, _) in f.edge_list_global()]
     ok = True
     for _ in range(trials):
-        g = ColouredGraph.random({c: 2 for c in colours}, pairs, rng)
-        h = ColouredGraph.random({c: 2 for c in colours}, pairs, rng)
+        g = _random_coloured_host(f, 2, rng)
+        h = _random_coloured_host(f, 2, rng)
         lhs = oracle.colhom_eval(f, reduce.tensor_product(g, h))
         if lhs != oracle.colhom_eval(f, g) * oracle.colhom_eval(f, h):
             ok = False
@@ -377,39 +375,21 @@ def _verify_minor(trials: int, rng: random.Random) -> List[Tuple[str, bool]]:
     ]
     for name, s, fprime in cases:
         branch = pattern.find_minor(s, fprime)
-        if branch is None:
-            out.append((f"minor/{name}", False))
-            continue
-        ok = True
-        for _ in range(trials):
-            y = _random_coloured_host(s, 2, rng)
-            gadget = reduce.minor_gadget(fprime, s, branch, 2, y)
-            if oracle.colhom_eval(fprime, gadget) != oracle.colhom_eval(s, y):
-                ok = False
+        ok = branch is not None and all([_minor_identity(s, fprime, branch, 2, rng)
+                                         for _ in range(trials)])
         out.append((f"minor/{name}", ok))
     return out
 
 
 def _verify_gadgets(trials: int, rng: random.Random) -> List[Tuple[str, bool]]:
-    out = []
     y_ones = {(i, j): Fraction(1) for i in range(1, 5) for j in range(i + 1, 5)}
     g = reduce.clique_grid_gadget(2, y_ones)
-    out.append(("gadget/clique-all-ones-6",
-                oracle.colhom_eval(pattern.make_grid(2, 2), g) == 6))
-    ok = True
-    for _ in range(trials):
-        y = {(i, j): Fraction(rng.randint(-3, 3)) for i in range(1, 5)
-             for j in range(i + 1, 5)}
-        lhs = oracle.colhom_eval(pattern.make_grid(2, 2), reduce.clique_grid_gadget(2, y))
-        if lhs != reduce.clique_poly(2, y):
-            ok = False
-    out.append(("gadget/clique-random", ok))
-    size = 1
-    x = {i: Fraction(rng.randint(-2, 2)) for i in range(1, size + 1)}
-    y = {(1, 1): Fraction(rng.randint(-2, 2))}
-    lhs = oracle.colhom_eval(pattern.make_path(3), reduce.path_vbp_gadget(1, x, y))
-    out.append(("gadget/path-m1", lhs == reduce.path_vbp_poly(1, x, y)))
-    return out
+    return [
+        ("gadget/clique-all-ones-6", oracle.colhom_eval(pattern.make_grid(2, 2), g) == 6),
+        ("gadget/clique-random",
+         all([_hardness_identity("clique-grid", 2, rng)[1] for _ in range(trials)])),
+        ("gadget/path-m1", _hardness_identity("path", 1, rng)[1]),
+    ]
 
 
 IDENTITY_SUITES: Dict[str, Callable[[int, random.Random], List[Tuple[str, bool]]]] = {

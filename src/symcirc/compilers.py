@@ -220,8 +220,7 @@ def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
 
     children = core.children()
     adj_edges: Dict[int, List[Tuple[int, int, int]]] = {v: [] for v in parent}
-    for (i, j), mult in sorted(f.edges.items()):
-        a_g, b_g = i, f.a_count + j
+    for (a_g, b_g, mult) in f.edge_list_global():
         # Charge the edge to its deeper endpoint; the other lies on the path.
         adj_edges[a_g if b_g in core.path_to_root(a_g) else b_g].append((a_g, b_g, mult))
 
@@ -260,8 +259,7 @@ def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, 
     children = deco.children()
     # Charge each edge to its smallest-index covering node.
     assignment: Dict[int, List[Tuple[int, int, int]]] = {i: [] for i in range(len(deco.bags))}
-    for (i, j), mult in sorted(f.edges.items()):
-        a_g, b_g = i, f.a_count + j
+    for (a_g, b_g, mult) in f.edge_list_global():
         idx = next(k for k, bag in enumerate(deco.bags) if a_g in bag and b_g in bag)
         assignment[idx].append((a_g, b_g, mult))
 

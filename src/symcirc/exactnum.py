@@ -42,11 +42,6 @@ from .errors import InvalidParameter, MissingVariable, ParseError, SizeCap
 Rational = Fraction
 
 
-def rat(num, den=1) -> Rational:
-    """Build a Rational from integers (or parse a string like '3/4')."""
-    return Fraction(num, den) if den != 1 else Fraction(num)
-
-
 def rational_to_json(value) -> Dict[str, str]:
     """The JSON form {"num": str, "den": str} of an int or Fraction; SizeCap
     if a part is longer than Python converts to a string."""
@@ -162,20 +157,24 @@ class SparsePolynomial:
     __slots__ = ("variables", "terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Tuple[int, ...], Rational] | None = None):
-        vs = tuple(sorted(variables))
+        """Exponent tuples are read in the order of `variables` and stored in
+        the sorted order; coefficients must be ints or Fractions."""
+        names = tuple(variables)
+        vs = tuple(sorted(names))
         if len(set(vs)) != len(vs):
             raise InvalidParameter(f"duplicate variable names in {variables!r}")
         self.variables = vs
+        order = None if names == vs else sorted(range(len(names)), key=names.__getitem__)
         clean: Dict[Tuple[int, ...], Rational] = {}
         for exp, coeff in (terms or {}).items():
             if len(exp) != len(vs):
                 raise InvalidParameter(f"exponent vector {exp} has wrong length for {vs}")
             if type(coeff) is not int:
-                coeff = Fraction(coeff)
+                common_denominator((coeff,))  # InvalidParameter unless a Fraction
                 if coeff.denominator == 1:
                     coeff = coeff.numerator
             if coeff:
-                clean[tuple(exp)] = coeff
+                clean[tuple(exp) if order is None else tuple(exp[i] for i in order)] = coeff
         self.terms = clean
 
     # -- variable alignment ------------------------------------------------

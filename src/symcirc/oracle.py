@@ -118,11 +118,14 @@ class WeightedHost:
 
     @staticmethod
     def from_json(data: dict) -> "WeightedHost":
+        """Rows [i, j, w] are 1-based; an entry given twice is a ParseError."""
         try:
-            weights = {
-                (int_from_json(i) - 1, int_from_json(j) - 1): rational_from_json(w)
-                for i, j, w in rows_from_json(data.get("weights", []), "weight row")
-            }
+            weights = {}
+            for i, j, w in rows_from_json(data.get("weights", []), "weight row"):
+                key = (int_from_json(i) - 1, int_from_json(j) - 1)
+                if key in weights:
+                    raise ParseError(f"host entry ({i}, {j}) is given twice")
+                weights[key] = rational_from_json(w)
             return WeightedHost(int_from_json(data["n"]), int_from_json(data["m"]), weights)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed host JSON: {exc}") from exc
@@ -186,18 +189,9 @@ class ColouredGraph:
         g.weights = dict(self.weights)
         return g
 
-    def vertex_order(self) -> List[Tuple[Hashable, int]]:
-        return [(c, i) for c in self.colours for i in range(self.sizes[c])]
-
     def flatten(self) -> WeightedHost:
         """The square matrix over the flattened vertex order (rows = columns)."""
-        order = self.vertex_order()
-        index = {v: k for k, v in enumerate(order)}
-        n = len(order)
-        weights = {}
-        for (u, v), w in self.weights.items():
-            weights[(index[u], index[v])] = w
-        return WeightedHost(n, n, weights)
+        return self.flatten_bipartite(self.colours, self.colours)
 
     def flatten_bipartite(self, a_colours: Sequence[Hashable],
                           b_colours: Sequence[Hashable]) -> WeightedHost:
@@ -244,13 +238,19 @@ class ColouredGraph:
 
     @staticmethod
     def from_json(data: dict) -> "ColouredGraph":
+        """Rows [c, i, c2, j, w] are 1-based; a pair given twice, in either
+        orientation, is a ParseError."""
         try:
             sizes = {_colour_key(c): int_from_json(s) for c, s in data["sizes"].items()}
             g = ColouredGraph(sizes)
+            seen = set()
             for c, i, c2, j, w in rows_from_json(data.get("weights", []), "weight row"):
-                g.set_weight((_colour_key(c), int_from_json(i) - 1),
-                             (_colour_key(c2), int_from_json(j) - 1),
-                             rational_from_json(w))
+                u = (_colour_key(c), int_from_json(i) - 1)
+                v = (_colour_key(c2), int_from_json(j) - 1)
+                if (u, v) in seen:
+                    raise ParseError(f"weight of ({c}, {i}) and ({c2}, {j}) is given twice")
+                seen.update(((u, v), (v, u)))
+                g.set_weight(u, v, rational_from_json(w))
             return g
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed coloured graph JSON: {exc}") from exc
@@ -294,15 +294,11 @@ def _weighted_sum(edges: Sequence[Tuple[int, int, int]], weight, domains: Sequen
     return Fraction(total, den ** sum(mult for _, _, mult in edges))
 
 
-def _global_edges(f: BipartiteMultigraph) -> List[Tuple[int, int, int]]:
-    return [(i, f.a_count + j, mult) for (i, j), mult in sorted(f.edges.items())]
-
-
 def hom_count(f: BipartiteMultigraph, host: WeightedHost):
     """Sum over all maps h of the product of host weights along F's edges."""
     _check_cap(host.n ** f.a_count * host.m ** f.b_count)
     domains = [range(host.n)] * f.a_count + [range(host.m)] * f.b_count
-    return _weighted_sum(_global_edges(f), host.get, domains)
+    return _weighted_sum(f.edge_list_global(), host.get, domains)
 
 
 def _map_polynomial(edges: Sequence[Tuple[int, int, int]], sizes: Sequence[int],
@@ -330,7 +326,7 @@ def hom_poly(f: BipartiteMultigraph, n: int, m: int) -> SparsePolynomial:
     """hom_{F,n,m} expanded over all n*m x_<i>_<j> variables, even when F has no edge."""
     _check_cap(n ** f.a_count * m ** f.b_count)
     grid = [[var_name(i, j) for j in range(1, m + 1)] for i in range(1, n + 1)]
-    edges = _global_edges(f)
+    edges = f.edge_list_global()
     return _map_polynomial(edges, [n] * f.a_count + [m] * f.b_count,
                            sorted(name for row in grid for name in row), [grid] * len(edges))
 
@@ -353,7 +349,7 @@ def coloured_hom_eval(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
         count *= max(s, 1)
         _check_cap(count)
     domains = [[(colouring[v], i) for i in range(s)] for v, s in zip(f.vertices(), sizes)]
-    return _weighted_sum(_global_edges(f), g.get, domains)
+    return _weighted_sum(f.edge_list_global(), g.get, domains)
 
 
 def identity_colouring(f: BipartiteMultigraph) -> Dict[int, int]:
@@ -370,7 +366,7 @@ def colhom_poly(f: BipartiteMultigraph, n: int) -> SparsePolynomial:
     """colhom_{F,n} expanded over colourful variables (colours = global ids,
     1-based in names, A-side endpoint first)."""
     _check_cap(n ** f.num_vertices())
-    edges = _global_edges(f)
+    edges = f.edge_list_global()
     names = [[[colour_var_name(u + 1, a + 1, v + 1, b + 1) for b in range(n)] for a in range(n)]
              for (u, v, _) in edges]
     variables = sorted({name for table in names for row in table for name in row})
@@ -391,7 +387,7 @@ def emb_eval(f: BipartiteMultigraph, host: WeightedHost):
             for a_img in itertools.permutations(range(host.n), f.a_count)
             for b_img in itertools.permutations(range(host.m), f.b_count))
     domains = [range(host.n)] * f.a_count + [range(host.m)] * f.b_count
-    return _weighted_sum(_global_edges(f), host.get, domains, maps)
+    return _weighted_sum(f.edge_list_global(), host.get, domains, maps)
 
 
 # -- hom-to-emb expansion -------------------------------------------------------------

@@ -167,9 +167,15 @@ class BipartiteMultigraph:
 
     @staticmethod
     def from_json(data: dict) -> "BipartiteMultigraph":
+        """Rows [i, j, m] are 1-based; rows repeating an edge add their
+        multiplicities, as repeated wires do in `Circuit.from_json`."""
         try:
-            edges = {(int_from_json(i) - 1, int_from_json(j) - 1): int_from_json(m)
-                     for i, j, m in rows_from_json(data.get("edges", []), "edge")}
+            edges: Dict[Tuple[int, int], int] = {}
+            for i, j, m in rows_from_json(data.get("edges", []), "edge"):
+                key, mult = (int_from_json(i) - 1, int_from_json(j) - 1), int_from_json(m)
+                if mult < 1:
+                    raise ParseError(f"edge [{i}, {j}, {m}] has a multiplicity below 1")
+                edges[key] = edges.get(key, 0) + mult
             return BipartiteMultigraph(int_from_json(data["a"]), int_from_json(data["b"]), edges)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph JSON: {exc}") from exc
@@ -224,23 +230,12 @@ def complete_binary_tree_structure(n: int):
         depth[k] = depth[(k - 1) // 2] + 1
     a_nodes = [k for k in range(total) if depth[k] % 2 == 0]
     b_nodes = [k for k in range(total) if depth[k] % 2 == 1]
-    a_index = {k: i for i, k in enumerate(a_nodes)}
-    b_index = {k: i for i, k in enumerate(b_nodes)}
-    edges: Dict[Tuple[int, int], int] = {}
-    for k in range(total):
-        for child in (2 * k + 1, 2 * k + 2):
-            if child < total:
-                if depth[k] % 2 == 0:
-                    edges[(a_index[k], b_index[child])] = 1
-                else:
-                    edges[(a_index[child], b_index[k])] = 1
-    graph = BipartiteMultigraph(len(a_nodes), len(b_nodes), edges)
-
-    def global_of(k: int) -> int:
-        return a_index[k] if depth[k] % 2 == 0 else len(a_nodes) + b_index[k]
-
-    left_child = {global_of(k): global_of(2 * k + 1) for k in range(total) if 2 * k + 1 < total}
-    right_child = {global_of(k): global_of(2 * k + 2) for k in range(total) if 2 * k + 2 < total}
+    global_of = {k: g for g, k in enumerate(a_nodes + b_nodes)}
+    graph = _from_global_edges(len(a_nodes), total, [
+        (global_of[k], global_of[child]) for k in range(total)
+        for child in (2 * k + 1, 2 * k + 2) if child < total])
+    left_child = {global_of[k]: global_of[2 * k + 1] for k in range(total) if 2 * k + 1 < total}
+    right_child = {global_of[k]: global_of[2 * k + 2] for k in range(total) if 2 * k + 2 < total}
     return graph, left_child, right_child
 
 
@@ -270,14 +265,8 @@ def make_cycle(v: int) -> BipartiteMultigraph:
     """Even cycle on v vertices (v >= 4, even); C_4 equals the 2x2 grid."""
     if v < 4 or v % 2 != 0:
         raise InvalidParameter("bipartite cycles need an even length >= 4")
-    edges: Dict[Tuple[int, int], int] = {}
-    for k in range(v):
-        u, w = k, (k + 1) % v
-        if u % 2 == 0:
-            edges[(u // 2, w // 2)] = edges.get((u // 2, w // 2), 0) + 1
-        else:
-            edges[(w // 2, u // 2)] = edges.get((w // 2, u // 2), 0) + 1
-    return BipartiteMultigraph((v + 1) // 2, v // 2, edges)
+    ids = path_vertex_ids(v)
+    return _from_global_edges(v // 2, v, zip(ids, ids[1:] + ids[:1]))
 
 
 # -- isomorphism -----------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -149,6 +149,17 @@ def _sym_lookup(y: Mapping, u: int, v: int):
     return y.get((u, v), y.get((v, u), Fraction(0)))
 
 
+def _set_block(g: ColouredGraph, a: int, b: int, size: int,
+               weight: Callable[[int, int], Rational]):
+    """Join member u - 1 of class a to member v - 1 of class b with weight(u, v)
+    for all u, v in [size], skipping zeros."""
+    for u in range(1, size + 1):
+        for v in range(1, size + 1):
+            w = weight(u, v)
+            if w != 0:
+                g.set_weight((a, u - 1), (b, v - 1), w)
+
+
 def btree_vp_poly(m: int, x: Mapping[int, Rational], y: Mapping):
     """The VP-complete family: maps of the m-leaf perfect binary tree into
     [m^6], right children weighted by X, tree edges by Y."""
@@ -188,17 +199,10 @@ def btree_vp_gadget(m: int, x: Mapping[int, Rational], y: Mapping) -> ColouredGr
     colour = identity_colouring(graph)
     g = ColouredGraph({colour[v]: size for v in graph.vertices()})
     for parent, child in sorted(left.items()):
-        for u in range(1, size + 1):
-            for v in range(1, size + 1):
-                w = _sym_lookup(y, u, v)
-                if w != 0:
-                    g.set_weight((colour[parent], u - 1), (colour[child], v - 1), w)
+        _set_block(g, colour[parent], colour[child], size, lambda u, v: _sym_lookup(y, u, v))
     for parent, child in sorted(right.items()):
-        for u in range(1, size + 1):
-            for v in range(1, size + 1):
-                w = x.get(v, Fraction(0)) * _sym_lookup(y, u, v)
-                if w != 0:
-                    g.set_weight((colour[parent], u - 1), (colour[child], v - 1), w)
+        _set_block(g, colour[parent], colour[child], size,
+                   lambda u, v: x.get(v, Fraction(0)) * _sym_lookup(y, u, v))
     return g
 
 
@@ -237,18 +241,11 @@ def path_vbp_gadget(m: int, x: Mapping[int, Rational], y: Mapping) -> ColouredGr
     size = m ** 2
     colour = identity_colouring(graph)
     g = ColouredGraph({colour[v]: size for v in graph.vertices()})
-    for pos in range(m + 1):
-        a, b = order[pos], order[pos + 1]
-        for u in range(1, size + 1):
-            for v in range(1, size + 1):
-                if pos == 0:
-                    w = x.get(u, Fraction(0)) if u == v else Fraction(0)
-                elif pos == m:
-                    w = x.get(v, Fraction(0)) * _sym_lookup(y, u, v)
-                else:
-                    w = _sym_lookup(y, u, v)
-                if w != 0:
-                    g.set_weight((colour[a], u - 1), (colour[b], v - 1), w)
+    blocks = ([lambda u, v: x.get(u, Fraction(0)) if u == v else Fraction(0)]
+              + [lambda u, v: _sym_lookup(y, u, v)] * (m - 1)
+              + [lambda u, v: x.get(v, Fraction(0)) * _sym_lookup(y, u, v)])
+    for pos, weight in enumerate(blocks):
+        _set_block(g, colour[order[pos]], colour[order[pos + 1]], size, weight)
     return g
 
 
@@ -284,45 +281,27 @@ def minor_gadget(fprime: BipartiteMultigraph, s: BipartiteMultigraph,
     g = ColouredGraph(sizes)
 
     # Designated y-carrying F'-edge per S-edge.
-    carrier: Dict[Tuple[int, int], Tuple[int, int]] = {}
     f_edges = [(u, v) for (u, v, _) in fprime.edge_list_global()]
-    for (i, j) in sorted(s.edges):
-        su, sv = i, s.a_count + j
-        options = sorted(
-            (u, v) for (u, v) in f_edges
-            if {branch_of[u], branch_of[v]} == {su, sv}
-        )
+    carriers = set()
+    for (su, sv, _) in s.edge_list_global():
+        options = [(u, v) for (u, v) in f_edges if {branch_of[u], branch_of[v]} == {su, sv}]
         if not options:
             raise InvalidBranchSets(f"no F'-edge between branch sets of S-edge ({su},{sv})")
-        carrier[(su, sv)] = options[0]
+        carriers.add(options[0])
 
-    s_adj = {frozenset((i, s.a_count + j)) for (i, j) in s.edges}
     for (u, v) in f_edges:
         bu, bv = branch_of[u], branch_of[v]
         cu, cv = colour_f[u], colour_f[v]
-        if bu is None or bv is None:
-            # B_0 involvement: connect everything with weight 1.
-            for a in range(sizes[cu]):
-                for b in range(sizes[cv]):
-                    g.set_weight((cu, a), (cv, b), Fraction(1))
-        elif bu == bv:
+        if bu is not None and bu == bv:
             # Inside one branch set: copies stay coherent.
             for a in range(n):
                 g.set_weight((cu, a), (cv, a), Fraction(1))
-        elif frozenset((bu, bv)) in s_adj:
-            key = (bu, bv) if (bu, bv) in carrier else (bv, bu)
-            is_carrier = carrier[key] in ((u, v), (v, u))
-            for a in range(n):
-                for b in range(n):
-                    if is_carrier:
-                        g.set_weight((cu, a), (cv, b), y.get((bu + 1, a), (bv + 1, b)))
-                    else:
-                        g.set_weight((cu, a), (cv, b), Fraction(1))
-        else:
-            # Branch sets of non-adjacent S-vertices: plain weight 1.
-            for a in range(n):
-                for b in range(n):
-                    g.set_weight((cu, a), (cv, b), Fraction(1))
+            continue
+        # Across branch sets or to B_0: the carrier takes y, all else weight 1.
+        for a in range(sizes[cu]):
+            for b in range(sizes[cv]):
+                w = y.get((bu + 1, a), (bv + 1, b)) if (u, v) in carriers else Fraction(1)
+                g.set_weight((cu, a), (cv, b), w)
     return g
 
 
@@ -492,18 +471,9 @@ def check_quotient_identity(f: BipartiteMultigraph, g: WeightedHost) -> bool:
 
 def _sub_multisets_all(edges: Sequence[Tuple[Tuple[int, int], int]]):
     """All sub-multiset choices, with binomial weights."""
-    def rec(idx: int, chosen: List[Tuple[Tuple[int, int], int]], weight: int):
-        if idx == len(edges):
-            yield list(chosen), weight
-            return
-        edge, mult = edges[idx]
-        for take in range(0, mult + 1):
-            if take:
-                chosen.append((edge, take))
-            yield from rec(idx + 1, chosen, weight * comb(mult, take))
-            if take:
-                chosen.pop()
-    yield from rec(0, [], 1)
+    for takes in itertools.product(*(range(mult + 1) for _, mult in edges)):
+        yield ([(edge, take) for (edge, _), take in zip(edges, takes) if take],
+               prod(comb(mult, take) for (_, mult), take in zip(edges, takes)))
 
 
 def _matches_base(edge_list: Sequence[Tuple[int, int, int]], colour_of: Mapping[int, int],
@@ -522,8 +492,8 @@ def _matches_base(edge_list: Sequence[Tuple[int, int, int]], colour_of: Mapping[
         key = frozenset(((cu, 0), (cv, 1))) if cu == cv else frozenset((cu, cv))
         coloured_edges[key] = coloured_edges.get(key, 0) + mult
     wanted: Dict[frozenset, int] = {}
-    for (i, j) in s.edges:
-        key = frozenset((i + 1, s.a_count + j + 1))
+    for (u, v, _) in s.edge_list_global():
+        key = frozenset((u + 1, v + 1))
         wanted[key] = wanted.get(key, 0) + 1
     if coloured_edges != wanted:
         return False

@@ -17,7 +17,7 @@ from symcirc.circuit import (
     var_name,
 )
 from symcirc.errors import InvalidParameter, MissingVariable, ParseError, SizeCap
-from symcirc.exactnum import SparsePolynomial, rat
+from symcirc.exactnum import SparsePolynomial
 
 
 def _plus_xy():
@@ -115,7 +115,7 @@ def test_expand_cap(monkeypatch):
 
 def _random_circuit(rng: random.Random) -> Circuit:
     b = CircuitBuilder()
-    pool = [b.var(f"x_{i}_{j}") for i in (1, 2) for j in (1, 2)] + [b.const(1), b.const(rat(2, 3))]
+    pool = [b.var(f"x_{i}_{j}") for i in (1, 2) for j in (1, 2)] + [b.const(1), b.const(Fraction(2, 3))]
     out = pool[0]
     for _ in range(rng.randint(1, 10)):
         size = rng.randint(1, 3)
@@ -140,9 +140,9 @@ def test_serialize_round_trip_random():
 
 def test_serialize_constant_circuit():
     b = CircuitBuilder()
-    c = b.finish(b.const(rat(7, 5)))
+    c = b.finish(b.const(Fraction(7, 5)))
     again = Circuit.deserialize(c.serialize())
-    assert again.evaluate({}) == rat(7, 5)
+    assert again.evaluate({}) == Fraction(7, 5)
 
 
 def test_deserialize_rejects_garbage():
@@ -164,8 +164,8 @@ def test_to_dot():
 def test_unique_input_gates():
     b = CircuitBuilder()
     assert b.var("x") == b.var("x")
-    assert b.const(2) == b.const(rat(2))
-    assert b.const(rat(1, 2)) != b.const(rat(2, 1))
+    assert b.const(2) == b.const(Fraction(2))
+    assert b.const(Fraction(1, 2)) != b.const(Fraction(2, 1))
 
 
 def test_evaluation_matches_expansion_on_random_circuits():
@@ -178,14 +178,6 @@ def test_evaluation_matches_expansion_on_random_circuits():
             full = dict(a)
             assert c.evaluate(full) == poly.evaluate({v: full.get(v, Fraction(0))
                                                       for v in poly.variables})
-
-
-def test_depth_metric():
-    b = CircuitBuilder()
-    inner = b.plus([(b.var("x"), 1)])
-    outer = b.times([(inner, 1), (b.var("y"), 1)])
-    c = b.finish(outer)
-    assert c.depth() == 2
 
 
 def _past_kernel_threshold(c, assignment):

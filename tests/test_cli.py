@@ -594,3 +594,31 @@ def test_emitting_an_int_too_long_to_print_raises_size_cap(tmp_path):
     for data in (huge, [huge], {"v": huge}, [("L", huge)], [("L", 1), ("L", huge)]):
         with pytest.raises(SizeCap, match="digit limit"):
             cli._emit(data, str(tmp_path / "out.json"))
+
+
+
+ONE, TWO = {"num": "1", "den": "1"}, {"num": "2", "den": "1"}
+
+
+def test_repeated_edge_rows_add_multiplicities(capsys, tmp_path):
+    """As repeated wires do in a circuit file; a row below multiplicity 1 exits 2."""
+    host = _write(tmp_path, "host.json", {"n": 1, "m": 1, "weights": [[1, 1, TWO]]})
+    for edges, value in (([[1, 1, 1]], "2"), ([[1, 1, 1], [1, 1, 1]], "4"), ([[1, 1, 2]], "4")):
+        graph = _write(tmp_path, "g.json", {"a": 1, "b": 1, "edges": edges})
+        code, out, _ = _run(capsys, "oracle", "hom", "--pattern", graph, "--host", host)
+        assert code == 0 and json.loads(out)["value"] == {"num": value, "den": "1"}, edges
+    zero = _write(tmp_path, "zero.json", {"a": 1, "b": 1, "edges": [[1, 1, 1], [1, 1, 0]]})
+    code, out, err = _run(capsys, "oracle", "hom", "--pattern", zero, "--host", host)
+    assert (code, out) == (2, "") and "multiplicity below 1" in err
+
+
+def test_repeated_weight_rows_exit_2(capsys, tmp_path):
+    """A host entry, or a coloured pair in either orientation, given twice."""
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    twice = _write(tmp_path, "twice.json", {"n": 1, "m": 1, "weights": [[1, 1, ONE], [1, 1, TWO]]})
+    code, out, err = _run(capsys, "oracle", "hom", "--pattern", p2, "--host", twice)
+    assert (code, out) == (2, "") and "(1, 1) is given twice" in err
+    for rows in ([[1, 1, 2, 1, ONE], [1, 1, 2, 1, TWO]], [[1, 1, 2, 1, ONE], [2, 1, 1, 1, TWO]]):
+        coloured = _write(tmp_path, "c.json", {"sizes": {"1": 1, "2": 1}, "weights": rows})
+        code, out, err = _run(capsys, "oracle", "colhom", "--pattern", p2, "--host", coloured)
+        assert (code, out) == (2, "") and "is given twice" in err, rows

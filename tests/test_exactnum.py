@@ -12,7 +12,6 @@ from symcirc.exactnum import (
     exact_det,
     poly_equal_symbolic,
     poly_eval,
-    rat,
     int_from_json,
     rational_from_json,
     rational_to_json,
@@ -27,7 +26,21 @@ ZERO = SparsePolynomial((), {})
 def test_poly_eval_examples():
     assert poly_eval(x_plus_y, {"x": 1, "y": 1}) == 2
     assert poly_eval(ZERO, {"x": 7}) == 0
-    assert poly_eval(SparsePolynomial(["x"], {(2,): 1}), {"x": rat(3, 2)}) == rat(9, 4)
+    assert poly_eval(SparsePolynomial(["x"], {(2,): 1}), {"x": Fraction(3, 2)}) == Fraction(9, 4)
+
+
+def test_exponents_follow_the_given_variable_order():
+    p = SparsePolynomial(["y", "x"], {(1, 0): 1, (2, 3): Fraction(1, 2)})
+    assert p.variables == ("x", "y")
+    assert p.terms == {(0, 1): 1, (3, 2): Fraction(1, 2)}
+    assert poly_eval(p, {"x": 2, "y": 3}) == 3 + Fraction(8 * 9, 2)
+
+
+def test_coefficients_must_be_exact():
+    assert SparsePolynomial(["x"], {(1,): Fraction(4, 2)}).terms == {(1,): 2}
+    for bad in (0.1, "1/3", None):
+        with pytest.raises(InvalidParameter, match="not an int or a Fraction"):
+            SparsePolynomial(["x"], {(1,): bad})
 
 
 def test_poly_eval_missing_variable():
@@ -69,7 +82,7 @@ def _random_poly(rng, names, max_degree=4, max_terms=6):
 
 
 def test_rational_json_codec():
-    for value in (0, 7, -3, rat(-5, 6), Fraction(10 ** 30, 7)):
+    for value in (0, 7, -3, Fraction(-5, 6), Fraction(10 ** 30, 7)):
         data = rational_to_json(value)
         assert set(data) == {"num", "den"} and all(isinstance(v, str) for v in data.values())
         assert rational_from_json(data) == value

@@ -18,7 +18,12 @@ digest recorded when the test was written:
     circuits summed with a copy of themselves (not rigid, so `rigidify`
     merges gates);
   * the census: the JSON of every graph that `enumerate_bipartite_multigraphs`
-    returns for (6, 8, max_mult=2) and (7, 12, max_mult=1), in order.
+    returns for (6, 8, max_mult=2) and (7, 12, max_mult=1), in order;
+  * reductions: the exit code and stdout of `symcirc reduce` for every gadget
+    and pipeline but extract-lincomb, and of `verify identity` for the gadget
+    and minor suites, at seeds 1-3; the weights, in insertion order, of
+    `minor_gadget`, `btree_vp_gadget` and `path_vbp_gadget` on seeded hosts;
+    and `_sub_multisets_all` over every multigraph of the `SMALL` census.
 
 A digest is re-recorded only when a change of construction is meant to change
 its outputs, with the old and new outputs compared first.  `compile_single`,
@@ -36,14 +41,17 @@ import io
 import itertools
 import json
 import random
+from fractions import Fraction
 
-from symcirc import cli, compilers, width
+from symcirc import cli, compilers, reduce, width
 from symcirc.circuit import CircuitBuilder
-from symcirc.oracle import hom_to_emb_terms
+from symcirc.oracle import ColouredGraph, hom_to_emb_terms
 from symcirc.pattern import (
     enumerate_bipartite_multigraphs,
+    find_minor,
     make_complete_bipartite,
     make_cycle,
+    make_grid,
     make_path,
     quotient,
 )
@@ -61,6 +69,7 @@ EXPECTED = {
     "contraction": "3aad9159d5fb935e84db881050f56737910d375bd84ed4b2d06ff059de952534",
     "analyze": "89a8090be7d23bd94564629d7cb79b16c92b3dac292ec29c915ca51999b513dc",
     "census": "032ba7cdd4f5bda6f72c87d02a67f88d8b417385ddb18040c51a0a602366a9f8",
+    "reduce": "d4629e59d9964d69aad5a11f2e66736dd5c334b893c695c7494222855dad663b",
 }
 
 
@@ -162,6 +171,54 @@ def _suite_chunks():
     yield out.getvalue().encode("utf-8")
 
 
+def _cli_chunk(*argv) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.run(list(argv))
+    return f"{code}\n{out.getvalue()}".encode("utf-8")
+
+
+def _reduce_chunks(tmp_path):
+    files = {}
+    for name, g in (("p2", make_path(2)), ("p3", make_path(3)), ("c4", make_cycle(4)),
+                    ("grid23", make_grid(2, 3))):
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(g.to_json()), encoding="utf-8")
+    gadgets = [("clique-grid", "1"), ("clique-grid", "2"), ("btree", "1"),
+               ("path", "1"), ("path", "2"), ("path", "3")]
+    pipelines = [("minor", "2", "p2", "p3"), ("minor", "2", "c4", "grid23"),
+                 ("minor", "2", "c4", "p3"), ("extract-subgraph", "1", "p2", "p3"),
+                 ("extract-minor", "1", "p3", "c4")]
+    for seed in ("1", "2", "3"):
+        for gadget, n in gadgets:
+            yield _cli_chunk("--seed", seed, "reduce", gadget, "--n", n)
+        for gadget, n, s, f in pipelines:
+            yield _cli_chunk("--seed", seed, "reduce", gadget, "--n", n,
+                             "--minor-pattern", str(files[s]), "--host-pattern", str(files[f]))
+        for name in ("gadgets", "minor"):
+            yield _cli_chunk("--seed", seed, "verify", "identity", "--name", name)
+    rng = random.Random(9)
+    for s, fprime in ((make_path(2), make_path(3)), (make_cycle(4), make_grid(2, 3))):
+        branch = find_minor(s, fprime)
+        pairs = [(u + 1, v + 1) for (u, v, _) in s.edge_list_global()]
+        for n in (1, 2):
+            y = ColouredGraph.random({v + 1: n for v in s.vertices()}, pairs, rng)
+            yield repr(list(reduce.minor_gadget(fprime, s, branch, n, y).weights.items())).encode("utf-8")
+
+    def family(size):
+        x = {i: Fraction(rng.randint(-2, 2)) for i in range(1, size + 1)}
+        y = {(i, j): Fraction(rng.randint(-2, 2)) for i in range(1, size + 1)
+             for j in range(i, size + 1)}
+        return x, y
+
+    for m in (1, 2):
+        yield repr(list(reduce.btree_vp_gadget(m, *family(m ** 6)).weights.items())).encode("utf-8")
+    for m in (1, 2, 3):
+        yield repr(list(reduce.path_vbp_gadget(m, *family(m ** 2)).weights.items())).encode("utf-8")
+    for f in SMALL:
+        yield repr(list(reduce._sub_multisets_all(sorted(f.edges.items())))).encode("utf-8")
+
+
 def test_sample_sizes():
     assert (len(SAMPLE), len(SIMPLE), len(SMALL)) == (133, 163, 206)
 
@@ -192,3 +249,7 @@ def test_symmetry_analysis_unchanged():
 
 def test_census_unchanged():
     assert _digest(_census_chunks()) == EXPECTED["census"]
+
+
+def test_reductions_unchanged(tmp_path):
+    assert _digest(_reduce_chunks(tmp_path)) == EXPECTED["reduce"]
