@@ -565,7 +565,10 @@ class CircuitBuilder:
         key = ("var", name)
         return self._add(key, {}, key)
 
-    def const(self, value) -> int:
+    def const(self, value: Rational) -> int:
+        """The constant gate of an int or a Fraction; InvalidParameter for
+        anything else, such as a float or a bool."""
+        common_denominator((value,))
         key = ("const", Fraction(value))
         return self._add(key, {}, key)
 
@@ -585,10 +588,17 @@ class CircuitBuilder:
             acc[child] = acc.get(child, 0) + mult
         if not acc:
             raise InvalidParameter(f"{label[0]} gate needs at least one child")
+        return self.intern(label[0], acc)
+
+    def intern(self, kind: str, wires: Dict[int, int]) -> int:
+        """The `kind` gate over `wires` (child -> multiplicity, each child a
+        gate this builder returned and each multiplicity >= 1, which are not
+        checked again): new on every call, or with share=True the gate
+        already built with this label and these wires."""
         if not self._share:
-            return self._add((label[0],), acc)
-        key = (label[0], tuple(sorted(acc.items())))
-        return self._add((label[0],), dict(key[1]), key)
+            return self._add((kind,), wires)
+        key = (kind, tuple(sorted(wires.items())))
+        return self._add((kind,), dict(key[1]), key)
 
     def copy(self, circuit: Circuit) -> List[int]:
         """Copy `circuit` in topological order; returns the builder gate of

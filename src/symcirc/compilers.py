@@ -42,18 +42,28 @@ of a sum fix different images h of a vertex with an edge, so they differ in
 their least degree in row (or column) h.  `compile_lincomb` tags its terms
 alike, so it is rigid too.  The bag tables are built into a sharing
 `CircuitBuilder`, children first, so each gate is keyed by its label and
-merged children, and a forget gate that many labellings need is built once.
-No two gates then share a signature, so the tables are rigid as built and no
-table is rigidified.  `compile_certificate` and `compile_lincomb` raise if
-`is_rigid` disagrees.
+merged children.  No two gates then share a signature, so the tables are
+rigid as built and no table is rigidified.  `compile_certificate` and
+`compile_lincomb` raise if `is_rigid` disagrees.
+
+A bag's labellings are image tuples over its sorted vertices, enumerated in
+lexicographic order, and each labelling costs dict lookups: a child's
+entries are grouped, and a parent labelling projected, through the
+precomputed positions of the vertices the two bags share; the forget gate of
+each (child, projection) is built by one `plus` call when a labelling first
+needs it; the variable gate of each (edge, image pair) is interned once per
+compile (the formula uses the same table); and a product's wires are merged
+in one dict and interned through `CircuitBuilder.intern`.  Every gate is
+created at its first use, as a construction calling the builder for every
+labelling would create it, so the gate ids are the same.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .circuit import (
@@ -62,6 +72,7 @@ from .circuit import (
     FORMULA_MULTI,
     GENERAL,
     SKEW,
+    TIMES,
     _run_nested,
     colour_var_name,
     var_name,
@@ -71,7 +82,7 @@ from .errors import (
     InvalidEliminationTree,
     InvalidParameter,
 )
-from .exactnum import Rational
+from .exactnum import Rational, common_denominator
 from .pattern import BipartiteMultigraph, SIDE_A
 from .symmetry import is_rigid
 # Not called here: perfbench/test_perfbench.py wraps `compilers.rigidify`.
@@ -182,26 +193,29 @@ def _exact_certificate(f: BipartiteMultigraph, shape: str):
 # -- constructions ----------------------------------------------------------------------
 
 
-def _edge_factors(f: BipartiteMultigraph, builder: CircuitBuilder, varmap, images: Mapping[int, int],
-                  edges: Sequence[Tuple[int, int, int]]) -> Dict[int, int]:
-    """Accumulated (gate -> multiplicity) for edge variables under `images`."""
-    factors: Dict[int, int] = {}
-    for (a_g, b_g, mult) in edges:
-        gid = builder.var(varmap(a_g, images[a_g], b_g, images[b_g]))
-        factors[gid] = factors.get(gid, 0) + mult
-    return factors
+class _Memo(dict):
+    """A dict that computes the value of a missing key once, as `make(key)`."""
+
+    def __init__(self, make: Callable):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
-def _labellings(vertices: Sequence[int], ranges) -> List[Tuple[Tuple[int, int], ...]]:
-    """All image assignments of `vertices`, 1-based, in lexicographic order."""
-    vs = sorted(vertices)
-    return [tuple(zip(vs, images)) for images in itertools.product(*[range(1, ranges(v) + 1) for v in vs])]
+def _edge_variables(builder: CircuitBuilder, varmap) -> _Memo:
+    """The variable gate of each edge under each image pair, keyed by
+    (a_global, a_img, b_global, b_img) and built on its first use."""
+    return _Memo(lambda key: builder.var(varmap(*key)))
 
 
 def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
                          ranges, varmap) -> Circuit:
     builder = CircuitBuilder()
     const1 = builder.const(1)
+    edge_vars = _edge_variables(builder, varmap)
 
     iso = set(f.isolated_vertices())
     constant = math.prod(ranges(v) for v in iso)
@@ -230,7 +244,10 @@ def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
         for h in range(1, ranges(u) + 1):
             images = dict(gamma)
             images[u] = h
-            factors = _edge_factors(f, builder, varmap, images, adj_edges[u])
+            factors: Dict[int, int] = {}
+            for (a_g, b_g, mult) in adj_edges[u]:
+                gid = edge_vars[a_g, images[a_g], b_g, images[b_g]]
+                factors[gid] = factors.get(gid, 0) + mult
             parts = sorted(factors.items())
             for idx, v in enumerate(kids):
                 sub = yield gate_for(v, images)
@@ -256,43 +273,58 @@ def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
 def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, varmap) -> Circuit:
     builder = CircuitBuilder(share=True)
     const1 = builder.const(1)
+    edge_vars = _edge_variables(builder, varmap)
     children = deco.children()
-    # Charge each edge to its smallest-index covering node.
-    assignment: Dict[int, List[Tuple[int, int, int]]] = {i: [] for i in range(len(deco.bags))}
+    bags = [sorted(bag) for bag in deco.bags]
+    # Charge each edge to its smallest-index covering node, as (a, position
+    # of a in the bag, b, position of b, multiplicity).
+    assignment: Dict[int, List[Tuple[int, int, int, int, int]]] = {i: [] for i in range(len(bags))}
     for (a_g, b_g, mult) in f.edge_list_global():
         idx = next(k for k, bag in enumerate(deco.bags) if a_g in bag and b_g in bag)
-        assignment[idx].append((a_g, b_g, mult))
+        assignment[idx].append((a_g, bags[idx].index(a_g), b_g, bags[idx].index(b_g), mult))
 
     def table_for(t: int):
-        bag = deco.bags[t]
-        child_groups = []
+        """Node t's gate per labelling of its bag, keyed by the image tuple
+        over the sorted bag, in lexicographic order."""
+        bag = bags[t]
+        kids = []
         for ch in sorted(children[t]):
             sub = yield table_for(ch)
+            shared = [v for v in bags[ch] if v in deco.bags[t]]
+            project = _projection([bags[ch].index(v) for v in shared])
             groups: Dict = {}
-            for phi, gid in sub.items():
-                key = tuple((v, img) for v, img in phi if v in bag)
-                groups.setdefault(key, []).append(gid)
-            child_groups.append((deco.bags[ch], groups))
+            for images, gid in sub.items():
+                groups.setdefault(project(images), []).append(gid)
+            # The forget gate of each projection, built when a labelling first needs it.
+            forgets = _Memo(lambda key, groups=groups: builder.plus([(g, 1) for g in groups[key]]))
+            kids.append((_projection([bag.index(v) for v in shared]), forgets))
+        edges = assignment[t]
         table: Dict = {}
-        for phi in _labellings(sorted(bag), ranges):
-            images = dict(phi)
-            factors = _edge_factors(f, builder, varmap, images, assignment[t])
-            parts = sorted(factors.items())
-            for child_bag, groups in child_groups:
-                key = tuple((v, img) for v, img in phi if v in child_bag)
-                forget = builder.plus([(g, 1) for g in groups[key]])
-                parts.append((forget, 1))
-            if not parts:
-                table[phi] = const1
-            elif len(parts) == 1 and parts[0][1] == 1:
-                table[phi] = parts[0][0]
+        for images in itertools.product(*[range(1, ranges(v) + 1) for v in bag]):
+            wires: Dict[int, int] = {}
+            for (a_g, a_pos, b_g, b_pos, mult) in edges:
+                gid = edge_vars[a_g, images[a_pos], b_g, images[b_pos]]
+                wires[gid] = wires.get(gid, 0) + mult
+            for project, forgets in kids:
+                gid = forgets[project(images)]
+                wires[gid] = wires.get(gid, 0) + 1
+            if not wires:
+                table[images] = const1
+            elif len(wires) == 1 and 1 in wires.values():
+                table[images] = next(iter(wires))
             else:
-                table[phi] = builder.times(parts)
+                table[images] = builder.intern(TIMES, wires)
         return table
 
     root_table = _run_nested(table_for(deco.root))
-    output = builder.plus([(gid, 1) for _, gid in sorted(root_table.items())])
+    output = builder.plus([(gid, 1) for gid in root_table.values()])
     return builder.finish(output)
+
+
+def _projection(positions: Sequence[int]) -> Callable[[Tuple[int, ...]], Hashable]:
+    """The function taking an image tuple to the key of its entries at
+    `positions`: their tuple, or the entry itself at a single position."""
+    return operator.itemgetter(*positions) if positions else lambda images: ()
 
 
 # -- shape-driven entry points ------------------------------------------------------------------
@@ -310,6 +342,7 @@ def compile_lincomb(terms: Sequence[Tuple[Rational, BipartiteMultigraph]],
     """Weighted sum of per-pattern circuits with distinguishing 1^tag factors."""
     if not terms:
         raise InvalidParameter("linear combinations need at least one term")
+    common_denominator([alpha for alpha, _ in terms])  # InvalidParameter unless ints or Fractions
     reports = [compile_single(f, n, m, shape) for _, f in terms]
     builder = CircuitBuilder()
     const1 = builder.const(1)
@@ -317,7 +350,7 @@ def compile_lincomb(terms: Sequence[Tuple[Rational, BipartiteMultigraph]],
     for idx, ((alpha, _), report) in enumerate(zip(terms, reports)):
         root = builder.copy(report.circuit)[report.circuit.output]
         parts = [(root, 1), (const1, idx + 1)]
-        if Fraction(alpha) != 1:
+        if alpha != 1:
             parts.append((builder.const(alpha), 1))
         tagged.append((builder.times(parts), 1))
     circuit = builder.finish(builder.plus(tagged))

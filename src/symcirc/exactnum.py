@@ -91,11 +91,12 @@ def rational_from_json(data) -> Rational:
 
 def common_denominator(values: Iterable) -> int:
     """The lcm of the denominators of `values`, which must be ints or
-    Fractions; InvalidParameter names the first value that is neither."""
+    Fractions; InvalidParameter names the first value that is neither.  A
+    bool is not an int here, as in `int_from_json`."""
     den = 1
     for v in values:
         if type(v) is not int:
-            if not isinstance(v, (int, Fraction)):
+            if type(v) is bool or not isinstance(v, (int, Fraction)):
                 raise InvalidParameter(f"not an int or a Fraction: {v!r}")
             if den % v.denominator:
                 den = lcm(den, v.denominator)

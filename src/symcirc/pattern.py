@@ -45,9 +45,9 @@ class BipartiteMultigraph:
         for (i, j), mult in (edges or {}).items():
             if not (0 <= i < a_count and 0 <= j < b_count):
                 raise InvalidParameter(f"edge ({i},{j}) out of range")
-            if mult < 1:
-                raise InvalidParameter("edge multiplicities must be >= 1")
-            self.edges[(i, j)] = int(mult)
+            if type(mult) is not int or mult < 1:
+                raise InvalidParameter(f"edge multiplicities must be ints >= 1, not {mult!r}")
+            self.edges[(i, j)] = mult
 
     # -- basic queries -------------------------------------------------------
 

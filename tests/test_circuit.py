@@ -59,6 +59,14 @@ def test_builder_rejects_unknown_gate_labels():
         b.finish(out)
 
 
+def test_constants_must_be_exact():
+    b = CircuitBuilder()
+    assert b.labels[b.const(Fraction(4, 2))] == ("const", 2)
+    for bad in (0.1, "1/3", True, None):
+        with pytest.raises(InvalidParameter, match="not an int or a Fraction"):
+            b.const(bad)
+
+
 def test_shape_implications():
     rng = random.Random(2)
     for _ in range(25):
@@ -232,6 +240,16 @@ def test_one_kernel_serves_int_and_fraction_points(monkeypatch):
         assert got == interpreted == point["x"] ** 2 * point["y"] + 3 * point["x"] + 5
         assert type(got) is type(interpreted)
     assert len(builds) == 1
+
+
+def test_bool_inputs_are_rejected_in_both_tiers():
+    b = CircuitBuilder()
+    c = b.finish(b.times([(b.var("x_1_1"), 1)]))
+    with pytest.raises(InvalidParameter, match="not an int or a Fraction: True"):
+        c.evaluate({"x_1_1": True})
+    assert _past_kernel_threshold(c, {"x_1_1": 3}) == (3, 3)
+    with pytest.raises(InvalidParameter, match="not an int or a Fraction: True"):
+        c.evaluate({"x_1_1": True})
 
 
 def test_kernel_source_holds_no_variable_names():

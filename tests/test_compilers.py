@@ -1,13 +1,14 @@
 """Compilers against the brute-force oracle and their shape/symmetry contracts."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from symcirc import compilers, oracle, symmetry, width
-from symcirc.circuit import FORMULA_MULTI, GENERAL, SKEW
+from symcirc.circuit import CircuitBuilder, FORMULA_MULTI, GENERAL, SKEW
 from symcirc.errors import InvalidDecomposition, InvalidEliminationTree, InvalidParameter
 from symcirc.exactnum import SparsePolynomial, add_terms
 from symcirc.oracle import ColouredGraph, WeightedHost
@@ -268,12 +269,67 @@ def test_compile_certificate_of_a_deep_chain_forest():
     assert rep.circuit.evaluate({"x_1_1": Fraction(1)}) == 1
 
 
+def _reference_bag_tables(f, deco, ranges, varmap):
+    """The bag-table program written directly: tables keyed by tuples of
+    (vertex, image) pairs, and one builder call per edge variable, forget
+    gate and product of every labelling.  The compiler must build the same
+    circuit, gate for gate."""
+    builder = CircuitBuilder(share=True)
+    const1 = builder.const(1)
+    children = deco.children()
+    assignment = {i: [] for i in range(len(deco.bags))}
+    for (a_g, b_g, mult) in f.edge_list_global():
+        idx = next(k for k, bag in enumerate(deco.bags) if a_g in bag and b_g in bag)
+        assignment[idx].append((a_g, b_g, mult))
+
+    def table_for(t):
+        bag = deco.bags[t]
+        child_groups = []
+        for ch in sorted(children[t]):
+            groups = {}
+            for phi, gid in table_for(ch).items():
+                groups.setdefault(tuple((v, img) for v, img in phi if v in bag), []).append(gid)
+            child_groups.append((deco.bags[ch], groups))
+        table = {}
+        vs = sorted(bag)
+        for images in itertools.product(*[range(1, ranges(v) + 1) for v in vs]):
+            phi = tuple(zip(vs, images))
+            image = dict(phi)
+            factors = {}
+            for (a_g, b_g, mult) in assignment[t]:
+                gid = builder.var(varmap(a_g, image[a_g], b_g, image[b_g]))
+                factors[gid] = factors.get(gid, 0) + mult
+            parts = sorted(factors.items())
+            for child_bag, groups in child_groups:
+                key = tuple((v, img) for v, img in phi if v in child_bag)
+                parts.append((builder.plus([(g, 1) for g in groups[key]]), 1))
+            if not parts:
+                table[phi] = const1
+            elif len(parts) == 1 and parts[0][1] == 1:
+                table[phi] = parts[0][0]
+            else:
+                table[phi] = builder.times(parts)
+        return table
+
+    root_table = table_for(deco.root)
+    return builder.finish(builder.plus([(gid, 1) for _, gid in sorted(root_table.items())]))
+
+
+def _assert_bag_tables_match_reference(f, cert, ranges, varmap):
+    tree = cert.as_tree() if isinstance(cert, width.PathDecomposition) else cert
+    got = compilers._general_from_tree(f, tree, ranges, varmap).serialize()
+    assert got == _reference_bag_tables(f, tree, ranges, varmap).serialize(), f.to_json()
+
+
 def _check_bag_table_is_shared(f, deco, n, m):
     """The bag-table compile is rigid, has its shape, repeats no internal gate
-    (label and children), and is a fixpoint of `rigidify`: returned as it is
-    unless formula-shaped, which `rigidify` rebuilds as a tree."""
+    (label and children), is a fixpoint of `rigidify` (returned as it is
+    unless formula-shaped, which `rigidify` rebuilds as a tree), and is
+    byte-identical to the reference construction."""
     report = compilers.compile_certificate(f, deco, n, m)
     c, where = report.circuit, (f.to_json(), n, m)
+    _assert_bag_tables_match_reference(f, deco, compilers._matrix_ranges(f, n, m),
+                                       compilers._matrix_varmap)
     assert symmetry.is_rigid(c), where
     assert c.validate(report.shape)[0], where
     keys = [(c.labels[g], tuple(sorted(c.children[g].items())))
@@ -307,6 +363,58 @@ def test_bag_tables_are_built_shared_at_every_host_size_and_certificate():
             for deco in decos:
                 assert width.validate_decomposition(f, deco)[0]
                 _check_bag_table_is_shared(f, deco, n, m)
+
+
+def test_colourful_bag_tables_match_the_reference():
+    rng = random.Random(31)
+    for f in enumerate_bipartite_multigraphs(5, 6, max_mult=2)[::9]:
+        colours = list(f.vertices())
+        rng.shuffle(colours)
+        for colouring in ({v: v for v in f.vertices()}, dict(zip(f.vertices(), colours))):
+            for shape, n in itertools.product(("pw", "tw"), (1, 2, 3)):
+                report = compilers.compile_colourful(f, colouring, n, shape)
+                cert = compilers._exact_certificate(f, shape)[1]
+                tree = cert.as_tree() if shape == "pw" else cert
+                want = _reference_bag_tables(f, tree, lambda v: n, compilers._colour_varmap(colouring))
+                assert report.circuit.serialize() == want.serialize(), (f.to_json(), colouring)
+
+
+def test_bag_tables_call_plus_once_per_forget_gate_and_once_for_the_output(monkeypatch):
+    """Each (child, projection of a parent labelling onto the shared bag
+    vertices) gets one `plus` call, whatever the number of parent labellings
+    that need it."""
+    calls = []
+    plus = CircuitBuilder.plus
+
+    def counted(self, children):
+        calls.append(children)
+        return plus(self, children)
+
+    monkeypatch.setattr(CircuitBuilder, "plus", counted)
+    rng = random.Random(5)
+    cases = [(make_cycle(4), width.treewidth_exact(make_cycle(4))[1], 4, 3),
+             (make_path(5), width.pathwidth_exact(make_path(5))[1].as_tree(), 3, 2),
+             (make_complete_bipartite(2, 3), width.TreeDecomposition([frozenset(range(5))], [None]), 2, 2)]
+    for f in (make_grid(2, 3), make_complete_binary_tree(2)):
+        order = list(f.vertices())
+        rng.shuffle(order)
+        cases.append((f, width._decomposition_from_order(width._neighbourhood_unions(f.adjacency()),
+                                                          order), 2, 3))
+    for f, deco, n, m in cases:
+        ranges = compilers._matrix_ranges(f, n, m)
+        forgets = sum(math.prod(ranges(v) for v in deco.bags[t] & deco.bags[p])
+                      for t, p in enumerate(deco.parent) if p is not None)
+        calls.clear()
+        compilers._general_from_tree(f, deco, ranges, compilers._matrix_varmap)
+        assert len(calls) == forgets + 1, f.to_json()
+
+
+def test_lincomb_weights_must_be_exact():
+    assert compilers.compile_lincomb([(Fraction(6, 3), make_path(2))], 1, 1, "td") \
+        .circuit.evaluate({"x_1_1": 1}) == 2
+    for bad in (0.1, "1/3", True):
+        with pytest.raises(InvalidParameter, match="not an int or a Fraction"):
+            compilers.compile_lincomb([(bad, make_path(2))], 1, 1, "td")
 
 
 def test_lincomb_orbit_bound():

@@ -38,7 +38,7 @@ def test_exponents_follow_the_given_variable_order():
 
 def test_coefficients_must_be_exact():
     assert SparsePolynomial(["x"], {(1,): Fraction(4, 2)}).terms == {(1,): 2}
-    for bad in (0.1, "1/3", None):
+    for bad in (0.1, "1/3", None, True):
         with pytest.raises(InvalidParameter, match="not an int or a Fraction"):
             SparsePolynomial(["x"], {(1,): bad})
 

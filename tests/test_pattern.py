@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -199,6 +200,13 @@ def test_minor_witness_validates_exhaustively():
         witness = find_minor(s, f)
         assert witness is not None
         assert witness.validate(s, f)
+
+
+def test_edge_multiplicities_must_be_ints_of_at_least_one():
+    assert BipartiteMultigraph(1, 1, {(0, 0): 2}).edges == {(0, 0): 2}
+    for bad in (1.5, 1.0, True, Fraction(2), "2", 0, -1):
+        with pytest.raises(InvalidParameter, match="edge multiplicities must be ints >= 1"):
+            BipartiteMultigraph(1, 1, {(0, 0): bad})
 
 
 def test_graph_json_round_trip():
