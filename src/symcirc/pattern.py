@@ -37,8 +37,9 @@ class BipartiteMultigraph:
     __slots__ = ("a_count", "b_count", "edges")
 
     def __init__(self, a_count: int, b_count: int, edges: Dict[Tuple[int, int], int] | None = None):
-        if a_count < 0 or b_count < 0:
-            raise InvalidParameter("vertex counts must be non-negative")
+        for count in (a_count, b_count):
+            if type(count) is not int or count < 0:
+                raise InvalidParameter(f"vertex counts must be ints >= 0, not {count!r}")
         self.a_count = a_count
         self.b_count = b_count
         self.edges: Dict[Tuple[int, int], int] = {}

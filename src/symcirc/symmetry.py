@@ -36,11 +36,11 @@ Rigidification merges interchangeable gates by a copy into a sharing
 and skew circuits the copy is the result; a formula is rebuilt from it with
 equal siblings merged (summing wire multiplicities), which keeps the internal
 gates a tree.  Both reach a rigid fixpoint in one pass, never grow the
-circuit, and preserve skewness.  A circuit that is not a formula and that the
-copy would give back byte for byte (its ids are its topological order and no
-two gates share a label and children) is returned as it is.  Any other input
-is not: where supports are not unique the canonical one depends on the gate
-numbering, so only the copy's own numbering is kept.  The copy keeps the
+circuit, and preserve skewness.  A circuit that is rigid by structure (a
+formula whose siblings differ in signature or multiplicity, any other
+circuit whose gates differ in label or children) is returned as it is, with
+its own numbering: no analysis result depends on the numbering.  Any other
+input is copied, and the copy merges gates.  The copy keeps the
 image phi(g) of each gate g of its input, and one walk over the input's
 wires proves it: g and phi(g) have one label, g's wires summed over children
 of equal image are exactly phi(g)'s, and the output maps to the output.  By
@@ -49,13 +49,11 @@ so the polynomial is preserved exactly, with no evaluation.
 
 Preconditions are checked where they are needed: rigidity by
 `SymmetryAnalysis` (from structure where `is_rigid` can), symmetry by its
-generator searches.  `analyze` rigidifies first and searches the generators
-of the rigidified circuit.  If `rigidify` kept the gate count, its output is
-the input renumbered (it never adds a gate, and its check proves that it maps
-the input's gates onto its own keeping labels and weighted wires), so a pair
-extends on one exactly when on the other.
-If it merged, `is_symmetric` checks the input first: a circuit that is not
-symmetric can have a symmetric rigidification.
+generator searches.  `analyze` builds one `_Extender` of its input, which
+`rigidify` and, for an input returned as it is, `SymmetryAnalysis` share,
+so its structure facts are computed once.  If `rigidify` merged gates,
+`is_symmetric` checks the input first: a circuit that is not symmetric can
+have a symmetric rigidification.
 
 Supports: sup(g) is the smallest S subseteq [n] disjoint-union [m] whose
 pointwise stabiliser Sym([n] - S_L) x Sym([m] - S_R) fixes the gate g.  On
@@ -65,7 +63,11 @@ complement lies in one class, and a minimal support is, on each side, the
 complement of a largest class.  The canonical one takes the lexicographically
 least such complement per side, which is the first minimal-size support in
 lexicographic order; it is returned together with a flag telling whether the
-smaller-than-half-side condition guaranteeing uniqueness holds.
+smaller-than-half-side condition guaranteeing uniqueness holds.  It is a
+function of the gate's stabiliser alone, so renumbering the gates of a
+circuit renumbers its supports and changes nothing else in its analysis.
+The classes are searched once per orbit and carried along it (see
+`SymmetryAnalysis.all_supports`).
 """
 
 from __future__ import annotations
@@ -317,13 +319,23 @@ class _Extender:
             return self._extend_formula(need, phi, count_limit, up, *tables)
         return self._extend_dag(phi, count_limit, order, *tables)
 
-    def is_rigid(self) -> bool:
-        """See `is_rigid`."""
+    @cached_property
+    def plain(self) -> bool:
+        """Whether the circuit is rigid by structure alone, and so its own
+        rigidification: for a formula, no two siblings share (signature,
+        wire multiplicity); for any other circuit, no two gates share a
+        structure key (`distinct`)."""
         if self.formula:
             sig = self.sig
             return all(len({(sig[ch], mult) for ch, mult in kids.items()}) == len(kids)
                        for kids in self.c.children)
-        return self.distinct or len(self.extend(self.side_pair("L", {}), count_limit=2)) <= 1
+        return self.distinct
+
+    @cached_property
+    def rigid(self) -> bool:
+        """See `is_rigid`; computed once per circuit."""
+        return self.plain or (not self.formula
+                              and len(self.extend(self.side_pair("L", {}), count_limit=2)) <= 1)
 
     def _extend_formula(self, need: List[int], phi: List[int], count_limit: int,
                         up: Set[int], kids: Dict, groups: Dict) -> List[List[int]]:
@@ -491,7 +503,11 @@ def extend_to_automorphism(c: Circuit, pair: PermutationPair) -> List[Dict[int, 
 def is_symmetric(c: Circuit, n: int, m: int) -> bool:
     """Whether every pair extends: on each side, the two generators of
     `_decisive_maps` do."""
-    extender = _Extender(c)
+    return _symmetric(_Extender(c), n, m)
+
+
+def _symmetric(extender: _Extender, n: int, m: int) -> bool:
+    """`is_symmetric` of the extender's circuit."""
     _check_matrix(extender, n, m)
     return all(None not in _decisive_maps(extender, side, size)
                for side, size in (("L", n), ("R", m)))
@@ -509,7 +525,7 @@ def is_rigid(c: Circuit) -> bool:
     preserves.  Otherwise a budgeted search looks for a second identity
     extension.
     """
-    return _Extender(c).is_rigid()
+    return _Extender(c).rigid
 
 
 # -- rigidification --------------------------------------------------------------
@@ -596,28 +612,29 @@ def _check_gate_map(c: Circuit, result: Circuit, image: Sequence[int]) -> None:
             raise InvalidParameter(f"rigidification changed gate {g}; this is a bug")
 
 
-def rigidify(c: Circuit) -> Circuit:
+def rigidify(c: Circuit, extender: Optional[_Extender] = None) -> Circuit:
     """A rigid circuit computing the same polynomial, never larger.
 
     Rigid whatever the input: after the DAG merge no two gates share a
     signature, after the formula merge no two siblings do.  Formulas stay
     trees on their internal gates, at worst acquiring multiedges; skew
-    circuits stay skew.  A circuit that is not formula-shaped and that the
-    DAG merge would copy byte for byte is returned as it is: its ids are its
-    topological order, which the copy numbers by, and no two gates share a
-    label and children (`_Extender.distinct`), so nothing merges.  Any other
-    result is proved against `c` through the image of each gate by one walk
-    over the wires (`_check_gate_map`).  InvalidParameter, naming the
-    violation, for a circuit that fails `validate(GENERAL)`.
+    circuits stay skew.  A circuit that is rigid by structure
+    (`_Extender.plain`: a formula whose siblings differ, any other circuit
+    whose gates differ in label or children) is returned as it is, with
+    its own gate numbering, as the analysis depends on none.  Any other
+    result merges gates and is proved against `c` through the image of each
+    gate by one walk over the wires (`_check_gate_map`).  `extender` is
+    c's, if one is built already.  InvalidParameter, naming the violation,
+    for a circuit that fails `validate(GENERAL)`.
     """
     ok, reason = c.validate(GENERAL)
     if not ok:
         raise InvalidParameter(f"cannot rigidify an invalid circuit: {reason}")
-    extender = _Extender(c)
+    extender = extender or _Extender(c)
+    if extender.plain:
+        return c
     if extender.formula:
         result, image = _rigidify_formula(c)
-    elif extender.distinct and c.topo_order() == extender.identity:
-        return c
     else:
         result, image = _rigidify_dag(c)
     if result.size() > c.size():
@@ -644,18 +661,20 @@ class SymmetryAnalysis:
     Orbits come from the generators that move a variable.  Supports come from
     the transposition classes of one representative per orbit (a support's
     complement lies in one class per side; see the module docstring),
-    translated along the orbit by the same generator maps; each is computed
-    once per analysis.  A side with no variable adds no support element, so
-    neither the orbits nor the supports cost time in the size of such a side.
+    translated along the orbit by the same generator maps, so each gate
+    gets its own least minimal support whatever the gate numbering; each is
+    computed once per analysis.  A side with no variable adds no support
+    element, so neither the orbits nor the supports cost time in the size
+    of such a side.  `extender` is c's, if one is built already.
     """
 
-    def __init__(self, c: Circuit, n: int, m: int):
-        self._extender = _Extender(c)
+    def __init__(self, c: Circuit, n: int, m: int, extender: Optional[_Extender] = None):
+        self._extender = extender or _Extender(c)
         _check_matrix(self._extender, n, m)
         self.circuit = c
         self.n = n
         self.m = m
-        if not self._extender.is_rigid():
+        if not self._extender.rigid:
             raise NotRigid("orbit and support analysis requires a rigid circuit")
         self._maps: Dict[Tuple[str, int, int], List[int]] = {}
         self._derived: Set[str] = set()  # the sides `_derive` ran on
@@ -779,16 +798,18 @@ class SymmetryAnalysis:
             h = s[h]
         return h == g
 
-    def minimal_support(self, g: int) -> Tuple[FrozenSet, bool]:
+    def minimal_support(self, g: int,
+                        classes: Optional[Dict[str, List[int]]] = None) -> Tuple[FrozenSet, bool]:
         """((elements tagged 'L'/'R'), uniqueness flag) for gate g.
 
         Per side, sorts the indices into the classes of x ~ y iff (x y) fixes
         g, and keeps the lexicographically least complement of a largest
         class (see the module docstring).  The flag records whether the
-        per-side smaller-than-half condition for uniqueness holds.
+        per-side smaller-than-half condition for uniqueness holds.  If
+        `classes` is given, it receives each side's class of every index,
+        classes numbered by least member.
         """
-        support: List[Tuple[str, int]] = []
-        unique = True
+        classes = {} if classes is None else classes
         for side, size in (("L", self.n), ("R", self.m)):
             if not self._extender.span(side):
                 continue  # every transposition of the side fixes g: no support element
@@ -804,37 +825,44 @@ class SymmetryAnalysis:
                     last.append(x)
                 recent.insert(0, k)
                 label.append(k)
-            # Classes are numbered by least member; of two largest, the later
-            # has the lesser complement, as only the earlier's misses its least.
-            best = max(range(len(last)), key=lambda k: (label.count(k), k))
-            rest = [x for x in range(size) if label[x] != best]
-            support += [(side, x) for x in rest]
-            unique = unique and 2 * len(rest) < size
-        return frozenset(support), unique
+            classes[side] = label
+        return _least_support(classes)
 
     def all_supports(self) -> List[FrozenSet]:
-        """Minimal supports for every gate, one `minimal_support` per orbit.
+        """Each gate's least minimal support, one `minimal_support` per orbit.
 
-        The support of an orbit-mate is the image of the representative's
-        support under the connecting generator word, so only the
-        representative's is computed.
+        If the generator t = (a b) maps g to h, then (x y) fixes h exactly
+        when (t(x) t(y)) fixes g, so h's classes are g's with the entries of
+        a and b swapped.  Where the representative's minimal support is
+        unique (the flag), every orbit-mate's is unique too and is the image
+        of the representative's under the connecting generators, which is
+        translated instead.  Elsewhere the classes are translated, and each
+        gate takes the least complement of a largest class of its own, so no
+        support depends on which gate represents the orbit.
         """
         if self._supports is None:
             supports: List[Optional[FrozenSet]] = [None] * self.circuit.num_gates()
             gens = self._moving_generators()
             for orbit in self.orbits():
                 rep = orbit[0]
-                sup, _ = self.minimal_support(rep)
-                supports[rep] = sup
+                labelled: Dict[int, Dict[str, List[int]]] = {rep: {}}
+                supports[rep], unique = self.minimal_support(rep, labelled[rep])
                 queue = [rep]
                 while queue:
                     g = queue.pop()
                     for (side, a, b), gmap in gens:
                         h = gmap[g]
-                        if supports[h] is None:
+                        if supports[h] is not None:
+                            continue
+                        if unique:
                             supports[h] = frozenset(_apply_transposition(e, side, a, b)
                                                     for e in supports[g])
-                            queue.append(h)
+                        else:
+                            classes = labelled[h] = dict(labelled[g])
+                            label = classes[side] = list(classes[side])
+                            label[a], label[b] = label[b], label[a]
+                            supports[h] = _least_support(classes)[0]
+                        queue.append(h)
             self._supports = supports  # type: ignore[assignment]
         return list(self._supports)
 
@@ -857,6 +885,24 @@ class SymmetryAnalysis:
                 best = max(best, depth[ch] + step)
             depth[g] = best
         return depth[c.output]
+
+
+def _least_support(classes: Dict[str, List[int]]) -> Tuple[FrozenSet, bool]:
+    """The least minimal support, and its uniqueness flag, of a gate whose
+    classes per side are given as the class of every index: per side, the
+    lexicographically least complement of a largest class.  Of two largest
+    classes, the one with the greater least member has the lesser
+    complement, as only the other's misses its least member."""
+    support: List[Tuple[str, int]] = []
+    unique = True
+    for side, label in classes.items():
+        by_least = list(dict.fromkeys(label))  # the classes in order of least member
+        largest = max(map(label.count, by_least))
+        best = next(k for k in reversed(by_least) if label.count(k) == largest)
+        rest = [(side, x) for x, k in enumerate(label) if k != best]
+        support += rest
+        unique = unique and 2 * len(rest) < len(label)
+    return frozenset(support), unique
 
 
 def _apply_transposition(element: Tuple[str, int], side: str, a: int, b: int) -> Tuple[str, int]:
@@ -895,16 +941,20 @@ class SupportReport:
 def analyze(c: Circuit, n: int, m: int) -> SupportReport:
     """Full symmetry report of `rigidify(c)` for a symmetric `c`.
 
-    `rigidify` returns `c` itself when it is already the normal form of the
-    sharing copy, and otherwise a copy proved through its gate map.  If that
-    merged gates, `is_symmetric` checks `c` first; otherwise the generator
-    searches of `SymmetryAnalysis` decide symmetry.  Each circuit checked
-    costs at most two extension searches per side (see the module
+    `rigidify` returns a circuit that is rigid by structure as it is, so
+    for such a `c` the per-gate ids are c's own, and otherwise a merged copy
+    proved through its gate map.  For a copy, `is_symmetric` checks `c`
+    first; otherwise the generator searches of `SymmetryAnalysis` decide
+    symmetry, with the one `_Extender` that `rigidify` read.  Each circuit
+    checked costs at most two extension searches per side (see the module
     docstring)."""
-    circuit = rigidify(c)
-    if circuit.num_gates() < c.num_gates() and not is_symmetric(c, n, m):
-        raise NotSymmetric("the circuit is not symmetric")
-    analysis = SymmetryAnalysis(circuit, n, m)
+    extender = _Extender(c)
+    circuit = rigidify(c, extender)
+    if circuit is not c:
+        if not _symmetric(extender, n, m):
+            raise NotSymmetric("the circuit is not symmetric")
+        extender = _Extender(circuit)
+    analysis = SymmetryAnalysis(circuit, n, m, extender)
     supports = analysis.all_supports()
     per_gate = [{"gate": g, "support": sorted((s, i + 1) for s, i in supports[g])}
                 for g in range(circuit.num_gates())]

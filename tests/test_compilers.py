@@ -323,8 +323,7 @@ def _assert_bag_tables_match_reference(f, cert, ranges, varmap):
 
 def _check_bag_table_is_shared(f, deco, n, m):
     """The bag-table compile is rigid, has its shape, repeats no internal gate
-    (label and children), is a fixpoint of `rigidify` (returned as it is
-    unless formula-shaped, which `rigidify` rebuilds as a tree), and is
+    (label and children), is returned by `rigidify` as it is, and is
     byte-identical to the reference construction."""
     report = compilers.compile_certificate(f, deco, n, m)
     c, where = report.circuit, (f.to_json(), n, m)
@@ -335,10 +334,7 @@ def _check_bag_table_is_shared(f, deco, n, m):
     keys = [(c.labels[g], tuple(sorted(c.children[g].items())))
             for g in range(c.num_gates()) if not c.is_input(g)]
     assert len(set(keys)) == len(keys), where
-    if c.validate(FORMULA_MULTI)[0]:
-        assert symmetry.rigidify(c).num_gates() == c.num_gates(), where
-    else:
-        assert symmetry.rigidify(c) is c, where
+    assert symmetry.rigidify(c) is c, where
 
 
 def test_bag_tables_are_built_shared_at_every_host_size_and_certificate():

@@ -209,6 +209,14 @@ def test_edge_multiplicities_must_be_ints_of_at_least_one():
             BipartiteMultigraph(1, 1, {(0, 0): bad})
 
 
+def test_vertex_counts_must_be_ints_of_at_least_zero():
+    assert BipartiteMultigraph(0, 2).num_vertices() == 2
+    for bad in (1.5, 1.0, True, Fraction(1), "1", -1):
+        for counts in ((bad, 1), (1, bad)):
+            with pytest.raises(InvalidParameter, match="vertex counts must be ints >= 0"):
+                BipartiteMultigraph(*counts, {(0, 0): 1})
+
+
 def test_graph_json_round_trip():
     for g in enumerate_bipartite_multigraphs(4, 5, max_mult=2)[:30]:
         assert BipartiteMultigraph.from_json(g.to_json()) == g

@@ -10,7 +10,12 @@ import pytest
 from symcirc import compilers, symmetry
 from symcirc.circuit import Circuit, CircuitBuilder, FORMULA, FORMULA_MULTI, SKEW
 from symcirc.errors import InvalidParameter, NotRigid, NotSymmetric
-from symcirc.pattern import make_complete_bipartite, make_cycle, make_path
+from symcirc.pattern import (
+    enumerate_bipartite_multigraphs,
+    make_complete_bipartite,
+    make_cycle,
+    make_path,
+)
 from symcirc.symmetry import (
     PermutationPair,
     SymmetryAnalysis,
@@ -103,14 +108,14 @@ def test_rigidify_merges_siblings_under_times():
 
 
 def _renumbered(c, rng):
-    """`c` with its gate ids shuffled."""
+    """`c` with its gate ids shuffled, and the new id of each old one."""
     perm = list(range(c.num_gates()))
     rng.shuffle(perm)
     labels, children = [None] * len(perm), [None] * len(perm)
     for g, p in enumerate(perm):
         labels[p] = c.labels[g]
         children[p] = {perm[ch]: mult for ch, mult in c.children[g].items()}
-    return Circuit(labels, children, perm[c.output])
+    return Circuit(labels, children, perm[c.output]), perm
 
 
 def _duplicated(c):
@@ -120,10 +125,10 @@ def _duplicated(c):
     return b.finish(b.plus([(first, 1), (second, 1)]))
 
 
-def test_rigidify_returns_its_normal_form_and_copies_the_rest(monkeypatch):
-    # A compile that is not formula-shaped is returned as it is, building no
-    # gate; renumbered or summed with a copy of itself, it is the sharing
-    # copy, byte for byte.
+def test_rigidify_returns_rigid_inputs_and_copies_the_rest(monkeypatch):
+    # A compile, formula-shaped or not, is returned as it is, building no
+    # gate, and so is any renumbering of it; summed with a copy of itself, a
+    # compile that is not formula-shaped gives the sharing copy, byte for byte.
     built = []
     gate = CircuitBuilder.gate
 
@@ -134,15 +139,17 @@ def test_rigidify_returns_its_normal_form_and_copies_the_rest(monkeypatch):
     monkeypatch.setattr(CircuitBuilder, "gate", counted_gate)
     rng = random.Random(4)
     for f in (make_path(4), make_cycle(4), make_complete_bipartite(2, 2)):
-        for shape in ("pw", "tw"):
+        for shape in ("td", "pw", "tw"):
             c = compilers.compile_single(f, 2, 3, shape).circuit
-            assert not c.validate(FORMULA_MULTI)[0]
+            assert c.validate(FORMULA_MULTI)[0] == (shape == "td")
+            other, _ = _renumbered(c, rng)
             del built[:]
-            assert rigidify(c) is c and not built
-            for other in (_renumbered(c, rng), _duplicated(c)):
+            assert rigidify(c) is c and rigidify(other) is other and not built
+            if shape != "td":
+                doubled = _duplicated(c)
                 shared = CircuitBuilder(share=True)
-                expected = shared.finish(shared.copy(other)[other.output])
-                assert rigidify(other).serialize() == expected.serialize()
+                expected = shared.finish(shared.copy(doubled)[doubled.output])
+                assert rigidify(doubled).serialize() == expected.serialize()
 
 
 def test_only_formulas_get_signatures(monkeypatch):
@@ -203,6 +210,25 @@ def test_rigidify_proves_its_merge(monkeypatch, branch, corrupt):
     monkeypatch.setattr(symmetry, branch, lambda c: corrupt(*merge(c)))
     with pytest.raises(InvalidParameter, match="rigidification changed gate"):
         rigidify(c)
+
+
+def test_a_formula_that_is_not_rigid_is_merged_and_proved(monkeypatch):
+    # A td compile summed with a copy of itself is a formula whose two
+    # summands can swap: rigidify merges them and proves the merge by its
+    # gate map, and analyze reports the merged circuit.  The td compile
+    # itself comes back as it is, with no walk.
+    calls = {}
+    _counted(monkeypatch, symmetry, "_check_gate_map", calls)
+    c = compilers.compile_single(make_path(3), 2, 2, "td").circuit
+    doubled = _duplicated(c)
+    assert doubled.validate(FORMULA_MULTI)[0] and not is_rigid(doubled)
+    merged = rigidify(doubled)
+    assert calls["_check_gate_map"] == 1
+    assert merged.num_gates() < doubled.num_gates() and merged.validate(FORMULA_MULTI)[0]
+    assert is_rigid(merged) and rigidify(merged) is merged
+    assert analyze(doubled, 2, 2) == analyze(merged, 2, 2)
+    assert calls["_check_gate_map"] == 2
+    assert rigidify(c) is c and calls["_check_gate_map"] == 2
 
 
 @pytest.mark.parametrize("labels, children, output, violation", [
@@ -395,6 +421,65 @@ def test_analyze_matches_the_check_on_its_input():
                 analyze(c, n, n)
             rejected.add(merged)
     assert rejected == {True, False}
+
+
+def _summary(report):
+    """What `analyze` reports, gate ids aside."""
+    return (report.max_orbit, report.max_support, report.support_depth,
+            sorted(tuple(entry["support"]) for entry in report.per_gate))
+
+
+def _analyzed_on_its_own_gates(c, n, m, rng):
+    """Whether analyze of c renumbered gives each gate of c its support in
+    the analysis of c, as it does when rigidify returns both as they are."""
+    report = analyze(c, n, m)
+    other, perm = _renumbered(c, rng)
+    assert rigidify(other) is other
+    renumbered = analyze(other, n, m).per_gate
+    return ([entry["gate"] for entry in report.per_gate] == list(range(c.num_gates()))
+            and all(renumbered[perm[g]]["support"] == entry["support"]
+                    for g, entry in enumerate(report.per_gate)))
+
+
+def test_analyze_does_not_depend_on_gate_numbering():
+    # Each gate's support is its own least one, whichever gate represents
+    # its orbit.  Supports carried from the orbit's least gate changed the
+    # report in 37 of these 450 renumberings.  A circuit that is rigid by
+    # structure is analysed on its own gates, so each support follows its
+    # gate.
+    rng = random.Random(22)
+    own = 0
+    for k in range(150):
+        n = rng.choice((2, 3, 4))
+        c = random_symmetric_circuit(n, n, rng, rng.choice((40, 80, 160)),
+                                     rng.choice(("general", "skew")))
+        expected = _summary(analyze(c, n, n))
+        for _ in range(3):
+            assert _summary(analyze(_renumbered(c, rng)[0], n, n)) == expected, k
+        if rigidify(c) is c:
+            assert _analyzed_on_its_own_gates(c, n, n, rng), k
+            own += 1
+    assert own > 0
+    for f in (make_path(3), make_path(4), make_cycle(4)):
+        for n in (2, 3):
+            for shape in ("td", "pw", "tw"):
+                c = compilers.compile_single(f, n, n, shape).circuit
+                assert _analyzed_on_its_own_gates(c, n, n, rng), (shape, n)
+
+
+def test_every_td_compile_is_analysed_on_its_own_gates(monkeypatch):
+    # A td compile is a rigid formula: rigidify returns it with no copy and
+    # no gate-map walk, and analyze's per-gate ids are the compile's own.
+    calls = {}
+    _counted(monkeypatch, symmetry, "_check_gate_map", calls)
+    rng = random.Random(6)
+    for f in enumerate_bipartite_multigraphs(6, 8, max_mult=2)[::7]:
+        for n, m in ((2, 2), (2, 3), (3, 3)):
+            c = compilers.compile_single(f, n, m, "td").circuit
+            assert rigidify(c) is c, (f.to_json(), n, m)
+            if (n, m) == (2, 3):
+                assert _analyzed_on_its_own_gates(c, n, m, rng), f.to_json()
+    assert calls["_check_gate_map"] == 0
 
 
 def _identity_search_is_rigid(c):
