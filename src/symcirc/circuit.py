@@ -58,7 +58,7 @@ from typing import Dict, Generator, Iterable, List, Mapping, Optional, Sequence,
 from .errors import InvalidParameter, MissingVariable, ParseError, SizeCap
 from .exactnum import (Rational, SparsePolynomial, add_terms, common_denominator, mul_terms,
                        int_from_json, list_from_json, pow_terms, rational_from_json,
-                       rational_to_json, rows_from_json)
+                       rational_to_json)
 
 GENERAL = "general"
 SKEW = "skew"
@@ -413,7 +413,9 @@ class Circuit:
             n = len(entries)
             labels: List = [None] * n
             for entry in entries:
-                g = int_from_json(entry["id"])
+                g = entry["id"]
+                if type(g) is not int:
+                    g = int_from_json(g)
                 if not 0 <= g < n or labels[g] is not None:
                     raise ParseError(f"gate id {g} is out of range [0, {n}) or repeated")
                 lbl = entry["label"]
@@ -430,8 +432,13 @@ class Circuit:
                 else:
                     raise ParseError(f"unknown gate label {lbl!r}")
             children: List[Dict[int, int]] = [dict() for _ in range(n)]
-            for wire in rows_from_json(data["wires"], "wire"):
-                p, c, m = (int_from_json(x) for x in wire)
+            for wire in list_from_json(data["wires"], "wire list"):
+                if type(wire) is list and len(wire) == 3:
+                    p, c, m = wire
+                    if type(p) is not int or type(c) is not int or type(m) is not int:
+                        p, c, m = map(int_from_json, wire)
+                else:
+                    p, c, m = (int_from_json(x) for x in list_from_json(wire, "wire"))
                 if not (0 <= p < n and 0 <= c < n) or m < 1:
                     raise ParseError(f"bad wire [{p},{c},{m}]")
                 children[p][c] = children[p].get(c, 0) + m

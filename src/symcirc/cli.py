@@ -158,8 +158,17 @@ def _cmd_compile(args) -> int:
 # -- analyze ------------------------------------------------------------------------
 
 
+def _load_circuit(path: str) -> Circuit:
+    """The circuit in a circuit file, or in the `circuit` member of a compile
+    report as `compile --out` writes it.  The JSON is released on return."""
+    data = _load_json(path)
+    if "gates" not in data and "circuit" in data:
+        data = data["circuit"]
+    return Circuit.from_json(data)
+
+
 def _cmd_analyze(args) -> int:
-    circuit = Circuit.from_json(_load_json(args.circuit))
+    circuit = _load_circuit(args.circuit)
     report = symmetry.analyze(circuit, args.n, args.m)
     _emit(report.to_json(), args.out)
     return 0

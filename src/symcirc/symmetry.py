@@ -66,7 +66,9 @@ lexicographic order; it is returned together with a flag telling whether the
 smaller-than-half-side condition guaranteeing uniqueness holds.  It is a
 function of the gate's stabiliser alone, so renumbering the gates of a
 circuit renumbers its supports and changes nothing else in its analysis.
-The classes are searched once per orbit and carried along it (see
+One walk along the generators gives the orbits and, for each gate, the
+step that first reached it; the classes are searched once per orbit, at its
+least gate, and carried along those steps (see `SymmetryAnalysis._walk` and
 `SymmetryAnalysis.all_supports`).
 """
 
@@ -158,8 +160,8 @@ def _gate_signatures(c: Circuit, interner: Dict, sig: Optional[List[int]] = None
         if lbl[0] in ("var", "const"):
             key = (lbl[0], lbl[1])
         else:
-            key = (lbl[0], tuple(sorted((sig[ch], mult)
-                                        for ch, mult in c.children[g].items())))
+            kids = c.children[g]
+            key = (lbl[0], tuple(sorted(zip(map(sig.__getitem__, kids), kids.values()))))
         sig[g] = interner.setdefault(key, len(interner))
     return sig
 
@@ -356,11 +358,17 @@ class _Extender:
         another gate is still matched all the way down, and nothing is
         skipped when a second extension is requested, as a swap site may lie
         in any subtree.
+
+        Plain formulas (`plain`) take a direct lookup when one extension is
+        requested: a matched gate's children then differ in (need,
+        multiplicity), as its target's do in (signature, multiplicity), so
+        each is looked up in the target's groups, with no regrouping.
         """
         c = self.c
         if need[c.output] != self.sig[c.output]:
             return []
         whole = count_limit > 1
+        direct = self.plain and not whole
         swap_site: List[Tuple[int, int, int, int]] = []
 
         def match(g: int, h: int, out: List[int]):
@@ -369,6 +377,10 @@ class _Extender:
                 g, h = stack.pop()
                 out[g] = h
                 if g == h and not whole and g not in up:
+                    continue
+                if direct:
+                    for ch, mult in kids.get(g, ()):
+                        stack.append((ch, groups[h][need[ch], mult][0]))
                     continue
                 mine: Dict[Tuple[int, int], List[int]] = {}
                 for ch, mult in kids.get(g, ()):  # none when the output is an input
@@ -658,12 +670,13 @@ class SymmetryAnalysis:
     answer because extensions are unique on a rigid circuit.  For the same
     reason a transposition that moves no row or column of a variable maps
     every gate to itself, with no pair built and no search.
-    Orbits come from the generators that move a variable.  Supports come from
-    the transposition classes of one representative per orbit (a support's
-    complement lies in one class per side; see the module docstring),
-    translated along the orbit by the same generator maps, so each gate
-    gets its own least minimal support whatever the gate numbering; each is
-    computed once per analysis.  A side with no variable adds no support
+    Orbits come from one walk along the generators that move a variable,
+    which also keeps the step that first reached each gate.  Supports come
+    from the transposition classes of one representative per orbit (a
+    support's complement lies in one class per side; see the module
+    docstring), translated along those steps, so each gate gets its own
+    least minimal support whatever the gate numbering; each is computed
+    once per analysis.  A side with no variable adds no support
     element, so neither the orbits nor the supports cost time in the size
     of such a side.  `extender` is c's, if one is built already.
     """
@@ -679,7 +692,6 @@ class SymmetryAnalysis:
         self._maps: Dict[Tuple[str, int, int], List[int]] = {}
         self._derived: Set[str] = set()  # the sides `_derive` ran on
         self._identity = self._extender.identity
-        self._orbits: Optional[List[List[int]]] = None
         self._supports: Optional[List[FrozenSet]] = None
 
     # transposition extension maps, cached ------------------------------------
@@ -760,33 +772,37 @@ class SymmetryAnalysis:
 
     # orbits -----------------------------------------------------------------
 
+    @cached_property
+    def _walk(self) -> List[Tuple[List[int], List[Tuple[int, int, Tuple[str, int, int]]]]]:
+        """(sorted orbit, steps) per orbit, by least member, from one walk
+        along the generators that move a variable, started at each least
+        gate not yet reached.  The steps are (g, h, tag) for each gate h but
+        the orbit's least: generator `tag` first reached h, from g."""
+        gens = self._moving_generators()
+        reached = [False] * self.circuit.num_gates()
+        walk = []
+        for rep in range(len(reached)):
+            if not reached[rep]:
+                reached[rep] = True
+                orbit, steps = [rep], []
+                for g in orbit:  # grows as the walk reaches gates
+                    for tag, gmap in gens:
+                        h = gmap[g]
+                        if not reached[h]:
+                            reached[h] = True
+                            orbit.append(h)
+                            steps.append((g, h, tag))
+                walk.append((sorted(orbit), steps))
+        return walk
+
     def orbits(self) -> List[List[int]]:
-        """The gate orbits, each sorted, ordered by least member; a fresh copy
-        on every call."""
-        if self._orbits is None:
-            n_gates = self.circuit.num_gates()
-            parent = list(range(n_gates))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for _, gmap in self._moving_generators():
-                for g, image in enumerate(gmap):
-                    if image != g:
-                        rg, ri = find(g), find(image)
-                        if rg != ri:
-                            parent[max(rg, ri)] = min(rg, ri)
-            groups: Dict[int, List[int]] = {}
-            for g in range(n_gates):
-                groups.setdefault(find(g), []).append(g)
-            self._orbits = [sorted(v) for _, v in sorted(groups.items())]
-        return [list(orbit) for orbit in self._orbits]
+        """The gate orbits, each sorted, ordered by least member, from the
+        one walk of `_walk` with no support computed; a fresh copy on every
+        call."""
+        return [list(orbit) for orbit, _ in self._walk]
 
     def max_orbit(self) -> int:
-        return max(len(o) for o in self.orbits())
+        return max(len(orbit) for orbit, _ in self._walk)
 
     # supports ------------------------------------------------------------------
 
@@ -831,39 +847,32 @@ class SymmetryAnalysis:
     def all_supports(self) -> List[FrozenSet]:
         """Each gate's least minimal support, one `minimal_support` per orbit.
 
-        If the generator t = (a b) maps g to h, then (x y) fixes h exactly
-        when (t(x) t(y)) fixes g, so h's classes are g's with the entries of
-        a and b swapped.  Where the representative's minimal support is
-        unique (the flag), every orbit-mate's is unique too and is the image
-        of the representative's under the connecting generators, which is
+        The steps of `_walk` are replayed, applying no generator again.  If
+        the generator t = (a b) maps g to h, then (x y) fixes h exactly when
+        (t(x) t(y)) fixes g, so h's classes are g's with the entries of a and
+        b swapped.  Where the representative's minimal support is unique (the
+        flag), every orbit-mate's is unique too and is the image of the
+        representative's under the connecting generators, which is
         translated instead.  Elsewhere the classes are translated, and each
         gate takes the least complement of a largest class of its own, so no
         support depends on which gate represents the orbit.
         """
         if self._supports is None:
-            supports: List[Optional[FrozenSet]] = [None] * self.circuit.num_gates()
-            gens = self._moving_generators()
-            for orbit in self.orbits():
+            supports: List = [None] * self.circuit.num_gates()
+            for orbit, steps in self._walk:
                 rep = orbit[0]
                 labelled: Dict[int, Dict[str, List[int]]] = {rep: {}}
                 supports[rep], unique = self.minimal_support(rep, labelled[rep])
-                queue = [rep]
-                while queue:
-                    g = queue.pop()
-                    for (side, a, b), gmap in gens:
-                        h = gmap[g]
-                        if supports[h] is not None:
-                            continue
-                        if unique:
-                            supports[h] = frozenset(_apply_transposition(e, side, a, b)
-                                                    for e in supports[g])
-                        else:
-                            classes = labelled[h] = dict(labelled[g])
-                            label = classes[side] = list(classes[side])
-                            label[a], label[b] = label[b], label[a]
-                            supports[h] = _least_support(classes)[0]
-                        queue.append(h)
-            self._supports = supports  # type: ignore[assignment]
+                for g, h, (side, a, b) in steps:
+                    if unique:
+                        swap = {(side, a): (side, b), (side, b): (side, a)}
+                        supports[h] = frozenset([swap.get(e, e) for e in supports[g]])
+                    else:
+                        classes = labelled[h] = dict(labelled[g])
+                        label = classes[side] = list(classes[side])
+                        label[a], label[b] = label[b], label[a]
+                        supports[h] = _least_support(classes)[0]
+            self._supports = supports
         return list(self._supports)
 
     def max_support(self) -> int:
@@ -879,10 +888,9 @@ class SymmetryAnalysis:
         for g in c.topo_order():
             if c.is_input(g):
                 continue
-            best = 0
+            best, mine = 0, supports[g]
             for ch in c.children[g]:
-                step = 1 if supports[ch] - supports[g] else 0
-                best = max(best, depth[ch] + step)
+                best = max(best, depth[ch] if supports[ch] <= mine else depth[ch] + 1)
             depth[g] = best
         return depth[c.output]
 
@@ -903,17 +911,6 @@ def _least_support(classes: Dict[str, List[int]]) -> Tuple[FrozenSet, bool]:
         support += rest
         unique = unique and 2 * len(rest) < len(label)
     return frozenset(support), unique
-
-
-def _apply_transposition(element: Tuple[str, int], side: str, a: int, b: int) -> Tuple[str, int]:
-    s, idx = element
-    if s != side:
-        return element
-    if idx == a:
-        return (s, b)
-    if idx == b:
-        return (s, a)
-    return element
 
 
 @dataclass
@@ -947,7 +944,7 @@ def analyze(c: Circuit, n: int, m: int) -> SupportReport:
     first; otherwise the generator searches of `SymmetryAnalysis` decide
     symmetry, with the one `_Extender` that `rigidify` read.  Each circuit
     checked costs at most two extension searches per side (see the module
-    docstring)."""
+    docstring).  Gates of equal support share one sorted list in `per_gate`."""
     extender = _Extender(c)
     circuit = rigidify(c, extender)
     if circuit is not c:
@@ -956,8 +953,8 @@ def analyze(c: Circuit, n: int, m: int) -> SupportReport:
         extender = _Extender(circuit)
     analysis = SymmetryAnalysis(circuit, n, m, extender)
     supports = analysis.all_supports()
-    per_gate = [{"gate": g, "support": sorted((s, i + 1) for s, i in supports[g])}
-                for g in range(circuit.num_gates())]
+    listed = {support: sorted((s, i + 1) for s, i in support) for support in set(supports)}
+    per_gate = [{"gate": g, "support": listed[support]} for g, support in enumerate(supports)]
     return SupportReport(
         n=n,
         m=m,

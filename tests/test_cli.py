@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from symcirc import cli
-from symcirc.circuit import CircuitBuilder
+from symcirc.circuit import Circuit, CircuitBuilder
 from symcirc.cli import run
 from symcirc.errors import CAPS, SizeCap
 from symcirc.pattern import BipartiteMultigraph, make_path
@@ -54,6 +54,38 @@ def test_compile_and_analyze(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert report["maxSup"] <= 2
+
+
+def test_readme_compile_then_analyze_chain(capsys, tmp_path, monkeypatch):
+    # The README's CLI block: `analyze` reads the compile report that
+    # `compile --out` writes, through its circuit member.
+    monkeypatch.chdir(tmp_path)
+    assert _run(capsys, "pattern", "gen", "path", "--v", "5", "--out", "p5.json")[0] == 0
+    code, _, _ = _run(capsys, "compile", "--graph", "p5.json", "--shape", "td",
+                      "--n", "2", "--m", "2", "--out", "c.json")
+    assert code == 0
+    code, out, err = _run(capsys, "analyze", "--circuit", "c.json", "--n", "2", "--m", "2")
+    assert (code, err) == (0, "")
+    report = json.loads((tmp_path / "c.json").read_text())
+    (tmp_path / "raw.json").write_text(json.dumps(report["circuit"]))
+    assert _run(capsys, "analyze", "--circuit", "raw.json", "--n", "2", "--m", "2")[1] == out
+
+
+def test_circuit_ids_and_wires_may_be_integer_strings_but_not_bools(capsys, tmp_path):
+    gates = [{"id": 0, "label": {"var": "x_1_1"}}, {"id": 1, "label": {"var": "x_2_1"}},
+             {"id": 2, "label": "plus"}]
+    data = {"gates": gates, "wires": [[2, 0, 1], [2, 1, 1]], "output": 2}
+    as_strings = {"gates": [dict(gate, id=str(gate["id"])) for gate in gates],
+                  "wires": [[str(x) for x in wire] for wire in data["wires"]], "output": 2}
+    assert Circuit.from_json(as_strings).serialize() == Circuit.from_json(data).serialize()
+    with_true = [{"gates": [dict(gates[0], id=True)] + gates[1:], "wires": data["wires"],
+                  "output": 2},
+                 {"gates": gates, "wires": [[2, 0, 1], [2, 1, True]], "output": 2},
+                 {"gates": gates, "wires": [[True, 0, 1], [2, 1, 1]], "output": 2}]
+    for k, bad in enumerate(with_true):
+        circuit = _write(tmp_path, f"bad{k}.json", bad)
+        code, out, err = _run(capsys, "analyze", "--circuit", circuit, "--n", "2", "--m", "1")
+        assert (code, out, err) == (2, "", "error: not an integer: True\n"), k
 
 
 def test_oracle_subcommand(capsys, tmp_path):

@@ -829,3 +829,105 @@ def test_unmoved_rows_and_columns_keep_the_searched_maps():
                         phi = extend_to_automorphism(c, pair)[0]
                         assert big.transposition_map(side, a, b) == \
                             [phi[g] for g in range(c.num_gates())]
+
+
+def _orbit_walk_sample():
+    """(rigid circuit, n): P3, P4, C4 and K22 compiled td/pw/tw at n = 2..4,
+    then 150 random symmetric circuits (seed 22), rigidified."""
+    for f in (make_path(3), make_path(4), make_cycle(4), make_complete_bipartite(2, 2)):
+        for n in (2, 3, 4):
+            for shape in ("td", "pw", "tw"):
+                yield compilers.compile_single(f, n, n, shape).circuit, n
+    rng = random.Random(22)
+    for _ in range(150):
+        n = rng.choice((2, 3, 4))
+        c = random_symmetric_circuit(n, n, rng, rng.choice((40, 80, 160)),
+                                     rng.choice(("general", "skew")))
+        yield rigidify(c), n
+
+
+def _union_find_orbits(analysis):
+    """The orbits as a union-find over every generator map gives them, each
+    sorted, ordered by least member."""
+    parent = list(range(analysis.circuit.num_gates()))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for gmap in analysis.generators():
+        for g, image in enumerate(gmap):
+            rg, ri = find(g), find(image)
+            if rg != ri:
+                parent[max(rg, ri)] = min(rg, ri)
+    groups = {}
+    for g in range(len(parent)):
+        groups.setdefault(find(g), []).append(g)
+    return [sorted(v) for _, v in sorted(groups.items())]
+
+
+def test_the_orbit_walk_gives_the_union_find_orbits_before_and_after_supports():
+    count = 0
+    for c, n in _orbit_walk_sample():
+        first = SymmetryAnalysis(c, n, n)
+        orbits = first.orbits()
+        supports = first.all_supports()
+        second = SymmetryAnalysis(c, n, n)
+        assert second.all_supports() == supports
+        assert orbits == second.orbits() == _union_find_orbits(second), c.to_json()
+        count += 1
+    assert count == 36 + 150
+
+
+def _grouping_formula_map(c, pair):
+    """The image of every gate of formula `c` under `pair` by the grouping
+    matcher: every gate's signature is recomputed with the variables
+    permuted, and the output is matched top-down, each matched gate's
+    internal children grouped by (permuted signature, wire multiplicity)
+    and paired in id order with the target's of (signature, multiplicity);
+    None where the output's signature moves."""
+    interner = {}
+    sig = symmetry._gate_signatures(c, interner)
+    where = {label[1]: g for g, label in enumerate(c.labels) if label[0] == "var"}
+    phi = [where[pair.apply_var(label[1])] if label[0] == "var" else g
+           for g, label in enumerate(c.labels)]
+    internal = [g for g in c.topo_order() if not c.is_input(g)]
+    need = symmetry._gate_signatures(c, interner, [sig[h] for h in phi], internal)
+    if need[c.output] != sig[c.output]:
+        return None
+
+    def grouped(g, key_sig):
+        groups = {}
+        for ch, mult in sorted(c.children[g].items()):
+            if not c.is_input(ch):
+                groups.setdefault((key_sig[ch], mult), []).append(ch)
+        return groups
+
+    stack = [(c.output, c.output)]
+    while stack:
+        g, h = stack.pop()
+        phi[g] = h
+        targets = grouped(h, sig)
+        for key, group in grouped(g, need).items():
+            stack.extend(zip(group, targets[key]))
+    return phi
+
+
+def test_the_direct_formula_lookup_gives_the_grouping_matchers_maps():
+    count = 0
+    for c, n in _orbit_walk_sample():
+        extender = symmetry._Extender(c)
+        if not (extender.formula and extender.plain):
+            continue
+        ident = tuple(range(n))
+        swap = (1, 0) + ident[2:]
+        cycle = ident[1:] + (0,)
+        for perm in (swap, cycle):
+            for pair in (PermutationPair(perm, ident), PermutationPair(ident, perm)):
+                want = _grouping_formula_map(c, pair)
+                assert want is not None
+                assert extender.extend(pair) == [want], (c.to_json(), pair)
+        count += 1
+    assert count >= 12  # the td compiles, at least
