@@ -6,11 +6,17 @@ are the oracles every compiled circuit and every reduction identity is checked
 against, so no dynamic programming or clever counting is allowed.
 
 The evaluators share one kernel, `_weighted_sum`, which walks an iterable of
-maps and adds up the product of the edge weights under each map.  Each
-evaluator only says which maps to walk: `hom_count` all maps (a product of
-ranges), `emb_eval` the per-side injective ones (permutations), and
-`coloured_hom_eval` those respecting the colouring ((colour, index) keys).
-The kernel still visits every map, so the oracles stay definitional.
+maps and adds up the product of the edge weights under each map.  Each edge
+carries its own weight over 0-based indices, and each evaluator only says
+which edges and which maps: `hom_count` F's edges weighted by the host
+matrix, over all maps (a product of ranges); `emb_eval` the same edges, over
+the per-side injective maps (permutations); `coloured_hom_eval` F's edges
+weighted by the host's (colour, index) entries, over the maps sending each
+vertex into its colour's class.  `reduce`'s target families sum through it
+too: clique_n's position pairs weighted by y, over the increasing maps, and
+the binary-tree and path families' edges weighted by Y, with X as a vertex
+weight (a loop) on each right child or path end, over all maps.  The kernel
+still visits every map, so the oracles stay definitional.
 
 It sums over the integers.  Every value here is homogeneous of degree
 d = sum of the edge multiplicities in the host weights: each map contributes
@@ -37,7 +43,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from math import perm
+from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     BasisNotFound,
@@ -53,6 +60,7 @@ from .pattern import BipartiteMultigraph, are_isomorphic, contract
 
 PARTITION_SIDE_CAP = 6  # largest side `hom_to_emb_terms` partitions
 BASIS_ATTEMPTS = 200  # random point sets `find_hom_basis` tries before giving up
+_ZERO = Fraction(0)  # the weight of a missing entry, shared: Fractions are immutable
 
 
 def _colour_key(text):
@@ -105,7 +113,7 @@ class WeightedHost:
         }
 
     def get(self, i: int, j: int):
-        return self.weights.get((i, j), Fraction(0))
+        return self.weights.get((i, j), _ZERO)
 
     def scale(self, t) -> "WeightedHost":
         return WeightedHost(self.n, self.m, {k: t * w for k, w in self.weights.items()})
@@ -174,7 +182,7 @@ class ColouredGraph:
             self.weights[(v, u)] = w
 
     def get(self, u, v):
-        return self.weights.get((u, v), Fraction(0))
+        return self.weights.get((u, v), _ZERO)
 
     def scale(self, t) -> "ColouredGraph":
         g = ColouredGraph(self.sizes)
@@ -263,24 +271,27 @@ def _check_cap(count: int):
     check_cap("brute_force_maps", count, "brute-force map count")
 
 
-def _weighted_sum(edges: Sequence[Tuple[int, int, int]], weight, domains: Sequence[Sequence],
-                  maps: Optional[Iterable[Sequence[int]]] = None):
+def _weighted_sum(edges: Sequence[Tuple[int, int, int, Callable[[int, int], Rational]]],
+                  sizes: Sequence[int], maps: Optional[Iterable[Sequence[int]]] = None):
     """Sum over maps of the product of weight(image[u], image[v]) ** mult over
-    the edges (u, v, mult): the loop shared by every evaluator here.
+    the edges (u, v, mult, weight): the loop of every evaluator listed above.
 
-    `domains[v]` lists the keys vertex v may map to, and a map is a tuple of
-    indices into the domains; `maps` defaults to all of them, in row-major
-    order.  Each edge reads a dense table of its weights, already raised to
-    the edge's multiplicity: the integers (D w) ** mult, with D the lcm of
-    the weights' denominators.  The sum is taken over the integers and
-    divided by D ** (sum of multiplicities) once, into one Fraction.
+    Vertex v maps into range(sizes[v]), and `maps` defaults to all maps, in
+    row-major order.  A loop (v, v, 1, weight) is a vertex weight, called
+    and read only on the diagonal.  Each edge reads a dense table of its
+    weights, already raised to the edge's multiplicity: the integers
+    (D w) ** mult, with D the lcm of the weights' denominators.  The sum is
+    taken over the integers and divided by D ** (sum of multiplicities)
+    once, into one Fraction.
     """
-    tables = [[[weight(a, b) for b in domains[v]] for a in domains[u]] for (u, v, _) in edges]
+    tables = [[[0] * a + [weight(a, a)] for a in range(sizes[u])] if u == v
+              else [[weight(a, b) for b in range(sizes[v])] for a in range(sizes[u])]
+              for (u, v, _, weight) in edges]
     den = common_denominator(w for table in tables for row in table for w in row)
     plan = [(u, v, [[(w.numerator * (den // w.denominator)) ** mult for w in row] for row in table])
-            for (u, v, mult), table in zip(edges, tables)]
+            for (u, v, mult, _), table in zip(edges, tables)]
     if maps is None:
-        maps = itertools.product(*(range(len(d)) for d in domains))
+        maps = itertools.product(*map(range, sizes))
     total = 0
     for image in maps:
         term = 1
@@ -291,14 +302,14 @@ def _weighted_sum(edges: Sequence[Tuple[int, int, int]], weight, domains: Sequen
             term *= w
         else:
             total += term
-    return Fraction(total, den ** sum(mult for _, _, mult in edges))
+    return Fraction(total, den ** sum(mult for _, _, mult, _ in edges))
 
 
 def hom_count(f: BipartiteMultigraph, host: WeightedHost):
     """Sum over all maps h of the product of host weights along F's edges."""
     _check_cap(host.n ** f.a_count * host.m ** f.b_count)
-    domains = [range(host.n)] * f.a_count + [range(host.m)] * f.b_count
-    return _weighted_sum(f.edge_list_global(), host.get, domains)
+    edges = [(u, v, mult, host.get) for (u, v, mult) in f.edge_list_global()]
+    return _weighted_sum(edges, [host.n] * f.a_count + [host.m] * f.b_count)
 
 
 def _map_polynomial(edges: Sequence[Tuple[int, int, int]], sizes: Sequence[int],
@@ -348,8 +359,9 @@ def coloured_hom_eval(f: BipartiteMultigraph, colouring: Mapping[int, Hashable],
     for s in sizes:
         count *= max(s, 1)
         _check_cap(count)
-    domains = [[(colouring[v], i) for i in range(s)] for v, s in zip(f.vertices(), sizes)]
-    return _weighted_sum(f.edge_list_global(), g.get, domains)
+    edges = [(u, v, mult, lambda a, b, cu=colouring[u], cv=colouring[v]: g.get((cu, a), (cv, b)))
+             for (u, v, mult) in f.edge_list_global()]
+    return _weighted_sum(edges, sizes)
 
 
 def identity_colouring(f: BipartiteMultigraph) -> Dict[int, int]:
@@ -377,17 +389,12 @@ def emb_eval(f: BipartiteMultigraph, host: WeightedHost):
     """Embedding value: the hom sum restricted to per-side injective maps."""
     if f.a_count > host.n or f.b_count > host.m:
         return Fraction(0)
-    count = 1
-    for k in range(f.a_count):
-        count *= host.n - k
-    for k in range(f.b_count):
-        count *= host.m - k
-    _check_cap(count)
+    _check_cap(perm(host.n, f.a_count) * perm(host.m, f.b_count))
     maps = (a_img + b_img
             for a_img in itertools.permutations(range(host.n), f.a_count)
             for b_img in itertools.permutations(range(host.m), f.b_count))
-    domains = [range(host.n)] * f.a_count + [range(host.m)] * f.b_count
-    return _weighted_sum(f.edge_list_global(), host.get, domains, maps)
+    edges = [(u, v, mult, host.get) for (u, v, mult) in f.edge_list_global()]
+    return _weighted_sum(edges, [host.n] * f.a_count + [host.m] * f.b_count, maps)
 
 
 # -- hom-to-emb expansion -------------------------------------------------------------

@@ -6,6 +6,11 @@ bipartite doubling and quotient expansion, and the end-to-end pipelines that
 extract a colourful homomorphism polynomial from an uncoloured oracle and a
 single homomorphism polynomial from a linear combination.
 
+The gadgets' target families (`clique_poly`, `btree_vp_poly`,
+`path_vbp_poly`) are each one sum from their definitions through the kernel
+`oracle._weighted_sum`.  They and the colouring enumerations check the
+`brute_force_maps` cap before they enumerate.
+
 Conventions: pattern colours are 1-based global vertex ids (matching
 `oracle.identity_colouring`); gadgets are ColouredGraphs with rational
 weights; oracle handles are plain callables taking a WeightedHost and
@@ -28,11 +33,14 @@ from .errors import (
     NotConnected,
     NotSquare,
     SizeCap,
+    check_cap,
 )
 from .exactnum import Rational, solve_linear
 from .oracle import (
     ColouredGraph,
     WeightedHost,
+    _check_cap,
+    _weighted_sum,
     coloured_hom_eval,
     find_hom_basis,
     hom_count,
@@ -50,7 +58,6 @@ from .pattern import (
     quotient,
 )
 
-COLOURING_LIMIT = 10 ** 6  # most colourings `uncolour_expand` sums over
 CFI_DEGREE_CAP = 5  # largest base degree `cfi_pair` accepts (classes of 2^(deg-1))
 
 
@@ -73,16 +80,14 @@ def brute_hom_oracle(f: BipartiteMultigraph) -> OracleHandle:
 
 
 def clique_poly(n: int, y: Mapping[Tuple[int, int], Rational]):
-    """clique_n = sum over n-subsets A of [2n] of prod_{i<j in A} y_{i,j}."""
-    total = Fraction(0)
-    for subset in itertools.combinations(range(1, 2 * n + 1), n):
-        term = Fraction(1)
-        for i, j in itertools.combinations(subset, 2):
-            term = term * y.get((i, j), Fraction(0))
-            if term == 0:
-                break
-        total = total + term
-    return total
+    """clique_n = sum over n-subsets A of [2n] of prod_{i<j in A} y_{i,j}.
+
+    A subset is an increasing map of n positions into [2n], and each pair of
+    positions i < j is an edge weighted by y."""
+    _check_cap(comb(2 * n, n))
+    edges = [(i, j, 1, lambda a, b: y.get((a + 1, b + 1), 0))
+             for i, j in itertools.combinations(range(n), 2)]
+    return _weighted_sum(edges, [2 * n] * n, itertools.combinations(range(2 * n), n))
 
 
 def clique_grid_gadget(n: int, y: Mapping[Tuple[int, int], Rational]) -> ColouredGraph:
@@ -146,7 +151,8 @@ def clique_grid_gadget(n: int, y: Mapping[Tuple[int, int], Rational]) -> Coloure
 
 
 def _sym_lookup(y: Mapping, u: int, v: int):
-    return y.get((u, v), y.get((v, u), Fraction(0)))
+    """y_{u,v} under either key order; a missing weight reads as the int 0."""
+    return y.get((u, v), y.get((v, u), 0))
 
 
 def _set_block(g: ColouredGraph, a: int, b: int, size: int,
@@ -160,30 +166,21 @@ def _set_block(g: ColouredGraph, a: int, b: int, size: int,
                 g.set_weight((a, u - 1), (b, v - 1), w)
 
 
+def _xy_weights(x: Mapping[int, Rational], y: Mapping):
+    """The X vertex weight and symmetric Y edge weight, over 0-based indices."""
+    return lambda a, _: x.get(a + 1, 0), lambda a, b: _sym_lookup(y, a + 1, b + 1)
+
+
 def btree_vp_poly(m: int, x: Mapping[int, Rational], y: Mapping):
     """The VP-complete family: maps of the m-leaf perfect binary tree into
     [m^6], right children weighted by X, tree edges by Y."""
-    graph, left, right = complete_binary_tree_structure(m)
-    size = m ** 6
-    rights = set(right.values())
-    edges = [(u, v) for (u, v, _) in graph.edge_list_global()]
-    total = Fraction(0)
-    verts = list(graph.vertices())
-    for image in itertools.product(range(1, size + 1), repeat=len(verts)):
-        h = dict(zip(verts, image))
-        term = Fraction(1)
-        for v in rights:
-            term = term * x.get(h[v], Fraction(0))
-            if term == 0:
-                break
-        if term == 0:
-            continue
-        for (u, v) in edges:
-            term = term * _sym_lookup(y, h[u], h[v])
-            if term == 0:
-                break
-        total = total + term
-    return total
+    graph, _, right = complete_binary_tree_structure(m)
+    sizes = [m ** 6] * graph.num_vertices()
+    _check_cap(prod(sizes))
+    x_weight, y_weight = _xy_weights(x, y)
+    edges = ([(v, v, 1, x_weight) for v in right.values()]
+             + [(u, v, 1, y_weight) for (u, v, _) in graph.edge_list_global()])
+    return _weighted_sum(edges, sizes)
 
 
 def btree_vp_gadget(m: int, x: Mapping[int, Rational], y: Mapping) -> ColouredGraph:
@@ -212,18 +209,11 @@ def btree_vp_gadget(m: int, x: Mapping[int, Rational], y: Mapping) -> ColouredGr
 def path_vbp_poly(m: int, x: Mapping[int, Rational], y: Mapping):
     """The VBP-complete family: sum over h: [m+1] -> [m^2] of
     X_{h(1)} X_{h(m+1)} prod_i Y_{h(i) h(i+1)}."""
-    size = m ** 2
-    total = Fraction(0)
-    for h in itertools.product(range(1, size + 1), repeat=m + 1):
-        term = x.get(h[0], Fraction(0)) * x.get(h[-1], Fraction(0))
-        if term == 0:
-            continue
-        for i in range(m):
-            term = term * _sym_lookup(y, h[i], h[i + 1])
-            if term == 0:
-                break
-        total = total + term
-    return total
+    sizes = [m ** 2] * (m + 1)
+    _check_cap(prod(sizes))
+    x_weight, y_weight = _xy_weights(x, y)
+    edges = [(0, 0, 1, x_weight), (m, m, 1, x_weight)] + [(i, i + 1, 1, y_weight) for i in range(m)]
+    return _weighted_sum(edges, sizes)
 
 
 def path_vbp_gadget(m: int, x: Mapping[int, Rational], y: Mapping) -> ColouredGraph:
@@ -316,8 +306,7 @@ def uncolour_expand(f: BipartiteMultigraph, colours: Sequence[Hashable], n: int,
         raise ColourMismatch("colour list does not match the coloured host")
     if any(g.sizes[c] != n for c in colours):
         raise InvalidParameter("uncolour expects uniform class size n")
-    if len(colours) ** f.num_vertices() > COLOURING_LIMIT:
-        raise SizeCap("too many colourings to enumerate")
+    check_cap("brute_force_maps", len(colours) ** f.num_vertices(), "colouring count")
     lhs = hom_count(f, g.flatten())
     rhs = Fraction(0)
     for values in itertools.product(sorted(colours, key=repr), repeat=f.num_vertices()):
@@ -538,7 +527,10 @@ def _extract_colhom(f: BipartiteMultigraph, s: BipartiteMultigraph, n: int,
 
     s_colours = list(range(1, s.num_vertices() + 1))
     normalizer = Fraction(0)
+    colourings = 0
     for graph, weight in candidates:
+        colourings += len(s_colours) ** graph.num_vertices()
+        check_cap("brute_force_maps", colourings, "colouring count")
         edge_list = graph.edge_list_global()
         iso_factor = ncls ** len(graph.isolated_vertices())
         for values in itertools.product(s_colours, repeat=graph.num_vertices()):

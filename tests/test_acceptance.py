@@ -401,6 +401,22 @@ def test_criterion_06_gadget_identities():
     if oracle.colhom_eval(make_complete_binary_tree(2), reduce.btree_vp_gadget(2, x, y)) != \
             reduce.btree_vp_poly(2, x, y):
         failures.append("btree m=2")
+    # m = 2 again at three seeded random rational points, half their entries
+    # zero so that both 262,144-map sums stay short, from a generator of
+    # their own so the path points below stay as they were.
+    tree_rng = random.Random(62)
+
+    def rational():
+        if tree_rng.random() < 0.5:
+            return Fraction(0)
+        return Fraction(tree_rng.randint(-3, 3), tree_rng.randint(1, 3))
+
+    for _ in range(3):
+        x = {i: rational() for i in range(1, 65)}
+        y = {(i, j): rational() for i in range(1, 65) for j in range(i, 65)}
+        if oracle.colhom_eval(make_complete_binary_tree(2), reduce.btree_vp_gadget(2, x, y)) != \
+                reduce.btree_vp_poly(2, x, y):
+            failures.append("btree m=2 random")
     # Path gadget, m = 1 and m = 2.
     for m in (1, 2):
         size = m ** 2

@@ -497,11 +497,14 @@ def test_trials_below_one_exit_2(capsys, tmp_path, command):
     ("minor_norm", ["reduce", "minor", "--n", "1", "--minor-pattern", "{p6}",
                     "--host-pattern", "{p6}"]),
     ("minor_norm", ["verify", "identity", "--name", "minor"]),
+    ("brute_force_maps", ["reduce", "extract-subgraph", "--n", "1", "--trials", "1",
+                          "--minor-pattern", "{p2}", "--host-pattern", "{p6}"]),
 ])
 def test_each_cap_reaches_every_command_and_is_named(capsys, tmp_path, key, argv):
     """A cap hit exits 2 (never a FAIL line), naming its value and its key."""
     files = {"p6": _write(tmp_path, "p6.json", {"a": 3, "b": 3, "edges": [
                  [1, 1, 1], [2, 1, 1], [2, 2, 1], [3, 2, 1], [3, 3, 1]]}),
+             "p2": _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]}),
              "host": _write(tmp_path, "host.json", {"n": 2, "m": 2, "weights": []})}
     caps = _write(tmp_path, "caps.json", {key: 3})
     code, out, err = _run(capsys, "--caps", caps, *(a.format(**files) for a in argv))

@@ -1,23 +1,29 @@
 """Reduction toolkit: gadgets, CFI pairs, slices, doubles, extractions."""
 
+import contextlib
+import itertools
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from symcirc import oracle, reduce
 from symcirc.errors import (
+    CAPS,
     ColourMismatch,
     InvalidBranchSets,
     InvalidParameter,
     NotConnected,
     NotSquare,
+    SizeCap,
     ZeroCoefficient,
 )
 from symcirc.oracle import ColouredGraph, WeightedHost
 from symcirc.pattern import (
     BipartiteMultigraph,
     BranchSets,
+    complete_binary_tree_structure,
     find_minor,
     make_cycle,
     make_grid,
@@ -80,6 +86,122 @@ def test_path_gadget_random():
         y = {(i, j): Fraction(rng.randint(-2, 2)) for i in range(1, 5) for j in range(i, 5)}
         lhs = oracle.colhom_eval(make_path(4), reduce.path_vbp_gadget(2, x, y))
         assert lhs == reduce.path_vbp_poly(2, x, y)
+
+
+# The three target families as hand-written loops over their definitions,
+# independent of the `oracle._weighted_sum` kernel that `reduce` sums them by.
+
+
+def _reference_sym(y, u, v):
+    return y.get((u, v), y.get((v, u), Fraction(0)))
+
+
+def _reference_clique_poly(n, y):
+    total = Fraction(0)
+    for subset in itertools.combinations(range(1, 2 * n + 1), n):
+        term = Fraction(1)
+        for i, j in itertools.combinations(subset, 2):
+            term = term * y.get((i, j), Fraction(0))
+            if term == 0:
+                break
+        total = total + term
+    return total
+
+
+def _reference_btree_vp_poly(m, x, y):
+    """Maps are tuples over the tree's vertices 0..|V|-1, 1-based values.
+    The X factors start from the int 1 and default to the int 0, so maps
+    that miss X's support cost no Fraction arithmetic."""
+    graph, _, right = complete_binary_tree_structure(m)
+    edges = [(u, v) for (u, v, _) in graph.edge_list_global()]
+    total = Fraction(0)
+    for h in itertools.product(range(1, m ** 6 + 1), repeat=graph.num_vertices()):
+        term = 1
+        for v in right.values():
+            term = term * x.get(h[v], 0)
+            if term == 0:
+                break
+        if term == 0:
+            continue
+        for (u, v) in edges:
+            term = term * _reference_sym(y, h[u], h[v])
+            if term == 0:
+                break
+        total = total + term
+    return total
+
+
+def _reference_path_vbp_poly(m, x, y):
+    total = Fraction(0)
+    for h in itertools.product(range(1, m ** 2 + 1), repeat=m + 1):
+        term = x.get(h[0], Fraction(0)) * x.get(h[-1], Fraction(0))
+        if term == 0:
+            continue
+        for i in range(m):
+            term = term * _reference_sym(y, h[i], h[i + 1])
+            if term == 0:
+                break
+        total = total + term
+    return total
+
+
+def test_targets_match_their_reference_loops():
+    rng = random.Random(29)
+
+    def rational():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    def upper(size, strict):
+        return {(i, j): rational() for i in range(1, size + 1)
+                for j in range(i + strict, size + 1)}
+
+    for n in range(1, 5):
+        y = upper(2 * n, 1)
+        assert reduce.clique_poly(n, y) == _reference_clique_poly(n, y), n
+    for m in (1, 2, 3):
+        x, y = {i: rational() for i in range(1, m * m + 1)}, upper(m * m, 0)
+        assert reduce.path_vbp_poly(m, x, y) == _reference_path_vbp_poly(m, x, y), m
+    x, y = {1: rational()}, upper(1, 0)
+    assert reduce.btree_vp_poly(1, x, y) == _reference_btree_vp_poly(1, x, y)
+    # m = 2 at an X with two non-zero entries, so the reference loop stays short.
+    x, y = {i: rational() for i in rng.sample(range(1, 65), 2)}, upper(64, 0)
+    value = reduce.btree_vp_poly(2, x, y)
+    assert value != 0 and value == _reference_btree_vp_poly(2, x, y)
+
+
+@contextlib.contextmanager
+def _caps(**caps):
+    token = CAPS.set(MappingProxyType({**CAPS.get(), **caps}))
+    try:
+        yield
+    finally:
+        CAPS.reset(token)
+
+
+def test_targets_check_the_map_cap_before_summing():
+    with _caps(brute_force_maps=6560):
+        with pytest.raises(SizeCap, match=r"6561 exceeds cap 6560 \(set by --caps brute_force_maps\)"):
+            reduce.path_vbp_poly(3, {}, {})
+    with _caps(brute_force_maps=69):
+        with pytest.raises(SizeCap, match=r"70 exceeds cap 69 \(set by --caps brute_force_maps\)"):
+            reduce.clique_poly(4, {})
+    # 729^3 = 387,420,489 maps under the default cap: refused before any table.
+    with pytest.raises(SizeCap, match=r"\(set by --caps brute_force_maps\)$"):
+        reduce.btree_vp_poly(3, {}, {})
+
+
+def test_subgraph_extraction_caps_its_colourings_at_construction():
+    calls = []
+    c4, p3 = make_cycle(4), make_path(3)
+    # C(4, 2) two-edge subgraphs of C4, each with 3^4 colourings: 486.
+    with _caps(brute_force_maps=100):
+        with pytest.raises(SizeCap, match=r"colouring count \d+ exceeds cap 100 "
+                                          r"\(set by --caps brute_force_maps\)$"):
+            reduce.extract_colhom_via_subgraph(c4, p3, 1, calls.append)
+    assert calls == []
+    with _caps(brute_force_maps=486):
+        reduce.extract_colhom_via_subgraph(c4, p3, 1, calls.append)
+    assert calls == []
 
 
 def test_minor_gadget_identity_cases():
