@@ -79,8 +79,9 @@ class WeightedHost:
     __slots__ = ("n", "m", "weights")
 
     def __init__(self, n: int, m: int, weights: Mapping[Tuple[int, int], Rational] | None = None):
-        if n < 0 or m < 0:
-            raise InvalidParameter("host dimensions must be non-negative")
+        for size in (n, m):
+            if type(size) is not int or size < 0:
+                raise InvalidParameter(f"host dimensions must be ints >= 0, not {size!r}")
         self.n = n
         self.m = m
         self.weights: Dict[Tuple[int, int], Rational] = {}
@@ -162,8 +163,8 @@ class ColouredGraph:
         self.colours = sorted(sizes, key=repr)
         self.sizes: Dict[Hashable, int] = dict(sizes)
         for c, s in self.sizes.items():
-            if s < 0:
-                raise InvalidParameter(f"negative class size for colour {c!r}")
+            if type(s) is not int or s < 0:
+                raise InvalidParameter(f"class size of colour {c!r} must be an int >= 0, not {s!r}")
         self.weights: Dict[Tuple[Tuple[Hashable, int], Tuple[Hashable, int]], object] = {}
 
     def _check(self, key: Tuple[Hashable, int]):

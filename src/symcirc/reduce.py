@@ -8,8 +8,8 @@ single homomorphism polynomial from a linear combination.
 
 The gadgets' target families (`clique_poly`, `btree_vp_poly`,
 `path_vbp_poly`) are each one sum from their definitions through the kernel
-`oracle._weighted_sum`.  They and the colouring enumerations check the
-`brute_force_maps` cap before they enumerate.
+`oracle._weighted_sum`.  They, `uncolour_expand` and the extraction normalizer
+check the `brute_force_maps` cap before they enumerate.
 
 Conventions: pattern colours are 1-based global vertex ids (matching
 `oracle.identity_colouring`); gadgets are ColouredGraphs with rational
@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
@@ -465,30 +465,32 @@ def _sub_multisets_all(edges: Sequence[Tuple[Tuple[int, int], int]]):
                prod(comb(mult, take) for (_, mult), take in zip(edges, takes)))
 
 
-def _matches_base(edge_list: Sequence[Tuple[int, int, int]], colour_of: Mapping[int, int],
-                  s: BipartiteMultigraph) -> bool:
-    """(subgraph-with-colours minus isolated vertices) iso to (S, identity)?
-
-    True iff every S-colour class contains exactly one non-isolated vertex
-    and the coloured edge multiset is exactly E(S), each edge once.
-    """
-    class_members: Dict[int, set] = {}
-    coloured_edges: Dict[frozenset, int] = {}
-    for (u, v, mult) in edge_list:
-        cu, cv = colour_of[u], colour_of[v]
-        class_members.setdefault(cu, set()).add(u)
-        class_members.setdefault(cv, set()).add(v)
-        key = frozenset(((cu, 0), (cv, 1))) if cu == cv else frozenset((cu, cv))
-        coloured_edges[key] = coloured_edges.get(key, 0) + mult
-    wanted: Dict[frozenset, int] = {}
-    for (u, v, _) in s.edge_list_global():
-        key = frozenset((u + 1, v + 1))
-        wanted[key] = wanted.get(key, 0) + 1
-    if coloured_edges != wanted:
-        return False
-    if set(class_members) != set(range(1, s.num_vertices() + 1)):
-        return False
-    return all(len(m) == 1 for m in class_members.values())
+def _normalizer(s: BipartiteMultigraph, candidates: Iterable[Tuple[BipartiteMultigraph, int]],
+                ncls: Rational) -> Rational:
+    """Sum over the (graph, binomial weight) candidates of the colourings of
+    V(graph) by V(S) that make the graph minus its isolated vertices (S,
+    identity), each isolated vertex weighted by ncls.  Only a candidate with
+    |V(S)| non-isolated vertices has such colourings: it walks the |V(S)|!
+    bijections onto the colours, charged to the `brute_force_maps` cap, and
+    counts those whose coloured edge multiset is E(S), each edge once.  An
+    isolated vertex takes any colour, a factor |V(S)| * ncls."""
+    colours = range(1, s.num_vertices() + 1)
+    wanted = sorted((u + 1, v + 1) for (u, v, _) in s.edge_list_global())
+    total, bijections = Fraction(0), 0
+    for graph, weight in candidates:
+        isolated = graph.isolated_vertices()
+        touched = [v for v in graph.vertices() if v not in isolated]
+        if len(touched) != len(colours):
+            continue
+        bijections += factorial(len(colours))
+        check_cap("brute_force_maps", bijections, "bijection count")
+        edges = [(u, v) for (u, v, mult) in graph.edge_list_global() for _ in range(mult)]
+        matches = 0
+        for perm in itertools.permutations(colours):
+            c = dict(zip(touched, perm))
+            matches += sorted(tuple(sorted((c[u], c[v]))) for (u, v) in edges) == wanted
+        total += weight * matches * (len(colours) * ncls) ** len(isolated)
+    return total
 
 
 def _cfi_difference(s: BipartiteMultigraph) -> Tuple[CfiPair, Rational]:
@@ -508,11 +510,9 @@ def _extract_colhom(f: BipartiteMultigraph, s: BipartiteMultigraph, n: int,
 
     q(G, S_i) is the |E(S)|-edge slice of t -> hom_oracle(transform(t * G x
     S_i) shifted by one), and colhom_{S,n}(G) = (q(G, S_0) - q(G, S_1)) /
-    normalizer.  The normalizer sums, over the candidate (graph, binomial
-    weight) pairs with |E(S)| edge slots that the inclusion-exclusion
-    produces, every colouring under which the graph minus its isolated
-    vertices is (S, identity), times the isolated-vertex class-size factor
-    and the CFI difference.
+    normalizer.  The normalizer is `_normalizer` over the candidate (graph,
+    binomial weight) pairs with |E(S)| edge slots that the inclusion-exclusion
+    produces, times the CFI difference.
     """
     if not s.is_simple() or not s.is_connected():
         raise InvalidParameter("the extracted pattern S must be simple and connected")
@@ -526,16 +526,7 @@ def _extract_colhom(f: BipartiteMultigraph, s: BipartiteMultigraph, n: int,
     ncls = Fraction(pad * n)
 
     s_colours = list(range(1, s.num_vertices() + 1))
-    normalizer = Fraction(0)
-    colourings = 0
-    for graph, weight in candidates:
-        colourings += len(s_colours) ** graph.num_vertices()
-        check_cap("brute_force_maps", colourings, "colouring count")
-        edge_list = graph.edge_list_global()
-        iso_factor = ncls ** len(graph.isolated_vertices())
-        for values in itertools.product(s_colours, repeat=graph.num_vertices()):
-            if _matches_base(edge_list, dict(zip(graph.vertices(), values)), s):
-                normalizer = normalizer + weight * iso_factor * delta
+    normalizer = _normalizer(s, candidates, ncls) * delta
     if normalizer == 0:
         raise InvalidParameter(f"zero normalizer; S is not a relevant {relation} of F")
 

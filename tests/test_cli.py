@@ -499,6 +499,9 @@ def test_trials_below_one_exit_2(capsys, tmp_path, command):
     ("minor_norm", ["verify", "identity", "--name", "minor"]),
     ("brute_force_maps", ["reduce", "extract-subgraph", "--n", "1", "--trials", "1",
                           "--minor-pattern", "{p2}", "--host-pattern", "{p6}"]),
+    ("brute_force_maps", ["reduce", "extract-minor", "--n", "1", "--trials", "1",
+                          "--minor-pattern", "{p2}", "--host-pattern", "{p6}"]),
+    ("brute_force_maps", ["reduce", "btree", "--n", "2"]),
 ])
 def test_each_cap_reaches_every_command_and_is_named(capsys, tmp_path, key, argv):
     """A cap hit exits 2 (never a FAIL line), naming its value and its key."""
@@ -510,6 +513,15 @@ def test_each_cap_reaches_every_command_and_is_named(capsys, tmp_path, key, argv
     code, out, err = _run(capsys, "--caps", caps, *(a.format(**files) for a in argv))
     assert code == 2 and out == "" and err.startswith("error:")
     assert err.rstrip().endswith(f"exceeds cap 3 (set by --caps {key})")
+
+
+def test_capped_hardness_target_exits_before_the_gadget_is_built(capsys, tmp_path, monkeypatch):
+    built, build = [], cli.reduce.btree_vp_gadget
+    monkeypatch.setattr(cli.reduce, "btree_vp_gadget", lambda *args: built.append(args) or build(*args))
+    caps = _write(tmp_path, "caps.json", {"brute_force_maps": 1000})
+    code, out, err = _run(capsys, "--caps", caps, "reduce", "btree", "--n", "2")
+    assert code == 2 and out == "" and "exceeds cap 1000 (set by --caps brute_force_maps)" in err
+    assert built == []
 
 
 def test_json_integers_past_the_digit_limit_exit_2(capsys, tmp_path):

@@ -184,6 +184,17 @@ def test_coloured_graph_json_round_trip():
     assert again.weights == g.weights
 
 
+@pytest.mark.parametrize("size", [1.5, True, Fraction(1), -1])
+def test_host_sizes_must_be_ints(size):
+    """Floats, bools and Fractions are not sizes, even when integral."""
+    with pytest.raises(InvalidParameter, match="int"):
+        WeightedHost(size, 1, {})
+    with pytest.raises(InvalidParameter, match="int"):
+        WeightedHost(1, size, {})
+    with pytest.raises(InvalidParameter, match="int"):
+        ColouredGraph({1: size, 2: 1})
+
+
 @pytest.mark.parametrize("data", [0, None, "host", [1, 1], 1.5])
 def test_from_json_rejects_non_objects(data):
     for cls in (WeightedHost, ColouredGraph, BipartiteMultigraph):

@@ -193,15 +193,77 @@ def test_targets_check_the_map_cap_before_summing():
 def test_subgraph_extraction_caps_its_colourings_at_construction():
     calls = []
     c4, p3 = make_cycle(4), make_path(3)
-    # C(4, 2) two-edge subgraphs of C4, each with 3^4 colourings: 486.
-    with _caps(brute_force_maps=100):
-        with pytest.raises(SizeCap, match=r"colouring count \d+ exceeds cap 100 "
+    # Of the C(4, 2) two-edge subgraphs of C4, the 4 paths have |V(P3)| = 3
+    # non-isolated vertices, each with 3! bijections onto the colours: 24.
+    with _caps(brute_force_maps=23):
+        with pytest.raises(SizeCap, match=r"bijection count 24 exceeds cap 23 "
                                           r"\(set by --caps brute_force_maps\)$"):
             reduce.extract_colhom_via_subgraph(c4, p3, 1, calls.append)
     assert calls == []
-    with _caps(brute_force_maps=486):
+    with _caps(brute_force_maps=24):
         reduce.extract_colhom_via_subgraph(c4, p3, 1, calls.append)
     assert calls == []
+
+
+def test_subgraph_extraction_of_c4_from_the_grid_walks_only_its_squares():
+    """Of the 495 four-edge subgraphs of the 3x3 grid, only the 4 squares
+    have 4 non-isolated vertices: 4 * 4! = 96 bijections, where all
+    colourings would be 4^9 = 262144 per subgraph."""
+    calls = []
+    with _caps(brute_force_maps=96):
+        reduce.extract_colhom_via_subgraph(make_grid(3, 3), make_cycle(4), 1, calls.append)
+    assert calls == []
+
+
+def _reference_normalizer(s, candidates, ncls):
+    """The normalizer by definition: every colouring of each candidate graph
+    by V(S), kept if every colour class holds exactly one non-isolated vertex
+    and the coloured edge multiset is exactly E(S), each edge once; each
+    isolated vertex is weighted by ncls."""
+    wanted = {}
+    for (u, v, _) in s.edge_list_global():
+        key = frozenset((u + 1, v + 1))
+        wanted[key] = wanted.get(key, 0) + 1
+    total = Fraction(0)
+    for graph, weight in candidates:
+        edge_list = graph.edge_list_global()
+        iso_factor = ncls ** len(graph.isolated_vertices())
+        for values in itertools.product(range(1, s.num_vertices() + 1), repeat=graph.num_vertices()):
+            colour_of = dict(zip(graph.vertices(), values))
+            class_members, coloured_edges = {}, {}
+            for (u, v, mult) in edge_list:
+                cu, cv = colour_of[u], colour_of[v]
+                class_members.setdefault(cu, set()).add(u)
+                class_members.setdefault(cv, set()).add(v)
+                key = frozenset(((cu, 0), (cv, 1))) if cu == cv else frozenset((cu, cv))
+                coloured_edges[key] = coloured_edges.get(key, 0) + mult
+            if (coloured_edges == wanted
+                    and set(class_members) == set(range(1, s.num_vertices() + 1))
+                    and all(len(m) == 1 for m in class_members.values())):
+                total += weight * iso_factor
+    return total
+
+
+def test_normalizer_matches_the_all_colourings_reference(monkeypatch):
+    """Subgraph and minor candidates, with isolated vertices and with the
+    accumulated multiplicities of quotients and of a doubled edge."""
+    normalizer, checked = reduce._normalizer, []
+
+    def both(s, candidates, ncls):
+        candidates = list(candidates)
+        want = _reference_normalizer(s, candidates, ncls)
+        assert normalizer(s, candidates, ncls) == want
+        checked.append(want)
+        return want
+
+    monkeypatch.setattr(reduce, "_normalizer", both)
+    p2, p3 = make_path(2), make_path(3)
+    doubled = BipartiteMultigraph(2, 1, {(0, 0): 2, (1, 0): 1})
+    for f, s in ((p3, p2), (doubled, p2), (make_cycle(4), p3)):
+        for extract in (reduce.extract_colhom_via_subgraph, reduce.extract_colhom_via_minor):
+            for n in (1, 2):
+                extract(f, s, n, None)
+    assert len(checked) == 12 and all(checked)
 
 
 def test_minor_gadget_identity_cases():
