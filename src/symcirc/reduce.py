@@ -8,8 +8,8 @@ single homomorphism polynomial from a linear combination.
 
 The gadgets' target families (`clique_poly`, `btree_vp_poly`,
 `path_vbp_poly`) are each one sum from their definitions through the kernel
-`oracle._weighted_sum`.  They, `uncolour_expand` and the extraction normalizer
-check the `brute_force_maps` cap before they enumerate.
+`oracle._weighted_sum`.  They, `uncolour_expand`, the extraction candidates
+and normalizer check the `brute_force_maps` cap before they enumerate.
 
 Conventions: pattern colours are 1-based global vertex ids (matching
 `oracle.identity_colouring`); gadgets are ColouredGraphs with rational
@@ -458,8 +458,12 @@ def check_quotient_identity(f: BipartiteMultigraph, g: WeightedHost) -> bool:
 # -- extraction pipelines --------------------------------------------------------------------
 
 
-def _sub_multisets_all(edges: Sequence[Tuple[Tuple[int, int], int]]):
-    """All sub-multiset choices, with binomial weights."""
+def _sub_multisets_all(edges: Sequence[Tuple[Tuple[int, int], int]], expansions: int = 1):
+    """All sub-multiset choices, with binomial weights.  The walk, each choice
+    counted `expansions` times, is charged to the `brute_force_maps` cap
+    before the first choice."""
+    check_cap("brute_force_maps", expansions * prod(mult + 1 for _, mult in edges),
+              "candidate count")
     for takes in itertools.product(*(range(mult + 1) for _, mult in edges)):
         yield ([(edge, take) for (edge, _), take in zip(edges, takes) if take],
                prod(comb(mult, take) for (_, mult), take in zip(edges, takes)))
@@ -574,7 +578,7 @@ def extract_colhom_via_minor(f: BipartiteMultigraph, s: BipartiteMultigraph, n: 
     k = s.num_edge_slots()
 
     def quotients():
-        for chosen, weight in _sub_multisets_all(sorted(f.edges.items())):
+        for chosen, weight in _sub_multisets_all(sorted(f.edges.items()), 2 ** f.num_vertices()):
             sub = BipartiteMultigraph(f.a_count, f.b_count, dict(chosen))
             for bits in itertools.product((SIDE_A, SIDE_B), repeat=f.num_vertices()):
                 q_graph = quotient(sub, dict(zip(f.vertices(), bits)))

@@ -205,13 +205,37 @@ def test_subgraph_extraction_caps_its_colourings_at_construction():
     assert calls == []
 
 
-def test_subgraph_extraction_of_c4_from_the_grid_walks_only_its_squares():
-    """Of the 495 four-edge subgraphs of the 3x3 grid, only the 4 squares
-    have 4 non-isolated vertices: 4 * 4! = 96 bijections, where all
-    colourings would be 4^9 = 262144 per subgraph."""
-    calls = []
+def test_subgraph_extraction_of_c4_from_the_grid_walks_only_its_squares(monkeypatch):
+    """The walk over the 2^12 edge subsets of the 3x3 grid is charged 4096;
+    of its 495 four-edge subgraphs only the 4 squares have 4 non-isolated
+    vertices: 4 * 4! = 96 bijections, where all colourings would be 4^9 =
+    262144 per subgraph."""
+    calls, seen, normalizer = [], [], reduce._normalizer
+    monkeypatch.setattr(reduce, "_normalizer", lambda s, candidates, ncls: normalizer(
+        s, seen.append(list(candidates)) or seen[0], ncls))
+    grid, c4 = make_grid(3, 3), make_cycle(4)
+    with _caps(brute_force_maps=4095):
+        with pytest.raises(SizeCap, match=r"^candidate count 4096 exceeds cap 4095 "):
+            reduce.extract_colhom_via_subgraph(grid, c4, 1, calls.append)
+    with _caps(brute_force_maps=4096):
+        reduce.extract_colhom_via_subgraph(grid, c4, 1, calls.append)
+    assert calls == [] and len(seen[0]) == 495
+    with _caps(brute_force_maps=95):
+        with pytest.raises(SizeCap, match=r"^bijection count 96 exceeds cap 95 "):
+            normalizer(c4, seen[0], Fraction(2))
     with _caps(brute_force_maps=96):
-        reduce.extract_colhom_via_subgraph(make_grid(3, 3), make_cycle(4), 1, calls.append)
+        normalizer(c4, seen[0], Fraction(2))
+
+
+def test_extraction_from_a_large_pattern_exits_before_walking_its_candidates():
+    """The 4x4 grid has 2^24 edge subsets, and the minor pipeline expands
+    each into 2^16 two-colourings: over the default cap either way."""
+    calls = []
+    grid, c4 = make_grid(4, 4), make_cycle(4)
+    with pytest.raises(SizeCap, match=r"^candidate count 16777216 exceeds cap 10000000 "):
+        reduce.extract_colhom_via_subgraph(grid, c4, 1, calls.append)
+    with pytest.raises(SizeCap, match=r"^candidate count 1099511627776 exceeds cap 10000000 "):
+        reduce.extract_colhom_via_minor(grid, c4, 1, calls.append)
     assert calls == []
 
 
