@@ -35,11 +35,11 @@ shared vCPUs):
                          took 2.07 s against 1.80 s (2.00 s with no kernel
                          at all; measured when `rigidify` still evaluated
                          every circuit it copied at 4 points);
-  KERNEL_GATE_CAP = 2048 larger plans stay interpreted: the workload's
-                         15,577-gate extraction circuit takes 0.20 s to
-                         compile, and compiling it raised the peak RSS from
-                         60 to 79 MB, while the largest plan the workload
-                         compiles has 199 internal gates (53 on average);
+  KERNEL_GATE_CAP = 2048 larger plans stay interpreted: the plan of the
+                         workload's extraction circuit, 7,825 internal gates,
+                         takes 0.075 s to compile, raising the peak RSS from
+                         29.5 to 49.5 MB, while the largest plan it compiles
+                         has 199 internal gates (53 on average);
   KERNEL_LINE_OPERANDS = 64  longer sums and products go on several lines,
                          because compiling a 5000-operand `a + a + ...`
                          raises RecursionError.

@@ -61,24 +61,24 @@ def _json_text(value, indent: str = "\n", memo: Optional[Dict] = None) -> str:
     json writes indented text with its pure-Python encoder, which costs a
     generator per container; this is one recursive writer instead, at the
     given indentation ("\n" and two spaces per level).  The text of a
-    string, and of a tuple at a given indentation, is kept in `memo` and
-    reused, so the support pairs repeated across an analysis' gates are
+    string, and of a tuple or a list at a given indentation, is kept in
+    `memo`, so the support lists an analysis shares between gates are
     written once.  Tuples are keyed by repr, which tells 1, 1.0 and True
-    apart.  Other scalars, empty containers and keys that are not strings
-    are written by `json.dumps` itself; a key json would refuse (not str,
-    int, float, bool or None) is not checked for.  A plain function, not a
-    closure: a recursive closure is a reference cycle, which would hold the
-    memo until the next garbage collection.
+    apart, and lists by id: each is a live part of the value, so no other
+    list takes its id.  Other scalars, empty containers and keys that are
+    not strings are written by `json.dumps`; a key json would refuse (not
+    str, int, float, bool or None) is not checked for.  A plain function, not
+    a closure: a recursive closure is a reference cycle, which would hold
+    the memo until the next garbage collection.
     """
     memo = {} if memo is None else memo
     kind = type(value)
     if kind is int:
         return str(value)
-    if kind is str or kind is tuple:
-        key = value if kind is str else (repr(value), indent)
-        if key not in memo:
-            memo[key] = json.dumps(value) if kind is str else _json_text(list(value), indent, memo)
-        return memo[key]
+    if kind is str:
+        if value not in memo:
+            memo[value] = json.dumps(value)
+        return memo[value]
     if not isinstance(value, (list, tuple, dict)) or not value:
         return json.dumps(value)
     inner = indent + "  "
@@ -86,8 +86,11 @@ def _json_text(value, indent: str = "\n", memo: Optional[Dict] = None) -> str:
         items = [_json_text(k if isinstance(k, str) else json.dumps(k), inner, memo) + ": "
                  + _json_text(v, inner, memo) for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    items = [_json_text(v, inner, memo) for v in value]
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
+    key = (repr(value) if kind is tuple else id(value), indent)
+    if key not in memo:
+        memo[key] = ("[" + inner + ("," + inner).join([_json_text(v, inner, memo) for v in value])
+                     + indent + "]")
+    return memo[key]
 
 
 def _emit(data, out: Optional[str]):
@@ -179,15 +182,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_oracle(args) -> int:
     g = pattern.BipartiteMultigraph.from_json(_load_json(args.pattern))
-    if args.which == "hom":
-        host = WeightedHost.from_json(_load_json(args.host))
-        value = oracle.hom_count(g, host)
-    elif args.which == "emb":
-        host = WeightedHost.from_json(_load_json(args.host))
-        value = oracle.emb_eval(g, host)
+    if args.which == "colhom":
+        value = oracle.colhom_eval(g, ColouredGraph.from_json(_load_json(args.host)))
     else:
-        host = ColouredGraph.from_json(_load_json(args.host))
-        value = oracle.colhom_eval(g, host)
+        host = WeightedHost.from_json(_load_json(args.host))
+        value = (oracle.hom_count if args.which == "hom" else oracle.emb_eval)(g, host)
     _emit({"value": rational_to_json(value)}, args.out)
     return 0
 

@@ -8,8 +8,9 @@ single homomorphism polynomial from a linear combination.
 
 The gadgets' target families (`clique_poly`, `btree_vp_poly`,
 `path_vbp_poly`) are each one sum from their definitions through the kernel
-`oracle._weighted_sum`.  They, `uncolour_expand`, the extraction candidates
-and normalizer check the `brute_force_maps` cap before they enumerate.
+`oracle._weighted_sum`.  They, `uncolour_expand`, the extraction pipelines
+(a brute-force handle's maps, then candidates and normalizer) check the
+`brute_force_maps` cap before they enumerate.
 
 Conventions: pattern colours are 1-based global vertex ids (matching
 `oracle.identity_colouring`); gadgets are ColouredGraphs with rational
@@ -63,17 +64,20 @@ CFI_DEGREE_CAP = 5  # largest base degree `cfi_pair` accepts (classes of 2^(deg-
 
 @dataclass
 class OracleHandle:
-    """A deterministic exact evaluator standing in for oracle gates."""
+    """A deterministic exact evaluator standing in for oracle gates; `maps`,
+    if given, maps a size to the maps one call enumerates on a size x size host."""
 
     fn: Callable[[WeightedHost], Rational]
     description: str = ""
+    maps: Optional[Callable[[int], int]] = None
 
     def __call__(self, host: WeightedHost) -> Rational:
         return self.fn(host)
 
 
 def brute_hom_oracle(f: BipartiteMultigraph) -> OracleHandle:
-    return OracleHandle(lambda host: hom_count(f, host), f"brute hom for {f!r}")
+    return OracleHandle(lambda host: hom_count(f, host), f"brute hom for {f!r}",
+                        lambda size: size ** f.num_vertices())
 
 
 # -- clique-from-grid gadget -------------------------------------------------------------
@@ -109,14 +113,9 @@ def clique_grid_gadget(n: int, y: Mapping[Tuple[int, int], Rational]) -> Coloure
     ids = grid_vertex_ids(n, n)
     colour = {cell: ids[cell] + 1 for cell in ids}
 
-    members: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                members[(i, j)] = [(v, v) for v in range(1, 2 * n + 1)]
-            else:
-                members[(i, j)] = [(u, v) for u in range(1, 2 * n + 1)
-                                   for v in range(1, 2 * n + 1) if u != v]
+    values = range(1, 2 * n + 1)
+    members = {(i, j): [(u, v) for u in values for v in values if (u == v) == (i == j)]
+               for i in range(n) for j in range(n)}
     index = {cell: {p: k for k, p in enumerate(ps)} for cell, ps in members.items()}
 
     g = ColouredGraph({colour[cell]: len(members[cell]) for cell in members})
@@ -508,15 +507,16 @@ def _cfi_difference(s: BipartiteMultigraph) -> Tuple[CfiPair, Rational]:
 
 def _extract_colhom(f: BipartiteMultigraph, s: BipartiteMultigraph, n: int,
                     hom_oracle: Callable[[WeightedHost], Rational],
-                    transform: Callable[[WeightedHost], WeightedHost],
-                    candidates: Iterable[Tuple[BipartiteMultigraph, int]], relation: str):
+                    candidates: Iterable[Tuple[BipartiteMultigraph, int]], minor: bool):
     """The extraction pipeline shared by the subgraph and minor variants.
 
-    q(G, S_i) is the |E(S)|-edge slice of t -> hom_oracle(transform(t * G x
-    S_i) shifted by one), and colhom_{S,n}(G) = (q(G, S_0) - q(G, S_1)) /
-    normalizer.  The normalizer is `_normalizer` over the candidate (graph,
-    binomial weight) pairs with |E(S)| edge slots that the inclusion-exclusion
-    produces, times the CFI difference.
+    q(G, S_i) is the |E(S)|-edge slice of t -> hom_oracle(t * G x S_i,
+    bipartite-doubled if `minor`, shifted by one), and colhom_{S,n}(G) =
+    (q(G, S_0) - q(G, S_1)) / normalizer.  The normalizer is `_normalizer`
+    over the candidate (graph, binomial weight) pairs with |E(S)| edge slots
+    that the inclusion-exclusion produces, times the CFI difference.  A
+    handle that states its map count (`OracleHandle.maps`) is charged for
+    one call on the oracle's host before the candidates are walked.
     """
     if not s.is_simple() or not s.is_connected():
         raise InvalidParameter("the extracted pattern S must be simple and connected")
@@ -530,12 +530,16 @@ def _extract_colhom(f: BipartiteMultigraph, s: BipartiteMultigraph, n: int,
     ncls = Fraction(pad * n)
 
     s_colours = list(range(1, s.num_vertices() + 1))
+    maps = getattr(hom_oracle, "maps", None)
+    if maps is not None:
+        _check_cap(maps(len(s_colours) * n * pad * (2 if minor else 1)))
     normalizer = _normalizer(s, candidates, ncls) * delta
     if normalizer == 0:
+        relation = "minor" if minor else "subgraph"
         raise InvalidParameter(f"zero normalizer; S is not a relevant {relation} of F")
 
     def shifted(host: WeightedHost) -> Rational:
-        return hom_oracle(transform(host).shift_all(Fraction(1)))
+        return hom_oracle((bipartite_double(host) if minor else host).shift_all(Fraction(1)))
 
     def q(g: ColouredGraph, cfi_side: ColouredGraph) -> Rational:
         return degree_slice(shifted, k, max_edges, tensor_product(g, cfi_side).flatten())
@@ -564,7 +568,7 @@ def extract_colhom_via_subgraph(f: BipartiteMultigraph, s: BipartiteMultigraph, 
         for chosen, weight in _sub_multisets_all(sorted(f.edges.items()))
         if sum(take for _, take in chosen) == k
     )
-    return _extract_colhom(f, s, n, hom_oracle, lambda host: host, subgraphs, "subgraph")
+    return _extract_colhom(f, s, n, hom_oracle, subgraphs, minor=False)
 
 
 def extract_colhom_via_minor(f: BipartiteMultigraph, s: BipartiteMultigraph, n: int,
@@ -585,7 +589,7 @@ def extract_colhom_via_minor(f: BipartiteMultigraph, s: BipartiteMultigraph, n: 
                 if q_graph.num_edge_slots() == k:
                     yield q_graph, weight
 
-    return _extract_colhom(f, s, n, hom_oracle, bipartite_double, quotients(), "minor")
+    return _extract_colhom(f, s, n, hom_oracle, quotients(), minor=True)
 
 
 def extract_single_from_lincomb(lincomb_oracle: Callable[[WeightedHost], Rational],

@@ -4,20 +4,21 @@ All solvers work on the underlying simple graph over global vertex ids and
 return both the exact value and a certificate that `validate_decomposition`
 accepts.  Treewidth and pathwidth share one subset DP, `_subset_dp`, over
 vertex orders (Bodlaender et al., On exact algorithms for treewidth, TALG
-2012); it minimizes the maximum step cost, recovers an optimal order, and
-differs per solver only in the step cost of placing v after the set S.
-Each solve builds one table `nb` of 2^n bitmasks, nb[mask] the union of the
-neighbourhoods of the vertices in mask, and both step costs and both
-certificate builders read it:
+2012); it minimizes the maximum cost of the steps placing v after the set
+S, recovers an optimal order, and computes the solver's step inline, with
+no call per (S, v) pair.  Each solve builds one table `nb` of 2^n bitmasks,
+nb[mask] the union of the neighbourhoods of the vertices in mask, and both
+steps and both certificate builders read it:
 
-  * treewidth  -> TreeDecomposition: the number of vertices outside S+v
-    reachable from v through S (its elimination degree), found by growing
-    the mask comp = {v} by nb[comp] & S until it stops, with the
+  * treewidth  -> TreeDecomposition: the step is the number of vertices
+    outside S+v reachable from v through S (its elimination degree), found
+    by growing the mask comp = {v} by nb[comp] & S until it stops, with the
     decomposition rebuilt from the optimal elimination order;
-  * pathwidth  -> PathDecomposition: the boundary of the prefix T = S+v,
-    T & nb[V - T], i.e. its vertices with a neighbour outside it (vertex
-    separation number equals pathwidth), with the bags rebuilt from the
-    layout;
+  * pathwidth  -> PathDecomposition: the step is the boundary of the prefix
+    T = S+v, T & nb[V - T] (vertex separation number equals pathwidth),
+    with the bags rebuilt from the layout.  It does not depend on v, so it
+    is computed once per T, and T's scan stops at the first candidate that
+    costs no more, as none can cost less;
   * treedepth  -> EliminationForest, via recursive root choice memoized on
     vertex masks, components grown by the tw step's closure.
 
@@ -35,7 +36,7 @@ parent chains are checked by one walk and ancestry by DFS times.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InvalidDecomposition, InvalidParameter, ParseError, check_cap
 from .exactnum import int_from_json, list_from_json, rows_from_json
@@ -272,41 +273,50 @@ def _neighbourhood_unions(adj: Sequence[Iterable[int]]) -> List[int]:
     return nb
 
 
-def _subset_dp(n: int, start: int, step: Callable[[int, int], int]) -> Tuple[int, List[int]]:
+def _subset_dp(nb: List[int], pathwidth: bool) -> Tuple[int, List[int]]:
     """Min over vertex orders of the max step cost, by DP over vertex subsets.
 
-    cost[0] = start and cost[T] = min over v in T of max(cost[S], step(S, v))
-    with S = T - {v}, T a bitmask of the vertices placed so far.  Masks are
-    filled in numeric order, as every S is below its T.  Candidates v are
-    taken in decreasing order and a later one wins only when strictly
-    cheaper; one whose cost[S] already reaches the best is skipped without
-    computing its step.  Returns (cost of all n vertices, an optimal order,
-    first placed first).
+    cost[0] = 0 and cost[T] = min over v in T of max(cost[S], step) with
+    S = T - {v}, T a bitmask of the vertices placed so far, and the solver's
+    step (see the module docstring) computed inline.  Masks are filled in
+    numeric order, as every S is below its T.  Candidates v are taken in
+    decreasing order and a later one wins only when strictly cheaper; one
+    whose cost[S] already reaches the best is skipped without computing its
+    step.  Returns (cost of all n vertices, an optimal order, first placed
+    first).
     """
-    full = (1 << n) - 1
-    cost = [start] * (full + 1)
-    choice = [0] * (full + 1)
+    full = len(nb) - 1
+    n, cost, choice = full.bit_length(), [0] * len(nb), [0] * len(nb)
     for new in range(1, full + 1):
-        best, rest = n + 1, new  # every step cost is at most n
+        best, rest, outside = n + 1, new, full ^ new  # every step cost is at most n
+        # The pathwidth step, computed once per T; the scan stops if the best
+        # reaches it.  -1 for treewidth, which no best reaches.
+        boundary = (new & nb[outside]).bit_count() if pathwidth else -1
         while rest:
             v = rest.bit_length() - 1
             bit = 1 << v
             rest ^= bit
-            base = cost[new ^ bit]
+            through = new ^ bit
+            base = cost[through]
             if base >= best:
                 continue
-            value = max(base, step(new ^ bit, v))
-            if value < best:
-                best, choice[new] = value, v
+            if pathwidth:
+                step = boundary
+            else:  # v's elimination degree: grow {v} through S, count the rest
+                comp, grown = 0, bit
+                while grown != comp:
+                    comp, grown = grown, grown | nb[grown] & through
+                step = (nb[comp] & outside).bit_count()
+            if step < best:
+                best, choice[new] = step if step > base else base, v
+                if best == boundary:
+                    break
         cost[new] = best
-    order: List[int] = []
-    mask = full
+    order, mask = [], full
     while mask:
-        v = choice[mask]
-        order.append(v)
-        mask ^= 1 << v
-    order.reverse()
-    return cost[full], order
+        order.append(choice[mask])
+        mask ^= 1 << order[-1]
+    return cost[full], order[::-1]
 
 
 def _members(mask: int) -> List[int]:
@@ -333,27 +343,21 @@ def treewidth_exact(f: BipartiteMultigraph) -> Tuple[int, TreeDecomposition]:
     if n == 0:
         return -1, TreeDecomposition([frozenset()], [None])
     nb = _neighbourhood_unions(f.adjacency())
-    width, order = _subset_dp(
-        n, -1, lambda mask, v: _eliminated_neighbours(nb, mask, v).bit_count())
+    width, order = _subset_dp(nb, pathwidth=False)
     return width, _decomposition_from_order(nb, order)
 
 
 def _decomposition_from_order(nb: List[int], order: List[int]) -> TreeDecomposition:
     """Tree decomposition from an elimination order (classic fill-in bags)."""
-    n = len(order)
     position = {v: i for i, v in enumerate(order)}
     bags: List[FrozenSet[int]] = []
-    higher: List[List[int]] = []
+    parent: List[Optional[int]] = []  # the bag of the first eliminated later neighbour
     before = 0
     for v in order:
         later = _members(_eliminated_neighbours(nb, before, v))
         bags.append(frozenset([v] + later))
-        higher.append(later)
+        parent.append(min(map(position.__getitem__, later), default=None))
         before |= 1 << v
-    parent: List[Optional[int]] = [None] * n
-    for i, v in enumerate(order):
-        if higher[i]:
-            parent[i] = position[min(higher[i], key=lambda w: position[w])]
     # Link any extra roots (disconnected graphs) into a single tree; bags are
     # disjoint across components so the axioms are unaffected.
     roots = [i for i, p in enumerate(parent) if p is None]
@@ -377,15 +381,8 @@ def pathwidth_exact(f: BipartiteMultigraph) -> Tuple[int, PathDecomposition]:
     if n == 0:
         return -1, PathDecomposition([frozenset()])
     nb = _neighbourhood_unions(f.adjacency())
+    width, order = _subset_dp(nb, pathwidth=True)
     full = (1 << n) - 1
-
-    def boundary(mask: int, v: int) -> int:
-        # Prefix mask+v: its vertices with a neighbour outside it.  The full
-        # prefix has no bag of its own and costs nothing.
-        new = mask | 1 << v
-        return (new & nb[full ^ new]).bit_count() if new != full else 0
-
-    width, order = _subset_dp(n, 0, boundary)
     # Bag i holds order[i] and the placed vertices with a neighbour among
     # order[i:].
     bags: List[FrozenSet[int]] = []

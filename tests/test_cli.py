@@ -634,6 +634,26 @@ def test_emitted_text_is_json_dumps_byte_for_byte(monkeypatch, capsys):
         assert cli._json_text(data) == json.dumps(data, indent=2, sort_keys=True), data
 
 
+def test_a_shared_list_is_written_once_per_indentation(monkeypatch):
+    """One support list object under four gates and at the top, as `analyze`
+    shares them: the text is json's, and the list's members are written
+    once per indentation of the object, and again for an equal copy."""
+    member = {"side": "L", "index": 1}
+    shared = [member, ("R", 2)]
+    data = {"perGate": [{"gate": g, "support": shared} for g in range(4)],
+            "top": shared, "copy": list(shared)}
+    indents, real = [], cli._json_text
+
+    def spy(value, indent, memo):
+        if value is member:
+            indents.append(indent)
+        return real(value, indent, memo)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    assert real(data) == json.dumps(data, indent=2, sort_keys=True)
+    assert sorted(map(len, indents)) == [5, 5, 9]
+
+
 def test_emitting_an_int_too_long_to_print_raises_size_cap(tmp_path):
     """Wherever it sits; `test_values_too_long_to_print_exit_2` shows the
     CLI turning this SizeCap into exit code 2."""

@@ -239,6 +239,27 @@ def test_extraction_from_a_large_pattern_exits_before_walking_its_candidates():
     assert calls == []
 
 
+def test_a_brute_force_handle_is_charged_before_the_candidate_walk(monkeypatch):
+    """The brute-force handle for hom_F states its map count, host size ^
+    |V(F)|: 6^4 for P3 in C4 as a subgraph (host 2 * 3 * n) and 12^4 as a
+    minor (doubled), charged before the first candidate, where the
+    unchecked pipeline would exceed the cap only at its first oracle call."""
+    walks, normalizer = [], reduce._normalizer
+    monkeypatch.setattr(reduce, "_normalizer", lambda *a: walks.append(a) or normalizer(*a))
+    c4, p3 = make_cycle(4), make_path(3)
+    handle = reduce.brute_hom_oracle(c4)
+    for extract, maps in ((reduce.extract_colhom_via_subgraph, 6 ** 4),
+                          (reduce.extract_colhom_via_minor, 12 ** 4)):
+        with _caps(brute_force_maps=maps - 1):
+            with pytest.raises(SizeCap, match=rf"^brute-force map count {maps} exceeds cap {maps - 1} "):
+                extract(c4, p3, 1, handle)
+        assert walks == []
+        with _caps(brute_force_maps=maps):
+            extract(c4, p3, 1, handle)
+        assert len(walks) == 1
+        walks.clear()
+
+
 def _reference_normalizer(s, candidates, ncls):
     """The normalizer by definition: every colouring of each candidate graph
     by V(S), kept if every colour class holds exactly one non-isolated vertex

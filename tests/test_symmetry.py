@@ -1,5 +1,6 @@
 """Group action on circuits: extension, rigidification, orbits, supports."""
 
+import math
 import random
 import re
 import tracemalloc
@@ -879,6 +880,43 @@ def test_the_orbit_walk_gives_the_union_find_orbits_before_and_after_supports():
         assert orbits == second.orbits() == _union_find_orbits(second), c.to_json()
         count += 1
     assert count == 36 + 150
+
+
+def _sandwich_sample():
+    """(rigid circuit, n, m): each simple pattern with at most 5 vertices
+    and an edge, compiled and rigidified, with the shape and n = m in 3..5
+    cycling over the patterns; then 40 random symmetric circuits (seed 31)
+    at n, m in 2..5, rigidified."""
+    patterns = [f for f in enumerate_bipartite_multigraphs(5, 6, max_mult=1) if f.edges]
+    for k, f in enumerate(patterns):
+        n = 3 + k % 3
+        yield rigidify(compilers.compile_single(f, n, n, ("td", "pw", "tw")[k // 3 % 3]).circuit), n, n
+    rng = random.Random(31)
+    for _ in range(40):
+        n, m = rng.randint(2, 5), rng.randint(2, 5)
+        c = random_symmetric_circuit(n, m, rng, rng.choice((40, 80)), rng.choice(("general", "skew")))
+        yield rigidify(c), n, m
+
+
+def test_orbits_are_sandwiched_by_their_least_supports():
+    """By orbit-stabiliser a gate whose least support has a rows and b
+    columns has an orbit of at most (n)_a (m)_b gates, and of at least
+    C(n, a) C(m, b) when 2a < n and 2b < m, as a support that small is
+    unique and so is kept as a set by the gate's stabiliser."""
+    gates = lower = 0
+    for c, n, m in _sandwich_sample():
+        analysis = SymmetryAnalysis(c, n, m)
+        supports = analysis.all_supports()
+        for orbit in analysis.orbits():
+            for g in orbit:
+                a = sum(side == "L" for side, _ in supports[g])
+                b = len(supports[g]) - a
+                assert len(orbit) <= math.perm(n, a) * math.perm(m, b), (c.to_json(), g)
+                if 2 * a < n and 2 * b < m:
+                    assert len(orbit) >= math.comb(n, a) * math.comb(m, b), (c.to_json(), g)
+                    lower += 1
+                gates += 1
+    assert (gates, lower) == (5759, 4721)
 
 
 def _grouping_formula_map(c, pair):

@@ -1,6 +1,8 @@
 """Exact width solvers, certificates, and validation."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -227,23 +229,43 @@ def _reference_pw_step(adj, prefix, n):
     return sum(1 for u in prefix if adj[u] - prefix)
 
 
-def test_dp_steps_match_a_set_based_recount(monkeypatch):
-    steps = []
-    real = width._subset_dp
-    monkeypatch.setattr(width, "_subset_dp",
-                        lambda n, start, step: steps.append(step) or real(n, start, step))
-    for g in enumerate_bipartite_multigraphs(6, 9):
+def _reference_dp(n, step):
+    """(width, order) by the DP's recurrence over frozensets: cost[T] the
+    least max(cost[T - v], step(T - v, v)) over v in T, taken in decreasing
+    order with the first cheapest kept, and the order read back from T = V."""
+    cost, choice = {frozenset(): 0}, {}
+    for size in range(1, n + 1):
+        for t in map(frozenset, itertools.combinations(range(n), size)):
+            values = [(max(cost[t - {v}], step(t - {v}, v)), v) for v in sorted(t, reverse=True)]
+            cost[t], choice[t] = min(values, key=lambda value_v: value_v[0])
+    order, t = [], frozenset(range(n))
+    while t:
+        order.append(choice[t])
+        t -= {choice[t]}
+    return cost[frozenset(range(n))], order[::-1]
+
+
+def _relabelled(g, rng):
+    """g with its A side and its B side each permuted at random."""
+    pa, pb = rng.sample(range(g.a_count), g.a_count), rng.sample(range(g.b_count), g.b_count)
+    return BipartiteMultigraph(g.a_count, g.b_count,
+                               {(pa[i], pb[j]): mult for (i, j), mult in g.edges.items()})
+
+
+def test_dp_orders_match_a_set_based_reference_dp():
+    rng = random.Random(31)
+    graphs = list(enumerate_bipartite_multigraphs(6, 9))
+    graphs += [_relabelled(g, rng) for g in enumerate_bipartite_multigraphs(7, 12, max_mult=1)
+               if g.num_vertices() == 7]
+    assert len(graphs) == 163 + 258
+    for g in graphs:
         n = g.num_vertices()
         adj = [set(ws) for ws in g.adjacency()]
-        treewidth_exact(g)
-        tw_step = steps[-1]
-        pathwidth_exact(g)
-        pw_step = steps[-1]
-        for mask in range(1 << n):
-            through = {u for u in range(n) if mask >> u & 1}
-            for v in set(range(n)) - through:
-                assert tw_step(mask, v) == _reference_tw_step(adj, through, v)
-                assert pw_step(mask, v) == _reference_pw_step(adj, through | {v}, n)
+        nb = width._neighbourhood_unions(g.adjacency())
+        assert width._subset_dp(nb, pathwidth=False) == _reference_dp(
+            n, lambda through, v: _reference_tw_step(adj, through, v))
+        assert width._subset_dp(nb, pathwidth=True) == _reference_dp(
+            n, lambda through, v: _reference_pw_step(adj, through | {v}, n))
 
 
 def _reference_treedepth(adj, vs):
