@@ -19,6 +19,14 @@ Shapes:
 Variable naming: x_<i>_<j> for the matrix variable x_{i,j} (1-based);
 colourful variables are x_<u>_<i>__<v>_<j>.
 
+A `CircuitBuilder` only wires a new gate to gates it returned before, so its
+gate ids are a topological order.  `finish` hands the builder's gate lists
+over to the circuit, renumbering only if it prunes a gate, and spends the
+builder.  `topo_order` reads the order off such ids with no walk, and
+`validate` checks reachability as "every gate but the output has a parent"
+from each gate's parent count, keeping no parent lists.  Every plus (times)
+gate of a builder or a file shares one label tuple.
+
 Evaluation takes ints and Fractions only, and runs in two tiers over one
 gate plan per circuit, for both alike.  The first KERNEL_AFTER - 1
 evaluations run an interpreter loop over the plan; the KERNEL_AFTER-th
@@ -69,6 +77,7 @@ SHAPES = (GENERAL, SKEW, FORMULA, FORMULA_MULTI)
 
 PLUS = "plus"
 TIMES = "times"
+_LABELS = {PLUS: (PLUS,), TIMES: (TIMES,)}  # one label tuple shared by every such gate
 EXPANSION_TERM_LIMIT = 10 ** 6  # most terms `expand_symbolic` keeps at one gate
 KERNEL_AFTER = 32  # the evaluation of a plan that builds its kernel
 KERNEL_GATE_CAP = 2048  # plans with more internal gates are never compiled
@@ -142,10 +151,18 @@ class Circuit:
         return self._parents
 
     def topo_order(self) -> List[int]:
-        """Children before parents; raises if a cycle exists."""
+        """Children before parents; raises if a cycle exists.
+
+        The order of a depth-first walk from each gate in id order, children
+        in id order.  When every wire goes to a lower id, as in every built
+        circuit, that walk emits the ids in order and the ids prove the
+        circuit acyclic, so no walk runs."""
         if self._topo is not None:
             return self._topo
         n = self.num_gates()
+        if all(not ch or max(ch) < g for g, ch in enumerate(self.children)):
+            self._topo = list(range(n))
+            return self._topo
         state = [0] * n  # 0 new, 1 active, 2 done
         order: List[int] = []
         for start in range(n):
@@ -346,11 +363,10 @@ class Circuit:
             return ""
         if shape != GENERAL:
             # Formula variants: internal gates induce a tree rooted at the output.
-            parents = self.parents()
+            counts = self._parent_counts()
             for g, lbl in enumerate(self.labels):
-                if lbl[0] in (PLUS, TIMES) and g != self.output:
-                    if len(parents[g]) != 1:
-                        return f"internal gate {g} has {len(parents[g])} parents"
+                if lbl[0] in (PLUS, TIMES) and g != self.output and counts[g] != 1:
+                    return f"internal gate {g} has {counts[g]} parents"
             if shape == FORMULA:
                 for g, ch in enumerate(self.children):
                     for child, mult in ch.items():
@@ -380,11 +396,22 @@ class Circuit:
                     return f"unknown gate label {lbl!r}"
                 if not self.children[g]:
                     return f"internal gate {g} has no children"
-        if self.parents()[self.output]:
+        # In an acyclic circuit every gate is reachable from the output
+        # exactly when the output is the only gate without a parent.
+        counts = self._parent_counts()
+        if counts[self.output]:
             return "output gate has parents"
-        if len(_reachable(self.children, self.output)) != self.num_gates():
+        if counts.count(0) > 1:
             return "unreachable gates present"
         return ""
+
+    def _parent_counts(self) -> List[int]:
+        """Each gate's number of parents; unlike `parents`, not kept."""
+        counts = [0] * self.num_gates()
+        for ch in self.children:
+            for child in ch:
+                counts[child] += 1
+        return counts
 
     # -- serialization ---------------------------------------------------------------
 
@@ -420,9 +447,9 @@ class Circuit:
                     raise ParseError(f"gate id {g} is out of range [0, {n}) or repeated")
                 lbl = entry["label"]
                 if isinstance(lbl, str):
-                    if lbl not in (PLUS, TIMES):
+                    if lbl not in _LABELS:
                         raise ParseError(f"unknown gate label {lbl!r}")
-                    labels[g] = (lbl,)
+                    labels[g] = _LABELS[lbl]
                 elif "var" in lbl:
                     if type(lbl["var"]) is not str:
                         raise ParseError(f"variable name {lbl['var']!r} is not a string")
@@ -493,6 +520,31 @@ def _reachable(children: Sequence[Dict[int, int]], output: int) -> set:
     return reachable
 
 
+class _HashIndex(dict):
+    """Gates by the hash of a structure key, with no key kept: a gate whose
+    key has the hash is confirmed by a test on the gate itself.  A hash
+    maps to its one gate, or to a list of them after a collision."""
+
+    def find(self, h: int, same) -> Optional[int]:
+        """The first gate under hash `h` for which `same(gate)` holds, or None."""
+        found = self.get(h)
+        if found is None:
+            return None
+        for g in found if type(found) is list else (found,):
+            if same(g):
+                return g
+        return None
+
+    def add(self, h: int, g: int) -> None:
+        found = self.get(h)
+        if found is None:
+            self[h] = g
+        elif type(found) is list:
+            found.append(g)
+        else:
+            self[h] = [found, g]
+
+
 def _run_nested(root: Generator):
     """The return value of `root`, a recursive builder written as a generator:
     it yields the builder of each subresult and is sent that result back.
@@ -549,17 +601,25 @@ class CircuitBuilder:
 
     Internal gates are fresh on every call, so formulas keep their parallel
     subtrees; with share=True they are keyed by label and merged children, so
-    equal structure gets one gate.  `finish` prunes unreachable gates.
+    equal structure gets one gate.  A gate's children are gates returned
+    before it, so gate ids are a topological order.  `finish` prunes
+    unreachable gates and hands the gate lists over to the circuit; the
+    builder is then spent, and any later call raises InvalidParameter.
     """
 
     def __init__(self, share: bool = False):
         self.labels: List = []
         self.children: List[Dict[int, int]] = []
-        self._keys: Dict = {}  # input labels, and internal gate keys when sharing
-        self._share = share
+        self._keys: Optional[Dict] = {}  # the gate of each input label
+        self._shared = _HashIndex() if share else None  # internal gates, when sharing
+
+    def _live(self) -> None:
+        if self._keys is None:
+            raise InvalidParameter("this builder has finished its circuit; start a new one")
 
     def _add(self, label, children: Dict[int, int], key=None) -> int:
         """A new gate, or the one already added under `key`."""
+        self._live()
         if key in self._keys:
             return self._keys[key]
         self.labels.append(label)
@@ -586,6 +646,7 @@ class CircuitBuilder:
             return self.var(label[1])
         if label[0] == "const":
             return self.const(label[1])
+        self._live()
         acc: Dict[int, int] = {}
         for child, mult in children:
             if mult < 1:
@@ -601,11 +662,20 @@ class CircuitBuilder:
         """The `kind` gate over `wires` (child -> multiplicity, each child a
         gate this builder returned and each multiplicity >= 1, which are not
         checked again): new on every call, or with share=True the gate
-        already built with this label and these wires."""
-        if not self._share:
-            return self._add((kind,), wires)
-        key = (kind, tuple(sorted(wires.items())))
-        return self._add((kind,), dict(key[1]), key)
+        already built with this label and these wires.  Every gate of one
+        kind shares one label tuple.  Shared gates are found by the hash of
+        their label and sorted wires, and confirmed against the gate's own
+        label and children, so no key is kept besides the hash."""
+        label = _LABELS.get(kind) or (kind,)  # an unknown kind fails in `finish`
+        if self._shared is None:
+            return self._add(label, wires)
+        items = sorted(wires.items())
+        h = hash((kind, tuple(items)))
+        g = self._shared.find(h, lambda old: self.labels[old] == label and self.children[old] == wires)
+        if g is None:
+            g = self._add(label, dict(items))
+            self._shared.add(h, g)
+        return g
 
     def copy(self, circuit: Circuit) -> List[int]:
         """Copy `circuit` in topological order; returns the builder gate of
@@ -623,11 +693,20 @@ class CircuitBuilder:
         return self.gate((TIMES,), children)
 
     def finish(self, output: int) -> Circuit:
-        keep = sorted(_reachable(self.children, output))
-        remap = {old: new for new, old in enumerate(keep)}
-        labels = [self.labels[old] for old in keep]
-        children = [{remap[c]: m for c, m in self.children[old].items()} for old in keep]
-        circuit = Circuit(labels, children, remap[output])
+        """The circuit of the gates reachable from `output`, which takes
+        over the builder's lists (renumbered only if a gate is pruned) and
+        spends the builder."""
+        self._live()
+        labels, children = self.labels, self.children
+        self.labels, self.children, self._keys, self._shared = [], [], None, None
+        keep = _reachable(children, output)
+        if len(keep) < len(labels):
+            keep = sorted(keep)
+            remap = {old: new for new, old in enumerate(keep)}
+            labels = [labels[old] for old in keep]
+            children = [{remap[c]: m for c, m in children[old].items()} for old in keep]
+            output = remap[output]
+        circuit = Circuit(labels, children, output)
         ok, reason = circuit.validate(GENERAL)
         if not ok:
             raise InvalidParameter(f"built an invalid circuit: {reason}")

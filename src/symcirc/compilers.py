@@ -47,15 +47,20 @@ rigid as built and no table is rigidified.  `compile_certificate` and
 `compile_lincomb` raise if `is_rigid` disagrees.
 
 A bag's labellings are image tuples over its sorted vertices, enumerated in
-lexicographic order, and each labelling costs dict lookups: a child's
-entries are grouped, and a parent labelling projected, through the
-precomputed positions of the vertices the two bags share; the forget gate of
-each (child, projection) is built by one `plus` call when a labelling first
-needs it; the variable gate of each (edge, image pair) is interned once per
+lexicographic order, and a bag's table is the list of its gates in that
+order, so no table keeps a labelling.  Each labelling costs dict lookups: a
+child's gates are grouped, by zipping its labellings (enumerated again) with
+its list, and a parent labelling projected, through the precomputed
+positions of the vertices the two bags share; the forget gate of each
+(child, projection) is built by one `plus` call when a labelling first needs
+it; the variable gate of each (edge, image pair) is interned once per
 compile (the formula uses the same table); and a product's wires are merged
 in one dict and interned through `CircuitBuilder.intern`.  Every gate is
 created at its first use, as a construction calling the builder for every
-labelling would create it, so the gate ids are the same.
+labelling would create it, so the gate ids are the same.  Both recursions,
+over the forest and over the tree, are module-level generators that
+`_run_nested` runs, so a compile leaves no reference cycle and its builder
+and tables are freed when it returns.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .circuit import (
     Circuit,
@@ -238,30 +243,12 @@ def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
         # Charge the edge to its deeper endpoint; the other lies on the path.
         adj_edges[a_g if b_g in core.path_to_root(a_g) else b_g].append((a_g, b_g, mult))
 
-    def gate_for(u: int, gamma: Dict[int, int]):
-        summands: List[Tuple[int, int]] = []
-        kids = sorted(children[u])
-        for h in range(1, ranges(u) + 1):
-            images = dict(gamma)
-            images[u] = h
-            factors: Dict[int, int] = {}
-            for (a_g, b_g, mult) in adj_edges[u]:
-                gid = edge_vars[a_g, images[a_g], b_g, images[b_g]]
-                factors[gid] = factors.get(gid, 0) + mult
-            parts = sorted(factors.items())
-            for idx, v in enumerate(kids):
-                sub = yield gate_for(v, images)
-                parts.append((builder.times([(sub, 1), (const1, idx + 1)]), 1))
-            if parts:
-                summands.append((builder.times(parts), 1))
-            else:
-                summands.append((const1, 1))
-        return builder.plus(summands)
+    plan = (builder, const1, edge_vars, children, adj_edges, ranges)
 
     roots = core.roots()
     top: List[Tuple[int, int]] = []
     for idx, r in enumerate(roots):
-        root_gate = _run_nested(gate_for(r, {}))
+        root_gate = _run_nested(_forest_gate(plan, r, {}))
         if len(roots) == 1 and constant == 1:
             return builder.finish(root_gate)
         top.append((builder.times([(root_gate, 1), (const1, idx + 1)]), 1))
@@ -271,54 +258,94 @@ def _formula_from_forest(f: BipartiteMultigraph, forest: EliminationForest,
 
 
 def _general_from_tree(f: BipartiteMultigraph, deco: TreeDecomposition, ranges, varmap) -> Circuit:
-    builder = CircuitBuilder(share=True)
-    const1 = builder.const(1)
-    edge_vars = _edge_variables(builder, varmap)
-    children = deco.children()
     bags = [sorted(bag) for bag in deco.bags]
+    children = deco.children()
     # Charge each edge to its smallest-index covering node, as (a, position
     # of a in the bag, b, position of b, multiplicity).
     assignment: Dict[int, List[Tuple[int, int, int, int, int]]] = {i: [] for i in range(len(bags))}
     for (a_g, b_g, mult) in f.edge_list_global():
         idx = next(k for k, bag in enumerate(deco.bags) if a_g in bag and b_g in bag)
         assignment[idx].append((a_g, bags[idx].index(a_g), b_g, bags[idx].index(b_g), mult))
-
-    def table_for(t: int):
-        """Node t's gate per labelling of its bag, keyed by the image tuple
-        over the sorted bag, in lexicographic order."""
-        bag = bags[t]
-        kids = []
-        for ch in sorted(children[t]):
-            sub = yield table_for(ch)
-            shared = [v for v in bags[ch] if v in deco.bags[t]]
-            project = _projection([bags[ch].index(v) for v in shared])
-            groups: Dict = {}
-            for images, gid in sub.items():
-                groups.setdefault(project(images), []).append(gid)
-            # The forget gate of each projection, built when a labelling first needs it.
-            forgets = _Memo(lambda key, groups=groups: builder.plus([(g, 1) for g in groups[key]]))
-            kids.append((_projection([bag.index(v) for v in shared]), forgets))
-        edges = assignment[t]
-        table: Dict = {}
-        for images in itertools.product(*[range(1, ranges(v) + 1) for v in bag]):
-            wires: Dict[int, int] = {}
-            for (a_g, a_pos, b_g, b_pos, mult) in edges:
-                gid = edge_vars[a_g, images[a_pos], b_g, images[b_pos]]
-                wires[gid] = wires.get(gid, 0) + mult
-            for project, forgets in kids:
-                gid = forgets[project(images)]
-                wires[gid] = wires.get(gid, 0) + 1
-            if not wires:
-                table[images] = const1
-            elif len(wires) == 1 and 1 in wires.values():
-                table[images] = next(iter(wires))
-            else:
-                table[images] = builder.intern(TIMES, wires)
-        return table
-
-    root_table = _run_nested(table_for(deco.root))
-    output = builder.plus([(gid, 1) for gid in root_table.values()])
+    builder = CircuitBuilder(share=True)
+    # The constant 1 is the gate of every labelling of a node with no edge
+    # and no child.  It is the first gate when some node needs it and is not
+    # built otherwise, so every gate is reachable and `finish` renumbers none.
+    const1 = builder.const(1) if any(not assignment[t] and not children[t]
+                                     for t in range(len(bags))) else None
+    edge_vars = _edge_variables(builder, varmap)
+    plan = (builder, const1, edge_vars, children, bags, assignment, ranges)
+    root_table = _run_nested(_bag_table(plan, deco.root))
+    output = builder.plus([(gid, 1) for gid in root_table])
     return builder.finish(output)
+
+
+def _forest_gate(plan: Tuple, u: int, gamma: Dict[int, int]):
+    """The formula's summation gate of vertex u under the images `gamma` of
+    its ancestors, as a `_run_nested` builder over the construction's data
+    `plan`.  A plain generator function, not a closure: a recursive closure
+    is a reference cycle, which would hold the builder until the next
+    garbage collection."""
+    builder, const1, edge_vars, children, adj_edges, ranges = plan
+    summands: List[Tuple[int, int]] = []
+    kids = sorted(children[u])
+    for h in range(1, ranges(u) + 1):
+        images = dict(gamma)
+        images[u] = h
+        factors: Dict[int, int] = {}
+        for (a_g, b_g, mult) in adj_edges[u]:
+            gid = edge_vars[a_g, images[a_g], b_g, images[b_g]]
+            factors[gid] = factors.get(gid, 0) + mult
+        parts = sorted(factors.items())
+        for idx, v in enumerate(kids):
+            sub = yield _forest_gate(plan, v, images)
+            parts.append((builder.times([(sub, 1), (const1, idx + 1)]), 1))
+        if parts:
+            summands.append((builder.times(parts), 1))
+        else:
+            summands.append((const1, 1))
+    return builder.plus(summands)
+
+
+def _bag_table(plan: Tuple, t: int):
+    """Node t's gate per labelling of its bag, a list in lexicographic
+    order of the image tuples over the sorted bag, as a `_run_nested`
+    builder over the construction's data `plan`; a plain generator
+    function for the reason `_forest_gate` gives."""
+    builder, const1, edge_vars, children, bags, assignment, ranges = plan
+    bag = bags[t]
+    kids = []
+    for ch in sorted(children[t]):
+        sub = yield _bag_table(plan, ch)
+        shared = [v for v in bags[ch] if v in bag]
+        project = _projection([bags[ch].index(v) for v in shared])
+        groups: Dict = {}
+        for images, gid in zip(_labellings(bags[ch], ranges), sub):
+            groups.setdefault(project(images), []).append(gid)
+        # The forget gate of each projection, built when a labelling first needs it.
+        forgets = _Memo(lambda key, groups=groups: builder.plus([(g, 1) for g in groups[key]]))
+        kids.append((_projection([bag.index(v) for v in shared]), forgets))
+    edges = assignment[t]
+    table: List[int] = []
+    for images in _labellings(bag, ranges):
+        wires: Dict[int, int] = {}
+        for (a_g, a_pos, b_g, b_pos, mult) in edges:
+            gid = edge_vars[a_g, images[a_pos], b_g, images[b_pos]]
+            wires[gid] = wires.get(gid, 0) + mult
+        for project, forgets in kids:
+            gid = forgets[project(images)]
+            wires[gid] = wires.get(gid, 0) + 1
+        if not wires:
+            table.append(const1)
+        elif len(wires) == 1 and 1 in wires.values():
+            table.append(next(iter(wires)))
+        else:
+            table.append(builder.intern(TIMES, wires))
+    return table
+
+
+def _labellings(bag: Sequence[int], ranges) -> Iterator[Tuple[int, ...]]:
+    """The image tuples over the sorted `bag`, in lexicographic order."""
+    return itertools.product(*[range(1, ranges(v) + 1) for v in bag])
 
 
 def _projection(positions: Sequence[int]) -> Callable[[Tuple[int, ...]], Hashable]:

@@ -2,7 +2,7 @@
 
 Every operation that can fail raises one of these instead of returning a
 sentinel, so callers (and the CLI exit-code mapping) can distinguish usage
-errors from verification failures.  The three caps a user can set live in
+errors from verification failures.  The four caps a user can set live in
 the context variable `CAPS`, a read-only mapping that `cli.run` overrides
 with `--caps` for one run; the routines they bound call `check_cap` where
 the size is known, and the SizeCap raised names the cap's key.
@@ -29,7 +29,8 @@ class SizeCap(SymcircError):
 
 
 CAPS = contextvars.ContextVar("caps", default=MappingProxyType(
-    {"width_vertices": 14, "brute_force_maps": 10 ** 7, "minor_norm": 24}))
+    {"width_vertices": 14, "brute_force_maps": 10 ** 7, "minor_norm": 24,
+     "pattern_norm": 10 ** 5}))
 
 
 def check_cap(name: str, count: int, what: str) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     IndexOutOfRange,
@@ -177,7 +177,9 @@ class BipartiteMultigraph:
                 if mult < 1:
                     raise ParseError(f"edge [{i}, {j}, {m}] has a multiplicity below 1")
                 edges[key] = edges.get(key, 0) + mult
-            return BipartiteMultigraph(int_from_json(data["a"]), int_from_json(data["b"]), edges)
+            a_count, b_count = int_from_json(data["a"]), int_from_json(data["b"])
+            check_cap("pattern_norm", a_count + b_count + sum(edges.values()), "graph norm")
+            return BipartiteMultigraph(a_count, b_count, edges)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed graph JSON: {exc}") from exc
 
@@ -189,6 +191,7 @@ def make_path(v: int) -> BipartiteMultigraph:
     """Path on v vertices, alternately assigned to A and B starting in A."""
     if v < 1:
         raise InvalidParameter("paths need at least one vertex")
+    _check_norm(v, v - 1)
     ids = path_vertex_ids(v)
     return _from_global_edges((v + 1) // 2, v, zip(ids, ids[1:]))
 
@@ -197,10 +200,17 @@ def make_grid(rows: int, cols: int) -> BipartiteMultigraph:
     """rows-by-cols grid; vertex (i,j) is in A iff i+j is even (0-based)."""
     if rows < 1 or cols < 1:
         raise InvalidParameter("grids need positive dimensions")
+    _check_norm(rows * cols, rows * (cols - 1) + cols * (rows - 1))
     ids = grid_vertex_ids(rows, cols)
     pairs = [(ids[(i, j)], ids[(i + di, j + dj)]) for i in range(rows) for j in range(cols)
              for di, dj in ((0, 1), (1, 0)) if i + di < rows and j + dj < cols]
     return _from_global_edges((rows * cols + 1) // 2, rows * cols, pairs)
+
+
+def _check_norm(vertices: int, edges: int) -> None:
+    """SizeCap if a generated pattern's |V| + |E| exceeds the `pattern_norm`
+    cap, checked before any of it is built."""
+    check_cap("pattern_norm", vertices + edges, "pattern norm")
 
 
 def _from_global_edges(a_count: int, total: int, pairs) -> BipartiteMultigraph:
@@ -225,6 +235,7 @@ def complete_binary_tree_structure(n: int):
         raise InvalidParameter("binary trees need n >= 1")
     height = n.bit_length() - 1  # floor(log2 n)
     total = 2 ** (height + 1) - 1
+    _check_norm(total, total - 1)
     # Heap indexing: vertex k at depth d has children 2k+1, 2k+2.
     depth = [0] * total
     for k in range(1, total):
@@ -259,6 +270,7 @@ def make_complete_bipartite(a: int, b: int) -> BipartiteMultigraph:
     """K_{a,b}; stars are K_{1,b} with the centre in A."""
     if a < 1 or b < 1:
         raise InvalidParameter("complete bipartite graphs need positive sides")
+    _check_norm(a + b, a * b)
     return BipartiteMultigraph(a, b, {(i, j): 1 for i in range(a) for j in range(b)})
 
 
@@ -266,6 +278,7 @@ def make_cycle(v: int) -> BipartiteMultigraph:
     """Even cycle on v vertices (v >= 4, even); C_4 equals the 2x2 grid."""
     if v < 4 or v % 2 != 0:
         raise InvalidParameter("bipartite cycles need an even length >= 4")
+    _check_norm(v, v)
     ids = path_vertex_ids(v)
     return _from_global_edges(v // 2, v, zip(ids, ids[1:] + ids[:1]))
 
@@ -292,35 +305,40 @@ def enumerate_bipartite_multigraphs(max_vertices: int, max_slots: int,
         for b in range(0, max_vertices + 1 - a):
             if a + b == 0:
                 continue
-            cells = [(i, j) for i in range(a) for j in range(b)]
-            vec = [0] * len(cells)
-            col_tied = [j > 0 for j in range(b)]  # column j equals column j-1 so far
-
-            def rec(idx: int, total: int, row_tied: bool):
-                if idx == len(cells):
-                    g = BipartiteMultigraph(a, b, {c: m for c, m in zip(cells, vec) if m})
-                    key = g.canonical_key()
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(g)
-                    return
-                i, j = cells[idx]
-                row_tied = row_tied if j else i > 0  # row i equals row i-1 so far
-                tied = col_tied[j]
-                # A tied row may not fall below the row above, nor a tied
-                # column below the column to its left.
-                above = vec[idx - b] if row_tied else 0
-                left = vec[idx - 1] if tied else 0
-                for mult in range(max(above, left), max_mult + 1):
-                    if total + mult > max_slots:
-                        break
-                    vec[idx] = mult
-                    col_tied[j] = tied and mult == left
-                    rec(idx + 1, total + mult, row_tied and mult == above)
-                col_tied[j] = tied
-
-            rec(0, 0, False)
+            vectors = _doubly_lexical([0] * (a * b), [j > 0 for j in range(b)], b, 0,
+                                      max_slots, False, max_mult)
+            for vec in vectors:
+                g = BipartiteMultigraph(a, b, {divmod(k, b): m for k, m in enumerate(vec) if m})
+                key = g.canonical_key()
+                if key not in seen:
+                    seen.add(key)
+                    out.append(g)
     return out
+
+
+def _doubly_lexical(vec: List[int], col_tied: List[bool], b: int, idx: int, room: int,
+                    row_tied: bool, max_mult: int) -> Iterator[List[int]]:
+    """The doubly-lexical fillings of `vec` from cell `idx` on (row-major
+    cells of b columns) with at most `room` more slots, in lexicographic
+    order; `vec` itself is yielded, filled, each time.  `col_tied[j]` tells
+    whether column j equals column j-1 so far, `row_tied` whether the
+    current row equals the row above so far."""
+    if idx == len(vec):
+        yield vec
+        return
+    i, j = divmod(idx, b)
+    row_tied = row_tied if j else i > 0  # row i equals row i-1 so far
+    tied = col_tied[j]
+    # A tied row may not fall below the row above, nor a tied
+    # column below the column to its left.
+    above = vec[idx - b] if row_tied else 0
+    left = vec[idx - 1] if tied else 0
+    for mult in range(max(above, left), min(max_mult, room) + 1):
+        vec[idx] = mult
+        col_tied[j] = tied and mult == left
+        yield from _doubly_lexical(vec, col_tied, b, idx + 1, room - mult,
+                                   row_tied and mult == above, max_mult)
+    col_tied[j] = tied
 
 
 def are_isomorphic(f: BipartiteMultigraph, g: BipartiteMultigraph) -> bool:
@@ -475,35 +493,7 @@ def find_minor(s: BipartiteMultigraph, f: BipartiteMultigraph) -> Optional[Branc
     s_edges_global = [(i, s.a_count + j) for (i, j) in s.edges]
     order = sorted(range(ns), key=lambda v: -len([e for e in s_edges_global if v in e]))
 
-    assigned: Dict[int, FrozenSet[int]] = {}
-    used: set = set()
-
-    def backtrack(pos: int) -> Optional[Dict[int, FrozenSet[int]]]:
-        if pos == ns:
-            return dict(assigned)
-        v = order[pos]
-        needed = [(u, w) for (u, w) in s_edges_global if (u == v and w in assigned) or (w == v and u in assigned)]
-        for cs in connected_subsets:
-            if cs & used:
-                continue
-            ok = True
-            for (u, w) in needed:
-                other = assigned[w if u == v else u]
-                if not _has_cross_edge(adj, cs, other):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assigned[v] = cs
-            used.update(cs)
-            result = backtrack(pos + 1)
-            if result is not None:
-                return result
-            del assigned[v]
-            used.difference_update(cs)
-        return None
-
-    solution = backtrack(0)
+    solution = _place_branch_sets(adj, connected_subsets, s_edges_global, order, {}, set())
     if solution is None:
         return None
     sets = tuple(solution[v] for v in range(ns))
@@ -511,3 +501,30 @@ def find_minor(s: BipartiteMultigraph, f: BipartiteMultigraph) -> Optional[Branc
     witness = BranchSets(sets, b0)
     witness.validate(s, f)
     return witness
+
+
+def _place_branch_sets(adj: Sequence[FrozenSet[int]], subsets: List[FrozenSet[int]],
+                       s_edges: List[Tuple[int, int]], order: List[int],
+                       assigned: Dict[int, FrozenSet[int]],
+                       used: set) -> Optional[Dict[int, FrozenSet[int]]]:
+    """The first extension, in the order of `subsets`, of the branch sets
+    `assigned` (covering `used`) to every S-vertex of `order`, each set
+    disjoint from the others and joined by an F-edge to the set of each
+    S-neighbour; None if there is none."""
+    if len(assigned) == len(order):
+        return dict(assigned)
+    v = order[len(assigned)]
+    needed = [(u, w) for (u, w) in s_edges if (u == v and w in assigned) or (w == v and u in assigned)]
+    for cs in subsets:
+        if cs & used:
+            continue
+        if not all(_has_cross_edge(adj, cs, assigned[w if u == v else u]) for (u, w) in needed):
+            continue
+        assigned[v] = cs
+        used.update(cs)
+        result = _place_branch_sets(adj, subsets, s_edges, order, assigned, used)
+        if result is not None:
+            return result
+        del assigned[v]
+        used.difference_update(cs)
+    return None

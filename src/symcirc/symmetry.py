@@ -86,6 +86,7 @@ from .circuit import (
     GENERAL,
     PLUS,
     TIMES,
+    _HashIndex,
     _run_nested,
     parse_var_name,
     var_name,
@@ -214,10 +215,18 @@ class _Extender:
     @cached_property
     def distinct(self) -> bool:
         """Whether no two gates share a structure key, which holds exactly
-        when no two share a signature (see `_structure_key`)."""
-        c = self.c
-        keys = {_structure_key(lbl, ch.items()) for lbl, ch in zip(c.labels, c.children)}
-        return len(keys) == c.num_gates()
+        when no two share a signature (see `_structure_key`).
+
+        Gates are indexed by their key's hash, and keys are compared only
+        between gates of equal hash, so no set of one key per gate is held."""
+        c, index = self.c, _HashIndex()
+        for g, (lbl, ch) in enumerate(zip(c.labels, c.children)):
+            key = _structure_key(lbl, ch.items())
+            h = hash(key)
+            if index.find(h, lambda o: _structure_key(c.labels[o], c.children[o].items()) == key) is not None:
+                return False
+            index.add(h, g)
+        return True
 
     @cached_property
     def _cells(self) -> Dict[Tuple[int, int], int]:

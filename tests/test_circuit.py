@@ -272,3 +272,102 @@ def test_kernel_source_holds_no_variable_names():
         with pytest.raises(MissingVariable) as exc:
             tier.evaluate(point)
         assert str(exc.value) == "assignment lacks 'den'"
+
+
+def _reference_topo_order(c: Circuit):
+    """The depth-first order `Circuit.topo_order` walks for every circuit:
+    from each gate in id order, children in id order, a gate emitted once
+    its children are.  Kept here as the reference for the read-off order of
+    circuits whose wires all go to lower ids."""
+    state, order = [0] * c.num_gates(), []
+    for start in range(c.num_gates()):
+        if state[start]:
+            continue
+        stack = [(start, iter(sorted(c.children[start])))]
+        state[start] = 1
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for child in it:
+                if state[child] == 1:
+                    raise InvalidParameter("circuit contains a cycle")
+                if state[child] == 0:
+                    state[child] = 1
+                    stack.append((child, iter(sorted(c.children[child]))))
+                    advanced = True
+                    break
+            if not advanced:
+                state[node] = 2
+                order.append(node)
+                stack.pop()
+    return order
+
+
+def _shuffled_json(c: Circuit, rng: random.Random) -> dict:
+    """c's JSON with its gate ids permuted."""
+    data, perm = c.to_json(), list(range(c.num_gates()))
+    rng.shuffle(perm)
+    return {"gates": [{"id": perm[g["id"]], "label": g["label"]} for g in data["gates"]],
+            "wires": [[perm[p], perm[q], m] for p, q, m in data["wires"]],
+            "output": perm[data["output"]]}
+
+
+def test_topo_order_matches_the_depth_first_reference():
+    from symcirc.symmetry import random_symmetric_circuit
+
+    rng = random.Random(32)
+    circuits = [_random_circuit(rng) for _ in range(60)]
+    circuits += [random_symmetric_circuit(2, 3, rng, 40, mode) for mode in ("general", "skew") * 5]
+    upward = 0
+    for c in circuits:
+        shuffled = Circuit.from_json(_shuffled_json(c, rng))
+        upward += any(ch > p for p, ch, _ in shuffled.wires())
+        for built in (c, Circuit.from_json(c.to_json()), shuffled):
+            assert built.topo_order() == _reference_topo_order(built)
+        assert c.topo_order() == list(range(c.num_gates()))
+    assert upward > len(circuits) // 2
+
+
+def _gates(*labels):
+    return [{"id": g, "label": label} for g, label in enumerate(labels)]
+
+
+@pytest.mark.parametrize("gates, wires, output, error", [
+    # A cycle through gates 1 and 2.
+    (_gates({"var": "x"}, "plus", "plus"), [[1, 2, 1], [2, 1, 1], [2, 0, 1]], 1,
+     "invalid circuit: circuit contains a cycle"),
+    # A self-loop.
+    (_gates({"var": "x"}, "plus"), [[1, 0, 1], [1, 1, 1]], 1,
+     "invalid circuit: circuit contains a cycle"),
+    # Gate 1 hangs off nothing.
+    (_gates({"var": "x"}, {"var": "y"}, "plus"), [[2, 0, 1]], 2,
+     "invalid circuit: unreachable gates present"),
+    # Gates 1 and 2 hang off each other, but off nothing the output reaches.
+    (_gates({"var": "x"}, "plus", "plus", "times"), [[1, 0, 1], [2, 1, 1], [3, 0, 2]], 3,
+     "invalid circuit: unreachable gates present"),
+    (_gates({"var": "x"}, "plus"), [[1, 0, 1]], 0, "invalid circuit: output gate has parents"),
+])
+def test_from_json_names_each_structural_fault(gates, wires, output, error):
+    with pytest.raises(ParseError) as info:
+        Circuit.from_json({"gates": gates, "wires": wires, "output": output})
+    assert str(info.value) == error
+
+
+def test_a_circuit_may_wire_to_higher_ids():
+    # Gate 0 = (x + 1) * x^2 + x, every wire going to a higher id.
+    gates = _gates("plus", "times", {"var": "x"}, {"const": {"num": "1", "den": "1"}}, "plus")
+    wires = [[0, 1, 1], [0, 2, 1], [1, 4, 1], [1, 2, 2], [4, 2, 1], [4, 3, 1]]
+    c = Circuit.from_json({"gates": gates, "wires": wires, "output": 0})
+    assert c.validate(GENERAL) == (True, "")
+    assert c.topo_order() == _reference_topo_order(c) == [2, 3, 4, 1, 0]
+    assert c.evaluate({"x": 2}) == 3 * 4 + 2
+
+
+def test_a_finished_builder_takes_no_more_calls():
+    b = CircuitBuilder()
+    x = b.var("x")
+    c = b.finish(b.plus([(x, 1), (b.const(1), 1)]))
+    for call in (lambda: b.var("y"), lambda: b.plus([(x, 1)]), lambda: b.finish(x)):
+        with pytest.raises(InvalidParameter, match="finished"):
+            call()
+    assert c.evaluate({"x": 2}) == 3 and c.num_gates() == 3

@@ -3,6 +3,7 @@
 import itertools
 import json
 import sys
+import time
 
 import pytest
 
@@ -15,7 +16,8 @@ from symcirc.symmetry import analyze
 
 from test_golden import _analyze_inputs
 
-DEFAULT_CAPS = {"width_vertices": 14, "brute_force_maps": 10 ** 7, "minor_norm": 24}
+DEFAULT_CAPS = {"width_vertices": 14, "brute_force_maps": 10 ** 7, "minor_norm": 24,
+                "pattern_norm": 10 ** 5}
 
 
 def _run(capsys, *argv):
@@ -502,6 +504,8 @@ def test_trials_below_one_exit_2(capsys, tmp_path, command):
     ("brute_force_maps", ["reduce", "extract-minor", "--n", "1", "--trials", "1",
                           "--minor-pattern", "{p2}", "--host-pattern", "{p6}"]),
     ("brute_force_maps", ["reduce", "btree", "--n", "2"]),
+    ("pattern_norm", ["pattern", "gen", "path", "--v", "3"]),
+    ("pattern_norm", ["width", "tw", "--graph", "{p6}"]),
 ])
 def test_each_cap_reaches_every_command_and_is_named(capsys, tmp_path, key, argv):
     """A cap hit exits 2 (never a FAIL line), naming its value and its key."""
@@ -513,6 +517,20 @@ def test_each_cap_reaches_every_command_and_is_named(capsys, tmp_path, key, argv
     code, out, err = _run(capsys, "--caps", caps, *(a.format(**files) for a in argv))
     assert code == 2 and out == "" and err.startswith("error:")
     assert err.rstrip().endswith(f"exceeds cap 3 (set by --caps {key})")
+
+
+def test_an_oversize_pattern_exits_before_it_is_built(capsys, monkeypatch):
+    """A path on 10^8 vertices, which would take gigabytes, is refused by its
+    norm before a vertex id is listed."""
+    def built(v):
+        raise AssertionError(f"built the path on {v} vertices")
+
+    monkeypatch.setattr(cli.pattern, "path_vertex_ids", built)
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "pattern", "gen", "path", "--v", "100000000")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and err == (
+        "error: pattern norm 199999999 exceeds cap 100000 (set by --caps pattern_norm)\n")
 
 
 def test_capped_hardness_target_exits_before_the_gadget_is_built(capsys, tmp_path, monkeypatch):

@@ -969,3 +969,36 @@ def test_the_direct_formula_lookup_gives_the_grouping_matchers_maps():
                 assert extender.extend(pair) == [want], (c.to_json(), pair)
         count += 1
     assert count >= 12  # the td compiles, at least
+
+
+def _distinct_by_key_set(c):
+    """The definition `_Extender.distinct` computes: as many structure keys as gates."""
+    keys = {symmetry._structure_key(lbl, ch.items()) for lbl, ch in zip(c.labels, c.children)}
+    return len(keys) == c.num_gates()
+
+
+def test_distinct_matches_the_key_set_definition(monkeypatch):
+    from test_acceptance import _criterion_3_cases
+    from test_golden import _analyze_inputs
+
+    rng = random.Random(32)
+    circuits = [c for c, _ in _criterion_3_cases(random.Random(33))]
+    circuits += [c for c, _ in _analyze_inputs()]
+    circuits += [random_symmetric_circuit(2, 2, rng, 40, mode) for mode in ("general", "skew") * 10]
+    circuits += [_duplicated(c) for c in circuits[:20]]
+    answers = [symmetry._Extender(c).distinct for c in circuits]
+    assert answers == [_distinct_by_key_set(c) for c in circuits]
+    assert True in answers and False in answers
+
+    # With every key hashing alike, the keys are compared gate against gate.
+    rigid, merging = compilers.compile_single(make_cycle(4), 3, 3, "tw").circuit, _ten_gate_dag()
+    assert (_distinct_by_key_set(rigid), _distinct_by_key_set(merging)) == (True, False)
+
+    class Colliding(tuple):
+        def __hash__(self):
+            return 0
+
+    key = symmetry._structure_key
+    monkeypatch.setattr(symmetry, "_structure_key", lambda label, wires: Colliding(key(label, wires)))
+    assert hash(symmetry._structure_key(("plus",), [])) == 0
+    assert (symmetry._Extender(rigid).distinct, symmetry._Extender(merging).distinct) == (True, False)

@@ -159,3 +159,25 @@ def test_every_import_is_used():
         found += [f"{path.name}:{line} {name}" for name, line in imported.items()
                   if name not in used and (path.name, name) not in kept]
     assert found == []
+
+
+def test_no_nested_function_calls_itself():
+    """No function defined inside another function refers to its own name.
+    Such a closure holds a cell that holds the function itself, a reference
+    cycle, so it and everything it closes over (a builder and its tables,
+    say) outlive the call until the next garbage collection.  Recursive
+    helpers are module-level functions instead, or generators that
+    `circuit._run_nested` runs."""
+    nested, found = 0, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for outer in ast.walk(tree):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    nested += 1
+                    if any(isinstance(node, ast.Name) and node.id == inner.name
+                           for node in ast.walk(inner)):
+                        found.add(f"{path.name}: {inner.name} in {outer.name}")
+    assert nested and sorted(found) == []
