@@ -28,26 +28,31 @@ from each gate's parent count, keeping no parent lists.  Every plus (times)
 gate of a builder or a file shares one label tuple.
 
 Evaluation takes ints and Fractions only, and runs in two tiers over one
-gate plan per circuit, for both alike.  The first KERNEL_AFTER - 1
-evaluations run an interpreter loop over the plan; the KERNEL_AFTER-th
-builds one Python function from the same plan, one assignment per gate
+plan per circuit, for both alike.  The plan steps over the circuit's own
+children dicts, with pass-through gates folded away (see
+`_evaluation_program`): the td formulas of the `compile_extract` workload
+have 42% fewer steps than internal gates, its skew circuits 22% and its
+general circuits 14%.  The first KERNEL_AFTER - 1 evaluations run an
+interpreter loop over the plan; the KERNEL_AFTER-th builds one Python
+function from the same plan, one assignment per step
 (`g12 = g3 * g5 ** 2`), and every later evaluation calls it.  The constants
-were measured on the `compile_extract` benchmark workload (Python 3.11, 2
-shared vCPUs):
-  KERNEL_AFTER = 32      a build takes about 11 us per gate (0.55 ms for 49
-                         gates), the time of about 34 interpreted
-                         evaluations; built on the second evaluation
-                         instead, circuits evaluated only a few times,
-                         such as each compiled circuit on its 5 rational
-                         hosts, pay for kernels that barely run, and a round
-                         took 2.07 s against 1.80 s (2.00 s with no kernel
-                         at all; measured when `rigidify` still evaluated
-                         every circuit it copied at 4 points);
+were measured on that workload (Python 3.11, 2 shared vCPUs):
+  KERNEL_AFTER = 32      a build takes about 6.7 us per plan step (0.28 ms
+                         for the mean plan of 42 steps), the time of about
+                         29 interpreted evaluations, and pays back after
+                         about 39 kernel runs; built on the second
+                         evaluation instead, circuits evaluated only a few
+                         times, such as each compiled circuit on its 5
+                         rational hosts, pay for kernels that barely run,
+                         and a round took 2.07 s against 1.80 s (2.00 s
+                         with no kernel at all; measured on the unfolded
+                         plan, when `rigidify` still evaluated every
+                         circuit it copied at 4 points);
   KERNEL_GATE_CAP = 2048 larger plans stay interpreted: the plan of the
-                         workload's extraction circuit, 7,825 internal gates,
-                         takes 0.075 s to compile, raising the peak RSS from
+                         workload's extraction circuit, 7,825 steps, takes
+                         0.075 s to compile, raising the peak RSS from
                          29.5 to 49.5 MB, while the largest plan it compiles
-                         has 199 internal gates (53 on average);
+                         has 157 steps (42 on average);
   KERNEL_LINE_OPERANDS = 64  longer sums and products go on several lines,
                          because compiling a 5000-operand `a + a + ...`
                          raises RecursionError.
@@ -63,7 +68,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Generator, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import InvalidParameter, MissingVariable, ParseError, SizeCap
+from .errors import InvalidParameter, MissingVariable, ParseError, SizeCap, check_cap
 from .exactnum import (Rational, SparsePolynomial, add_terms, common_denominator, mul_terms,
                        int_from_json, list_from_json, pow_terms, rational_from_json,
                        rational_to_json)
@@ -80,8 +85,9 @@ TIMES = "times"
 _LABELS = {PLUS: (PLUS,), TIMES: (TIMES,)}  # one label tuple shared by every such gate
 EXPANSION_TERM_LIMIT = 10 ** 6  # most terms `expand_symbolic` keeps at one gate
 KERNEL_AFTER = 32  # the evaluation of a plan that builds its kernel
-KERNEL_GATE_CAP = 2048  # plans with more internal gates are never compiled
+KERNEL_GATE_CAP = 2048  # plans with more steps are never compiled
 KERNEL_LINE_OPERANDS = 64  # most operands of one sum or product on a kernel line
+_INT_ONLY = frozenset((int,))  # the input types that take the D = 1 path
 
 
 def var_name(i: int, j: int) -> str:
@@ -196,9 +202,10 @@ class Circuit:
     def _evaluation_program(self):
         """The evaluation plan, built once: the variable gates and their
         names, the constant gates, their values and the lcm of their
-        denominators, the internal gates in topological order as (gate,
-        children, shifted children), the last None at a Times gate, and the
-        output's degree.
+        denominators, the plan steps in topological order as (gate, wires,
+        whether every wire has multiplicity 1, shifted children), the last
+        None at a Times gate, the gate whose value is the output's, and that
+        gate's degree.
 
         Integral constants are stored as plain ints so 0/1 and integer
         evaluations stay in fast integer arithmetic.  A rational evaluation
@@ -209,32 +216,63 @@ class Circuit:
         degree to its own by D ** shift; those children, rare in practice,
         are listed apart as (child, mult, shift).  Int inputs run with
         D = 1, where a shift multiplies by 1.
+
+        Pass-through gates are folded away.  A Times gate drops its wires to
+        the constant 1, which carry D**mult over D**mult and change no
+        value; a product of constant 1s alone is then the empty product 1,
+        of degree 0.  A gate left with one child of multiplicity 1 is no
+        step: its parents (and the output) read that child instead, whose
+        value and degree are its own, and children that fold onto one gate
+        add their multiplicities.  A step's wires are the circuit's own
+        children dict, so the plan holds no second copy of the wires; a new
+        dict is made only where a wire was folded or dropped, or a Plus
+        gate's lower-degree children are set apart.
         """
         if self._program is None:
             var_gates, names, const_gates, consts, gates = [], [], [], [], []
             degree = [1] * self.num_gates()
+            folded: Dict[int, int] = {}  # a pass-through gate -> the gate it reads
+            one = None  # the constant-1 gate
             for g in self.topo_order():
                 lbl = self.labels[g]
                 if lbl[0] == "var":
                     var_gates.append(g)
                     names.append(lbl[1])
-                elif lbl[0] == "const":
+                    continue
+                if lbl[0] == "const":
                     const_gates.append(g)
                     consts.append(int(lbl[1]) if lbl[1].denominator == 1 else lbl[1])
-                elif lbl[0] == TIMES:
-                    children = sorted(self.children[g].items())
-                    degree[g] = sum([mult * degree[c] for c, mult in children])
-                    gates.append((g, children, None))
+                    if lbl[1] == 1:
+                        one = g
+                    continue
+                times = lbl[0] == TIMES
+                wires = self.children[g]
+                dropped = one if times else None
+                if dropped in wires or not folded.keys().isdisjoint(wires):
+                    merged: Dict[int, int] = {}
+                    for c, mult in wires.items():
+                        c = folded.get(c, c)
+                        if c != dropped:
+                            merged[c] = merged.get(c, 0) + mult
+                    wires = merged
+                if len(wires) == 1:
+                    (c, mult), = wires.items()
+                    if mult == 1:
+                        folded[g] = c
+                        continue
+                if times:
+                    degree[g] = sum([mult * degree[c] for c, mult in wires.items()])
+                    shifted = None
                 else:
-                    children = sorted(self.children[g].items())
-                    top = degree[g] = max([degree[c] for c, _ in children])
-                    shifted = [(c, mult, top - degree[c]) for c, mult in children
+                    top = degree[g] = max([degree[c] for c in wires])
+                    shifted = [(c, mult, top - degree[c]) for c, mult in wires.items()
                                if degree[c] < top]
                     if shifted:
-                        children = [(c, mult) for c, mult in children if degree[c] == top]
-                    gates.append((g, children, shifted))
+                        wires = {c: mult for c, mult in wires.items() if degree[c] == top}
+                gates.append((g, wires, all(m == 1 for m in wires.values()), shifted))
+            out = folded.get(self.output, self.output)
             self._program = (var_gates, names, const_gates, consts, common_denominator(consts),
-                             gates, degree[self.output])
+                             gates, out, degree[out])
         return self._program
 
     def evaluate(self, assignment: Mapping[str, Rational]) -> Rational:
@@ -243,59 +281,75 @@ class Circuit:
         Int and Fraction inputs are computed over the integers (see
         `_evaluation_program`) and divided once at the output; the result is
         an int when every input is an int, as plain arithmetic would give.
-        Any other input type raises InvalidParameter.
+        Any other input type, a bool included, raises InvalidParameter.
+        When every input is exactly an int and the circuit has no
+        non-integral constant, the plan runs with D = 1 and no denominator
+        is looked at.
 
         The plan is interpreted on its first KERNEL_AFTER - 1 evaluations,
         whatever their input types, and run by its kernel (see
         `_build_kernel`) from then on, unless it has more than
-        KERNEL_GATE_CAP internal gates; the module docstring gives the
-        measurements behind both constants.  The two tiers give the same
-        value of the same type.  The kernel takes the values in plan order,
-        so no variable name or other text of the circuit reaches its source.
+        KERNEL_GATE_CAP steps; the module docstring gives the measurements
+        behind both constants.  The two tiers give the same value of the
+        same type.  The kernel takes the values in plan order, so no
+        variable name or other text of the circuit reaches its source.
         """
-        var_gates, names, const_gates, consts, const_den, gates, top = self._evaluation_program()
+        var_gates, names, const_gates, consts, const_den, gates, out, top = \
+            self._evaluation_program()
         try:
-            xs = [assignment[name] for name in names]
+            xs = list(map(assignment.__getitem__, names))
         except KeyError:
             missing = next(name for name in names if name not in assignment)
             raise MissingVariable(f"assignment lacks {missing!r}") from None
-        others = [v for v in xs if type(v) is not int]
-        den = lcm(common_denominator(others), const_den)
-        ints_in = den == 1 and (not others or all(isinstance(v, int) for v in others))
-        if not ints_in:
-            xs = [v.numerator * (den // v.denominator) for v in xs]
-        if den != 1:
-            consts = [v.numerator * (den // v.denominator) for v in consts]
+        if const_den == 1 and _INT_ONLY.issuperset(map(type, xs)):
+            den, ints_in = 1, True
+        else:
+            den = lcm(common_denominator(xs), const_den)
+            ints_in = den == 1 and all(isinstance(v, int) for v in xs)
+            if not ints_in:
+                xs = [v.numerator * (den // v.denominator) for v in xs]
+            if den != 1:
+                consts = [v.numerator * (den // v.denominator) for v in consts]
         kernel = self._kernel
         if kernel is None:
             self._runs += 1
             if self._runs >= KERNEL_AFTER and len(gates) <= KERNEL_GATE_CAP:
-                kernel = self._kernel = _build_kernel(var_gates, const_gates, gates, self.output)
+                kernel = self._kernel = _build_kernel(var_gates, const_gates, gates, out)
         if kernel is None:
             values: List = [None] * self.num_gates()
             for g, value in zip(var_gates, xs):
                 values[g] = value
             for g, value in zip(const_gates, consts):
                 values[g] = value
-            for g, children, shifted in gates:
+            for g, wires, unit, shifted in gates:
                 if shifted is None:
                     total = 1
-                    for child, mult in children:
-                        total = total * (values[child] if mult == 1 else values[child] ** mult)
+                    if unit:
+                        for child in wires:
+                            total = total * values[child]
+                    else:
+                        for child in wires:
+                            mult = wires[child]
+                            total = total * (values[child] if mult == 1 else values[child] ** mult)
                 else:
                     total = 0
-                    for child, mult in children:
-                        total = total + (values[child] if mult == 1 else mult * values[child])
+                    if unit:
+                        for child in wires:
+                            total = total + values[child]
+                    else:
+                        for child in wires:
+                            mult = wires[child]
+                            total = total + (values[child] if mult == 1 else mult * values[child])
                     for child, mult, shift in shifted:
                         v = values[child] * den ** shift
                         total = total + (v if mult == 1 else mult * v)
                 values[g] = total
-            out = values[self.output]
+            result = values[out]
         else:
-            out = kernel(xs, consts, den)
+            result = kernel(xs, consts, den)
         if ints_in:
-            return out
-        return Fraction(out, den ** top)
+            return result
+        return Fraction(result, den ** top)
 
     def expand_symbolic(self) -> SparsePolynomial:
         """The computed polynomial, fully expanded; SizeCap guards blow-up.
@@ -438,6 +492,7 @@ class Circuit:
         try:
             entries = list_from_json(data["gates"], "gate list")
             n = len(entries)
+            check_cap("circuit_gates", n, "circuit gate count")
             labels: List = [None] * n
             for entry in entries:
                 g = entry["id"]
@@ -568,28 +623,31 @@ def _build_kernel(var_gates: List[int], const_gates: List[int], gates: List,
     """A gate plan as one straight-line function `kernel(xs, cs, den)`.
 
     `xs` and `cs` are the values of `var_gates` and `const_gates` in that
-    order, `den` is the evaluation's D.  Each internal gate is one
-    assignment, `g12 = g3 + 2 * g5 + g7 * den ** 1`, doing the interpreter's
-    operations in its order but for its leading `0 +` or `1 *`, which
-    changes no int or Fraction value or type; a sum or product of more than
-    KERNEL_LINE_OPERANDS operands continues on further lines.
-    The source holds gate ids, multiplicities and shifts only, and runs
-    without builtins.
+    order, `den` is the evaluation's D, and `output` is the gate whose value
+    it returns.  Each plan step is one assignment, `g12 = g3 + 2 * g5 + g7
+    * den ** 1`, doing the interpreter's operations in its order but for
+    its leading `0 +` or `1 *`, which changes no int or Fraction value or
+    type; the empty product is `g12 = 1`, and a sum or product of more than
+    KERNEL_LINE_OPERANDS operands continues on further lines.  The source
+    holds gate ids, multiplicities and shifts only, and runs without
+    builtins.
     """
     lines = ["def kernel(xs, cs, den):"]
     for ids, arg in ((var_gates, "xs"), (const_gates, "cs")):
         if ids:
             lines.append("    " + "".join(f"g{g}, " for g in ids) + f"= {arg}")
-    for g, children, shifted in gates:
+    for g, wires, _, shifted in gates:
         if shifted is None:
-            op, terms = " * ", [f"g{c}" if m == 1 else f"g{c} ** {m}" for c, m in children]
+            op, terms = " * ", [f"g{c}" if m == 1 else f"g{c} ** {m}" for c, m in wires.items()]
         else:
-            op, terms = " + ", [f"g{c}" if m == 1 else f"{m} * g{c}" for c, m in children]
+            op, terms = " + ", [f"g{c}" if m == 1 else f"{m} * g{c}" for c, m in wires.items()]
             terms += [f"g{c} * den ** {k}" if m == 1 else f"{m} * (g{c} * den ** {k})"
                       for c, m, k in shifted]
         for start in range(0, len(terms), KERNEL_LINE_OPERANDS):
             head = [f"g{g}"] if start else []
             lines.append(f"    g{g} = " + op.join(head + terms[start:start + KERNEL_LINE_OPERANDS]))
+        if not terms:
+            lines.append(f"    g{g} = 1")
     lines.append(f"    return g{output}")
     namespace: Dict = {"__builtins__": {}}
     exec(compile("\n".join(lines), "<circuit kernel>", "exec"), namespace)

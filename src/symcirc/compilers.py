@@ -86,6 +86,7 @@ from .errors import (
     InvalidDecomposition,
     InvalidEliminationTree,
     InvalidParameter,
+    check_cap,
 )
 from .exactnum import Rational, common_denominator
 from .pattern import BipartiteMultigraph, SIDE_A
@@ -173,12 +174,40 @@ def compile_certificate(f: BipartiteMultigraph, cert, n: int, m: int) -> Compile
 
 
 def _construct(f: BipartiteMultigraph, cert, ranges, varmap) -> Tuple[Circuit, str]:
-    """The circuit the certificate's construction builds and the shape it has."""
+    """The circuit the certificate's construction builds and the shape it has;
+    SizeCap first, before any gate is built, if the construction's gate
+    bound (`_gate_bound`) exceeds the `circuit_gates` cap."""
+    check_cap("circuit_gates", _gate_bound(f, cert, ranges), "circuit gate bound")
     if isinstance(cert, EliminationForest):
         return _formula_from_forest(f, cert, ranges, varmap), FORMULA_MULTI
     if isinstance(cert, PathDecomposition):
         return _general_from_tree(f, cert.as_tree(), ranges, varmap), SKEW
     return _general_from_tree(f, cert, ranges, varmap), GENERAL
+
+
+def _gate_bound(f: BipartiteMultigraph, cert, ranges) -> int:
+    """An upper bound on the gates the construction of `cert` builds, read
+    off the certificate and the ranges alone.  Each edge (a, b) has at most
+    ranges(a) * ranges(b) variable gates.  A bag of L labellings (the
+    product of its vertices' ranges) adds at most L products and L forget
+    gates towards its parent, and the output and the constant 1 add two.
+    In the formula, a vertex u of the forest without the isolated vertices,
+    with P labellings of its root path (the product of the ranges along
+    it), adds at most P sums, P summands and P tags on u's summands in
+    its parent, and the constants and the top product add three."""
+    variables = sum(ranges(a) * ranges(b) for a, b, _ in f.edge_list_global())
+    if not isinstance(cert, EliminationForest):
+        return 2 * sum(math.prod(map(ranges, bag)) for bag in cert.bags) + variables + 2
+    iso = set(f.isolated_vertices())
+    children = cert.children()
+    paths, stack = 0, [(r, 1) for r in cert.roots()]
+    while stack:
+        v, above = stack.pop()
+        if v not in iso:
+            above *= ranges(v)
+            paths += above
+        stack.extend((c, above) for c in children[v])
+    return 3 * paths + variables + 3
 
 
 def _exact_certificate(f: BipartiteMultigraph, shape: str):

@@ -2,7 +2,7 @@
 
 Every operation that can fail raises one of these instead of returning a
 sentinel, so callers (and the CLI exit-code mapping) can distinguish usage
-errors from verification failures.  The four caps a user can set live in
+errors from verification failures.  The five caps a user can set live in
 the context variable `CAPS`, a read-only mapping that `cli.run` overrides
 with `--caps` for one run; the routines they bound call `check_cap` where
 the size is known, and the SizeCap raised names the cap's key.
@@ -30,13 +30,19 @@ class SizeCap(SymcircError):
 
 CAPS = contextvars.ContextVar("caps", default=MappingProxyType(
     {"width_vertices": 14, "brute_force_maps": 10 ** 7, "minor_norm": 24,
-     "pattern_norm": 10 ** 5}))
+     "pattern_norm": 10 ** 5, "circuit_gates": 2 * 10 ** 6}))
 
 
 def check_cap(name: str, count: int, what: str) -> None:
-    """SizeCap if `count` (the size of `what`) exceeds the cap `name` in CAPS."""
+    """SizeCap if `count` (the size of `what`) exceeds the cap `name` in CAPS.
+    A count of 100 digits or more is named by its number of digits, so the
+    message never meets Python's limit on converting ints to text."""
     cap = CAPS.get()[name]
     if count > cap:
+        if count >= 10 ** 99:
+            # count >= 2 ** (bits - 1), and log10(2) > 0.30102.
+            digits = (count.bit_length() - 1) * 30102 // 100000 + 1
+            raise SizeCap(f"{what} of {digits}+ digits exceeds cap {cap} (set by --caps {name})")
         raise SizeCap(f"{what} {count} exceeds cap {cap} (set by --caps {name})")
 
 

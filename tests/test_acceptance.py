@@ -685,3 +685,38 @@ def test_criterion_10_cfi_indistinguishability():
               f"(<=4 vertices, tw<=1) = {indistinguishable}; distinguished by C4 = "
               f"{separated}")
     _report(10, indistinguishable and separated, detail)
+
+
+# -- criterion 11: least supports equal certificate widths ----------------------------------------
+
+
+def test_criterion_11_supports_equal_widths():
+    """Each connected simple pattern with at most 6 vertices whose td,
+    pw + 1 and tw + 1 are not all equal, compiled in all three shapes at
+    n = m = 6: the largest least support is the width of the certificate
+    compiled (td for the formula, pw + 1 for the skew circuit, tw + 1 for
+    the general one), and the formula's support depth is td.  At smaller n
+    supports degenerate (two 6-vertex circuits fall short at n = m = 4)."""
+    size, failures, chosen = 6, [], 0
+    for f in enumerate_bipartite_multigraphs(6, 9, max_mult=1):
+        if not f.is_connected():
+            continue
+        td, forest = width.treedepth_exact(f)
+        pw, pdeco = width.pathwidth_exact(f)
+        tw, tdeco = width.treewidth_exact(f)
+        if td == pw + 1 == tw + 1:
+            continue
+        chosen += 1
+        for shape, cert, want in (("td", forest, td), ("pw", pdeco, pw + 1), ("tw", tdeco, tw + 1)):
+            analysis = symmetry.SymmetryAnalysis(
+                compilers.compile_certificate(f, cert, size, size).circuit, size, size)
+            if analysis.max_support() != want:
+                failures.append(f"{f!r} {shape}: maxSup {analysis.max_support()} != {want}")
+            if shape == "td" and analysis.support_depth() != td:
+                failures.append(f"{f!r}: supportDepth {analysis.support_depth()} != td {td}")
+    detail = (f"{chosen} connected patterns (<=6 vertices, td, pw+1, tw+1 not all equal) at "
+              f"n=m={size}: maxSup = certificate width, supportDepth = td; "
+              f"{len(failures)} failures")
+    if failures:
+        detail += " | first: " + failures[0]
+    _report(11, chosen == 18 and not failures, detail)

@@ -252,6 +252,44 @@ def test_bool_inputs_are_rejected_in_both_tiers():
         c.evaluate({"x_1_1": True})
 
 
+@pytest.mark.parametrize("bad", [True, False, 0.5, 2.0, "3"])
+def test_inputs_of_other_types_raise_the_same_text_in_both_tiers(bad):
+    """An input that is not exactly an int or a Fraction leaves the int-only
+    path and raises the text `common_denominator` gives, first among ints
+    or among Fractions, before and after the kernel is built; so does a
+    missing variable."""
+    b = CircuitBuilder()
+    x, y = b.var("x"), b.var("y")
+    c = b.finish(b.plus([(b.times([(x, 1), (y, 2)]), 1), (b.const(3), 1)]))
+    for tier in range(2):
+        for other in (5, Fraction(1, 3)):
+            for point in ({"x": bad, "y": other}, {"x": other, "y": bad}):
+                with pytest.raises(InvalidParameter) as exc:
+                    c.evaluate(point)
+                assert str(exc.value) == f"not an int or a Fraction: {bad!r}"
+        with pytest.raises(MissingVariable) as exc:
+            c.evaluate({"x": 1})
+        assert str(exc.value) == "assignment lacks 'y'"
+        if tier == 0:
+            assert _past_kernel_threshold(c, {"x": 2, "y": 3}) == (21, 21)
+
+
+def test_the_plan_reads_the_circuits_own_wires():
+    """A gate with nothing to fold steps over its own children dict, not a
+    copy; only gates with a folded or dropped wire get a new one."""
+    b = CircuitBuilder()
+    x, y = b.var("x"), b.var("y")
+    passing = b.plus([(x, 1)])  # folds onto x
+    kept = b.times([(x, 1), (y, 2)])
+    refolded = b.times([(passing, 1), (y, 2), (b.const(1), 4)])
+    c = b.finish(b.plus([(kept, 1), (refolded, 2)]))
+    steps = {step[0]: step[1] for step in c._evaluation_program()[5]}
+    assert passing not in steps
+    assert steps[kept] is c.children[kept] and steps[c.output] is c.children[c.output]
+    assert steps[refolded] == {x: 1, y: 2} and steps[refolded] is not c.children[refolded]
+    assert c.evaluate({"x": 2, "y": 3}) == 3 * 2 * 9
+
+
 def test_kernel_source_holds_no_variable_names():
     hostile = ['"); import os; ("', "g1", "xs", "den", "__import__('os').getcwd()",
                "a\nb", "\\", "'''"]

@@ -17,7 +17,7 @@ from symcirc.symmetry import analyze
 from test_golden import _analyze_inputs
 
 DEFAULT_CAPS = {"width_vertices": 14, "brute_force_maps": 10 ** 7, "minor_norm": 24,
-                "pattern_norm": 10 ** 5}
+                "pattern_norm": 10 ** 5, "circuit_gates": 2 * 10 ** 6}
 
 
 def _run(capsys, *argv):
@@ -506,13 +506,20 @@ def test_trials_below_one_exit_2(capsys, tmp_path, command):
     ("brute_force_maps", ["reduce", "btree", "--n", "2"]),
     ("pattern_norm", ["pattern", "gen", "path", "--v", "3"]),
     ("pattern_norm", ["width", "tw", "--graph", "{p6}"]),
+    ("circuit_gates", ["compile", "--graph", "{p2}", "--shape", "td", "--n", "1", "--m", "1"]),
+    ("circuit_gates", ["compile", "--graph", "{p2}", "--shape", "tw", "--n", "1", "--m", "1"]),
+    ("circuit_gates", ["analyze", "--circuit", "{circuit}", "--n", "2", "--m", "1"]),
+    ("circuit_gates", ["suite", "compile"]),
 ])
 def test_each_cap_reaches_every_command_and_is_named(capsys, tmp_path, key, argv):
     """A cap hit exits 2 (never a FAIL line), naming its value and its key."""
+    x_sum = {"gates": [{"id": g, "label": {"var": f"x_{g + 1}_1"}} for g in range(3)]
+             + [{"id": 3, "label": "plus"}], "wires": [[3, g, 1] for g in range(3)], "output": 3}
     files = {"p6": _write(tmp_path, "p6.json", {"a": 3, "b": 3, "edges": [
                  [1, 1, 1], [2, 1, 1], [2, 2, 1], [3, 2, 1], [3, 3, 1]]}),
              "p2": _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]}),
-             "host": _write(tmp_path, "host.json", {"n": 2, "m": 2, "weights": []})}
+             "host": _write(tmp_path, "host.json", {"n": 2, "m": 2, "weights": []}),
+             "circuit": _write(tmp_path, "circuit.json", x_sum)}
     caps = _write(tmp_path, "caps.json", {key: 3})
     code, out, err = _run(capsys, "--caps", caps, *(a.format(**files) for a in argv))
     assert code == 2 and out == "" and err.startswith("error:")
@@ -531,6 +538,34 @@ def test_an_oversize_pattern_exits_before_it_is_built(capsys, monkeypatch):
     assert time.perf_counter() - start < 2
     assert code == 2 and out == "" and err == (
         "error: pattern norm 199999999 exceeds cap 100000 (set by --caps pattern_norm)\n")
+
+
+@pytest.mark.parametrize("shape", ["td", "pw", "tw"])
+def test_an_oversize_compile_exits_before_a_gate_is_built(capsys, tmp_path, monkeypatch, shape):
+    """hom_{P2} at n = 10^11 - 1 is refused by its gate bound, read off the
+    certificate and the host sizes, before a builder is made."""
+    def built(*args, **kwargs):
+        raise AssertionError("made a circuit builder")
+
+    monkeypatch.setattr(cli.compilers, "CircuitBuilder", built)
+    p2 = _write(tmp_path, "p2.json", {"a": 1, "b": 1, "edges": [[1, 1, 1]]})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "compile", "--graph", p2, "--shape", shape,
+                          "--n", "99999999999", "--m", "1")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and err.startswith("error: circuit gate bound ")
+    assert err.endswith(" exceeds cap 2000000 (set by --caps circuit_gates)\n")
+
+
+def test_a_cap_count_too_long_to_print_is_named_by_its_digits(capsys, tmp_path):
+    # 10^6000 maps of a 6000-vertex path into a 10 x 10 host: a count past
+    # Python's 4300-digit limit on converting ints to text.
+    path = _write(tmp_path, "p6000.json", make_path(6000).to_json())
+    host = _write(tmp_path, "host.json", {"n": 10, "m": 10, "weights": []})
+    code, out, err = _run(capsys, "oracle", "hom", "--pattern", path, "--host", host)
+    assert code == 2 and out == "" and err == (
+        "error: brute-force map count of 6000+ digits exceeds cap 10000000 "
+        "(set by --caps brute_force_maps)\n")
 
 
 def test_capped_hardness_target_exits_before_the_gadget_is_built(capsys, tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from symcirc import compilers
-from symcirc.circuit import KERNEL_AFTER, CircuitBuilder
+from symcirc.circuit import KERNEL_AFTER, Circuit, CircuitBuilder
 from symcirc.errors import InvalidParameter
 from symcirc.exactnum import SparsePolynomial
 from symcirc.oracle import (
@@ -203,7 +203,7 @@ def test_kernels_match_fraction_loops():
         if not names:
             continue
         integral = all(lbl[1].denominator == 1 for lbl in c.labels if lbl[0] == "const")
-        shifted += any(gate[2] for gate in c._evaluation_program()[5])
+        shifted += any(gate[3] for gate in c._evaluation_program()[5])
         for _ in range(KERNEL_AFTER + 2):
             ints = {x: rng.randint(-4, 4) for x in names}
             got = c.evaluate(ints)
@@ -217,6 +217,68 @@ def test_kernels_match_fraction_loops():
             assert got == _reference_evaluate(c, ints) and type(got) is Fraction
         assert c._kernel is not None
     assert shifted >= 3
+
+
+def _json_circuit(labels, wires, output):
+    """A circuit file's circuit: gate 0 is the constant 1, gate 1 the
+    variable x, and `labels` label the gates 2, 3, ..."""
+    gates = [{"const": {"num": "1", "den": "1"}}, {"var": "x"}] + labels
+    return Circuit.from_json({"gates": [{"id": g, "label": lbl} for g, lbl in enumerate(gates)],
+                              "wires": wires, "output": output})
+
+
+def _folding_cases():
+    """Circuits whose plans fold or drop gates, each with its name."""
+    b = CircuitBuilder()
+    yield "output is the constant 1", b.finish(b.const(1))
+    yield "product of constant 1s", Circuit.from_json(
+        {"gates": [{"id": 0, "label": {"const": {"num": "1", "den": "1"}}},
+                   {"id": 1, "label": "times"}], "wires": [[1, 0, 3]], "output": 1})
+    # x + 1^2: the empty product, of degree 0, is lifted by D ** 1.
+    yield "sum over a product of constant 1s", _json_circuit(
+        ["times", "plus"], [[2, 0, 2], [3, 2, 1], [3, 1, 1]], 3)
+    b = CircuitBuilder()
+    yield "plus with one child twice", b.finish(b.plus([(b.var("x"), 2)]))
+    # plus(x * 1^2) * 1: every internal gate folds onto x.
+    yield "chain ending at a variable", _json_circuit(
+        ["times", "plus", "times"], [[2, 1, 1], [2, 0, 2], [3, 2, 1], [4, 3, 1], [4, 0, 1]], 4)
+    yield "td formula at n = m = 2", compilers.compile_single(make_cycle(4), 2, 2, "td").circuit
+
+
+@pytest.mark.parametrize("c", [pytest.param(c, id=name) for name, c in _folding_cases()])
+def test_folded_plans_match_fraction_loops_in_both_tiers(c):
+    """Values and types of the interpreter (first call) and of the kernel
+    (past KERNEL_AFTER calls) equal the reference on int points and on
+    rational points with D > 1, on plans that fold gates away."""
+    rng = random.Random(17)
+    names = c.variables()
+    points = [{x: rng.randint(-4, 4) for x in names},
+              {x: Fraction(2 * rng.randint(-3, 3) + 1, 2 * k + 2) for k, x in enumerate(names)}]
+    first = [c.evaluate(point) for point in points]
+    for _ in range(KERNEL_AFTER):
+        c.evaluate(points[0])
+    assert c._kernel is not None
+    for point, interpreted in zip(points, first):
+        want = _reference_evaluate(c, point)
+        ints = all(type(v) is int for v in point.values())
+        for got in (interpreted, c.evaluate(point)):
+            assert got == want and type(got) is (int if ints else Fraction)
+
+
+def test_plans_fold_pass_through_gates():
+    """The td formula's plan has fewer steps than internal gates: its
+    single-child gates and its wires to the constant 1 are folded away."""
+    c = compilers.compile_single(make_cycle(4), 3, 3, "td").circuit
+    internal = {g for g, lbl in enumerate(c.labels) if lbl[0] in ("plus", "times")}
+    steps = c._evaluation_program()[5]
+    folded = internal - {step[0] for step in steps}
+    assert folded
+    one = next(g for g, lbl in enumerate(c.labels) if lbl == ("const", 1))
+    for g, wires, unit, shifted in steps:
+        assert wires and not folded & wires.keys()
+        assert unit == all(m == 1 for m in wires.values())
+        if shifted is None:
+            assert one not in wires
 
 
 def test_inputs_that_are_not_int_or_fraction_raise():

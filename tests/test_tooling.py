@@ -108,6 +108,85 @@ def test_no_module_level_mutable_state_is_rebound():
     assert found == []
 
 
+_MUTATING_METHODS = {"append", "extend", "insert", "remove", "pop", "popitem", "clear", "sort",
+                     "reverse", "add", "discard", "update", "setdefault", "difference_update",
+                     "intersection_update", "symmetric_difference_update"}
+_CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+_CONTAINER_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _module_container_mutations(source: str) -> list:
+    """Where a function mutates a module-level name bound to a dict, list or
+    set: a subscript store or delete, an augmented assignment, or a call of
+    a mutating method on the name."""
+    tree = ast.parse(source)
+    containers = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) and node.value else [])
+        value = getattr(node, "value", None)
+        if isinstance(value, _CONTAINER_NODES) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in _CONTAINER_CALLS):
+            containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+
+    def named(node):
+        return isinstance(node, ast.Name) and node.id in containers
+
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                hit = named(node.value)
+            elif isinstance(node, ast.AugAssign):
+                target = node.target
+                hit = named(target) or (isinstance(target, ast.Subscript) and named(target.value))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                hit = named(node.func.value) and node.func.attr in _MUTATING_METHODS
+            else:
+                hit = False
+            if hit:
+                found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_no_function_mutates_a_module_level_container():
+    """No process-wide state hides in a module-level dict, list or set: no
+    function of the package stores into one, deletes from one or calls a
+    mutating method on one.  The rule itself flags each kind of mutation."""
+    sample = ("TABLE = {}\nSEEN: set = set()\nORDER = [1]\nLABELS = {'a': (1,)}\n"
+              "def f(k):\n    TABLE[k] = 1\n    SEEN.add(k)\n    ORDER += [k]\n"
+              "    del TABLE[k]\n    return LABELS[k], ORDER.index(k), {}.update()\n"
+              "g = lambda k: ORDER.append(k)\n")
+    assert _module_container_mutations(sample) == [6, 7, 8, 9, 11]
+    found = {path.name: _module_container_mutations(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_caches_decorate_only_functions_without_arguments():
+    """functools.lru_cache and cache keep one result per argument tuple for
+    the life of the process, so they may only decorate functions that take
+    no arguments, whose one result is fixed (`cli.build_parser`)."""
+    decorated, found = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+                if name in ("lru_cache", "cache"):
+                    decorated.append(f"{path.name}:{node.name}")
+                    args = node.args
+                    if (args.posonlyargs or args.args or args.kwonlyargs or args.vararg
+                            or args.kwarg):
+                        found.append(f"{path.name}:{node.name}")
+    assert "cli.py:build_parser" in decorated and found == []
+
+
 def test_code_is_generated_in_one_place():
     """The builtins compile and exec are called only by circuit.py's kernel
     builder, and eval nowhere."""
